@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +31,6 @@ _NUMERICAL_ERRORS = (
     IntegrandError, OverflowError, friedrichs.PoleInUpperHalfPlane,
     friedrichs.ContinuationUnavailable, thermo.IllDefinedBracket,
 )
-
-_THREADS_ENV = "GAMOW_THERMO_THREADS"
 
 
 class _Emitter:
@@ -137,7 +133,6 @@ def cmd_pole(cfg: RunConfig, emitter: _Emitter) -> int:
 
 def cmd_survival(cfg: RunConfig, emitter: _Emitter) -> int:
     model = cfg.model()
-    spec = cfg.quadrature_spec() if cfg.has_section("numerics") else None
     grid = cfg.grid("time", required=True)
     pole = friedrichs.find_pole(model, cfg.root_config(),
                                 cfg.quadrature_spec())
@@ -147,7 +142,7 @@ def cmd_survival(cfg: RunConfig, emitter: _Emitter) -> int:
     failure = None
     for t in grid:
         try:
-            amp = decay.survival_amplitude(model, float(t), spec)
+            amp = decay.survival_amplitude(model, float(t))
         except (NonConvergence, IntegrandError) as exc:
             failure = f"quadrature failed at t = {t!r}: {exc}"
             rows.append([t, "failed", "failed", "failed", "failed"])
@@ -326,16 +321,7 @@ def cmd_scan(cfg: RunConfig, emitter: _Emitter) -> int:
             pad = [""] * (len(columns) - 2)
             return [value, *pad, f"{type(exc).__name__}: {exc}"]
 
-    try:
-        threads = max(1, int(os.environ.get(_THREADS_ENV, "1") or "1"))
-    except ValueError:
-        threads = 1
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, values))
-    else:
-        rows = [one(v) for v in values]
-
+    rows = [one(v) for v in values]
     emitter.add_table("scan", columns, rows)
     failures = sum(1 for r in rows if r[-1] != "")
     emitter.record["results"]["points"] = len(rows)

@@ -13,7 +13,9 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.interpolate import CubicSpline
+from scipy.special import factorial
 
 from .friedrichs import FriedrichsModel, ResonancePole, spectral_density
 from .numerics import QuadratureSpec, integrate
@@ -31,9 +33,9 @@ __all__ = [
     "classify_regimes",
 ]
 
-# Fourier integrals switch to half-period chunking early: the chunked pass
-# is evaluated in bulk and beats heap-driven bisection well before plain
-# adaptivity breaks down.
+# generic ``density=`` route only: its Fourier integrals switch to
+# half-period chunking early, since the chunked pass is evaluated in bulk
+# and beats heap-driven bisection well before plain adaptivity breaks down
 _FOURIER_SPEC = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9,
                                max_subdivisions=400000, oscillation_split=5.0)
 # accuracy of the tabulated density itself (inner quadratures + spline fit);
@@ -43,6 +45,17 @@ _TABLE_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10,
                              max_subdivisions=20000)
 _NORM_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11,
                             max_subdivisions=20000)
+
+# M_j(theta) = integral of u^j exp(-i theta u) over [0, 1], j = 0..3, by the
+# recurrence M_j = (j M_{j-1} - exp(-i theta)) / (i theta) from the switch up;
+# below it the recurrence cancels like 1/theta^4, so the Taylor series
+# sum_n (-i theta)^n / (n! (n + j + 1)) is used, 18 terms (remainder < 1/18!)
+_MOMENT_SWITCH = 1.0
+_TAYLOR = (np.array([1.0, -1j, -1.0, 1j])[np.arange(18) % 4, None]
+           / (factorial(np.arange(18))[:, None]
+              * (np.arange(18)[:, None] + np.arange(1, 5))))
+# (time x interval) elements per synthesis block: stays in cache, flat memory
+_BLOCK = 2**15
 
 
 class InsufficientSpan(ValueError):
@@ -115,14 +128,29 @@ class RegimeReport:
                 raise ValueError(f"windows overlap or are unordered: {seq}")
 
 
+def _cubic_moments(theta: np.ndarray) -> np.ndarray:
+    """M_0..M_3 at each theta >= 0, stacked on a new trailing axis."""
+    small = theta < _MOMENT_SWITCH
+    safe = np.where(small, _MOMENT_SWITCH, theta)
+    z, inv = np.exp(-1j * safe), -1j / safe
+    moments = [(1.0 - z) * inv]
+    for j in (1, 2, 3):
+        moments.append((j * moments[-1] - z) * inv)
+    out = np.stack(moments, axis=-1)
+    out[small] = polyval(theta[small], _TAYLOR).T
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class DensityTable:
-    """Spline surrogate of the overlap density for fast Fourier synthesis.
+    """Spline surrogate of the overlap density, Fourier-transformed exactly.
 
     Sampled where the adaptive integrator needed resolution, then refined
     until the interpolant reproduces fresh density evaluations at every
     knot midpoint.  ``norm_direct`` is the pure-quadrature normalization,
     kept alongside the spline's own integral as a build-quality record.
+    The spline is zero outside [lo, hi], and :meth:`fourier` transforms it
+    with no error beyond the spline's own.
     """
 
     model: FriedrichsModel
@@ -145,32 +173,31 @@ class DensityTable:
         return float(self.spline.integrate(self.lo, self.hi))
 
     @functools.cached_property
-    def _tail_bounds(self):
-        # per-knot certificates for dropping [knot, hi]: remaining spline
-        # mass, and the total-variation factor of the integration-by-parts
-        # envelope bound |integral rho exp(-iwt)| <= (rho + TV + rho_hi)/t
-        anti = self.spline.antiderivative()(self.knots)
-        mass_from = anti[-1] - anti
-        variation = np.abs(np.diff(self.values))
-        tv_from = np.concatenate([np.cumsum(variation[::-1])[::-1], [0.0]])
-        envelope = self.values + tv_from + self.values[-1]
-        return mass_from, envelope
+    def _pieces(self):
+        # starts x, widths h, weights a_j h^(j+1): sum_j w_j M_j(t h) e^{-ixt}
+        h = np.diff(self.spline.x)
+        weights = self.spline.c[::-1].T * h[:, None] ** np.arange(1, 5)
+        return self.spline.x[:-1], h, weights
 
-    def truncation_point(self, t: float, tol: float) -> float:
-        """Smallest knot beyond which the Fourier tail is certified < tol.
+    def fourier(self, times) -> np.ndarray:
+        """Integral of rho(w) exp(-i w t) dw for each t >= 0, exactly.
 
-        An unbounded coupling support produces tables thousands of units
-        wide whose far tail contributes nothing at the working tolerance;
-        tiling it with half-period chunks would dwarf the real work.
+        On every interval the cubic's transform is closed form in the
+        moments M_j (Filon-type quadrature), so the result carries no
+        quadrature or truncation error.  Times go in blocks of about
+        ``_BLOCK`` (time x interval) elements.
         """
-        mass_from, envelope = self._tail_bounds
-        bound = mass_from.copy()
-        if t > 0:
-            np.minimum(bound, 2.0 * envelope / t, out=bound)
-        certified = np.nonzero(bound <= tol)[0]
-        if certified.size == 0:
-            return self.hi
-        return float(self.knots[certified[0]])
+        t = np.atleast_1d(np.asarray(times, dtype=float))
+        if np.any(t < 0):
+            raise ValueError("the transform is evaluated for t >= 0")
+        x, h, weights = self._pieces
+        rows = max(1, _BLOCK // h.size)
+        out = np.empty(t.shape, dtype=complex)
+        for s in range(0, t.size, rows):
+            tb = t[s:s + rows, None]
+            out[s:s + rows] = np.einsum("tk,tkj,kj->t", np.exp(-1j * tb * x),
+                                        _cubic_moments(tb * h), weights)
+        return out
 
 
 def _tail_cutoff(model: FriedrichsModel) -> float:
@@ -191,7 +218,9 @@ def _tail_cutoff(model: FriedrichsModel) -> float:
     raise ValueError("coupling weight decays too slowly to truncate")
 
 
-def _build_density_table(model: FriedrichsModel) -> DensityTable:
+@functools.lru_cache(maxsize=8)
+def density_table(model: FriedrichsModel) -> DensityTable:
+    """Cached spline table of the model's overlap density."""
     hi = _tail_cutoff(model)
     lo = model.form_factor.support[0]
     samples: dict[float, float] = {}
@@ -250,51 +279,54 @@ def _build_density_table(model: FriedrichsModel) -> DensityTable:
                         max_refine_dev=max_dev)
 
 
-@functools.lru_cache(maxsize=8)
-def density_table(model: FriedrichsModel) -> DensityTable:
-    """Cached spline table of the model's overlap density."""
-    return _build_density_table(model)
-
-
 def survival_amplitude(model: FriedrichsModel, t: float,
                        spec: QuadratureSpec | None = None, *,
                        density=None) -> complex:
     """Overlap of the evolved level with itself at time t.
 
-    Synthesized as the Fourier transform of the overlap density with
-    half-period chunking once the phase turns fast.  ``density`` may
-    override the cached spline table with any callable (for instance the
-    raw quadrature density) at matching support.
+    The Fourier transform of the overlap density.  By default it is the
+    exact transform of the cached spline table (:meth:`DensityTable.fourier`),
+    and ``spec`` is not used.  ``density`` may replace the table with any
+    callable, for instance the raw quadrature density; that generic route
+    integrates over the support up to the table's truncation point by
+    adaptive quadrature under ``spec``, chunked at half periods once the
+    phase turns fast.
     """
     if t < 0:
         raise ValueError("survival amplitude is evaluated for t >= 0")
-    spec = spec or _FOURIER_SPEC
     if density is None:
         density = density_table(model)
     if isinstance(density, DensityTable):
-        lo = density.lo
-        hi = density.truncation_point(t, spec.abs_tol / 8.0)
-    else:
-        lo, hi = model.form_factor.support
+        return complex(density.fourier(t)[0])
 
     def integrand(w):
         w = np.asarray(w, dtype=float)
         return np.asarray(density(w)) * np.exp(-1j * w * t)
 
-    return complex(integrate(integrand, lo, hi, spec, oscillation=t))
+    return complex(integrate(integrand, model.form_factor.support[0],
+                             _tail_cutoff(model), spec or _FOURIER_SPEC,
+                             oscillation=t))
 
 
 def survival_probability(model: FriedrichsModel, t_grid,
                          spec: QuadratureSpec | None = None, *,
                          density=None) -> SurvivalSeries:
-    """Survival series |A(t)|^2 over an ordered nonnegative grid."""
+    """Survival series |A(t)|^2 over an ordered nonnegative grid.
+
+    On the spline table the whole grid is one vectorised exact transform;
+    a callable ``density`` takes the generic route of
+    :func:`survival_amplitude` point by point.
+    """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1:
         raise ValueError("t_grid must be a non-empty 1-d sequence")
     if density is None:
         density = density_table(model)
-    amps = np.array([survival_amplitude(model, float(tk), spec,
-                                        density=density) for tk in t])
+    if isinstance(density, DensityTable):
+        amps = density.fourier(t)
+    else:
+        amps = np.array([survival_amplitude(model, float(tk), spec,
+                                            density=density) for tk in t])
     return SurvivalSeries(times=t, amplitudes=amps,
                           probabilities=np.abs(amps) ** 2)
 
@@ -318,8 +350,10 @@ def zeno_check(target, h: float = 0.01,
     callable P(t) such as an oracle series interpolant or an exponential
     control.  Two Richardson levels are compared, so the returned
     ``(slope, error_estimate)`` carries a defect of the extrapolation
-    itself plus the quadrature noise floor; a value drowned in noise is
-    visible rather than masked.
+    itself plus a noise floor; a value drowned in noise is visible rather
+    than masked.  For a model the floor is 4 * ``spec.abs_tol`` (of the
+    generic route's default spec when None).  The table route is exact
+    for its spline, so there the floor is a conservative allowance.
     """
     if h <= 0:
         raise ValueError("step h must be positive")

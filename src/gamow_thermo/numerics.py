@@ -242,9 +242,9 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None, *,
 
     ``oscillation`` declares the angular frequency of a known factor
     exp(-i*omega*t) in the integrand (t = oscillation).  Above
-    ``spec.oscillation_split`` the range is cut at the oscillation's
-    half-period zeros and the pieces summed; plain adaptive bisection
-    cannot track thousands of sign changes.
+    ``spec.oscillation_split`` the range, which must then be finite, is
+    cut at the oscillation's half-period zeros and the pieces summed;
+    plain adaptive bisection cannot track thousands of sign changes.
 
     Returns the integral estimate; raises :class:`NonConvergence` when the
     subdivision budget runs out and :class:`IntegrandError` on NaN/inf.
@@ -255,9 +255,9 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None, *,
     fvec = _vectorize(f)
 
     if oscillation > spec.oscillation_split:
-        half_period = np.pi / oscillation
         if np.isinf(b):
-            return _oscillatory_tail_sweep(fvec, a, half_period, spec)
+            raise ValueError("a declared oscillation needs a finite range")
+        half_period = np.pi / oscillation
         n = int(np.ceil((b - a) / half_period))
         edges = np.minimum(a + half_period * np.arange(n + 1), b)
         edges[-1] = b
@@ -266,27 +266,6 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None, *,
     if np.isinf(b):
         return _adaptive(_map_semi_infinite(fvec, a), 0.0, 1.0, spec)
     return _adaptive(fvec, a, b, spec)
-
-
-def _oscillatory_tail_sweep(fvec, a: float, half_period: float,
-                            spec: QuadratureSpec) -> complex:
-    """Sum half-period chunks of a decaying oscillatory tail on [a, inf)."""
-    block = 64
-    total = 0.0 + 0.0j
-    quiet = 0
-    start = a
-    for _ in range(max(1, spec.max_subdivisions // block)):
-        edges = start + half_period * np.arange(block + 1)
-        kron, _ = _panel_eval(fvec, edges[:-1], edges[1:])
-        total += kron.sum()
-        start = edges[-1]
-        if abs(kron.sum()) < 0.125 * spec.abs_tol:
-            quiet += 1
-            if quiet >= 2:
-                return total
-        else:
-            quiet = 0
-    raise NonConvergence("oscillatory tail did not decay within the chunk budget")
 
 
 def principal_value(f, a: float, b: float, c: float,

@@ -219,16 +219,6 @@ class TestScanCommand:
         code, _, _ = run_cli("scan", cfg)
         assert code == 2
 
-    def test_threaded_scan_matches_serial(self, run_cli, tmp_path,
-                                          monkeypatch):
-        cfg = ("pole.e_r = 1.0\nthermo.beta = 1.0\n"
-               "scan.axis = gamma\nscan.start = 0.1\nscan.stop = 2.0\n"
-               "scan.points = 12\n")
-        _, serial_out, _ = run_cli("scan", cfg, out_name="serial.csv")
-        monkeypatch.setenv("GAMOW_THERMO_THREADS", "4")
-        _, threaded_out, _ = run_cli("scan", cfg, out_name="threaded.csv")
-        assert serial_out.read_bytes() == threaded_out.read_bytes()
-
 
 class TestOutputContract:
     def test_round_trip_record_reproduces_bytes(self, run_cli, tmp_path):

@@ -1,8 +1,39 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.interpolate import BSpline, CubicSpline
 
 import gamow_thermo as gt
-from gamow_thermo.decay import InsufficientSpan, RegimeReport, SurvivalSeries
+from gamow_thermo.decay import (
+    DensityTable,
+    InsufficientSpan,
+    RegimeReport,
+    SurvivalSeries,
+    _cubic_moments,
+    _MOMENT_SWITCH,
+)
+from gamow_thermo.numerics import QuadratureSpec
+
+# tight enough that the generic route's own error sits far below 1e-9
+TIGHT = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=400000,
+                       oscillation_split=5.0)
+
+
+def _table_from_spline(spline):
+    """A DensityTable around a given spline, zero outside its knots."""
+    x = spline.x
+    return DensityTable(model=None, knots=x, values=spline(x),
+                        spline=spline, lo=float(x[0]), hi=float(x[-1]),
+                        norm_direct=float(spline.integrate(x[0], x[-1])),
+                        max_refine_dev=0.0)
+
+
+def _carrier(cutoff):
+    """A model whose support [0, cutoff] bounds the generic route."""
+    return gt.FriedrichsModel(omega0=1.0, lam=0.1,
+                              form_factor=gt.FlatCutoff(cutoff=cutoff))
 
 
 class TestDensityTable:
@@ -51,6 +82,148 @@ class TestSurvivalAmplitude:
     def test_negative_time_rejected(self, flat_model):
         with pytest.raises(ValueError):
             gt.survival_amplitude(flat_model, -1.0)
+
+
+class TestExactSynthesis:
+    """The spline table's closed-form Fourier transform."""
+
+    @staticmethod
+    def _moments_closed_form(theta, mp):
+        # M_j = j!/(i theta)^(j+1) [1 - exp(-i theta) sum_m<=j (i theta)^m/m!]
+        it = 1j * mp.mpf(theta)
+        return [complex(mp.factorial(j) / it**(j + 1)
+                        * (1 - mp.exp(-it) * sum(it**m / mp.factorial(m)
+                                                 for m in range(j + 1))))
+                for j in range(4)]
+
+    def test_moments_on_both_sides_of_the_switch(self):
+        mp = pytest.importorskip("mpmath")
+        below = np.nextafter(_MOMENT_SWITCH, 0.0)
+        thetas = np.array([1e-3, 0.3, 0.9, below, _MOMENT_SWITCH,
+                           np.nextafter(_MOMENT_SWITCH, 2.0), 1.7, 12.0,
+                           400.0])
+        got = _cubic_moments(thetas)
+        with mp.workdps(60):
+            for theta, row in zip(thetas, got):
+                exact = np.array(self._moments_closed_form(theta, mp))
+                assert np.max(np.abs(row - exact) / np.abs(exact)) <= 1e-13
+        # one ulp across the switch moves every moment by ~1e-16 at most
+        jump = np.abs(got[3] - got[4]) / np.abs(got[4])
+        assert np.max(jump) <= 1e-14
+
+    def test_one_cubic_piece_against_closed_form(self):
+        mp = pytest.importorskip("mpmath")
+        # a genuine cubic: clamped end slopes on a single interval
+        x0, h = 0.25, 0.5
+        spline = CubicSpline([x0, x0 + h], [0.7, 0.2],
+                             bc_type=((1, -1.3), (1, 0.4)))
+        table = _table_from_spline(spline)
+        coef = spline.c[::-1, 0]
+        below = np.nextafter(_MOMENT_SWITCH, 0.0)
+        for theta in (0.05, 0.6, below, _MOMENT_SWITCH, 1.0 + 1e-9, 3.0,
+                      50.0):
+            t = theta / h
+            with mp.workdps(60):
+                moments = self._moments_closed_form(mp.mpf(t) * h, mp)
+                exact = complex(mp.exp(-1j * mp.mpf(x0) * t) * sum(
+                    mp.mpf(coef[j]) * mp.mpf(h)**(j + 1) * moments[j]
+                    for j in range(4)))
+            got = table.fourier(t)[0]
+            assert abs(got - exact) / abs(exact) <= 1e-13
+
+    def test_zero_time_is_table_norm(self, flat_table, rational_model):
+        for table in (flat_table, gt.density_table(rational_model)):
+            assert abs(table.fourier(0.0)[0] - table.norm) <= 1e-14
+
+    def test_matches_generic_route_flat(self, flat_model, flat_pole,
+                                        flat_table):
+        for t in np.linspace(0.0, 27.0 / flat_pole.gamma, 7):
+            exact = gt.survival_amplitude(flat_model, t)
+            generic = gt.survival_amplitude(
+                flat_model, t, TIGHT, density=lambda w: flat_table(w))
+            assert abs(exact - generic) < 1e-9
+
+    def test_matches_generic_route_rational(self, rational_model):
+        pole = gt.find_pole(rational_model)
+        table = gt.density_table(rational_model)
+        # the whole 8000-unit table, where half-period chunking is cheap
+        for t in (0.0, 0.05 / pole.gamma):
+            exact = gt.survival_amplitude(rational_model, t)
+            generic = gt.survival_amplitude(
+                rational_model, t, TIGHT, density=lambda w: table(w))
+            assert abs(exact - generic) < 1e-9
+        # out to 27/Gamma on the table's first 40 units (the resonance and
+        # most knots); the full width would need millions of chunks there
+        keep = table.knots <= 40.0
+        window = _table_from_spline(
+            CubicSpline(table.knots[keep], table.values[keep]))
+        carrier = _carrier(window.hi)
+        for t in np.linspace(0.0, 27.0 / pole.gamma, 5):
+            exact = gt.survival_amplitude(carrier, t, density=window)
+            generic = gt.survival_amplitude(
+                carrier, t, TIGHT, density=lambda w: window(w))
+            assert abs(exact - generic) < 1e-9
+
+    @settings(max_examples=50, deadline=None)
+    @given(gaps=st.lists(st.floats(0.05, 2.0), min_size=2, max_size=10),
+           coef=st.lists(st.floats(0.0, 1.0), min_size=13, max_size=13),
+           t=st.floats(0.0, 40.0))
+    def test_random_nonnegative_splines(self, gaps, coef, t):
+        """Cubic B-splines with nonnegative coefficients are nonnegative
+        C^2 splines: the exact transform must match quadrature of the same
+        spline, and no amplitude can exceed the total weight A(0)."""
+        inner = np.concatenate([[0.0], np.cumsum(gaps)])
+        knots = np.concatenate([[inner[0]] * 3, inner, [inner[-1]] * 3])
+        c = np.array(coef[:knots.size - 4])
+        c[0] = c[-1] = 0.0  # continuous drop to zero outside the knots
+        bspline = BSpline(knots, c, 3)
+        deriv = bspline.derivative()
+        spline = CubicSpline(inner, bspline(inner),
+                             bc_type=((1, float(deriv(inner[0]))),
+                                      (1, float(deriv(inner[-1])))))
+        table = _table_from_spline(spline)
+        # the generic range must end on the table's edge: a drop to zero
+        # between the last Kronrod node and a panel end goes unseen
+        carrier = _carrier(table.hi)
+        exact = gt.survival_amplitude(carrier, t, density=table)
+        generic = gt.survival_amplitude(carrier, t, TIGHT,
+                                        density=lambda w: table(w))
+        assert abs(exact - generic) < 1e-9
+        assert abs(exact) <= table.fourier(0.0)[0].real + 1e-12
+
+    def test_flat_model_against_closed_form_density(self, flat_model,
+                                                    flat_table):
+        """Independent oracle: the flat-cutoff density in closed form,
+        integrated by QUADPACK's cosine/sine-weighted rules."""
+        lam2, w0, c = 0.01, 1.0, 10.0
+
+        def rho(w):
+            if w <= 0.0 or w >= c:
+                return 0.0  # log-divergent walls: the density limit is zero
+            eta = w - w0 - lam2 * np.log(w / (c - w)) + 1j * np.pi * lam2
+            return lam2 / abs(eta) ** 2
+
+        for t in (0.0, 0.7, 6.0, 40.0, 150.0):
+            if t == 0.0:
+                exact = quad(rho, 0.0, c, epsabs=1e-12, limit=500)[0]
+            else:
+                re = quad(rho, 0.0, c, weight="cos", wvar=t, epsabs=1e-12,
+                          limit=500)[0]
+                im = quad(rho, 0.0, c, weight="sin", wvar=t, epsabs=1e-12,
+                          limit=500)[0]
+                exact = re - 1j * im
+            assert abs(gt.survival_amplitude(flat_model, t) - exact) < 1e-8
+
+    def test_series_is_one_call_matching_single_points(self, flat_model,
+                                                       flat_series):
+        ts = flat_series.times[::40]
+        singles = [gt.survival_amplitude(flat_model, float(t)) for t in ts]
+        assert np.max(np.abs(flat_series.amplitudes[::40] - singles)) \
+            <= 1e-15
+
+    def test_negative_time_rejected(self, flat_table):
+        with pytest.raises(ValueError):
+            flat_table.fourier([1.0, -1.0])
 
 
 class TestSurvivalSeries:
@@ -236,25 +409,6 @@ class TestUnboundedSupport:
         assert abs(table.norm_direct - 1.0) < 1e-6
         amp = gt.survival_amplitude(rational_model, 0.0)
         assert abs(amp - 1.0) < 1e-8
-
-    def test_truncation_point_tightens_with_frequency(self, rational_model):
-        table = gt.density_table(rational_model)
-        cuts = [table.truncation_point(t, 1.25e-11)
-                for t in (0.0, 1.0, 10.0, 200.0)]
-        assert all(a >= b for a, b in zip(cuts, cuts[1:]))
-        assert cuts[-1] < 0.1 * table.hi
-
-    def test_truncation_does_not_move_the_answer(self, rational_model):
-        # tightening the tolerance widens the kept region; the amplitude
-        # must stay put within the looser tolerance
-        from gamow_thermo.numerics import QuadratureSpec
-
-        loose = gt.survival_amplitude(rational_model, 30.0)
-        tight_spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10,
-                                    max_subdivisions=400000,
-                                    oscillation_split=5.0)
-        tight = gt.survival_amplitude(rational_model, 30.0, tight_spec)
-        assert abs(loose - tight) < 1e-9
 
     def test_survival_matches_resolved_oracle(self, rational_model,
                                               rational_oracle):

@@ -71,9 +71,15 @@ class TestIntegrate:
                            oscillation=t)
         assert abs(plain - forced) < 5e-10
 
-    def test_oscillatory_semi_infinite(self):
-        # integral of exp(-w) exp(-i w t) over [0, inf) = 1 / (1 + i t)
-        t = 50.0
+    def test_oscillation_on_infinite_range_rejected(self):
+        # half-period chunking needs a finite range to tile
+        with pytest.raises(ValueError, match="finite range"):
+            integrate(lambda w: np.exp(-w - 1j * w * 50.0), 0.0, np.inf,
+                      SPEC, oscillation=50.0)
+
+    def test_slow_oscillation_on_infinite_range_still_maps(self):
+        # below the split the declared frequency changes nothing
+        t = 0.5 * SPEC.oscillation_split
         val = integrate(lambda w: np.exp(-w - 1j * w * t), 0.0, np.inf,
                         SPEC, oscillation=t)
         assert abs(val - 1.0 / (1.0 + 1j * t)) < 1e-8
