@@ -9,7 +9,7 @@ from .numerics import (
     SingularStep,
     StepUnderflow,
     integrate,
-    principal_value,
+    principal_values,
     complex_newton,
     ode_evolve,
     derivative,

@@ -134,34 +134,39 @@ def cmd_pole(cfg: RunConfig, emitter: _Emitter) -> int:
 def cmd_survival(cfg: RunConfig, emitter: _Emitter) -> int:
     model = cfg.model()
     grid = cfg.grid("time", required=True)
-    pole = friedrichs.find_pole(model, cfg.root_config(),
-                                cfg.quadrature_spec())
+    pole = None
+    if model.form_factor.has_continuation:
+        pole = friedrichs.find_pole(model, cfg.root_config(),
+                                    cfg.quadrature_spec())
+        emitter.record["results"]["pole"] = {"e_r": emitter.num(pole.e_r),
+                                             "gamma": emitter.num(pole.gamma)}
+    else:
+        emitter.warn("the form factor has no analytic continuation, so no "
+                     "resonance pole exists; p_gamow is left blank")
 
-    rows = []
-    amplitudes = []
-    failure = None
-    for t in grid:
-        try:
-            amp = decay.survival_amplitude(model, float(t))
-        except (NonConvergence, IntegrandError) as exc:
-            failure = f"quadrature failed at t = {t!r}: {exc}"
-            rows.append([t, "failed", "failed", "failed", "failed"])
-            break
-        amplitudes.append(amp)
-        p_gamow = abs(decay.gamow_approximation(pole, float(t))) ** 2
-        rows.append([t, amp.real, amp.imag, abs(amp) ** 2, p_gamow])
-    emitter.add_table("survival", ["t", "re_a", "im_a", "p", "p_gamow"], rows)
-    emitter.record["results"]["pole"] = {"e_r": emitter.num(pole.e_r),
-                                         "gamma": emitter.num(pole.gamma)}
-    if failure is not None:
-        emitter.record["results"]["error"] = failure
-        return 2
+    try:
+        table = decay.density_table(model)
+    except (NonConvergence, IntegrandError) as exc:
+        raise type(exc)(f"density table build failed: {exc}") from exc
+    series = decay.survival_probability(model, grid, density=table)
+    emitter.record["results"]["density_table"] = {
+        "knots": int(table.knots.size),
+        "norm": emitter.num(table.norm),
+        "norm_direct": emitter.num(table.norm_direct),
+        "max_refine_dev": emitter.num(table.max_refine_dev),
+    }
+    p_gamow = ([""] * grid.size if pole is None else
+               np.abs(decay.gamow_approximation(pole, series.times)) ** 2)
+    emitter.add_table(
+        "survival", ["t", "re_a", "im_a", "p", "p_gamow"],
+        [[t, a.real, a.imag, p, pg] for t, a, p, pg in zip(
+            series.times, series.amplitudes, series.probabilities, p_gamow)])
 
     if cfg.get_bool("survival.regimes", default=True):
-        series = decay.SurvivalSeries(
-            times=np.asarray(grid), amplitudes=np.asarray(amplitudes),
-            probabilities=np.abs(amplitudes) ** 2)
-        if pole.gamma <= 0:
+        if pole is None:
+            emitter.warn("no resonance pole to compare with; regimes not "
+                         "classified")
+        elif pole.gamma <= 0:
             emitter.warn("stable pole: no decay regimes to classify")
         elif series.span < 25.0 / pole.gamma:
             emitter.warn(

@@ -18,7 +18,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import factorial
 
 from .friedrichs import FriedrichsModel, ResonancePole, spectral_density
-from .numerics import QuadratureSpec, integrate
+from .numerics import NonConvergence, QuadratureSpec, integrate
 
 __all__ = [
     "InsufficientSpan",
@@ -38,9 +38,9 @@ __all__ = [
 # and beats heap-driven bisection well before plain adaptivity breaks down
 _FOURIER_SPEC = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9,
                                max_subdivisions=400000, oscillation_split=5.0)
-# accuracy of the tabulated density itself (inner quadratures + spline fit);
-# rel_tol stays at 1e-10 because the near-edge principal-value pieces are
-# O(10) large and their Kronrod error gauge bottoms out around 1e-9 relative
+# accuracy of the tabulated density's principal values: each one within
+# max(1e-12, 1e-10 |PV|) by its Kronrod-Gauss gauge (the spline fit has
+# its own refinement threshold below)
 _TABLE_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10,
                              max_subdivisions=20000)
 _NORM_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11,
@@ -220,7 +220,13 @@ def _tail_cutoff(model: FriedrichsModel) -> float:
 
 @functools.lru_cache(maxsize=8)
 def density_table(model: FriedrichsModel) -> DensityTable:
-    """Cached spline table of the model's overlap density."""
+    """Cached spline table of the model's overlap density.
+
+    Each set of frequencies the build asks for (adaptive norm panels, the
+    edge ladder, a refinement round) is one batched density call.  The
+    cache is not single-flight: concurrent first callers for one model
+    each build, and may each return, their own table.
+    """
     hi = _tail_cutoff(model)
     lo = model.form_factor.support[0]
     samples: dict[float, float] = {}
@@ -271,7 +277,7 @@ def density_table(model: FriedrichsModel) -> DensityTable:
         dirty = np.concatenate([0.5 * (left + inserted),
                                 0.5 * (inserted + right)])
     else:
-        raise RuntimeError("density spline refinement did not settle")
+        raise NonConvergence("density spline refinement did not settle")
 
     return DensityTable(model=model, knots=knots, values=values,
                         spline=spline, lo=float(knots[0]),

@@ -22,7 +22,7 @@ from .numerics import (
     RootSearchConfig,
     complex_newton,
     integrate,
-    principal_value,
+    principal_values,
 )
 
 __all__ = [
@@ -198,7 +198,7 @@ class TabulatedFormFactor(FormFactor):
 
     @property
     def support(self) -> tuple[float, float]:
-        return (0.0, float(self.grid[-1]))
+        return (float(self.grid[0]), float(self.grid[-1]))
 
     @property
     def scale_hint(self) -> float:
@@ -270,35 +270,34 @@ def _resolvent_integral(model: FriedrichsModel, z: complex,
     return integrate(lambda w: f2(w) / (z - w), lo, hi, spec)
 
 
-def _pv_resolvent_integral(model: FriedrichsModel, omega: float,
-                           spec: QuadratureSpec) -> float:
-    """Principal value of the same integral for omega on the cut."""
+def _pv_resolvent_integral(model: FriedrichsModel, omega: np.ndarray,
+                           spec: QuadratureSpec) -> np.ndarray:
+    """Principal value of the same integral for each omega on the cut."""
     lo, hi = model.form_factor.support
-    f2 = model.form_factor.f2
-    fn = lambda w: f2(w) / (omega - w)
-    if np.isinf(hi):
-        split = 2.0 * omega + 4.0 * model.form_factor.scale_hint
-        head = principal_value(fn, lo, split, omega, spec)
-        tail = integrate(fn, split, np.inf, spec).real
-        return head + tail
-    return principal_value(fn, lo, hi, omega, spec)
+    return principal_values(model.form_factor.f2, lo, hi, omega, spec,
+                            scale=model.form_factor.scale_hint)
 
 
-def self_energy_boundary(model: FriedrichsModel, omega: float,
-                         spec: QuadratureSpec | None = None) -> complex:
+def self_energy_boundary(model: FriedrichsModel, omega,
+                         spec: QuadratureSpec | None = None):
     """Upper-rim boundary value eta(omega + i0) on the cut.
 
     Evaluated through the explicit split: real part from the principal
     value, imaginary part i*pi*lam^2*f^2(omega).  This sidesteps the
-    catastrophic cancellation of approaching the cut numerically.
+    catastrophic cancellation of approaching the cut numerically.  Accepts
+    a scalar or an array of frequencies strictly inside the support; an
+    array costs one batched principal-value evaluation.
     """
     spec = spec or QuadratureSpec()
+    w = np.asarray(omega, dtype=float)
     lam2 = model.lam**2
     if lam2 == 0.0:
-        return complex(omega - model.omega0)
-    pv = _pv_resolvent_integral(model, omega, spec)
-    f2 = float(model.form_factor.f2(omega))
-    return complex(omega - model.omega0 - lam2 * pv, np.pi * lam2 * f2)
+        eta = (w - model.omega0).astype(complex)
+    else:
+        pv = _pv_resolvent_integral(model, w, spec).reshape(w.shape)
+        eta = (w - model.omega0 - lam2 * pv
+               + 1j * np.pi * lam2 * np.asarray(model.form_factor.f2(w)))
+    return eta if eta.ndim else complex(eta)
 
 
 def self_energy(model: FriedrichsModel, z: complex, sheet: str = "I",
@@ -358,7 +357,8 @@ def perturbative_pole(model: FriedrichsModel,
     lam2 = model.lam**2
     lo, hi = model.form_factor.support
     if lo < model.omega0 < hi:
-        shift = lam2 * _pv_resolvent_integral(model, model.omega0, spec)
+        shift = lam2 * float(_pv_resolvent_integral(model, model.omega0,
+                                                    spec)[0])
     else:
         shift = lam2 * integrate(
             lambda w: model.form_factor.f2(w) / (model.omega0 - w),
@@ -410,7 +410,8 @@ def spectral_density(model: FriedrichsModel, omega,
     rho = lam^2 f^2 / |eta(omega + i0)|^2.  It is nonnegative, integrates
     to one when no discrete state survives the coupling, and peaks within
     a width of the resonance energy for narrow resonances.  Accepts a
-    scalar or an array of frequencies.
+    scalar or an array of frequencies; an array is one batched
+    boundary evaluation.
     """
     spec = spec or QuadratureSpec()
     arr = np.asarray(omega, dtype=float)
@@ -420,21 +421,15 @@ def spectral_density(model: FriedrichsModel, omega,
         raise ValueError("spectral density needs a nonzero coupling")
 
     lo, hi = model.form_factor.support
-    lam2 = model.lam**2
-
-    def one(w: float) -> float:
-        f2 = float(model.form_factor.f2(w))
-        if f2 == 0.0:
-            return 0.0
-        if w <= lo or w >= hi:
-            # log-divergent boundary value: the density limit is zero
-            return 0.0
-        eta = self_energy_boundary(model, w, spec)
-        return lam2 * f2 / abs(eta) ** 2
-
-    if arr.ndim == 0:
-        return one(float(arr))
-    return np.array([one(float(w)) for w in arr])
+    f2 = np.asarray(model.form_factor.f2(arr), dtype=float)
+    # zero where f^2 vanishes and at the support edges, where the
+    # log-divergent boundary value sends the density to zero
+    inside = (f2 != 0.0) & (arr > lo) & (arr < hi)
+    rho = np.zeros(arr.shape)
+    if np.any(inside):
+        eta = self_energy_boundary(model, arr[inside], spec)
+        rho[inside] = model.lam**2 * f2[inside] / np.abs(eta) ** 2
+    return rho if rho.ndim else float(rho)
 
 
 @dataclass(frozen=True)

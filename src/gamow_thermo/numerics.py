@@ -1,10 +1,11 @@
 """Shared numerical kernel.
 
 Adaptive complex quadrature (Gauss-Kronrod 7-15 with bisection), Cauchy
-principal values by symmetric excision, complex Newton iteration with
-difference-quotient slopes, fixed-step RK4 evolution of linear complex
-rates, and Richardson-extrapolated finite differences.  Everything here is
-a pure function of its arguments.
+principal values for a whole array of poles at once by singularity
+subtraction, complex Newton iteration with difference-quotient slopes,
+fixed-step RK4 evolution of linear complex rates, and
+Richardson-extrapolated finite differences.  Everything here is a pure
+function of its arguments.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ __all__ = [
     "SingularStep",
     "StepUnderflow",
     "integrate",
-    "principal_value",
+    "principal_values",
     "complex_newton",
     "ode_evolve",
     "derivative",
@@ -126,12 +127,18 @@ _WK = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _WG_FULL = np.zeros_like(_WK)
 _WG_FULL[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
+# principal values: first-pass panels per piece, shared by every pole
+_PV_PANELS = 4
+# (panel x node) points per integrand call of the batched quadrature
+_BLOCK = 2**15
+
 
 def _panel_eval(fvec, lo: np.ndarray, hi: np.ndarray):
     """Kronrod and Gauss sums over a batch of panels.
 
     ``lo``/``hi`` are equal-length arrays of panel edges.  Returns the
-    Kronrod estimates and |K - G| error gauges, both shaped like ``lo``.
+    Kronrod estimates (real for a real ``fvec``) and |K - G| error gauges,
+    both shaped like ``lo``.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -139,7 +146,7 @@ def _panel_eval(fvec, lo: np.ndarray, hi: np.ndarray):
     h = 0.5 * (hi - lo)
     pts = c[:, None] + h[:, None] * _NODES[None, :]
     vals = fvec(pts.ravel())
-    vals = np.asarray(vals, dtype=complex).reshape(pts.shape)
+    vals = np.asarray(vals).reshape(pts.shape)
     if not np.all(np.isfinite(vals)):
         bad = pts.ravel()[~np.isfinite(vals.ravel())][0]
         raise IntegrandError(f"integrand is not finite near x = {bad!r}")
@@ -201,27 +208,65 @@ def _adaptive(fvec, a: float, b: float, spec: QuadratureSpec) -> complex:
     return total
 
 
-def _composite(fvec, edges: np.ndarray, spec: QuadratureSpec) -> complex:
-    """Integrate over a fixed chunking, bisecting offending chunks in bulk."""
-    lo, hi = edges[:-1], edges[1:]
-    kron, err = _panel_eval(fvec, lo, hi)
-    tol = max(spec.abs_tol, spec.rel_tol * abs(kron.sum()))
-    while err.sum() > tol:
-        if lo.size > spec.max_subdivisions:
+def _composite(f, edges: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
+    """Integrals over the rows of ``edges``, bisecting offending panels in bulk.
+
+    Row i integrates ``f(i, x)`` from ``edges[i, 0]`` to ``edges[i, -1]``,
+    starting from the panels between consecutive entries.  Every panel gets
+    Gauss-Kronrod 7-15 and the gauge |K - G|.  A row whose summed gauge
+    exceeds max(abs_tol, rel_tol * |I_i|) bisects each panel holding more
+    than half its share, and the new panels of all such rows are evaluated
+    together; a panel at float resolution is accepted as it stands.  Rows
+    never interact, so a row's result does not depend on its batch.
+    """
+    n, m = edges.shape[0], edges.shape[1] - 1
+    row = np.repeat(np.arange(n), m)
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    count = np.full(n, m)
+    step = _BLOCK // _NODES.size
+
+    def evaluate(row, lo, hi):
+        kron, err = [], []
+        for s in range(0, lo.size, step):
+            owner = np.repeat(row[s:s + step], _NODES.size)
+            k, e = _panel_eval(lambda x: f(owner, x), lo[s:s + step],
+                               hi[s:s + step])
+            kron.append(k)
+            err.append(e)
+        return np.concatenate(kron), np.concatenate(err)
+
+    val, err = evaluate(row, lo, hi)
+    while True:
+        total = np.zeros(n, dtype=val.dtype)
+        np.add.at(total, row, val)
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        open_rows = np.bincount(row, err, n) > tol
+        if not open_rows.any():
+            return total
+        if count[open_rows].max() > spec.max_subdivisions:
             raise NonConvergence(
-                f"oscillatory chunking exceeded {spec.max_subdivisions} panels"
-            )
-        bad = err > tol / (2.0 * lo.size)
-        mid = 0.5 * (lo[bad] + hi[bad])
-        new_lo = np.concatenate([lo[~bad], lo[bad], mid])
-        new_hi = np.concatenate([hi[~bad], mid, hi[bad]])
-        k2, e2 = _panel_eval(fvec, np.concatenate([lo[bad], mid]),
-                             np.concatenate([mid, hi[bad]]))
-        kron = np.concatenate([kron[~bad], k2])
-        err = np.concatenate([err[~bad], e2])
-        lo, hi = new_lo, new_hi
-        tol = max(spec.abs_tol, spec.rel_tol * abs(kron.sum()))
-    return kron.sum()
+                f"{spec.max_subdivisions} subdivisions exhausted on "
+                f"{int(open_rows.sum())} of {n} integrals")
+        split = np.flatnonzero(open_rows[row]
+                               & (err > 0.5 * tol[row] / count[row]))
+        mid = 0.5 * (lo[split] + hi[split])
+        whole = (mid > lo[split]) & (mid < hi[split])
+        err[split[~whole]] = 0.0
+        split, mid = split[whole], mid[whole]
+        if not split.size:
+            continue
+        keep = np.ones(lo.size, dtype=bool)
+        keep[split] = False
+        new_row = np.tile(row[split], 2)
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_val, new_err = evaluate(new_row, new_lo, new_hi)
+        count += np.bincount(row[split], minlength=n)
+        row = np.concatenate([row[keep], new_row])
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        val = np.concatenate([val[keep], new_val])
+        err = np.concatenate([err[keep], new_err])
 
 
 def _map_semi_infinite(fvec, a: float):
@@ -261,36 +306,61 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None, *,
         n = int(np.ceil((b - a) / half_period))
         edges = np.minimum(a + half_period * np.arange(n + 1), b)
         edges[-1] = b
-        return _composite(fvec, edges, spec)
+        return _composite(lambda i, x: fvec(x), edges[None, :], spec)[0]
 
     if np.isinf(b):
         return _adaptive(_map_semi_infinite(fvec, a), 0.0, 1.0, spec)
     return _adaptive(fvec, a, b, spec)
 
 
-def principal_value(f, a: float, b: float, c: float,
-                    spec: QuadratureSpec | None = None) -> float:
-    """Cauchy principal value of ``f`` (simple pole at ``c``) over [a, b].
+def principal_values(g, a: float, b: float, poles,
+                     spec: QuadratureSpec | None = None, *,
+                     scale: float = 1.0) -> np.ndarray:
+    """Cauchy principal values of the integral of g(w) / (c - w) over [a, b].
 
-    Symmetric excision of [c-eps, c+eps] evaluated at two excision radii
-    and extrapolated to eps -> 0; the linear-in-eps excision error cancels
-    exactly, leaving an O(eps^3) residual.
+    One value for each c in ``poles``, all strictly inside [a, b]; ``b``
+    may be +inf.  ``g`` maps float arrays to real arrays and must be
+    smooth around every pole; a jump elsewhere only costs bisection
+    rounds.  Around each c the window [c - r, c + r], with
+    r the distance to the nearer end, is folded onto itself: there
+    1/(c - w) integrates to zero, which leaves the smooth
+    -int_0^1 (g(c + r x) - g(c - r x)) / x dx.  The rest of the range lies
+    on one side of c, at distances d from r up to the far end, and is
+    integrated in u = ln d, where g du is smooth however close the pole
+    sits to an end.  On an infinite range the distances past
+    T = r + 4 * ``scale`` go in q = T/d instead, smooth for g decaying
+    like 1/w or faster; ``scale`` is where g varies and only steers the
+    first panels.  Window, log and inverse pieces are concatenated into one
+    integral per pole on shared nodes, refined by bisection where a pole's
+    Kronrod-Gauss gauge exceeds max(abs_tol, rel_tol * |PV|).
     """
     spec = spec or QuadratureSpec()
-    if not (a < c < b):
-        raise ValueError(f"pole {c!r} must lie strictly inside [{a!r}, {b!r}]")
-    dist = min(c - a, b - c)
-    eps = dist / 500.0
-    piece = QuadratureSpec(abs_tol=0.25 * spec.abs_tol, rel_tol=spec.rel_tol,
-                           max_subdivisions=spec.max_subdivisions,
-                           oscillation_split=spec.oscillation_split)
-    fvec = _vectorize(f)
-    outer = (_adaptive(fvec, a, c - eps, piece)
-             + _adaptive(fvec, c + eps, b, piece))
-    rings = (_adaptive(fvec, c - eps, c - eps / 2, piece)
-             + _adaptive(fvec, c + eps / 2, c + eps, piece))
-    inner = outer + rings
-    return float((2.0 * inner - outer).real)
+    c = np.asarray(poles, dtype=float).ravel()
+    if not np.all((a < c) & (c < b)):
+        raise ValueError(f"poles must lie strictly inside [{a!r}, {b!r}]")
+    near, far = c - a, b - c
+    r = np.minimum(near, far)
+    pieces = 2
+    if np.isinf(b):
+        pieces = 3
+        far = r + 4.0 * scale
+    side = np.where(near <= far, 1.0, -1.0)
+    span = np.log(np.maximum(near, far) / r)
+
+    def integrand(i, s):
+        out = np.empty(s.shape)
+        win, log, tail = s < 1.0, (s >= 1.0) & (s < 2.0), s >= 2.0
+        j, x = i[win], s[win]
+        out[win] = (g(c[j] - r[j] * x) - g(c[j] + r[j] * x)) / x
+        j = i[log]
+        d = r[j] * np.exp((s[log] - 1.0) * span[j])
+        out[log] = -side[j] * span[j] * g(c[j] + side[j] * d)
+        j, q = i[tail], s[tail] - 2.0
+        out[tail] = -g(c[j] + far[j] / q) / q
+        return out
+
+    edges = np.linspace(0.0, pieces, pieces * _PV_PANELS + 1)
+    return _composite(integrand, np.tile(edges, (c.size, 1)), spec)
 
 
 def complex_newton(g, cfg: RootSearchConfig) -> complex:

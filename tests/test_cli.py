@@ -4,7 +4,10 @@ import json
 import numpy as np
 import pytest
 
+import gamow_thermo as gt
+from gamow_thermo import decay
 from gamow_thermo.cli import main as cli_main
+from gamow_thermo.numerics import NonConvergence
 
 from conftest import FLAT_CONFIG
 
@@ -70,6 +73,53 @@ class TestSurvivalCommand:
         record = json.loads(record_path.read_text())
         assert any("25/Gamma" in w for w in record["warnings"])
         assert "regimes" not in record["results"]
+
+    def test_record_carries_table_quality(self, run_cli):
+        code, _, record_path = run_cli("survival", self.SHORT)
+        assert code == 0
+        quality = json.loads(record_path.read_text())["results"][
+            "density_table"]
+        assert quality["knots"] > 1000
+        assert abs(float(quality["norm"]) - 1.0) < 1e-8
+        assert abs(float(quality["norm_direct"]) - 1.0) < 1e-6
+        assert float(quality["max_refine_dev"]) < 1e-8
+
+    def test_table_build_failure_is_numerical(self, run_cli, monkeypatch):
+        def fail(model):
+            raise NonConvergence("budget exhausted")
+
+        monkeypatch.setattr(decay, "density_table", fail)
+        code, _, record_path = run_cli("survival", self.SHORT)
+        assert code == 2
+        error = json.loads(record_path.read_text())["results"]["error"]
+        assert "density table build failed" in error
+
+    def test_tabulated_profile_runs_without_pole(self, run_cli, tmp_path,
+                                                 flat_model):
+        """No continuation, no pole: amplitudes still come from the
+        density, here a sampled flat profile that must match the flat
+        model."""
+        grid = np.linspace(0.0, 10.0, 2001)
+        np.savetxt(tmp_path / "flat.txt",
+                   np.column_stack([grid, np.ones_like(grid)]))
+        cfg = self.SHORT.replace(
+            "model.form_factor = flat_cutoff\nmodel.cutoff = 10.0",
+            "model.form_factor = tabulated\nmodel.table = flat.txt")
+        code, out, record_path = run_cli("survival", cfg)
+        assert code == 0
+        header, rows = read_csv(out)
+        assert all(r[header.index("p_gamow")] == "" for r in rows)
+        times = np.array([float(r[0]) for r in rows])
+        amps = np.array([complex(float(r[1]), float(r[2])) for r in rows])
+        flat = gt.survival_probability(flat_model, times).amplitudes
+        assert np.max(np.abs(amps - flat)) < 1e-9
+        record = json.loads(record_path.read_text())
+        assert "pole" not in record["results"]
+        assert "regimes" not in record["results"]
+        assert any("no analytic continuation" in w
+                   for w in record["warnings"])
+        assert any("regimes not classified" in w
+                   for w in record["warnings"])
 
     def test_long_span_regime_width_matches_pole(self, run_cli):
         """Cross-module consistency: the fitted width in the survival

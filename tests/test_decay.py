@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from scipy.integrate import quad
 from scipy.interpolate import BSpline, CubicSpline
 
 import gamow_thermo as gt
+from gamow_thermo import decay, friedrichs
 from gamow_thermo.decay import (
     DensityTable,
     InsufficientSpan,
@@ -49,6 +52,30 @@ class TestDensityTable:
 
     def test_cache_returns_same_object(self, flat_model, flat_table):
         assert gt.density_table(flat_model) is flat_table
+
+    def test_build_batches_the_boundary_self_energy(self, rational_model,
+                                                    monkeypatch):
+        """A build makes one boundary evaluation per density batch (tens),
+        never one per frequency (thousands)."""
+        batches, boundary = [], []
+        density = decay.spectral_density
+        eta = friedrichs.self_energy_boundary
+
+        def counted_density(model, omega, spec=None):
+            batches.append(np.size(omega))
+            return density(model, omega, spec)
+
+        def counted_eta(model, omega, spec=None):
+            boundary.append(len(batches))
+            return eta(model, omega, spec)
+
+        monkeypatch.setattr(decay, "spectral_density", counted_density)
+        monkeypatch.setattr(friedrichs, "self_energy_boundary", counted_eta)
+        table = gt.density_table.__wrapped__(rational_model)
+        assert sum(batches) >= 2000 and table.knots.size >= 1000
+        assert len(boundary) <= 100
+        # no per-point loop: at most one boundary call per density batch
+        assert max(Counter(boundary).values()) == 1
 
 
 class TestSurvivalAmplitude:

@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import gamow_thermo as gt
+from gamow_thermo.decay import _TABLE_SPEC
 from gamow_thermo.friedrichs import (
     ContinuationUnavailable,
     PoleInUpperHalfPlane,
+    _pv_resolvent_integral,
     self_energy_boundary,
 )
 from gamow_thermo.numerics import QuadratureSpec, RootSearchConfig
@@ -138,6 +142,75 @@ class TestSelfEnergy:
     def test_sheet_name_validation(self, flat_model):
         with pytest.raises(ValueError):
             gt.self_energy(flat_model, 1.0 + 1.0j, "III")
+
+
+def _within_table_contract(pv, exact):
+    """The density table's accuracy contract on the principal value."""
+    return np.all(np.abs(pv - exact)
+                  <= np.maximum(1e-12, 1e-10 * np.abs(exact)))
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+class TestBatchedBoundary:
+    """The batched principal value behind eta(omega + i0)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(cutoff=_log_uniform(-2.0, 3.0), frac=st.floats(1e-9, 1.0 - 1e-9))
+    def test_flat_against_log(self, cutoff, frac):
+        # points 1e-9 * cutoff from either edge in every example
+        model = gt.FriedrichsModel(omega0=1.0, lam=0.1,
+                                   form_factor=gt.FlatCutoff(cutoff=cutoff))
+        omega = cutoff * np.array([1e-9, frac, 1.0 - 1e-9])
+        pv = _pv_resolvent_integral(model, omega, _TABLE_SPEC)
+        assert _within_table_contract(pv, np.log(omega / (cutoff - omega)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(scale=_log_uniform(-1.0, 1.0),
+           ratios=st.lists(_log_uniform(-6.0, 3.0), min_size=1, max_size=5))
+    def test_rational_against_closed_form(self, scale, ratios):
+        model = gt.FriedrichsModel(
+            omega0=1.0, lam=0.1,
+            form_factor=gt.RationalFormFactor(scale=scale))
+        omega = scale * np.array(ratios)
+        exact = ((omega * np.log(omega / scale) / np.pi - 0.5 * scale)
+                 / (omega**2 + scale**2))
+        pv = _pv_resolvent_integral(model, omega, _TABLE_SPEC)
+        assert _within_table_contract(pv, exact)
+
+    @settings(max_examples=20, deadline=None)
+    @given(kind=st.sampled_from(["flat", "rational"]),
+           fracs=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=2,
+                          max_size=12))
+    def test_array_call_matches_single_points(self, kind, fracs):
+        ff = (gt.FlatCutoff(cutoff=10.0) if kind == "flat"
+              else gt.RationalFormFactor(scale=1.0))
+        model = gt.FriedrichsModel(omega0=1.0, lam=0.1, form_factor=ff)
+        omega = 10.0 * np.array(fracs)
+        batch = self_energy_boundary(model, omega)
+        single = np.array([self_energy_boundary(model, w) for w in omega])
+        assert np.all(np.abs(batch - single)
+                      <= 1e-15 * np.maximum(1.0, np.abs(single)))
+
+    def test_tabulated_profile_starting_inside(self):
+        # f^2 = 1 on [0.5, 10] only: the support starts at the first
+        # sample, so no fold straddles the jump there
+        grid = np.linspace(0.5, 10.0, 400)
+        model = gt.FriedrichsModel(
+            omega0=1.0, lam=0.1,
+            form_factor=gt.TabulatedFormFactor(grid=grid,
+                                               values=np.ones_like(grid)))
+        omega = np.array([0.5 + 1e-9, 0.7, 5.0, 10.0 - 1e-9])
+        pv = _pv_resolvent_integral(model, omega, _TABLE_SPEC)
+        assert _within_table_contract(pv,
+                                      np.log((omega - 0.5) / (10.0 - omega)))
+        assert abs(gt.density_table(model).norm_direct - 1.0) < 1e-6
+
+    def test_edge_of_support_rejected(self, flat_model):
+        with pytest.raises(ValueError):
+            self_energy_boundary(flat_model, np.array([1.0, 10.0]))
 
 
 class TestPerturbativePole:

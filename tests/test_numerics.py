@@ -15,7 +15,7 @@ from gamow_thermo.numerics import (
     derivative,
     integrate,
     ode_evolve,
-    principal_value,
+    principal_values,
 )
 
 SPEC = QuadratureSpec()
@@ -101,30 +101,62 @@ class TestIntegrate:
 
 
 class TestPrincipalValue:
+    """PV of g(w) / (c - w): g = -1 gives the PV of 1/(w - c)."""
+
     def test_symmetric_interval_vanishes(self):
-        assert abs(principal_value(lambda w: 1.0 / (w - 1.0),
-                                   0.0, 2.0, 1.0, SPEC)) < 1e-10
+        val = principal_values(lambda w: -np.ones_like(w), 0.0, 2.0, [1.0],
+                               SPEC)
+        assert abs(val[0]) < 1e-10
 
     def test_log_two(self):
-        val = principal_value(lambda w: 1.0 / (w - 1.0), 0.0, 3.0, 1.0, SPEC)
-        assert val == pytest.approx(math.log(2.0), abs=1e-10)
+        val = principal_values(lambda w: -np.ones_like(w), 0.0, 3.0, [1.0],
+                               SPEC)
+        assert val[0] == pytest.approx(math.log(2.0), abs=1e-10)
 
     def test_linear_numerator(self):
-        val = principal_value(lambda w: w / (w - 1.0), 0.0, 2.0, 1.0, SPEC)
-        assert val == pytest.approx(2.0, abs=1e-9)
+        val = principal_values(lambda w: -w, 0.0, 2.0, [1.0], SPEC)
+        assert val[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_antisymmetry_random_poles(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             c = rng.uniform(0.5, 5.0)
             half = rng.uniform(0.1, 0.4) * c
-            val = principal_value(lambda w: 1.0 / (w - c), c - half,
-                                  c + half, c, SPEC)
-            assert abs(val) < SPEC.abs_tol * 10
+            val = principal_values(lambda w: -np.ones_like(w), c - half,
+                                   c + half, [c], SPEC)
+            assert abs(val[0]) < SPEC.abs_tol * 10
 
     def test_pole_at_endpoint(self):
         with pytest.raises(ValueError):
-            principal_value(lambda w: 1.0 / w, 0.0, 1.0, 0.0, SPEC)
+            principal_values(lambda w: -np.ones_like(w), 0.0, 1.0, [0.0],
+                             SPEC)
+
+    def test_infinite_range_closed_form(self):
+        # PV of 1 / ((1 + w^2)(c - w)) over [0, inf), partial fractions
+        c = np.array([1e-6, 0.3, 1.0, 4.0, 250.0])
+        exact = (0.5 * np.pi * c + np.log(c)) / (1.0 + c * c)
+        val = principal_values(lambda w: 1.0 / (1.0 + w * w), 0.0, np.inf,
+                               c, SPEC)
+        assert np.max(np.abs(val - exact)) < 1e-10
+
+    def test_jump_inside_window_is_refined(self):
+        # g = 1 on (0.3, 1]: the fold around c = 0.5 straddles the jump,
+        # which only bisection resolves; PV = ln(0.4)
+        val = principal_values(lambda w: np.where(w > 0.3, 1.0, 0.0), 0.0,
+                               1.0, [0.5], SPEC)
+        assert val[0] == pytest.approx(math.log(0.4), abs=1e-9)
+
+    def test_exhausted_subdivisions(self):
+        tight = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15,
+                               max_subdivisions=12)
+        with pytest.raises(NonConvergence):
+            principal_values(lambda w: np.where(w > 0.3, 1.0, 0.0), 0.0,
+                             1.0, [0.5], tight)
+
+    def test_non_finite_integrand(self):
+        with pytest.raises(IntegrandError):
+            principal_values(lambda w: np.full_like(w, np.nan), 0.0, 1.0,
+                             [0.5], SPEC)
 
 
 class TestComplexNewton:
