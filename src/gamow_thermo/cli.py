@@ -55,7 +55,6 @@ class _Emitter:
                 "abs_tol": self.num(spec.abs_tol),
                 "rel_tol": self.num(spec.rel_tol),
                 "max_subdivisions": spec.max_subdivisions,
-                "oscillation_split": self.num(spec.oscillation_split),
             },
             "warnings": [],
             "results": {},
@@ -148,7 +147,7 @@ def cmd_survival(cfg: RunConfig, emitter: _Emitter) -> int:
         table = decay.density_table(model)
     except (NonConvergence, IntegrandError) as exc:
         raise type(exc)(f"density table build failed: {exc}") from exc
-    series = decay.survival_probability(model, grid, density=table)
+    series = decay.survival_probability(model, grid)
     emitter.record["results"]["density_table"] = {
         "knots": int(table.knots.size),
         "norm": emitter.num(table.norm),

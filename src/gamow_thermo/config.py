@@ -43,7 +43,6 @@ _KNOWN_KEYS = {
     "scan.spacing",
     "survival.regimes", "survival.noise_floor",
     "numerics.abs_tol", "numerics.rel_tol", "numerics.max_subdivisions",
-    "numerics.oscillation_split",
     "root.initial_guess", "root.step_tol", "root.residual_tol",
     "root.max_iter",
     "output.path", "output.format", "output.precision",
@@ -203,9 +202,7 @@ class RunConfig:
                 abs_tol=self.get_float("numerics.abs_tol", base.abs_tol),
                 rel_tol=self.get_float("numerics.rel_tol", base.rel_tol),
                 max_subdivisions=self.get_int("numerics.max_subdivisions",
-                                              base.max_subdivisions),
-                oscillation_split=self.get_float(
-                    "numerics.oscillation_split", base.oscillation_split))
+                                              base.max_subdivisions))
         except ValueError as exc:
             raise ConfigError(f"invalid numerics section: {exc}") from exc
 

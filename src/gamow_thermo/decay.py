@@ -33,11 +33,6 @@ __all__ = [
     "classify_regimes",
 ]
 
-# generic ``density=`` route only: its Fourier integrals switch to
-# half-period chunking early, since the chunked pass is evaluated in bulk
-# and beats heap-driven bisection well before plain adaptivity breaks down
-_FOURIER_SPEC = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-9,
-                               max_subdivisions=400000, oscillation_split=5.0)
 # accuracy of the tabulated density's principal values: each one within
 # max(1e-12, 1e-10 |PV|) by its Kronrod-Gauss gauge (the spline fit has
 # its own refinement threshold below)
@@ -45,6 +40,10 @@ _TABLE_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10,
                              max_subdivisions=20000)
 _NORM_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11,
                             max_subdivisions=20000)
+# noise floor of a synthesised P(t) in zeno_check: the transform is exact
+# for the spline, whose refinement keeps it within ~3e-10 of fresh density
+# evaluations, so 4e-10 per probability value is a conservative allowance
+_ZENO_NOISE = 4e-10
 
 # M_j(theta) = integral of u^j exp(-i theta u) over [0, 1], j = 0..3, by the
 # recurrence M_j = (j M_{j-1} - exp(-i theta)) / (i theta) from the switch up;
@@ -285,54 +284,26 @@ def density_table(model: FriedrichsModel) -> DensityTable:
                         max_refine_dev=max_dev)
 
 
-def survival_amplitude(model: FriedrichsModel, t: float,
-                       spec: QuadratureSpec | None = None, *,
-                       density=None) -> complex:
+def survival_amplitude(model: FriedrichsModel, t: float) -> complex:
     """Overlap of the evolved level with itself at time t.
 
-    The Fourier transform of the overlap density.  By default it is the
-    exact transform of the cached spline table (:meth:`DensityTable.fourier`),
-    and ``spec`` is not used.  ``density`` may replace the table with any
-    callable, for instance the raw quadrature density; that generic route
-    integrates over the support up to the table's truncation point by
-    adaptive quadrature under ``spec``, chunked at half periods once the
-    phase turns fast.
+    The Fourier transform of the overlap density, taken exactly on the
+    cached spline table (:meth:`DensityTable.fourier`).
     """
     if t < 0:
         raise ValueError("survival amplitude is evaluated for t >= 0")
-    if density is None:
-        density = density_table(model)
-    if isinstance(density, DensityTable):
-        return complex(density.fourier(t)[0])
-
-    def integrand(w):
-        w = np.asarray(w, dtype=float)
-        return np.asarray(density(w)) * np.exp(-1j * w * t)
-
-    return complex(integrate(integrand, model.form_factor.support[0],
-                             _tail_cutoff(model), spec or _FOURIER_SPEC,
-                             oscillation=t))
+    return complex(density_table(model).fourier(t)[0])
 
 
-def survival_probability(model: FriedrichsModel, t_grid,
-                         spec: QuadratureSpec | None = None, *,
-                         density=None) -> SurvivalSeries:
+def survival_probability(model: FriedrichsModel, t_grid) -> SurvivalSeries:
     """Survival series |A(t)|^2 over an ordered nonnegative grid.
 
-    On the spline table the whole grid is one vectorised exact transform;
-    a callable ``density`` takes the generic route of
-    :func:`survival_amplitude` point by point.
+    The whole grid is one vectorised exact transform of the spline table.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1:
         raise ValueError("t_grid must be a non-empty 1-d sequence")
-    if density is None:
-        density = density_table(model)
-    if isinstance(density, DensityTable):
-        amps = density.fourier(t)
-    else:
-        amps = np.array([survival_amplitude(model, float(tk), spec,
-                                            density=density) for tk in t])
+    amps = density_table(model).fourier(t)
     return SurvivalSeries(times=t, amplitudes=amps,
                           probabilities=np.abs(amps) ** 2)
 
@@ -348,8 +319,7 @@ def gamow_approximation(pole: ResonancePole, t):
     return out if out.ndim else complex(out)
 
 
-def zeno_check(target, h: float = 0.01,
-               spec: QuadratureSpec | None = None, *, density=None):
+def zeno_check(target, h: float = 0.01):
     """One-sided Richardson estimate of P'(0) with its error gauge.
 
     ``target`` is a model (survival probability is synthesized) or any
@@ -357,9 +327,7 @@ def zeno_check(target, h: float = 0.01,
     control.  Two Richardson levels are compared, so the returned
     ``(slope, error_estimate)`` carries a defect of the extrapolation
     itself plus a noise floor; a value drowned in noise is visible rather
-    than masked.  For a model the floor is 4 * ``spec.abs_tol`` (of the
-    generic route's default spec when None).  The table route is exact
-    for its spline, so there the floor is a conservative allowance.
+    than masked.  For a model the floor is ``_ZENO_NOISE``.
     """
     if h <= 0:
         raise ValueError("step h must be positive")
@@ -370,9 +338,8 @@ def zeno_check(target, h: float = 0.01,
         model = target
 
         def p(tk: float) -> float:
-            return abs(survival_amplitude(model, tk, spec,
-                                          density=density)) ** 2
-        noise = 4.0 * (spec or _FOURIER_SPEC).abs_tol
+            return abs(survival_amplitude(model, tk)) ** 2
+        noise = _ZENO_NOISE
 
     p0 = float(p(0.0))
     diffs = [(float(p(h / 2**k)) - p0) / (h / 2**k) for k in range(3)]

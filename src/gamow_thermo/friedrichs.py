@@ -63,6 +63,9 @@ class FormFactor:
     """
 
     def f2(self, omega):
+        """|f|^2 at real frequencies: an array maps to an array of the
+        same shape (a scalar to a float).  Every quadrature over the
+        profile evaluates it on whole arrays of nodes."""
         raise NotImplementedError
 
     def f2_complex(self, z: complex) -> complex:

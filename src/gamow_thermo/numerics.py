@@ -1,16 +1,15 @@
 """Shared numerical kernel.
 
-Adaptive complex quadrature (Gauss-Kronrod 7-15 with bisection), Cauchy
-principal values for a whole array of poles at once by singularity
-subtraction, complex Newton iteration with difference-quotient slopes,
-fixed-step RK4 evolution of linear complex rates, and
-Richardson-extrapolated finite differences.  Everything here is a pure
-function of its arguments.
+Adaptive complex quadrature (Gauss-Kronrod 7-15 with bulk bisection) and,
+on the same kernel, Cauchy principal values for a whole array of poles at
+once by singularity subtraction; complex Newton iteration with
+difference-quotient slopes, fixed-step RK4 evolution of linear complex
+rates, and Richardson-extrapolated finite differences.  Everything here
+is a pure function of its arguments.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,17 +52,11 @@ class StepUnderflow(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budgets for the adaptive integrator.
-
-    ``oscillation_split`` is the frequency above which a declared
-    oscillatory factor exp(-i*omega*t) makes the integrator sum
-    half-period chunks instead of relying on plain bisection.
-    """
+    """Tolerances and the per-integral panel budget of the adaptive kernel."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 4000
-    oscillation_split: float = 30.0
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
@@ -127,7 +120,7 @@ _WK = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _WG_FULL = np.zeros_like(_WK)
 _WG_FULL[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
-# principal values: first-pass panels per piece, shared by every pole
+# first-pass panels of an integral (per piece of a principal value)
 _PV_PANELS = 4
 # (panel x node) points per integrand call of the batched quadrature
 _BLOCK = 2**15
@@ -153,59 +146,6 @@ def _panel_eval(fvec, lo: np.ndarray, hi: np.ndarray):
     kron = h * (vals * _WK[None, :]).sum(axis=1)
     gauss = h * (vals * _WG_FULL[None, :]).sum(axis=1)
     return kron, np.abs(kron - gauss)
-
-
-def _vectorize(f):
-    """Wrap ``f`` so it maps float arrays to arrays, probing once."""
-    probed = {"mode": None}
-
-    def fvec(xs: np.ndarray):
-        if probed["mode"] != "scalar":
-            try:
-                out = np.asarray(f(xs), dtype=complex)
-                if out.shape == xs.shape:
-                    probed["mode"] = "array"
-                    return out
-                if out.ndim == 0:  # constant shorthand like lambda w: 1.0
-                    probed["mode"] = "scalar"
-                    return np.full(xs.shape, complex(out))
-            except (TypeError, ValueError):
-                pass
-            probed["mode"] = "scalar"
-        return np.array([complex(f(float(x))) for x in xs])
-
-    return fvec
-
-
-def _adaptive(fvec, a: float, b: float, spec: QuadratureSpec) -> complex:
-    """Globally adaptive bisection driven by a worst-panel heap."""
-    kron, err = _panel_eval(fvec, np.array([a]), np.array([b]))
-    heap = [(-err[0], a, b, kron[0])]
-    total = kron[0]
-    total_err = err[0]
-    n_panels = 1
-    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total)):
-        if n_panels >= spec.max_subdivisions:
-            raise NonConvergence(
-                f"{spec.max_subdivisions} subdivisions exhausted "
-                f"(error {total_err:.3e} on [{a!r}, {b!r}])"
-            )
-        if not heap:
-            raise NonConvergence(
-                f"all panels at float resolution, error {total_err:.3e}")
-        neg_err, lo, hi, val = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # panel no longer splittable at float resolution
-            total_err += neg_err  # remove its error from the budget
-            continue
-        kron, err = _panel_eval(fvec, np.array([lo, mid]), np.array([mid, hi]))
-        total += kron.sum() - val
-        total_err += err.sum() + neg_err
-        heapq.heappush(heap, (-err[0], lo, mid, kron[0]))
-        heapq.heappush(heap, (-err[1], mid, hi, kron[1]))
-        n_panels += 1
-    return total
 
 
 def _composite(f, edges: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
@@ -281,36 +221,41 @@ def _map_semi_infinite(fvec, a: float):
     return gvec
 
 
-def integrate(f, a: float, b: float, spec: QuadratureSpec | None = None, *,
-              oscillation: float = 0.0) -> complex:
+def integrate(f, a: float, b: float,
+              spec: QuadratureSpec | None = None) -> complex:
     """Integrate a complex-valued ``f`` over [a, b], b possibly +inf.
 
-    ``oscillation`` declares the angular frequency of a known factor
-    exp(-i*omega*t) in the integrand (t = oscillation).  Above
-    ``spec.oscillation_split`` the range, which must then be finite, is
-    cut at the oscillation's half-period zeros and the pieces summed;
-    plain adaptive bisection cannot track thousands of sign changes.
+    ``f`` maps a float array to an array of the same shape.  The range
+    is one row of the bulk kernel, starting from the equal panels of a
+    principal-value piece; [a, inf) is first folded onto [0, 1).  The
+    Kronrod-Gauss gauge only sees the integrand at its nodes, so the range
+    should end where the integrand's support ends: a drop to zero between
+    a panel's outermost node and its edge goes unnoticed.
 
     Returns the integral estimate; raises :class:`NonConvergence` when the
-    subdivision budget runs out and :class:`IntegrandError` on NaN/inf.
+    subdivision budget runs out, :class:`IntegrandError` on NaN/inf and
+    :class:`TypeError` when ``f`` breaks the array contract.
     """
     spec = spec or QuadratureSpec()
     if not a < b:
         raise ValueError("integration range must satisfy a < b")
-    fvec = _vectorize(f)
 
-    if oscillation > spec.oscillation_split:
-        if np.isinf(b):
-            raise ValueError("a declared oscillation needs a finite range")
-        half_period = np.pi / oscillation
-        n = int(np.ceil((b - a) / half_period))
-        edges = np.minimum(a + half_period * np.arange(n + 1), b)
-        edges[-1] = b
-        return _composite(lambda i, x: fvec(x), edges[None, :], spec)[0]
+    def fvec(xs: np.ndarray) -> np.ndarray:
+        try:
+            out = np.asarray(f(xs), dtype=complex)
+        except TypeError as exc:
+            raise TypeError("the integrand must map a float array to an "
+                            f"array of the same shape: {exc}") from exc
+        if out.shape != xs.shape:
+            raise TypeError("the integrand must map a float array to an "
+                            f"array of the same shape, got {out.shape} for "
+                            f"{xs.shape}")
+        return out
 
     if np.isinf(b):
-        return _adaptive(_map_semi_infinite(fvec, a), 0.0, 1.0, spec)
-    return _adaptive(fvec, a, b, spec)
+        fvec, a, b = _map_semi_infinite(fvec, a), 0.0, 1.0
+    edges = np.linspace(a, b, _PV_PANELS + 1)
+    return complex(_composite(lambda i, x: fvec(x), edges[None, :], spec)[0])
 
 
 def principal_values(g, a: float, b: float, poles,

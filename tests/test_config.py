@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gamow_thermo as gt
+from gamow_thermo.cli import main as cli_main
 from gamow_thermo.config import ConfigError, RunConfig, load_config
 
 
@@ -32,6 +33,16 @@ class TestParsing:
     def test_unknown_key(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown config key"):
             write_and_load(tmp_path, "model.omega_zero = 1.0\n")
+
+    def test_oscillation_split_is_not_a_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("model.omega0 = 1.0\nmodel.lambda = 0.1\n"
+                        "numerics.oscillation_split = 30\n")
+        with pytest.raises(ConfigError, match="unknown config key"):
+            load_config(path)
+        out = tmp_path / "pole.csv"
+        assert cli_main(["pole", "--config", str(path), "--out", str(out),
+                         "--quiet"]) == 1
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

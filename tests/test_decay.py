@@ -17,11 +17,17 @@ from gamow_thermo.decay import (
     _cubic_moments,
     _MOMENT_SWITCH,
 )
-from gamow_thermo.numerics import QuadratureSpec
 
-# tight enough that the generic route's own error sits far below 1e-9
-TIGHT = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=400000,
-                       oscillation_split=5.0)
+
+def _quadpack_fourier(density, edges, t):
+    """Independent reference for the integral of density(w) exp(-i w t):
+    QUADPACK's cosine- and sine-weighted rules (QAWO) on the scalar
+    callable, piece by piece between consecutive edges."""
+    def part(weight):
+        return sum(quad(density, a, b, weight=weight, wvar=t, epsabs=1e-13,
+                        limit=500)[0] for a, b in zip(edges[:-1], edges[1:]))
+
+    return part("cos") - 1j * part("sin")
 
 
 def _table_from_spline(spline):
@@ -31,12 +37,6 @@ def _table_from_spline(spline):
                         spline=spline, lo=float(x[0]), hi=float(x[-1]),
                         norm_direct=float(spline.integrate(x[0], x[-1])),
                         max_refine_dev=0.0)
-
-
-def _carrier(cutoff):
-    """A model whose support [0, cutoff] bounds the generic route."""
-    return gt.FriedrichsModel(omega0=1.0, lam=0.1,
-                              form_factor=gt.FlatCutoff(cutoff=cutoff))
 
 
 class TestDensityTable:
@@ -90,13 +90,15 @@ class TestSurvivalAmplitude:
                 <= 1.0 + 1e-8
 
     def test_matches_direct_density_route(self, flat_model, flat_table):
-        """Spline-cached synthesis against raw quadrature density."""
-        def direct(ws):
-            return gt.spectral_density(flat_model, ws)
+        """Spline-cached synthesis against QUADPACK on the raw quadrature
+        density, between every 64th knot of the table."""
+        def direct(w):
+            return gt.spectral_density(flat_model, w)
 
+        edges = np.append(flat_table.knots[::64], flat_table.hi)
         for t in (0.5, 5.0, 20.0):
             cached = gt.survival_amplitude(flat_model, t)
-            raw = gt.survival_amplitude(flat_model, t, density=direct)
+            raw = _quadpack_fourier(direct, edges, t)
             assert abs(cached - raw) < 1e-7
 
     def test_mid_window_against_oracle(self, flat_model, flat_pole,
@@ -164,32 +166,22 @@ class TestExactSynthesis:
 
     def test_matches_generic_route_flat(self, flat_model, flat_pole,
                                         flat_table):
+        """Exact transform against QUADPACK on the same spline, knot to
+        knot, out to 27/Gamma."""
         for t in np.linspace(0.0, 27.0 / flat_pole.gamma, 7):
             exact = gt.survival_amplitude(flat_model, t)
-            generic = gt.survival_amplitude(
-                flat_model, t, TIGHT, density=lambda w: flat_table(w))
-            assert abs(exact - generic) < 1e-9
+            reference = _quadpack_fourier(flat_table, flat_table.knots, t)
+            assert abs(exact - reference) < 1e-9
 
     def test_matches_generic_route_rational(self, rational_model):
+        """The same on the whole unbounded-support table, out to 27/Gamma
+        (about 1.3 s of QUADPACK per time point)."""
         pole = gt.find_pole(rational_model)
         table = gt.density_table(rational_model)
-        # the whole 8000-unit table, where half-period chunking is cheap
-        for t in (0.0, 0.05 / pole.gamma):
+        for t in np.linspace(0.0, 27.0 / pole.gamma, 3):
             exact = gt.survival_amplitude(rational_model, t)
-            generic = gt.survival_amplitude(
-                rational_model, t, TIGHT, density=lambda w: table(w))
-            assert abs(exact - generic) < 1e-9
-        # out to 27/Gamma on the table's first 40 units (the resonance and
-        # most knots); the full width would need millions of chunks there
-        keep = table.knots <= 40.0
-        window = _table_from_spline(
-            CubicSpline(table.knots[keep], table.values[keep]))
-        carrier = _carrier(window.hi)
-        for t in np.linspace(0.0, 27.0 / pole.gamma, 5):
-            exact = gt.survival_amplitude(carrier, t, density=window)
-            generic = gt.survival_amplitude(
-                carrier, t, TIGHT, density=lambda w: window(w))
-            assert abs(exact - generic) < 1e-9
+            reference = _quadpack_fourier(table, table.knots, t)
+            assert abs(exact - reference) < 1e-9
 
     @settings(max_examples=50, deadline=None)
     @given(gaps=st.lists(st.floats(0.05, 2.0), min_size=2, max_size=10),
@@ -209,13 +201,8 @@ class TestExactSynthesis:
                              bc_type=((1, float(deriv(inner[0]))),
                                       (1, float(deriv(inner[-1])))))
         table = _table_from_spline(spline)
-        # the generic range must end on the table's edge: a drop to zero
-        # between the last Kronrod node and a panel end goes unseen
-        carrier = _carrier(table.hi)
-        exact = gt.survival_amplitude(carrier, t, density=table)
-        generic = gt.survival_amplitude(carrier, t, TIGHT,
-                                        density=lambda w: table(w))
-        assert abs(exact - generic) < 1e-9
+        exact = table.fourier(t)[0]
+        assert abs(exact - _quadpack_fourier(table, inner, t)) < 1e-9
         assert abs(exact) <= table.fourier(0.0)[0].real + 1e-12
 
     def test_flat_model_against_closed_form_density(self, flat_model,
@@ -231,14 +218,7 @@ class TestExactSynthesis:
             return lam2 / abs(eta) ** 2
 
         for t in (0.0, 0.7, 6.0, 40.0, 150.0):
-            if t == 0.0:
-                exact = quad(rho, 0.0, c, epsabs=1e-12, limit=500)[0]
-            else:
-                re = quad(rho, 0.0, c, weight="cos", wvar=t, epsabs=1e-12,
-                          limit=500)[0]
-                im = quad(rho, 0.0, c, weight="sin", wvar=t, epsabs=1e-12,
-                          limit=500)[0]
-                exact = re - 1j * im
+            exact = _quadpack_fourier(rho, [0.0, c], t)
             assert abs(gt.survival_amplitude(flat_model, t) - exact) < 1e-8
 
     def test_series_is_one_call_matching_single_points(self, flat_model,
