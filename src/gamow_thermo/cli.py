@@ -4,7 +4,7 @@ Subcommands: pole | survival | entropy | evolve | scan.  Every run writes a
 primary table (CSV by default) plus a JSON run record carrying the exact
 configuration, so any emitted number can be reproduced by feeding the
 record back as ``--config``.  Exit codes are stable: 0 success or partial
-success with warnings, 1 configuration error, 2 numerical failure.
+success with warnings, 1 configuration or usage error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ class _Emitter:
             "tool": {"name": "gamow-thermo", "version": __version__},
             "command": command,
             "config": dict(cfg.raw),
-            "seed": args.seed,
             "numerics": {
                 "abs_tol": self.num(spec.abs_tol),
                 "rel_tol": self.num(spec.rel_tol),
@@ -274,7 +273,7 @@ def cmd_evolve(cfg: RunConfig, emitter: _Emitter) -> int:
     return 0
 
 
-def _scan_lambda(cfg: RunConfig, value: float, emitter: _Emitter):
+def _scan_lambda(cfg: RunConfig, value: float):
     override = RunConfig(raw={**cfg.raw, "model.lambda": repr(value)},
                          base_dir=cfg.base_dir)
     model = override.model()
@@ -285,7 +284,7 @@ def _scan_lambda(cfg: RunConfig, value: float, emitter: _Emitter):
     return [value, resolved.e_r, resolved.gamma, ratio, fgr, ""]
 
 
-def _scan_gamma(cfg: RunConfig, value: float, emitter: _Emitter):
+def _scan_gamma(cfg: RunConfig, value: float):
     e_r = cfg.get_float("pole.e_r", required=True)
     point = cfg.thermo_point()
     entry = thermo.complex_entropy(
@@ -293,7 +292,7 @@ def _scan_gamma(cfg: RunConfig, value: float, emitter: _Emitter):
     return [value, entry.real_part, entry.imag_part, ""]
 
 
-def _scan_beta(cfg: RunConfig, value: float, emitter: _Emitter):
+def _scan_beta(cfg: RunConfig, value: float):
     pole = cfg.pole()
     k = cfg.get_float("thermo.k", default=1.0, positive=True)
     entry = thermo.complex_entropy(pole,
@@ -320,7 +319,7 @@ def cmd_scan(cfg: RunConfig, emitter: _Emitter) -> int:
 
     def one(value: float):
         try:
-            return worker(cfg, float(value), emitter)
+            return worker(cfg, float(value))
         except _NUMERICAL_ERRORS + (ValueError,) as exc:
             pad = [""] * (len(columns) - 2)
             return [value, *pad, f"{type(exc).__name__}: {exc}"]
@@ -366,14 +365,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default "
                        "<command>.<format>)")
         p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved for randomized helpers; recorded")
         p.add_argument("--quiet", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the numerical-failure code
+        return 1 if exc.code else 0
     try:
         cfg = load_config(args.config)
         emitter = _Emitter(cfg, args, args.command)

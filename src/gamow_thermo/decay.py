@@ -144,32 +144,39 @@ def _cubic_moments(theta: np.ndarray) -> np.ndarray:
 class DensityTable:
     """Spline surrogate of the overlap density, Fourier-transformed exactly.
 
-    Sampled where the adaptive integrator needed resolution, then refined
-    until the interpolant reproduces fresh density evaluations at every
-    knot midpoint.  ``norm_direct`` is the pure-quadrature normalization,
-    kept alongside the spline's own integral as a build-quality record.
-    The spline is zero outside [lo, hi], and :meth:`fourier` transforms it
-    with no error beyond the spline's own.
+    The spline interpolates fresh density evaluations at its knots and
+    reproduces them at every knot midpoint within max(3e-10, 1e-9 |rho|);
+    ``max_refine_dev`` is the worst midpoint deviation.  ``norm_direct``
+    is the pure-quadrature normalization, kept alongside the spline's own
+    integral as a build-quality record.  The table is zero outside its
+    first and last knot, and :meth:`fourier` transforms it with no error
+    beyond the spline's own.
     """
 
-    model: FriedrichsModel
-    knots: np.ndarray
-    values: np.ndarray
     spline: CubicSpline = field(repr=False)
-    lo: float
-    hi: float
     norm_direct: float
     max_refine_dev: float
 
+    @property
+    def knots(self) -> np.ndarray:
+        return self.spline.x
+
+    @functools.cached_property
+    def _ends(self) -> tuple[float, float]:
+        # Python floats: with numpy-scalar bounds a scalar call, as the
+        # QUADPACK references in the tests make, is about a third slower
+        return float(self.knots[0]), float(self.knots[-1])
+
     def __call__(self, omega):
         w = np.asarray(omega, dtype=float)
-        out = np.where((w >= self.lo) & (w <= self.hi),
-                       self.spline(np.clip(w, self.lo, self.hi)), 0.0)
+        lo, hi = self._ends
+        out = np.where((w >= lo) & (w <= hi),
+                       self.spline(np.clip(w, lo, hi)), 0.0)
         return out if out.ndim else float(out)
 
     @property
     def norm(self) -> float:
-        return float(self.spline.integrate(self.lo, self.hi))
+        return float(self.spline.integrate(*self._ends))
 
     @functools.cached_property
     def _pieces(self):
@@ -221,23 +228,28 @@ def _tail_cutoff(model: FriedrichsModel) -> float:
 def density_table(model: FriedrichsModel) -> DensityTable:
     """Cached spline table of the model's overlap density.
 
-    Each set of frequencies the build asks for (adaptive norm panels, the
-    edge ladder, a refinement round) is one batched density call.  The
-    cache is not single-flight: concurrent first callers for one model
-    each build, and may each return, their own table.
+    The knots start as the norm integral's nodes plus a ladder into each
+    support edge where f^2 jumps.  Then one rule repeats: fit the spline
+    through all knots, compare it at every knot midpoint with a fresh
+    density, and make each midpoint that misses max(3e-10, 1e-9 |rho|) a
+    knot.  Every midpoint is checked each round because a cubic spline is
+    global: a new knot moves the fit on intervals accepted earlier.  Each
+    density is evaluated once, and each set of new frequencies is one
+    batched density call.  The cache is not single-flight: concurrent
+    first callers for one model each build, and may each return, their
+    own table.
     """
     hi = _tail_cutoff(model)
     lo = model.form_factor.support[0]
-    samples: dict[float, float] = {}
+    density: dict[float, float] = {}
 
     def rho(ws):
-        vals = spectral_density(model, ws, _TABLE_SPEC)
-        samples.update(zip(np.atleast_1d(ws).tolist(),
-                           np.atleast_1d(vals).tolist()))
-        return vals
-
-    def rho_probe(ws):
-        return np.atleast_1d(spectral_density(model, ws, _TABLE_SPEC))
+        keys = np.asarray(ws, dtype=float).tolist()
+        new = [w for w in keys if w not in density]
+        if new:
+            density.update(zip(new, spectral_density(
+                model, np.array(new), _TABLE_SPEC).tolist()))
+        return np.array([density[w] for w in keys])
 
     norm_direct = float(integrate(rho, lo, hi, _NORM_SPEC).real)
 
@@ -253,35 +265,20 @@ def density_table(model: FriedrichsModel) -> DensityTable:
     if edges:
         rho(np.concatenate(edges))
 
-    # refine wherever the interpolant misses a fresh midpoint evaluation;
-    # only intervals touched by an insertion are rechecked
-    knots = np.array(sorted(samples))
-    dirty = 0.5 * (knots[:-1] + knots[1:])
-    max_dev = 0.0
+    knots = np.array(sorted(density))
     for _ in range(40):
-        values = np.array([samples[k] for k in knots])
-        spline = CubicSpline(knots, values)
-        fresh = rho_probe(dirty)
-        dev = np.abs(spline(dirty) - fresh)
-        max_dev = float(dev.max(initial=0.0))
+        spline = CubicSpline(knots, rho(knots))
+        mids = 0.5 * (knots[:-1] + knots[1:])
+        fresh = rho(mids)
+        dev = np.abs(spline(mids) - fresh)
         bad = dev > np.maximum(3e-10, 1e-9 * np.abs(fresh))
-        if not np.any(bad):
+        if not bad.any():
             break
-        samples.update(zip(dirty[bad].tolist(), fresh[bad].tolist()))
-        old = knots
-        knots = np.array(sorted(samples))
-        inserted = dirty[bad]
-        left = old[np.searchsorted(old, inserted) - 1]
-        right = old[np.searchsorted(old, inserted)]
-        dirty = np.concatenate([0.5 * (left + inserted),
-                                0.5 * (inserted + right)])
+        knots = np.sort(np.concatenate([knots, mids[bad]]))
     else:
         raise NonConvergence("density spline refinement did not settle")
-
-    return DensityTable(model=model, knots=knots, values=values,
-                        spline=spline, lo=float(knots[0]),
-                        hi=float(knots[-1]), norm_direct=norm_direct,
-                        max_refine_dev=max_dev)
+    return DensityTable(spline=spline, norm_direct=norm_direct,
+                        max_refine_dev=float(dev.max(initial=0.0)))
 
 
 def survival_amplitude(model: FriedrichsModel, t: float) -> complex:

@@ -267,7 +267,7 @@ class ResonancePole:
 
 def _resolvent_integral(model: FriedrichsModel, z: complex,
                         spec: QuadratureSpec) -> complex:
-    """integral of f^2(w) / (z - w) over the coupling support, z off-axis."""
+    """integral of f^2(w) / (z - w) over the coupling support, z off it."""
     lo, hi = model.form_factor.support
     f2 = model.form_factor.f2
     return integrate(lambda w: f2(w) / (z - w), lo, hi, spec)
@@ -363,9 +363,7 @@ def perturbative_pole(model: FriedrichsModel,
         shift = lam2 * float(_pv_resolvent_integral(model, model.omega0,
                                                     spec)[0])
     else:
-        shift = lam2 * integrate(
-            lambda w: model.form_factor.f2(w) / (model.omega0 - w),
-            lo, hi, spec).real
+        shift = lam2 * _resolvent_integral(model, model.omega0, spec).real
     return ResonancePole(e_r=model.omega0 + shift,
                          gamma=2.0 * np.pi * lam2 * f2_at_level)
 

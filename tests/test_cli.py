@@ -307,11 +307,20 @@ class TestOutputContract:
         record = json.loads(record_path.read_text())
         assert record["command"] == "entropy"
 
-    def test_seed_is_recorded(self, run_cli):
-        _, _, record_path = run_cli(
-            "entropy", "pole.e_r = 1.0\npole.gamma = 1.0\n",
-            "--seed", "42")
-        assert json.loads(record_path.read_text())["seed"] == 42
+    def test_missing_config_is_usage_error(self, capsys):
+        assert cli_main(["pole"]) == 1
+        assert "--config" in capsys.readouterr().err
+
+    def test_unknown_format_is_usage_error(self, run_cli, capsys):
+        code, _, _ = run_cli("entropy", "pole.e_r = 1.0\npole.gamma = 1.0\n",
+                             fmt="xml")
+        assert code == 1
+        assert "xml" in capsys.readouterr().err
+
+    def test_help_and_version_exit_zero(self, capsys):
+        assert cli_main(["--help"]) == 0
+        assert cli_main(["--version"]) == 0
+        assert gt.__version__ in capsys.readouterr().out
 
     def test_precision_is_respected(self, run_cli):
         cfg = ("pole.e_r = 1.0\npole.gamma = 2.0\nthermo.beta = 1.0\n"

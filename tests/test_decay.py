@@ -16,6 +16,7 @@ from gamow_thermo.decay import (
     SurvivalSeries,
     _cubic_moments,
     _MOMENT_SWITCH,
+    _TABLE_SPEC,
 )
 
 
@@ -33,8 +34,7 @@ def _quadpack_fourier(density, edges, t):
 def _table_from_spline(spline):
     """A DensityTable around a given spline, zero outside its knots."""
     x = spline.x
-    return DensityTable(model=None, knots=x, values=spline(x),
-                        spline=spline, lo=float(x[0]), hi=float(x[-1]),
+    return DensityTable(spline=spline,
                         norm_direct=float(spline.integrate(x[0], x[-1])),
                         max_refine_dev=0.0)
 
@@ -77,6 +77,23 @@ class TestDensityTable:
         # no per-point loop: at most one boundary call per density batch
         assert max(Counter(boundary).values()) == 1
 
+    @settings(max_examples=10, deadline=None)
+    @given(omega0=st.floats(0.5, 2.0), lam=st.floats(0.05, 0.2),
+           form=st.one_of(
+               st.builds(gt.FlatCutoff, cutoff=st.floats(5.0, 20.0)),
+               st.builds(gt.RationalFormFactor, scale=st.floats(0.5, 2.0))))
+    def test_every_midpoint_meets_the_contract(self, omega0, lam, form):
+        """The returned spline reproduces a fresh density at every knot
+        midpoint, and ``max_refine_dev`` is the worst of those deviations."""
+        model = gt.FriedrichsModel(omega0=omega0, lam=lam, form_factor=form)
+        table = gt.density_table.__wrapped__(model)
+        mids = 0.5 * (table.knots[:-1] + table.knots[1:])
+        fresh = gt.spectral_density(model, mids, _TABLE_SPEC)
+        dev = np.abs(table(mids) - fresh)
+        assert np.all(dev <= np.maximum(3e-10, 1e-9 * np.abs(fresh)))
+        assert table.max_refine_dev == dev.max()
+        assert abs(table.norm - table.norm_direct) < 5e-9
+
 
 class TestSurvivalAmplitude:
     def test_normalization_at_zero(self, flat_model, flat_table):
@@ -95,7 +112,7 @@ class TestSurvivalAmplitude:
         def direct(w):
             return gt.spectral_density(flat_model, w)
 
-        edges = np.append(flat_table.knots[::64], flat_table.hi)
+        edges = np.append(flat_table.knots[::64], flat_table.knots[-1])
         for t in (0.5, 5.0, 20.0):
             cached = gt.survival_amplitude(flat_model, t)
             raw = _quadpack_fourier(direct, edges, t)

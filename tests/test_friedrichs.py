@@ -238,6 +238,14 @@ class TestPerturbativePole:
         assert pole.gamma == pytest.approx(
             2.0 * np.pi * 0.01 * 1.0 / (np.pi * 2.0), rel=1e-9)
 
+    def test_level_above_support(self):
+        # omega0 outside [0, c]: no width, shift lam^2 ln(omega0/(omega0 - c))
+        model = gt.FriedrichsModel(omega0=1.0, lam=0.1,
+                                   form_factor=gt.FlatCutoff(cutoff=0.5))
+        pole = gt.perturbative_pole(model)
+        assert pole.gamma == 0.0
+        assert pole.e_r == pytest.approx(1.0 + 0.01 * np.log(2.0), abs=1e-14)
+
 
 class TestFindPole:
     def test_free_model_is_stable(self):
