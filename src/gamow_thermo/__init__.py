@@ -8,6 +8,7 @@ from .numerics import (
     MaxIterExceeded,
     SingularStep,
     StepUnderflow,
+    InvalidElements,
     integrate,
     principal_values,
     complex_newton,
@@ -48,11 +49,9 @@ from .thermo import (
     IllDefinedBracket,
     ThermoPoint,
     ComplexEntropy,
-    EntropyScan,
     complex_entropy,
     entropy_via_log_identity,
     canonical_entropy,
-    entropy_scan,
     naive_partition_function,
 )
 from .evolution import (

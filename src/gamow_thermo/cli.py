@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from . import __version__, decay, evolution, friedrichs, thermo
 from .config import ConfigError, RunConfig, load_config
 from .numerics import (
     IntegrandError,
+    InvalidElements,
     MaxIterExceeded,
     NonConvergence,
     SingularStep,
@@ -157,8 +159,8 @@ def cmd_survival(cfg: RunConfig, emitter: _Emitter) -> int:
                np.abs(decay.gamow_approximation(pole, series.times)) ** 2)
     emitter.add_table(
         "survival", ["t", "re_a", "im_a", "p", "p_gamow"],
-        [[t, a.real, a.imag, p, pg] for t, a, p, pg in zip(
-            series.times, series.amplitudes, series.probabilities, p_gamow)])
+        zip(series.times, series.amplitudes.real, series.amplitudes.imag,
+            series.probabilities, p_gamow))
 
     if cfg.get_bool("survival.regimes", default=True):
         if pole is None:
@@ -207,27 +209,19 @@ def _regime_dict(report: decay.RegimeReport, emitter: _Emitter) -> dict:
 
 
 def cmd_entropy(cfg: RunConfig, emitter: _Emitter) -> int:
-    spec = cfg.quadrature_spec()
-    pole = cfg.pole(spec)
-    k = cfg.get_float("thermo.k", default=1.0, positive=True)
+    pole = cfg.pole(cfg.quadrature_spec())
+    point = cfg.thermo_point()
     betas = cfg.grid("beta", positive=True)
-    if betas is None:
-        betas = np.array([cfg.get_float("thermo.beta", default=1.0)])
-    if np.any(betas <= 0):
-        raise ConfigError("beta values must be positive")
-
-    rows = []
-    for beta in betas:
-        point = thermo.ThermoPoint(beta=float(beta), k=k)
-        closed = thermo.complex_entropy(pole, point)
-        via_log = thermo.entropy_via_log_identity(pole, point)
-        rows.append([beta, closed.real_part, closed.imag_part,
-                     abs(closed.value - via_log.value)])
+    betas = np.atleast_1d(point.beta if betas is None else betas)
+    point = replace(point, beta=betas)
+    closed = thermo.complex_entropy(pole, point)
+    via_log = thermo.entropy_via_log_identity(pole, point)
     emitter.add_table("entropy", ["beta", "re_s", "im_s", "identity_dev"],
-                      rows)
+                      zip(betas, closed.real_part, closed.imag_part,
+                          np.abs(closed.value - via_log.value)))
     emitter.record["results"]["pole"] = {"e_r": emitter.num(pole.e_r),
                                          "gamma": emitter.num(pole.gamma)}
-    emitter.record["results"]["thermo"] = {"k": emitter.num(k),
+    emitter.record["results"]["thermo"] = {"k": emitter.num(point.k),
                                            "betas": [emitter.num(b)
                                                      for b in betas]}
     return 0
@@ -247,23 +241,19 @@ def cmd_evolve(cfg: RunConfig, emitter: _Emitter) -> int:
     grid = cfg.grid("tau" if branch == "thermal" else "time", required=True)
     evolve = (evolution.thermal_evolve if branch == "thermal"
               else evolution.time_evolve)
-    rows = []
-    for tau in grid:
-        c = evolve(start, pole, float(tau))
-        rows.append([tau, c.value.real, c.value.imag, abs(c.value)])
+    c = evolve(start, pole, grid)
     name = "tau" if branch == "thermal" else "t"
     emitter.add_table("trajectory", [name, "re_value", "im_value", "modulus"],
-                      rows)
+                      zip(grid, c.value.real, c.value.imag, np.abs(c.value)))
 
     temps = cfg.grid("temperature", positive=True)
     if temps is not None:
-        k = cfg.get_float("thermo.k", default=1.0, positive=True)
-        table = evolution.temperature_monotonicity(pole, temps, k=k)
+        table = evolution.temperature_monotonicity(pole, temps,
+                                                   k=cfg.thermo_point().k)
         emitter.add_table(
             "temperature",
             ["temperature", "in_factor", "out_factor"],
-            [[tv, iv, ov] for tv, iv, ov in zip(
-                table.temperatures, table.in_factors, table.out_factors)])
+            zip(table.temperatures, table.in_factors, table.out_factors))
         emitter.record["results"]["monotonicity"] = {
             "in_strictly_decreasing": table.in_strictly_decreasing,
             "out_strictly_increasing": table.out_strictly_increasing,
@@ -273,65 +263,79 @@ def cmd_evolve(cfg: RunConfig, emitter: _Emitter) -> int:
     return 0
 
 
-def _scan_lambda(cfg: RunConfig, value: float):
-    override = RunConfig(raw={**cfg.raw, "model.lambda": repr(value)},
-                         base_dir=cfg.base_dir)
-    model = override.model()
-    spec = override.quadrature_spec()
-    resolved = friedrichs.find_pole(model, override.root_config(), spec)
-    fgr = friedrichs.perturbative_pole(model, spec).gamma
-    ratio = resolved.gamma / value**2 if value != 0 else ""
-    return [value, resolved.e_r, resolved.gamma, ratio, fgr, ""]
+def _scan_lambda(cfg: RunConfig, values: np.ndarray) -> list:
+    """One pole search per lambda on a model built once; a failed search
+    is an error row."""
+    model = RunConfig(raw={**cfg.raw, "model.lambda": "0"},
+                      base_dir=cfg.base_dir).model()
+    spec, root = cfg.quadrature_spec(), cfg.root_config()
+
+    def row(lam: float) -> list:
+        try:
+            at = replace(model, lam=lam)
+            resolved = friedrichs.find_pole(at, root, spec)
+            fgr = friedrichs.perturbative_pole(at, spec).gamma
+        except _NUMERICAL_ERRORS + (ValueError,) as exc:
+            return [lam, "", "", "", "", f"{type(exc).__name__}: {exc}"]
+        ratio = resolved.gamma / lam**2 if lam != 0 else ""
+        return [lam, resolved.e_r, resolved.gamma, ratio, fgr, ""]
+
+    return list(zip(*(row(float(v)) for v in values)))
 
 
-def _scan_gamma(cfg: RunConfig, value: float):
-    e_r = cfg.get_float("pole.e_r", required=True)
-    point = cfg.thermo_point()
-    entry = thermo.complex_entropy(
-        friedrichs.ResonancePole(e_r=e_r, gamma=value), point)
-    return [value, entry.real_part, entry.imag_part, ""]
+def _scan_entropy(values: np.ndarray, entropy) -> list:
+    """Columns of ``entropy(values)``, one array call.  Values that an
+    elementwise check rejects become error rows and the call is repeated
+    on the rest, once per failing check."""
+    error = np.full(values.shape, "", dtype=object)
+    while True:
+        keep = error == ""
+        try:
+            s = entropy(values[keep])
+            break
+        except InvalidElements as exc:
+            bad = np.broadcast_to(exc.mask, (np.count_nonzero(keep),))
+            if not bad.any():
+                raise
+            error[np.flatnonzero(keep)[bad]] = f"ValueError: {exc}"
+    re_s, im_s = np.full((2, values.size), "", dtype=object)
+    re_s[keep], im_s[keep] = s.real_part, s.imag_part
+    return [values, re_s, im_s, error]
 
 
-def _scan_beta(cfg: RunConfig, value: float):
-    pole = cfg.pole()
-    k = cfg.get_float("thermo.k", default=1.0, positive=True)
-    entry = thermo.complex_entropy(pole,
-                                   thermo.ThermoPoint(beta=value, k=k))
-    return [value, entry.real_part, entry.imag_part, ""]
-
-
-_SCAN_AXES = {
-    "lambda": (_scan_lambda,
-               ["lambda", "e_r", "gamma", "gamma_over_lambda2", "gamma_fgr",
-                "error"]),
-    "gamma": (_scan_gamma, ["gamma", "re_s", "im_s", "error"]),
-    "beta": (_scan_beta, ["beta", "re_s", "im_s", "error"]),
+_SCAN_COLUMNS = {
+    "lambda": ["lambda", "e_r", "gamma", "gamma_over_lambda2", "gamma_fgr",
+               "error"],
+    "gamma": ["gamma", "re_s", "im_s", "error"],
+    "beta": ["beta", "re_s", "im_s", "error"],
 }
 
 
 def cmd_scan(cfg: RunConfig, emitter: _Emitter) -> int:
+    """Sweep one axis.  The fixed sections are read once, before the sweep,
+    so a configuration error stops the run instead of filling rows."""
     axis = cfg.get_str("scan.axis", required=True,
-                       choices=set(_SCAN_AXES))
+                       choices=set(_SCAN_COLUMNS))
     values = cfg.scan_values()
-    if values.size == 0:
-        raise ConfigError("scan grid is empty")
-    worker, columns = _SCAN_AXES[axis]
-
-    def one(value: float):
-        try:
-            return worker(cfg, float(value))
-        except _NUMERICAL_ERRORS + (ValueError,) as exc:
-            pad = [""] * (len(columns) - 2)
-            return [value, *pad, f"{type(exc).__name__}: {exc}"]
-
-    rows = [one(v) for v in values]
-    emitter.add_table("scan", columns, rows)
-    failures = sum(1 for r in rows if r[-1] != "")
-    emitter.record["results"]["points"] = len(rows)
+    if axis == "lambda":
+        columns = _scan_lambda(cfg, values)
+    elif axis == "gamma":
+        e_r = cfg.get_float("pole.e_r", required=True, positive=True)
+        point = cfg.thermo_point()
+        columns = _scan_entropy(values, lambda g: thermo.complex_entropy(
+            friedrichs.ResonancePole(e_r=e_r, gamma=g), point))
+    else:
+        pole = cfg.pole(cfg.quadrature_spec())
+        point = cfg.thermo_point()
+        columns = _scan_entropy(values, lambda b: thermo.complex_entropy(
+            pole, replace(point, beta=b)))
+    emitter.add_table("scan", _SCAN_COLUMNS[axis], zip(*columns))
+    failures = int(np.count_nonzero(np.asarray(columns[-1]) != ""))
+    emitter.record["results"]["points"] = values.size
     emitter.record["results"]["failed_points"] = failures
     if failures:
-        emitter.warn(f"{failures} of {len(rows)} scan points failed")
-    return 2 if failures == len(rows) else 0
+        emitter.warn(f"{failures} of {values.size} scan points failed")
+    return 2 if failures == values.size else 0
 
 
 _COMMANDS = {

@@ -219,6 +219,7 @@ class RunConfig:
             raise ConfigError(f"invalid root section: {exc}") from exc
 
     def thermo_point(self) -> ThermoPoint:
+        """The one reader of ``thermo.beta`` and ``thermo.k``."""
         beta = self.get_float("thermo.beta", default=1.0)
         k = self.get_float("thermo.k", default=1.0)
         try:

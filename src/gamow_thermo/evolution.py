@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .friedrichs import ResonancePole
-from .numerics import ode_evolve
+from .numerics import _require, _unbox, ode_evolve
 
 __all__ = [
     "Mode",
@@ -40,18 +40,19 @@ class Mode(enum.Enum):
 
 @dataclass(frozen=True)
 class LadderCoefficient:
-    """Scalar coefficient of a ladder operator at evolution parameter tau."""
+    """Scalar coefficient of a ladder operator at evolution parameter tau;
+    ``value`` and ``tau`` are arrays along a trajectory."""
 
     mode: Mode
-    value: complex = 1.0 + 0.0j
-    tau: complex = 0.0 + 0.0j
+    value: complex | np.ndarray = 1.0 + 0.0j
+    tau: complex | np.ndarray = 0.0 + 0.0j
 
     def __post_init__(self):
-        val = complex(self.value)
-        if not (np.isfinite(val.real) and np.isfinite(val.imag)):
-            raise ValueError("coefficient value must be finite")
-        object.__setattr__(self, "value", val)
-        object.__setattr__(self, "tau", complex(self.tau))
+        value = np.asarray(self.value, dtype=complex)
+        _require(np.isfinite(value), "coefficient value must be finite")
+        object.__setattr__(self, "value", _unbox(value))
+        object.__setattr__(self, "tau",
+                           _unbox(np.asarray(self.tau, dtype=complex)))
 
 
 def _rate(mode: Mode, pole: ResonancePole) -> complex:
@@ -59,11 +60,14 @@ def _rate(mode: Mode, pole: ResonancePole) -> complex:
 
 
 def _evolve(c0: LadderCoefficient, pole: ResonancePole,
-            tau: complex) -> LadderCoefficient:
+            tau) -> LadderCoefficient:
+    """The one code path of both branches, elementwise over an array of
+    tau: the coefficient times exp(+-tau z_R)."""
     exponent = tau * _rate(c0.mode, pole)
-    if abs(exponent.real) > _EXP_GUARD:
+    worst = np.max(np.abs(np.real(exponent)), initial=0.0)
+    if worst > _EXP_GUARD:
         raise OverflowError(
-            f"evolution factor exp({exponent.real:.1f}) overflows float64; "
+            f"evolution factor exp({worst:.1f}) overflows float64; "
             "shorten the evolution span")
     return LadderCoefficient(mode=c0.mode,
                              value=c0.value * np.exp(exponent),
@@ -71,24 +75,25 @@ def _evolve(c0: LadderCoefficient, pole: ResonancePole,
 
 
 def thermal_evolve(c0: LadderCoefficient, pole: ResonancePole,
-                   tau: float) -> LadderCoefficient:
-    """Evolve by real tau = beta: creation gains exp(+tau z_R), annihilation
-    the reciprocal factor."""
-    tau = float(tau)
-    if tau < 0:
+                   tau) -> LadderCoefficient:
+    """Evolve by real tau = beta (a scalar or an array): creation gains
+    exp(+tau z_R), annihilation the reciprocal factor."""
+    tau = np.asarray(tau, dtype=float)
+    if np.any(tau < 0):
         raise ValueError("thermal branch needs tau >= 0")
     return _evolve(c0, pole, tau)
 
 
 def time_evolve(c0: LadderCoefficient, pole: ResonancePole,
-                t: float) -> LadderCoefficient:
-    """Evolve in real time through the Wick substitution tau = -i t.
+                t) -> LadderCoefficient:
+    """Evolve in real time (a scalar or an array) through the Wick
+    substitution tau = -i t.
 
     Same code path as :func:`thermal_evolve`; the creation coefficient
     decays as exp(-Gamma t / 2) while the annihilation one grows as
     exp(+Gamma t / 2), guarded against float overflow.
     """
-    return _evolve(c0, pole, -1j * float(t))
+    return _evolve(c0, pole, -1j * np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -134,14 +139,14 @@ def verify_ode_solutions(pole: ResonancePole, tau_grid) -> float:
     """Integrate both ladder rate equations and compare with closed forms.
 
     Runs d/dtau A = +z_R A and d/dtau A = -z_R A through the RK4 stepper
-    and returns the largest absolute deviation from exp(+-tau z_R) over
-    the grid; the refinement loop keeps this at the 1e-9 scale or better.
+    and returns the largest absolute deviation from the closed-form
+    factors exp(+-tau z_R) of :func:`_evolve` over the grid; the
+    refinement loop keeps this at the 1e-9 scale or better.
     """
     tau = np.asarray(tau_grid, dtype=float)
     worst = 0.0
     for mode in Mode:
-        rate = _rate(mode, pole)
-        numeric = ode_evolve(rate, 1.0 + 0.0j, tau)
-        exact = np.exp(rate * tau)
+        numeric = ode_evolve(_rate(mode, pole), 1.0 + 0.0j, tau)
+        exact = _evolve(LadderCoefficient(mode=mode), pole, tau).value
         worst = max(worst, float(np.max(np.abs(numeric - exact))))
     return worst

@@ -20,6 +20,8 @@ from scipy.linalg import eigh
 from .numerics import (
     QuadratureSpec,
     RootSearchConfig,
+    _complex,
+    _require,
     complex_newton,
     integrate,
     principal_values,
@@ -248,21 +250,23 @@ class FriedrichsModel:
 
 @dataclass(frozen=True)
 class ResonancePole:
-    """Resonance parameters: energy e_r and width gamma (gamma = 0 is stable)."""
+    """Resonance parameters: energy e_r and width gamma (gamma = 0 is stable).
 
-    e_r: float
-    gamma: float
+    Either may be an array (a family of poles, e.g. a width sweep); the
+    checks hold elementwise.
+    """
+
+    e_r: float | np.ndarray
+    gamma: float | np.ndarray
 
     def __post_init__(self):
-        if self.e_r <= 0:
-            raise ValueError("resonance energy must be positive")
-        if self.gamma < 0:
-            raise ValueError("width must be nonnegative")
+        _require(np.greater(self.e_r, 0), "resonance energy must be positive")
+        _require(np.greater_equal(self.gamma, 0), "width must be nonnegative")
 
     @property
-    def z(self) -> complex:
+    def z(self) -> complex | np.ndarray:
         """Pole position E_R - i*Gamma/2 in the lower half-plane."""
-        return complex(self.e_r, -0.5 * self.gamma)
+        return _complex(self.e_r, np.multiply(-0.5, self.gamma))
 
 
 def _resolvent_integral(model: FriedrichsModel, z: complex,

@@ -22,6 +22,7 @@ __all__ = [
     "MaxIterExceeded",
     "SingularStep",
     "StepUnderflow",
+    "InvalidElements",
     "integrate",
     "principal_values",
     "complex_newton",
@@ -48,6 +49,36 @@ class SingularStep(RuntimeError):
 
 class StepUnderflow(RuntimeError):
     """ODE step halving hit the resolution floor without converging."""
+
+
+class InvalidElements(ValueError):
+    """An elementwise check failed; ``mask`` marks the failing elements
+    (broadcastable against the checked array)."""
+
+    def __init__(self, message: str, mask):
+        super().__init__(message)
+        self.mask = mask
+
+
+def _require(ok, message: str) -> None:
+    """Raise :class:`InvalidElements` unless every element of ``ok`` holds."""
+    ok = np.asarray(ok)
+    if not ok.all():
+        raise InvalidElements(message, ~ok)
+
+
+def _unbox(x):
+    """A 0-d array as its Python scalar, any other array unchanged."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
+
+
+def _complex(re, im):
+    """re + i*im elementwise, exactly (no 0*inf products, signed zeros
+    kept); a Python complex for scalar parts."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return _unbox(out)
 
 
 @dataclass(frozen=True)

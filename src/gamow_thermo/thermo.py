@@ -10,22 +10,20 @@ beta-derivative functional are all implemented and cross-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 from .friedrichs import ResonancePole
-from .numerics import derivative
+from .numerics import _complex, _require, _unbox, derivative
 
 __all__ = [
     "IllDefinedBracket",
     "ThermoPoint",
     "ComplexEntropy",
-    "EntropyScan",
     "complex_entropy",
     "entropy_via_log_identity",
     "canonical_entropy",
-    "entropy_scan",
     "naive_partition_function",
 ]
 
@@ -37,57 +35,59 @@ class IllDefinedBracket(RuntimeError):
 
 @dataclass(frozen=True)
 class ThermoPoint:
-    """Inverse temperature and entropy unit (Boltzmann constant)."""
+    """Inverse temperature (a scalar or an array) and entropy unit
+    (Boltzmann constant)."""
 
-    beta: float
+    beta: float | np.ndarray
     k: float = 1.0
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.k <= 0:
-            raise ValueError("k must be positive")
+        _require(np.greater(self.beta, 0), "beta must be positive")
+        _require(np.greater(self.k, 0), "k must be positive")
 
     @property
-    def temperature(self) -> float:
+    def temperature(self) -> float | np.ndarray:
         return 1.0 / (self.k * self.beta)
 
 
 @dataclass(frozen=True)
 class ComplexEntropy:
-    """Complex entropy value attached to its thermodynamic point and pole."""
+    """Complex entropy values: Python floats for a scalar point and pole,
+    arrays of their broadcast shape otherwise.  ``k`` is the entropy unit
+    that bounds the imaginary part."""
 
-    real_part: float
-    imag_part: float
-    point: ThermoPoint
-    pole: ResonancePole
+    real_part: float | np.ndarray
+    imag_part: float | np.ndarray
+    k: InitVar[float] = 1.0
 
-    def __post_init__(self):
-        if not (np.isfinite(self.real_part) and np.isfinite(self.imag_part)):
-            raise ValueError("entropy parts must be finite")
-        k = self.point.k
-        if not (-0.5 * k * np.pi < self.imag_part <= 1e-15 * k):
-            raise ValueError(
-                f"imaginary entropy {self.imag_part!r} outside (-k*pi/2, 0]")
+    def __post_init__(self, k):
+        real, imag = np.broadcast_arrays(np.asarray(self.real_part, float),
+                                         np.asarray(self.imag_part, float))
+        _require(np.isfinite(real) & np.isfinite(imag),
+                 "entropy parts must be finite")
+        _require((-0.5 * k * np.pi < imag) & (imag <= 1e-15 * k),
+                 "imaginary entropy outside (-k*pi/2, 0]")
+        object.__setattr__(self, "real_part", _unbox(real.copy()))
+        object.__setattr__(self, "imag_part", _unbox(imag.copy()))
 
     @property
-    def value(self) -> complex:
-        return complex(self.real_part, self.imag_part)
+    def value(self) -> complex | np.ndarray:
+        return _complex(self.real_part, self.imag_part)
 
 
 def complex_entropy(pole: ResonancePole, point: ThermoPoint) -> ComplexEntropy:
     """Closed-form entropy of a resonance at inverse temperature beta.
 
     S = k * [1 - ln(beta * |z_R|) - i*arctan(Gamma / (2 E_R))] with the
-    principal arctangent.  The stable limit Gamma -> 0 collapses onto the
-    real oscillator entropy k * (1 - ln(beta * E_R)).
+    principal arctangent, elementwise over the broadcast pole and beta
+    arrays.  The stable limit Gamma -> 0 collapses onto the real
+    oscillator entropy k * (1 - ln(beta * E_R)).
     """
     k = point.k
     magnitude = np.hypot(pole.e_r, 0.5 * pole.gamma)
     real = k * (1.0 - np.log(point.beta * magnitude))
     imag = -k * np.arctan(0.5 * pole.gamma / pole.e_r)
-    return ComplexEntropy(real_part=float(real), imag_part=float(imag),
-                          point=point, pole=pole)
+    return ComplexEntropy(real_part=real, imag_part=imag, k=k)
 
 
 def entropy_via_log_identity(pole: ResonancePole,
@@ -100,83 +100,23 @@ def entropy_via_log_identity(pole: ResonancePole,
     tested against each other as an algebraic oracle.
     """
     s = point.k * (1.0 - np.log(point.beta * np.conjugate(pole.z)))
-    return ComplexEntropy(real_part=float(s.real), imag_part=float(s.imag),
-                          point=point, pole=pole)
+    return ComplexEntropy(real_part=s.real, imag_part=s.imag, k=point.k)
 
 
 def canonical_entropy(log_z, point: ThermoPoint,
                       rel_step: float = 1e-5) -> complex:
     """Canonical functional S = k (1 - beta d/dbeta) log Z.
 
-    ``log_z`` is any callable of beta, real- or complex-valued; the
-    derivative is a Richardson-extrapolated central difference with
-    relative step ``rel_step``.  Feeding log Z = -Log(beta * conj(z_R))
-    reproduces :func:`complex_entropy` to finite-difference accuracy.
+    ``log_z`` is any callable of beta, real- or complex-valued, and
+    ``point.beta`` a scalar; the derivative is a Richardson-extrapolated
+    central difference with relative step ``rel_step``.  Feeding
+    log Z = -Log(beta * conj(z_R)) reproduces :func:`complex_entropy` to
+    finite-difference accuracy.
     """
     beta = point.beta
     value = complex(log_z(beta))
     dlog, _err = derivative(log_z, beta, rel_step * beta)
     return point.k * (value - beta * complex(dlog))
-
-
-@dataclass(frozen=True)
-class EntropyScan:
-    """Entropy rows along a beta or gamma axis, with ordering metadata."""
-
-    axis: str
-    grid: np.ndarray
-    entries: tuple[ComplexEntropy, ...]
-
-    @property
-    def real_parts(self) -> np.ndarray:
-        return np.array([e.real_part for e in self.entries])
-
-    @property
-    def imag_parts(self) -> np.ndarray:
-        return np.array([e.imag_part for e in self.entries])
-
-    @property
-    def monotonicity(self) -> dict:
-        re, im = self.real_parts, self.imag_parts
-        return {
-            "real_strictly_decreasing": bool(np.all(np.diff(re) < 0)),
-            "imag_strictly_decreasing": bool(np.all(np.diff(im) < 0)),
-            "imag_constant": bool(np.all(im == im[0])),
-        }
-
-
-def entropy_scan(pole: ResonancePole, *, beta_grid=None, gamma_grid=None,
-                 k: float = 1.0, beta: float | None = None) -> EntropyScan:
-    """Sweep the entropy along exactly one axis.
-
-    ``beta_grid`` scans temperature at a fixed pole; ``gamma_grid`` scans
-    the width at fixed E_R and fixed beta (which defaults to 1).  Grids
-    must be positive and increasing.
-    """
-    if (beta_grid is None) == (gamma_grid is None):
-        raise ValueError("provide exactly one of beta_grid or gamma_grid")
-    if beta_grid is not None:
-        grid = np.asarray(beta_grid, dtype=float)
-        _check_grid(grid, "beta_grid")
-        entries = tuple(complex_entropy(pole, ThermoPoint(beta=float(b), k=k))
-                        for b in grid)
-        return EntropyScan(axis="beta", grid=grid, entries=entries)
-
-    grid = np.asarray(gamma_grid, dtype=float)
-    _check_grid(grid, "gamma_grid", allow_zero=True)
-    point = ThermoPoint(beta=1.0 if beta is None else beta, k=k)
-    entries = tuple(
-        complex_entropy(ResonancePole(e_r=pole.e_r, gamma=float(g)), point)
-        for g in grid)
-    return EntropyScan(axis="gamma", grid=grid, entries=entries)
-
-
-def _check_grid(grid: np.ndarray, name: str, allow_zero: bool = False):
-    if grid.ndim != 1 or grid.size < 1:
-        raise ValueError(f"{name} must be a non-empty 1-d sequence")
-    floor = 0.0 if allow_zero else np.finfo(float).tiny
-    if np.any(grid < floor) or np.any(np.diff(grid) <= 0):
-        raise ValueError(f"{name} must be positive and strictly increasing")
 
 
 def naive_partition_function(pole: ResonancePole, point: ThermoPoint):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gamow_thermo as gt
-from gamow_thermo import decay
+from gamow_thermo import config, decay
 from gamow_thermo.cli import main as cli_main
 from gamow_thermo.numerics import NonConvergence
 
@@ -180,6 +180,21 @@ class TestEntropyCommand:
             0.0635520235703, rel=1e-9)
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("entropy", ""),
+    ("evolve", "grid.time.start = 0.0\ngrid.time.stop = 1.0\n"
+               "grid.time.points = 2\ngrid.temperature.start = 0.5\n"
+               "grid.temperature.stop = 4.0\ngrid.temperature.points = 3\n"),
+    ("scan", "scan.axis = beta\nscan.values = 1.0\n"),
+], ids=["entropy", "evolve", "scan-beta"])
+def test_one_reader_for_thermo_keys(run_cli, capsys, command, extra):
+    code, _, _ = run_cli(command, "pole.e_r = 1.0\npole.gamma = 0.5\n"
+                         "thermo.k = 0\n" + extra)
+    assert code == 1
+    assert "invalid thermo section: k must be positive" in \
+        capsys.readouterr().err
+
+
 class TestEvolveCommand:
     BASE = ("pole.e_r = 1.0\npole.gamma = 0.2\n"
             "evolve.mode = in\nevolve.branch = time\n"
@@ -268,6 +283,88 @@ class TestScanCommand:
                "scan.axis = gamma\nscan.values = -1.0, -2.0\n")
         code, _, _ = run_cli("scan", cfg)
         assert code == 2
+
+    @pytest.mark.parametrize("cfg", [
+        "pole.e_r = 1.0\nthermo.k = -1\nscan.axis = gamma\n"
+        "scan.values = 0.5, 1.0\n",
+        "thermo.beta = 1.0\nscan.axis = gamma\nscan.values = 0.5, 1.0\n",
+        FLAT_CONFIG.replace("model.cutoff = 10.0\n", "")
+        + "scan.axis = lambda\nscan.values = 0.05, 0.1\n",
+        "pole.e_r = 1.0\npole.gamma = 0.5\nthermo.k = -2\n"
+        "scan.axis = beta\nscan.values = 0.5, 1.0\n",
+    ], ids=["gamma-k", "gamma-no-e_r", "lambda-no-cutoff", "beta-k"])
+    def test_fixed_section_error_is_config_error(self, run_cli, capsys, cfg):
+        code, out, record_path = run_cli("scan", cfg)
+        assert code == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists() and not record_path.exists()
+
+    @pytest.mark.parametrize("axis,bad", [("gamma", ["nan", "inf", "-0.5"]),
+                                          ("beta", ["nan", "inf", "0"])])
+    def test_invalid_values_are_error_rows(self, run_cli, axis, bad):
+        cfg = ("pole.e_r = 1.0\npole.gamma = 0.5\nthermo.beta = 1.0\n"
+               f"scan.axis = {axis}\nscan.values = 0.5, "
+               + ", ".join(bad) + ", 1.5\n")
+        code, out, record_path = run_cli("scan", cfg)
+        assert code == 0
+        _, rows = read_csv(out)
+        assert [r[-1] != "" for r in rows] == [False, True, True, True,
+                                               False]
+        assert all(r[1] == r[2] == "" for r in rows[1:4])
+        assert all(r[-1].startswith("ValueError: ") for r in rows[1:4])
+        assert json.loads(record_path.read_text())["results"][
+            "failed_points"] == 3
+
+    def test_beta_scan_resolves_the_pole_once(self, run_cli, monkeypatch):
+        calls = []
+        find_pole = config.find_pole
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return find_pole(*args, **kwargs)
+
+        monkeypatch.setattr(config, "find_pole", counted)
+        cfg = FLAT_CONFIG + ("scan.axis = beta\nscan.start = 0.5\n"
+                             "scan.stop = 4.0\nscan.points = 20\n")
+        code, out, _ = run_cli("scan", cfg)
+        assert code == 0
+        assert len(read_csv(out)[1]) == 20
+        assert len(calls) == 1
+
+    def test_lambda_scan_builds_the_model_once(self, run_cli, monkeypatch,
+                                               tmp_path):
+        reads = []
+        from_file = gt.TabulatedFormFactor.from_file.__func__
+
+        def counted(cls, path):
+            reads.append(path)
+            return from_file(cls, path)
+
+        monkeypatch.setattr(gt.TabulatedFormFactor, "from_file",
+                            classmethod(counted))
+        grid = np.linspace(0.0, 10.0, 201)
+        np.savetxt(tmp_path / "flat.txt",
+                   np.column_stack([grid, np.ones_like(grid)]))
+        cfg = FLAT_CONFIG.replace(
+            "model.form_factor = flat_cutoff\nmodel.cutoff = 10.0",
+            "model.form_factor = tabulated\nmodel.table = flat.txt") + (
+            "scan.axis = lambda\nscan.values = 0.05, 0.1, 0.2\n")
+        code, out, _ = run_cli("scan", cfg)
+        # sampled data has no continuation: every pole search fails
+        assert code == 2
+        assert all("ContinuationUnavailable" in r[-1]
+                   for r in read_csv(out)[1])
+        assert len(reads) == 1
+
+    def test_lambda_scan_needs_no_model_lambda(self, run_cli, tmp_path):
+        scan = "scan.axis = lambda\nscan.values = 0.05, 0.1, 0.2\n"
+        code, out, _ = run_cli("scan", FLAT_CONFIG + scan)
+        assert code == 0
+        with_lambda = out.read_bytes()
+        code, out, _ = run_cli(
+            "scan", FLAT_CONFIG.replace("model.lambda = 0.1\n", "") + scan)
+        assert code == 0
+        assert out.read_bytes() == with_lambda
 
 
 class TestOutputContract:

@@ -2,6 +2,8 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gamow_thermo as gt
 from gamow_thermo.evolution import Mode, _evolve
@@ -157,3 +159,59 @@ class TestLadderCoefficient:
         c = gt.thermal_evolve(gt.thermal_evolve(coeff(), pole, 1.0), pole,
                               0.5)
         assert c.tau == 1.5
+
+
+_BRANCHES = {"thermal": gt.thermal_evolve, "time": gt.time_evolve}
+
+
+class TestArrayEvolution:
+    """One call evolves a whole grid of tau."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(e_r=st.floats(0.1, 10.0), gamma=st.floats(0.0, 10.0),
+           mode=st.sampled_from(list(Mode)),
+           branch=st.sampled_from(sorted(_BRANCHES)),
+           taus=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=20))
+    def test_array_call_is_the_scalar_calls(self, e_r, gamma, mode, branch,
+                                            taus):
+        pole = gt.ResonancePole(e_r=e_r, gamma=gamma)
+        evolve = _BRANCHES[branch]
+        start = coeff(mode, value=0.5 - 2.0j)
+        array = evolve(start, pole, np.array(taus))
+        scalar = [evolve(start, pole, tau) for tau in taus]
+        assert array.value.view(np.uint64).tolist() == np.array(
+            [c.value for c in scalar]).view(np.uint64).tolist()
+        assert array.tau.tolist() == [c.tau for c in scalar]
+
+    def test_one_overflowing_element_stops_the_call(self, pole):
+        with pytest.raises(OverflowError, match="overflows"):
+            gt.time_evolve(coeff(Mode.OUT_ANNIHILATION), pole,
+                           np.array([0.0, 1.0, 1e5]))
+
+    def test_negative_tau_anywhere_rejected(self, pole):
+        with pytest.raises(ValueError):
+            gt.thermal_evolve(coeff(), pole, np.array([0.0, -0.5]))
+
+
+class TestLadderAgainstRk4:
+    """The closed-form factors exp(+-tau z_R) against RK4 integration of
+    their rate equations, on both branches (the time branch integrates
+    the rate -i(+-z_R) over t), for E_R in [0.1, 10], Gamma in [0, 2 E_R]
+    and grids reaching |z_R| tau_max in [0.1, 20]: the relative
+    deviation stays below 1e-9 at every grid point."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(e_r=st.floats(0.1, 10.0), width=st.floats(0.0, 2.0),
+           reach=st.floats(0.1, 20.0), points=st.integers(2, 40),
+           mode=st.sampled_from(list(Mode)),
+           branch=st.sampled_from(sorted(_BRANCHES)))
+    def test_relative_deviation(self, e_r, width, reach, points, mode,
+                                branch):
+        pole = gt.ResonancePole(e_r=e_r, gamma=width * e_r)
+        grid = np.linspace(0.0, reach / abs(pole.z), points)
+        rate = pole.z if mode is Mode.IN_CREATION else -pole.z
+        if branch == "time":
+            rate *= -1j
+        numeric = gt.ode_evolve(rate, 1.0 + 0.0j, grid)
+        exact = _BRANCHES[branch](coeff(mode), pole, grid).value
+        assert np.max(np.abs(numeric - exact) / np.abs(exact)) <= 1e-9

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gamow_thermo as gt
 from gamow_thermo.thermo import IllDefinedBracket
@@ -118,37 +120,84 @@ class TestCanonicalEntropy:
 
 
 class TestEntropyScan:
+    """The closed forms over arrays of width and inverse temperature."""
+
     def test_width_scan_imag_monotone(self):
-        pole = gt.ResonancePole(e_r=1.0, gamma=1.0)
-        scan = gt.entropy_scan(pole, gamma_grid=np.linspace(0.0, 4.0, 17))
-        assert scan.monotonicity["imag_strictly_decreasing"]
-        assert scan.imag_parts[0] == 0.0
+        pole = gt.ResonancePole(e_r=1.0, gamma=np.linspace(0.0, 4.0, 17))
+        s = gt.complex_entropy(pole, gt.ThermoPoint(beta=1.0))
+        assert np.all(np.diff(s.imag_part) < 0)
+        assert s.imag_part[0] == 0.0
 
     def test_width_scan_hits_quarter_pi(self):
-        pole = gt.ResonancePole(e_r=1.0, gamma=1.0)
-        scan = gt.entropy_scan(pole, gamma_grid=np.array([1.0, 2.0, 3.0]))
-        assert scan.imag_parts[1] == -np.arctan(1.0)
+        pole = gt.ResonancePole(e_r=1.0, gamma=np.array([1.0, 2.0, 3.0]))
+        s = gt.complex_entropy(pole, gt.ThermoPoint(beta=1.0))
+        assert s.imag_part[1] == -np.arctan(1.0)
 
     def test_beta_scan_real_decreasing_imag_constant(self):
         pole = gt.ResonancePole(e_r=1.0, gamma=0.5)
-        scan = gt.entropy_scan(pole, beta_grid=np.geomspace(0.1, 10.0, 25))
-        assert scan.monotonicity["real_strictly_decreasing"]
-        assert scan.monotonicity["imag_constant"]
+        s = gt.complex_entropy(
+            pole, gt.ThermoPoint(beta=np.geomspace(0.1, 10.0, 25)))
+        assert s.real_part.shape == s.imag_part.shape == (25,)
+        assert np.all(np.diff(s.real_part) < 0)
+        assert np.all(s.imag_part == s.imag_part[0])
 
-    def test_exactly_one_axis(self):
-        pole = gt.ResonancePole(e_r=1.0, gamma=0.5)
-        with pytest.raises(ValueError):
-            gt.entropy_scan(pole)
-        with pytest.raises(ValueError):
-            gt.entropy_scan(pole, beta_grid=[1.0, 2.0],
-                            gamma_grid=[0.1, 0.2])
+    def test_scalar_inputs_give_python_numbers(self):
+        s = entropy(1.0, 2.0, 1.0)
+        assert type(s.real_part) is float and type(s.imag_part) is float
+        assert type(s.value) is complex
+        assert type(gt.ResonancePole(1.0, 2.0).z) is complex
 
-    def test_grid_validation(self):
-        pole = gt.ResonancePole(e_r=1.0, gamma=0.5)
-        with pytest.raises(ValueError):
-            gt.entropy_scan(pole, beta_grid=np.array([2.0, 1.0]))
-        with pytest.raises(ValueError):
-            gt.entropy_scan(pole, beta_grid=np.array([0.0, 1.0]))
+    def test_checks_mark_failing_elements(self):
+        with pytest.raises(gt.InvalidElements) as info:
+            gt.ThermoPoint(beta=np.array([1.0, -1.0, 0.0, np.nan]))
+        assert info.value.mask.tolist() == [False, True, True, True]
+        with pytest.raises(gt.InvalidElements, match="width") as info:
+            gt.ResonancePole(e_r=1.0, gamma=np.array([0.0, -1e-300]))
+        assert info.value.mask.tolist() == [False, True]
+        with pytest.raises(gt.InvalidElements, match="finite") as info:
+            gt.complex_entropy(gt.ResonancePole(1.0, 0.5),
+                               gt.ThermoPoint(beta=np.array([1.0, np.inf])))
+        assert info.value.mask.tolist() == [False, True]
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda x: 10.0**x)
+
+
+_E_R = _log_uniform(-6.0, 6.0)
+_RATIO = st.one_of(st.just(0.0), _log_uniform(-12.0, 6.0))  # Gamma / E_R
+_BETA = _log_uniform(-6.0, 6.0)
+_K = st.floats(0.1, 10.0)
+
+
+class TestProperties:
+    """Over E_R and beta in [1e-6, 1e6], Gamma/E_R = 0 or in
+    [1e-12, 1e6] and k in [0.1, 10]."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(e_r=_E_R, ratio=_RATIO, beta=_BETA, k=_K)
+    def test_closed_form_matches_log_identity(self, e_r, ratio, beta, k):
+        pole = gt.ResonancePole(e_r=e_r, gamma=ratio * e_r)
+        point = gt.ThermoPoint(beta=beta, k=k)
+        closed = gt.complex_entropy(pole, point).value
+        via_log = gt.entropy_via_log_identity(pole, point).value
+        assert abs(closed - via_log) <= 1e-12 * k
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(_E_R, _RATIO, _BETA), min_size=1,
+                         max_size=20), k=_K)
+    def test_array_call_is_the_scalar_calls(self, rows, k):
+        e_r, ratio, beta = map(np.array, zip(*rows))
+        pole = gt.ResonancePole(e_r=e_r, gamma=ratio * e_r)
+        point = gt.ThermoPoint(beta=beta, k=k)
+        for route in (gt.complex_entropy, gt.entropy_via_log_identity):
+            array = route(pole, point).value
+            scalar = np.array([
+                route(gt.ResonancePole(e_r=e, gamma=r * e),
+                      gt.ThermoPoint(beta=b, k=k)).value
+                for e, r, b in rows])
+            assert array.view(np.uint64).tolist() == \
+                scalar.view(np.uint64).tolist()
 
 
 class TestNaivePartitionFunction:
