@@ -27,7 +27,6 @@ from .friedrichs import (
     ResonancePole,
     DiscretizedSpectrum,
     self_energy,
-    self_energy_boundary,
     find_pole,
     perturbative_pole,
     spectral_density,

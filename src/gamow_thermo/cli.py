@@ -10,6 +10,7 @@ success with warnings, 1 configuration or usage error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -134,15 +135,16 @@ def cmd_pole(cfg: RunConfig, emitter: _Emitter) -> int:
 def cmd_survival(cfg: RunConfig, emitter: _Emitter) -> int:
     model = cfg.model()
     grid = cfg.grid("time", required=True)
-    pole = None
-    if model.form_factor.has_continuation:
+    try:
         pole = friedrichs.find_pole(model, cfg.root_config(),
                                     cfg.quadrature_spec())
-        emitter.record["results"]["pole"] = {"e_r": emitter.num(pole.e_r),
-                                             "gamma": emitter.num(pole.gamma)}
-    else:
+    except friedrichs.ContinuationUnavailable:
+        pole = None
         emitter.warn("the form factor has no analytic continuation, so no "
                      "resonance pole exists; p_gamow is left blank")
+    else:
+        emitter.record["results"]["pole"] = {"e_r": emitter.num(pole.e_r),
+                                             "gamma": emitter.num(pole.gamma)}
 
     try:
         table = decay.density_table(model)
@@ -347,6 +349,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gamow-thermo",

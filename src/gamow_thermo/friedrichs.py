@@ -22,8 +22,9 @@ from .numerics import (
     RootSearchConfig,
     _complex,
     _require,
+    _rows,
+    _unbox,
     complex_newton,
-    integrate,
     principal_values,
 )
 
@@ -39,7 +40,6 @@ __all__ = [
     "ResonancePole",
     "DiscretizedSpectrum",
     "self_energy",
-    "self_energy_boundary",
     "find_pole",
     "perturbative_pole",
     "spectral_density",
@@ -70,13 +70,12 @@ class FormFactor:
         profile evaluates it on whole arrays of nodes."""
         raise NotImplementedError
 
-    def f2_complex(self, z: complex) -> complex:
+    def f2_complex(self, z):
+        """f^2 continued to complex arguments, elementwise over an array;
+        raises :class:`ContinuationUnavailable` for a profile without an
+        analytic expression."""
         raise ContinuationUnavailable(
             f"{type(self).__name__} cannot be continued off the real axis")
-
-    @property
-    def has_continuation(self) -> bool:
-        return False
 
     @property
     def support(self) -> tuple[float, float]:
@@ -108,12 +107,8 @@ class FlatCutoff(FormFactor):
         out = np.where((omega >= 0.0) & (omega <= self.cutoff), 1.0, 0.0)
         return out if out.ndim else float(out)
 
-    def f2_complex(self, z: complex) -> complex:
+    def f2_complex(self, z):
         return 1.0 + 0.0j
-
-    @property
-    def has_continuation(self) -> bool:
-        return True
 
     @property
     def support(self) -> tuple[float, float]:
@@ -140,12 +135,8 @@ class RationalFormFactor(FormFactor):
                        omega / (np.pi * (omega**2 + self.scale**2)), 0.0)
         return out if out.ndim else float(out)
 
-    def f2_complex(self, z: complex) -> complex:
+    def f2_complex(self, z):
         return z / (np.pi * (z * z + self.scale**2))
-
-    @property
-    def has_continuation(self) -> bool:
-        return True
 
     @property
     def support(self) -> tuple[float, float]:
@@ -269,107 +260,69 @@ class ResonancePole:
         return _complex(self.e_r, np.multiply(-0.5, self.gamma))
 
 
-def _resolvent_integral(model: FriedrichsModel, z: complex,
-                        spec: QuadratureSpec) -> complex:
-    """integral of f^2(w) / (z - w) over the coupling support, z off it."""
-    lo, hi = model.form_factor.support
-    f2 = model.form_factor.f2
-    return integrate(lambda w: f2(w) / (z - w), lo, hi, spec)
-
-
-def _pv_resolvent_integral(model: FriedrichsModel, omega: np.ndarray,
-                           spec: QuadratureSpec) -> np.ndarray:
-    """Principal value of the same integral for each omega on the cut."""
-    lo, hi = model.form_factor.support
-    return principal_values(model.form_factor.f2, lo, hi, omega, spec,
-                            scale=model.form_factor.scale_hint)
-
-
-def self_energy_boundary(model: FriedrichsModel, omega,
-                         spec: QuadratureSpec | None = None):
-    """Upper-rim boundary value eta(omega + i0) on the cut.
-
-    Evaluated through the explicit split: real part from the principal
-    value, imaginary part i*pi*lam^2*f^2(omega).  This sidesteps the
-    catastrophic cancellation of approaching the cut numerically.  Accepts
-    a scalar or an array of frequencies strictly inside the support; an
-    array costs one batched principal-value evaluation.
-    """
-    spec = spec or QuadratureSpec()
-    w = np.asarray(omega, dtype=float)
-    lam2 = model.lam**2
-    if lam2 == 0.0:
-        eta = (w - model.omega0).astype(complex)
-    else:
-        pv = _pv_resolvent_integral(model, w, spec).reshape(w.shape)
-        eta = (w - model.omega0 - lam2 * pv
-               + 1j * np.pi * lam2 * np.asarray(model.form_factor.f2(w)))
-    return eta if eta.ndim else complex(eta)
-
-
-def self_energy(model: FriedrichsModel, z: complex, sheet: str = "I",
-                spec: QuadratureSpec | None = None) -> complex:
+def self_energy(model: FriedrichsModel, z, sheet: str = "I",
+                spec: QuadratureSpec | None = None):
     """Reduced-resolvent denominator eta(z) on either Riemann sheet.
 
     Sheet I is eta(z) = z - omega0 - lam^2 * integral f^2/(z - w) dw,
     analytic off the cut.  Sheet II continues sheet I through the cut:
     crossing from above adds 2*pi*i*lam^2*f^2(z) in the lower half-plane,
     crossing from below subtracts it in the upper half-plane.  A real z
-    inside the support is resolved as the omega + i0 rim (a nudge
-    1e-8 * max(1, omega) would land on the same branch; the explicit
-    boundary form is used instead for accuracy).
+    strictly inside the support is resolved as the omega + i0 rim on both
+    sheets, through the explicit split: real part from the principal
+    value, imaginary part i*pi*lam^2*f^2(omega).  This sidesteps the
+    catastrophic cancellation of approaching the cut numerically.
 
-    Requires a form factor with an analytic continuation for sheet II.
+    Accepts a scalar (giving a Python complex) or an array of z.  The rim
+    points of an array are one batched principal-value evaluation, all
+    other points one batched quadrature with one row per point.  Sheet II
+    needs the form factor's continuation ``f2_complex``.
     """
     spec = spec or QuadratureSpec()
     if sheet not in ("I", "II"):
         raise ValueError(f"sheet must be 'I' or 'II', got {sheet!r}")
-    z = complex(z)
+    shape = np.shape(z)
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
     lam2 = model.lam**2
     if lam2 == 0.0:
-        return z - model.omega0
+        return _unbox((z - model.omega0).reshape(shape))
 
-    lo, hi = model.form_factor.support
-    on_cut = z.imag == 0.0 and lo <= z.real <= hi
-    if sheet == "II" and not model.form_factor.has_continuation:
-        raise ContinuationUnavailable(
-            "second-sheet evaluation needs an analytically continued "
-            "form factor; tabulated data has none")
-
-    if on_cut:
-        return self_energy_boundary(model, z.real, spec)
-
-    eta_one = z - model.omega0 - lam2 * _resolvent_integral(model, z, spec)
-    if sheet == "I":
-        return eta_one
-    jump = 2j * np.pi * lam2 * model.form_factor.f2_complex(z)
-    # continuation through the cut: from above into Im z < 0, from below
-    # into Im z > 0
-    return eta_one + jump if z.imag < 0 else eta_one - jump
+    ff = model.form_factor
+    lo, hi = ff.support
+    rim = (z.imag == 0.0) & (lo < z.real) & (z.real < hi)
+    off = z[~rim]
+    if sheet == "II":
+        # continuation through the cut: from above into Im z < 0, from
+        # below into Im z > 0
+        jump = 2j * np.pi * lam2 * ff.f2_complex(off)
+        jump = np.where(off.imag < 0, jump, -jump)
+    eta = np.empty(z.shape, dtype=complex)
+    w = z.real[rim]
+    if w.size:
+        pv = principal_values(ff.f2, lo, hi, w, spec, scale=ff.scale_hint)
+        eta[rim] = (w - model.omega0 - lam2 * pv
+                    + 1j * np.pi * lam2 * np.asarray(ff.f2(w)))
+    if off.size:
+        eta_off = off - model.omega0 - lam2 * _rows(
+            lambda i, x: ff.f2(x) / (off[i] - x), lo, hi, off.size, spec)
+        if sheet == "II":
+            eta_off += jump
+        eta[~rim] = eta_off
+    return _unbox(eta.reshape(shape))
 
 
 def perturbative_pole(model: FriedrichsModel,
                       spec: QuadratureSpec | None = None) -> ResonancePole:
-    """Second-order pole estimate: golden-rule width, principal-value shift.
+    """Second-order pole estimate from eta(omega0 + i0): golden-rule width
+    Gamma = 2 Im eta, principal-value shift e_r = omega0 - Re eta.
 
     Serves both as the default Newton seed and as an independent check on
     :func:`find_pole` (the two agree to relative O(lam^2)).
     """
-    spec = spec or QuadratureSpec()
-    if model.lam == 0.0:
-        return ResonancePole(e_r=model.omega0, gamma=0.0)
-    f2_at_level = float(model.form_factor.f2(model.omega0))
-    if not np.isfinite(f2_at_level):
+    if not np.isfinite(model.form_factor.f2(model.omega0)):
         raise ValueError("f^2(omega0) must be finite")
-    lam2 = model.lam**2
-    lo, hi = model.form_factor.support
-    if lo < model.omega0 < hi:
-        shift = lam2 * float(_pv_resolvent_integral(model, model.omega0,
-                                                    spec)[0])
-    else:
-        shift = lam2 * _resolvent_integral(model, model.omega0, spec).real
-    return ResonancePole(e_r=model.omega0 + shift,
-                         gamma=2.0 * np.pi * lam2 * f2_at_level)
+    eta = self_energy(model, model.omega0, "I", spec)
+    return ResonancePole(e_r=model.omega0 - eta.real, gamma=2.0 * eta.imag)
 
 
 def find_pole(model: FriedrichsModel, cfg: RootSearchConfig | None = None,
@@ -384,10 +337,6 @@ def find_pole(model: FriedrichsModel, cfg: RootSearchConfig | None = None,
     spec = spec or QuadratureSpec()
     if model.lam == 0.0:
         return ResonancePole(e_r=model.omega0, gamma=0.0)
-    if not model.form_factor.has_continuation:
-        raise ContinuationUnavailable(
-            "pole search runs on the second sheet; the form factor has "
-            "no analytic continuation")
 
     if cfg.initial_guess is None:
         seed = perturbative_pole(model, spec)
@@ -432,7 +381,7 @@ def spectral_density(model: FriedrichsModel, omega,
     inside = (f2 != 0.0) & (arr > lo) & (arr < hi)
     rho = np.zeros(arr.shape)
     if np.any(inside):
-        eta = self_energy_boundary(model, arr[inside], spec)
+        eta = self_energy(model, arr[inside], "I", spec)
         rho[inside] = model.lam**2 * f2[inside] / np.abs(eta) ** 2
     return rho if rho.ndim else float(rho)
 

@@ -3,9 +3,9 @@
 Adaptive complex quadrature (Gauss-Kronrod 7-15 with bulk bisection) and,
 on the same kernel, Cauchy principal values for a whole array of poles at
 once by singularity subtraction; complex Newton iteration with
-difference-quotient slopes, fixed-step RK4 evolution of linear complex
-rates, and Richardson-extrapolated finite differences.  Everything here
-is a pure function of its arguments.
+difference-quotient slopes from one array call per step, fixed-step RK4
+evolution of linear complex rates, and Richardson-extrapolated finite
+differences.  Everything here is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -240,16 +240,34 @@ def _composite(f, edges: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
         err = np.concatenate([err[keep], new_err])
 
 
-def _map_semi_infinite(fvec, a: float):
-    """Fold [a, inf) onto [0, 1) through w = a + u/(1-u)."""
+def _rows(f, a: float, b: float, n: int, spec: QuadratureSpec) -> np.ndarray:
+    """Integrals of ``f(i, x)`` over [a, b] for the rows i < n of the bulk
+    kernel, each starting from the equal panels of a principal-value piece.
 
-    def gvec(us: np.ndarray):
-        us = np.asarray(us, dtype=float)
-        one_minus = 1.0 - us
-        w = a + us / one_minus
-        return fvec(w) / one_minus**2
+    ``b`` may be +inf: [a, inf) is then folded onto [0, 1) through
+    w = a + u/(1-u).
+    """
+    if np.isinf(b):
+        def folded(i, us):
+            one_minus = 1.0 - us
+            return f(i, a + us / one_minus) / one_minus**2
 
-    return gvec
+        edges = np.linspace(0.0, 1.0, _PV_PANELS + 1)
+        return _composite(folded, np.tile(edges, (n, 1)), spec)
+    edges = np.linspace(a, b, _PV_PANELS + 1)
+    return _composite(f, np.tile(edges, (n, 1)), spec)
+
+
+def _on_array(f, x: np.ndarray, contract: str) -> np.ndarray:
+    """``f(x)`` as a complex array, or :class:`TypeError` naming
+    ``contract`` when ``f`` does not map ``x`` to an array of its shape."""
+    try:
+        out = np.asarray(f(x), dtype=complex)
+    except TypeError as exc:
+        raise TypeError(f"{contract}: {exc}") from exc
+    if out.shape != x.shape:
+        raise TypeError(f"{contract}, got {out.shape} for {x.shape}")
+    return out
 
 
 def integrate(f, a: float, b: float,
@@ -257,8 +275,7 @@ def integrate(f, a: float, b: float,
     """Integrate a complex-valued ``f`` over [a, b], b possibly +inf.
 
     ``f`` maps a float array to an array of the same shape.  The range
-    is one row of the bulk kernel, starting from the equal panels of a
-    principal-value piece; [a, inf) is first folded onto [0, 1).  The
+    is one row of the bulk kernel, as in :func:`_rows`.  The
     Kronrod-Gauss gauge only sees the integrand at its nodes, so the range
     should end where the integrand's support ends: a drop to zero between
     a panel's outermost node and its edge goes unnoticed.
@@ -270,23 +287,10 @@ def integrate(f, a: float, b: float,
     spec = spec or QuadratureSpec()
     if not a < b:
         raise ValueError("integration range must satisfy a < b")
-
-    def fvec(xs: np.ndarray) -> np.ndarray:
-        try:
-            out = np.asarray(f(xs), dtype=complex)
-        except TypeError as exc:
-            raise TypeError("the integrand must map a float array to an "
-                            f"array of the same shape: {exc}") from exc
-        if out.shape != xs.shape:
-            raise TypeError("the integrand must map a float array to an "
-                            f"array of the same shape, got {out.shape} for "
-                            f"{xs.shape}")
-        return out
-
-    if np.isinf(b):
-        fvec, a, b = _map_semi_infinite(fvec, a), 0.0, 1.0
-    edges = np.linspace(a, b, _PV_PANELS + 1)
-    return complex(_composite(lambda i, x: fvec(x), edges[None, :], spec)[0])
+    contract = ("the integrand must map a float array to an array of the "
+                "same shape")
+    return complex(_rows(lambda i, x: _on_array(f, x, contract), a, b, 1,
+                         spec)[0])
 
 
 def principal_values(g, a: float, b: float, poles,
@@ -342,26 +346,34 @@ def principal_values(g, a: float, b: float, poles,
 def complex_newton(g, cfg: RootSearchConfig) -> complex:
     """Newton iteration for analytic ``g`` with central-difference slopes.
 
-    Derivatives use h = 1e-6 * max(1, |z|) so numerically supplied
-    functions (tabulated form factors, quadrature-backed maps) work
-    unchanged.  Converged means the last step is below ``step_tol`` and
-    the residual below ``residual_tol``.
+    ``g`` maps a complex array to an array of the same shape; each
+    iteration is one call on the stencil [z, z + h, z - h], with
+    h = 1e-6 * max(1, |z|), so numerically supplied functions (tabulated
+    form factors, quadrature-backed maps) work unchanged.  The step itself
+    is Python complex arithmetic.  Converged means the last step is below
+    ``step_tol`` and the residual, read from the next stencil, below
+    ``residual_tol``.
     """
     if cfg.initial_guess is None:
         raise ValueError("RootSearchConfig.initial_guess is required")
+    contract = "g must map a complex array to an array of the same shape"
     z = complex(cfg.initial_guess)
-    for _ in range(cfg.max_iter):
-        gz = complex(g(z))
+    step = np.inf
+    for it in range(cfg.max_iter + 1):
+        h = 1e-6 * max(1.0, abs(z))
+        gz, g_up, g_down = map(complex, _on_array(
+            g, np.array([z, z + h, z - h]), contract))
+        if abs(step) <= cfg.step_tol and abs(gz) <= cfg.residual_tol:
+            return z
+        if it == cfg.max_iter:
+            break
         if not np.isfinite(gz.real) or not np.isfinite(gz.imag):
             raise IntegrandError(f"g({z!r}) is not finite")
-        h = 1e-6 * max(1.0, abs(z))
-        dg = (complex(g(z + h)) - complex(g(z - h))) / (2.0 * h)
+        dg = (g_up - g_down) / (2.0 * h)
         if abs(dg) < 1e-300 or not np.isfinite(abs(dg)):
             raise SingularStep(f"derivative vanished at z = {z!r}")
         step = gz / dg
         z = z - step
-        if abs(step) <= cfg.step_tol and abs(complex(g(z))) <= cfg.residual_tol:
-            return z
     raise MaxIterExceeded(
         f"no root after {cfg.max_iter} iterations (last z = {z!r})")
 

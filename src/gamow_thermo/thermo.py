@@ -54,7 +54,8 @@ class ThermoPoint:
 class ComplexEntropy:
     """Complex entropy values: Python floats for a scalar point and pole,
     arrays of their broadcast shape otherwise.  ``k`` is the entropy unit
-    that bounds the imaginary part."""
+    that bounds the imaginary part to [-k*pi/2, 0]; the lower end is
+    reached in floating point once Gamma/(2 E_R) exceeds about 1e16."""
 
     real_part: float | np.ndarray
     imag_part: float | np.ndarray
@@ -65,8 +66,8 @@ class ComplexEntropy:
                                          np.asarray(self.imag_part, float))
         _require(np.isfinite(real) & np.isfinite(imag),
                  "entropy parts must be finite")
-        _require((-0.5 * k * np.pi < imag) & (imag <= 1e-15 * k),
-                 "imaginary entropy outside (-k*pi/2, 0]")
+        _require((-0.5 * k * np.pi <= imag) & (imag <= 1e-15 * k),
+                 "imaginary entropy outside [-k*pi/2, 0]")
         object.__setattr__(self, "real_part", _unbox(real.copy()))
         object.__setattr__(self, "imag_part", _unbox(imag.copy()))
 

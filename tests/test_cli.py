@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gamow_thermo as gt
-from gamow_thermo import config, decay
+from gamow_thermo import cli, config, decay
 from gamow_thermo.cli import main as cli_main
 from gamow_thermo.numerics import NonConvergence
 
@@ -418,6 +418,12 @@ class TestOutputContract:
         assert cli_main(["--help"]) == 0
         assert cli_main(["--version"]) == 0
         assert gt.__version__ in capsys.readouterr().out
+
+    def test_parser_is_built_once(self, run_cli):
+        before = cli._build_parser()
+        run_cli("entropy", "pole.e_r = 1.0\npole.gamma = 2.0\n"
+                           "thermo.beta = 1.0\n")
+        assert cli._build_parser() is before
 
     def test_precision_is_respected(self, run_cli):
         cfg = ("pole.e_r = 1.0\npole.gamma = 2.0\nthermo.beta = 1.0\n"

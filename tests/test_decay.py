@@ -59,18 +59,18 @@ class TestDensityTable:
         never one per frequency (thousands)."""
         batches, boundary = [], []
         density = decay.spectral_density
-        eta = friedrichs.self_energy_boundary
+        eta = friedrichs.self_energy
 
         def counted_density(model, omega, spec=None):
             batches.append(np.size(omega))
             return density(model, omega, spec)
 
-        def counted_eta(model, omega, spec=None):
+        def counted_eta(model, z, sheet="I", spec=None):
             boundary.append(len(batches))
-            return eta(model, omega, spec)
+            return eta(model, z, sheet, spec)
 
         monkeypatch.setattr(decay, "spectral_density", counted_density)
-        monkeypatch.setattr(friedrichs, "self_energy_boundary", counted_eta)
+        monkeypatch.setattr(friedrichs, "self_energy", counted_eta)
         table = gt.density_table.__wrapped__(rational_model)
         assert sum(batches) >= 2000 and table.knots.size >= 1000
         assert len(boundary) <= 100

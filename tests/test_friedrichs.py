@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import gamow_thermo as gt
+from gamow_thermo import friedrichs
 from gamow_thermo.decay import _TABLE_SPEC
 from gamow_thermo.friedrichs import (
     ContinuationUnavailable,
     PoleInUpperHalfPlane,
-    _pv_resolvent_integral,
-    self_energy_boundary,
 )
-from gamow_thermo.numerics import QuadratureSpec, RootSearchConfig
+from gamow_thermo.numerics import RootSearchConfig, principal_values
 
 
 def flat_eta_one(model, z):
@@ -67,7 +66,8 @@ class TestFormFactors:
         np.savetxt(path, np.column_stack([grid, np.ones_like(grid)]))
         ff = gt.TabulatedFormFactor.from_file(path)
         assert ff.f2(3.0) == pytest.approx(1.0, abs=1e-12)
-        assert not ff.has_continuation
+        with pytest.raises(ContinuationUnavailable):
+            ff.f2_complex(1 - 1j)
 
     def test_model_validation(self):
         ff = gt.FlatCutoff(cutoff=10.0)
@@ -124,13 +124,52 @@ class TestSelfEnergy:
         omega = 1.3
         eps = 1e-7
         nudged = gt.self_energy(flat_model, omega + 1j * eps, "I")
-        boundary = self_energy_boundary(flat_model, omega)
+        boundary = gt.self_energy(flat_model, omega)
         assert abs(boundary - nudged) < 1e-5
 
     def test_on_cut_resolves_to_upper_rim(self, flat_model):
+        # the explicit split: principal value plus i*pi*lam^2*f^2
         val = gt.self_energy(flat_model, 1.3 + 0.0j, "I")
-        assert val == self_energy_boundary(flat_model, 1.3)
+        lam2 = flat_model.lam**2
+        pv = principal_values(flat_model.form_factor.f2, 0.0, 10.0, [1.3],
+                              scale=10.0)
+        split = 1.3 - 1.0 - lam2 * pv + 1j * np.pi * lam2 * 1.0
+        assert val == split[0]
         assert val.imag > 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(["flat", "rational"]),
+           sheet=st.sampled_from(["I", "II"]),
+           points=st.lists(st.tuples(
+               st.sampled_from(["rim", "upper", "lower", "below"]),
+               st.floats(1e-3, 1.0 - 1e-3), st.floats(1e-3, 3.0)),
+               min_size=2, max_size=8))
+    def test_array_call_is_the_single_point_calls(self, kind, sheet, points):
+        model = _profile_model(kind, 1.0, 0.1, 1.0)
+        z = np.array([{"rim": 10.0 * x, "upper": 10.0 * x + 1j * y,
+                       "lower": 10.0 * x - 1j * y, "below": -y}[where]
+                      for where, x, y in points], dtype=complex)
+        batch = gt.self_energy(model, z, sheet)
+        single = np.array([gt.self_energy(model, v, sheet) for v in z])
+        assert batch.shape == z.shape
+        assert batch.tobytes() == single.tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(["flat", "rational"]),
+           omega0=st.floats(0.5, 2.0), lam=st.floats(0.03, 0.25),
+           size=st.floats(0.5, 2.0), frac=st.floats(0.01, 0.99))
+    def test_sheet_two_continues_across_the_cut(self, kind, omega0, lam,
+                                                size, frac):
+        # eta_II just below the cut and eta_I just above both approach
+        # the upper rim value
+        model = _profile_model(kind, omega0, lam, size)
+        omega = frac * (10.0 * size if kind == "flat" else 20.0 * size)
+        eps = 1e-7
+        rim = gt.self_energy(model, omega)
+        below = gt.self_energy(model, omega - 1j * eps, "II")
+        above = gt.self_energy(model, omega + 1j * eps, "I")
+        assert abs(below - rim) < 1e-5
+        assert abs(above - rim) < 1e-5
 
     def test_sheet_two_needs_continuation(self):
         grid = np.linspace(0.0, 10.0, 400)
@@ -144,10 +183,25 @@ class TestSelfEnergy:
             gt.self_energy(flat_model, 1.0 + 1.0j, "III")
 
 
+def _profile_model(kind, omega0, lam, size):
+    """Flat cutoff 10 * size or rational profile of scale ``size``."""
+    ff = (gt.FlatCutoff(cutoff=10.0 * size) if kind == "flat"
+          else gt.RationalFormFactor(scale=size))
+    return gt.FriedrichsModel(omega0=omega0, lam=lam, form_factor=ff)
+
+
 def _within_table_contract(pv, exact):
     """The density table's accuracy contract on the principal value."""
     return np.all(np.abs(pv - exact)
                   <= np.maximum(1e-12, 1e-10 * np.abs(exact)))
+
+
+def _pv(model, omega):
+    """The principal value inside eta(omega + i0), as self_energy takes it."""
+    ff = model.form_factor
+    lo, hi = ff.support
+    return principal_values(ff.f2, lo, hi, omega, _TABLE_SPEC,
+                            scale=ff.scale_hint)
 
 
 def _log_uniform(lo_exp, hi_exp):
@@ -164,7 +218,7 @@ class TestBatchedBoundary:
         model = gt.FriedrichsModel(omega0=1.0, lam=0.1,
                                    form_factor=gt.FlatCutoff(cutoff=cutoff))
         omega = cutoff * np.array([1e-9, frac, 1.0 - 1e-9])
-        pv = _pv_resolvent_integral(model, omega, _TABLE_SPEC)
+        pv = _pv(model, omega)
         assert _within_table_contract(pv, np.log(omega / (cutoff - omega)))
 
     @settings(max_examples=40, deadline=None)
@@ -177,7 +231,7 @@ class TestBatchedBoundary:
         omega = scale * np.array(ratios)
         exact = ((omega * np.log(omega / scale) / np.pi - 0.5 * scale)
                  / (omega**2 + scale**2))
-        pv = _pv_resolvent_integral(model, omega, _TABLE_SPEC)
+        pv = _pv(model, omega)
         assert _within_table_contract(pv, exact)
 
     @settings(max_examples=20, deadline=None)
@@ -189,8 +243,8 @@ class TestBatchedBoundary:
               else gt.RationalFormFactor(scale=1.0))
         model = gt.FriedrichsModel(omega0=1.0, lam=0.1, form_factor=ff)
         omega = 10.0 * np.array(fracs)
-        batch = self_energy_boundary(model, omega)
-        single = np.array([self_energy_boundary(model, w) for w in omega])
+        batch = gt.self_energy(model, omega)
+        single = np.array([gt.self_energy(model, w) for w in omega])
         assert np.all(np.abs(batch - single)
                       <= 1e-15 * np.maximum(1.0, np.abs(single)))
 
@@ -203,14 +257,14 @@ class TestBatchedBoundary:
             form_factor=gt.TabulatedFormFactor(grid=grid,
                                                values=np.ones_like(grid)))
         omega = np.array([0.5 + 1e-9, 0.7, 5.0, 10.0 - 1e-9])
-        pv = _pv_resolvent_integral(model, omega, _TABLE_SPEC)
+        pv = _pv(model, omega)
         assert _within_table_contract(pv,
                                       np.log((omega - 0.5) / (10.0 - omega)))
         assert abs(gt.density_table(model).norm_direct - 1.0) < 1e-6
 
     def test_edge_of_support_rejected(self, flat_model):
         with pytest.raises(ValueError):
-            self_energy_boundary(flat_model, np.array([1.0, 10.0]))
+            gt.self_energy(flat_model, np.array([1.0, 10.0]))
 
 
 class TestPerturbativePole:
@@ -277,6 +331,24 @@ class TestFindPole:
                                    form_factor=gt.FlatCutoff(cutoff=10.0))
         quarter = gt.find_pole(model).gamma
         assert quarter == pytest.approx(flat_pole.gamma / 4.0, rel=0.05)
+
+    def test_one_self_energy_call_per_newton_iteration(self, flat_model,
+                                                       monkeypatch):
+        # the seed is eta(omega0 + i0); every Newton iteration is one call
+        # on its 3-point stencil (the parent made 10 scalar calls here)
+        shapes = []
+        eta = friedrichs.self_energy
+
+        def counted(model, z, sheet="I", spec=None):
+            shapes.append(np.shape(z))
+            return eta(model, z, sheet, spec)
+
+        monkeypatch.setattr(friedrichs, "self_energy", counted)
+        gt.find_pole(flat_model)
+        stencils = shapes.count((3,))
+        iterations = stencils - 1  # the last stencil confirms the residual
+        assert shapes.count(()) == 1 and stencils == len(shapes) - 1
+        assert len(shapes) <= iterations + 2 < 10
 
     def test_upper_half_root_is_reported(self, flat_model):
         seed = gt.perturbative_pole(flat_model)

@@ -136,7 +136,7 @@ class TestComplexNewton:
     CASES = [
         (lambda z: z * z + 1.0, 0.1 + 0.9j, 1j),
         (lambda z: z - (1.0 - 0.5j), 0.0 + 0.0j, 1.0 - 0.5j),
-        (lambda z: cmath.exp(z) - 2.0, 1.0 + 0.0j, math.log(2.0)),
+        (lambda z: np.exp(z) - 2.0, 1.0 + 0.0j, math.log(2.0)),
     ]
 
     @pytest.mark.parametrize("g,guess,root", CASES)
@@ -159,6 +159,33 @@ class TestComplexNewton:
     def test_guess_required(self):
         with pytest.raises(ValueError):
             complex_newton(lambda z: z, RootSearchConfig())
+
+    def test_one_stencil_call_per_iteration(self):
+        # each call is the stencil [z, z + h, z - h]; the residual at the
+        # new iterate is read from the next stencil, never from a 4th call
+        stencils = []
+
+        def g(z):
+            stencils.append(z.copy())
+            return z * z + 1.0
+
+        found = complex_newton(g, RootSearchConfig(initial_guess=0.1 + 0.9j))
+        assert abs(found - 1j) < 1e-10
+        assert all(s.shape == (3,) for s in stencils)
+        for s in stencils:
+            h = 1e-6 * max(1.0, abs(s[0]))
+            assert (s[1], s[2]) == (s[0] + h, s[0] - h)
+        centres = [s[0] for s in stencils]
+        assert len(set(centres)) == len(centres)
+        assert centres[-1] == found
+
+    def test_scalar_only_g_rejected(self):
+        cfg = RootSearchConfig(initial_guess=1.0 + 0.0j)
+        with pytest.raises(TypeError, match="complex array to an array of "
+                                            "the same shape"):
+            complex_newton(lambda z: cmath.exp(z) - 2.0, cfg)
+        with pytest.raises(TypeError, match="same shape"):
+            complex_newton(lambda z: 1.0 + 0.0j, cfg)
 
 
 class TestOdeEvolve:

@@ -93,6 +93,18 @@ class TestLogIdentity:
         assert worst < 1e-12
 
 
+    @pytest.mark.parametrize("ratio", [2e16, 1e300])
+    @pytest.mark.parametrize("k", [1.0, 2.5])
+    def test_extreme_width_reaches_closed_bound(self, ratio, k):
+        # arctan(Gamma / (2 E_R)) rounds to pi/2: Im S sits on -k*pi/2
+        pole = gt.ResonancePole(e_r=1.0, gamma=ratio)
+        point = gt.ThermoPoint(beta=1.0, k=k)
+        a = gt.complex_entropy(pole, point)
+        b = gt.entropy_via_log_identity(pole, point)
+        assert a.imag_part == b.imag_part == -0.5 * k * np.pi
+        assert abs(a.value - b.value) <= 1e-12 * k
+
+
 class TestCanonicalEntropy:
     def test_oscillator_log_z(self):
         s = gt.canonical_entropy(lambda b: -np.log(2.0 * b),
