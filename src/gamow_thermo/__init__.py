@@ -22,7 +22,6 @@ from .friedrichs import (
     FlatCutoff,
     RationalFormFactor,
     TabulatedFormFactor,
-    form_factor,
     FriedrichsModel,
     ResonancePole,
     DiscretizedSpectrum,

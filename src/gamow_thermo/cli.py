@@ -13,7 +13,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from .numerics import (
 _NUMERICAL_ERRORS = (
     NonConvergence, MaxIterExceeded, SingularStep, StepUnderflow,
     IntegrandError, OverflowError, friedrichs.PoleInUpperHalfPlane,
-    friedrichs.ContinuationUnavailable, thermo.IllDefinedBracket,
+    friedrichs.ContinuationUnavailable,
 )
 
 
@@ -41,41 +41,41 @@ class _Emitter:
 
     def __init__(self, cfg: RunConfig, args, command: str):
         self.precision = cfg.precision()
-        self.command = command
-        self.format = args.format or cfg.get_str(
-            "output.format", default="csv", choices={"csv", "json"})
-        out = args.out or cfg.get_str("output.path",
-                                      default=f"{command}.{self.format}")
+        self.format = args.format or cfg.get(
+            "output.format", default="csv", choices=("csv", "json"))
+        out = args.out or cfg.get("output.path",
+                                  default=f"{command}.{self.format}")
         self.out_path = Path(out)
         self.quiet = args.quiet
-        spec = cfg.quadrature_spec()
         self.record = {
             "tool": {"name": "gamow-thermo", "version": __version__},
             "command": command,
             "config": dict(cfg.raw),
-            "numerics": {
-                "abs_tol": self.num(spec.abs_tol),
-                "rel_tol": self.num(spec.rel_tol),
-                "max_subdivisions": spec.max_subdivisions,
-            },
+            "numerics": self.num(asdict(cfg.quadrature_spec())),
             "warnings": [],
             "results": {},
             "tables": [],
         }
 
-    def num(self, value) -> str:
+    def num(self, value):
+        """``value`` with every number printed at the configured precision,
+        through dicts, lists and tuples; text, bools, Python ints and None
+        pass through unchanged."""
+        if isinstance(value, dict):
+            return {k: self.num(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [self.num(v) for v in value]
+        if value is None or isinstance(value, (str, bool, int)):
+            return value
         value = float(value)
         if value == 0.0:
             value = 0.0  # fold -0.0 into a single representation
         return "%.*g" % (self.precision, value)
 
-    def row(self, values) -> list[str]:
-        return [v if isinstance(v, str) else self.num(v) for v in values]
-
     def add_table(self, name: str, columns: list[str], rows) -> None:
         self.record["tables"].append(
             {"name": name, "columns": list(columns),
-             "rows": [self.row(r) for r in rows]})
+             "rows": [self.num(r) for r in rows]})
 
     def warn(self, message: str) -> None:
         self.record["warnings"].append(message)
@@ -124,11 +124,8 @@ def cmd_pole(cfg: RunConfig, emitter: _Emitter) -> int:
           abs(resolved.gamma - perturbative.gamma)],
          ["perturbative", perturbative.e_r, perturbative.gamma, "",
           abs(resolved.gamma - perturbative.gamma)]])
-    emitter.record["results"]["pole"] = {
-        "e_r": emitter.num(resolved.e_r),
-        "gamma": emitter.num(resolved.gamma),
-        "residual": emitter.num(residual),
-    }
+    emitter.record["results"]["pole"] = emitter.num(
+        {**asdict(resolved), "residual": residual})
     return 0
 
 
@@ -143,20 +140,17 @@ def cmd_survival(cfg: RunConfig, emitter: _Emitter) -> int:
         emitter.warn("the form factor has no analytic continuation, so no "
                      "resonance pole exists; p_gamow is left blank")
     else:
-        emitter.record["results"]["pole"] = {"e_r": emitter.num(pole.e_r),
-                                             "gamma": emitter.num(pole.gamma)}
+        emitter.record["results"]["pole"] = emitter.num(asdict(pole))
 
     try:
         table = decay.density_table(model)
     except (NonConvergence, IntegrandError) as exc:
         raise type(exc)(f"density table build failed: {exc}") from exc
     series = decay.survival_probability(model, grid)
-    emitter.record["results"]["density_table"] = {
-        "knots": int(table.knots.size),
-        "norm": emitter.num(table.norm),
-        "norm_direct": emitter.num(table.norm_direct),
-        "max_refine_dev": emitter.num(table.max_refine_dev),
-    }
+    emitter.record["results"]["density_table"] = emitter.num({
+        "knots": int(table.knots.size), "norm": table.norm,
+        "norm_direct": table.norm_direct,
+        "max_refine_dev": table.max_refine_dev})
     p_gamow = ([""] * grid.size if pole is None else
                np.abs(decay.gamow_approximation(pole, series.times)) ** 2)
     emitter.add_table(
@@ -164,7 +158,7 @@ def cmd_survival(cfg: RunConfig, emitter: _Emitter) -> int:
         zip(series.times, series.amplitudes.real, series.amplitudes.imag,
             series.probabilities, p_gamow))
 
-    if cfg.get_bool("survival.regimes", default=True):
+    if cfg.get("survival.regimes", default=True):
         if pole is None:
             emitter.warn("no resonance pole to compare with; regimes not "
                          "classified")
@@ -175,39 +169,16 @@ def cmd_survival(cfg: RunConfig, emitter: _Emitter) -> int:
                 f"time grid spans {series.span:.4g} < 25/Gamma = "
                 f"{25 / pole.gamma:.4g}; regimes not classified")
         else:
-            noise = cfg.get_float("survival.noise_floor", default=1e-13)
+            noise = cfg.get("survival.noise_floor", default=1e-13)
             try:
                 report = decay.classify_regimes(series, pole,
                                                 noise_floor=noise)
             except decay.InsufficientSpan as exc:
                 emitter.warn(str(exc))
             else:
-                emitter.record["results"]["regimes"] = _regime_dict(report,
-                                                                    emitter)
+                emitter.record["results"]["regimes"] = emitter.num(
+                    asdict(report))
     return 0
-
-
-def _regime_dict(report: decay.RegimeReport, emitter: _Emitter) -> dict:
-    def pair(window):
-        return None if window is None else [emitter.num(window[0]),
-                                            emitter.num(window[1])]
-
-    return {
-        "zeno_window": pair(report.zeno_window),
-        "zeno_curvature": None if report.zeno_curvature is None
-        else emitter.num(report.zeno_curvature),
-        "exponential_window": pair(report.exponential_window),
-        "gamma_fit": emitter.num(report.gamma_fit),
-        "tail_window": pair(report.tail_window),
-        "tail_exponent": None if report.tail_exponent is None
-        else emitter.num(report.tail_exponent),
-        "tail_resolved": report.tail_resolved,
-        "tail_ratio_last": None if report.tail_ratio_last is None
-        else emitter.num(report.tail_ratio_last),
-        "tail_ratio_increasing": report.tail_ratio_increasing,
-        "fit_residuals": {k: emitter.num(v)
-                          for k, v in report.fit_residuals.items()},
-    }
 
 
 def cmd_entropy(cfg: RunConfig, emitter: _Emitter) -> int:
@@ -221,31 +192,31 @@ def cmd_entropy(cfg: RunConfig, emitter: _Emitter) -> int:
     emitter.add_table("entropy", ["beta", "re_s", "im_s", "identity_dev"],
                       zip(betas, closed.real_part, closed.imag_part,
                           np.abs(closed.value - via_log.value)))
-    emitter.record["results"]["pole"] = {"e_r": emitter.num(pole.e_r),
-                                         "gamma": emitter.num(pole.gamma)}
-    emitter.record["results"]["thermo"] = {"k": emitter.num(point.k),
-                                           "betas": [emitter.num(b)
-                                                     for b in betas]}
+    emitter.record["results"]["pole"] = emitter.num(asdict(pole))
+    emitter.record["results"]["thermo"] = emitter.num(
+        {"k": point.k, "betas": list(betas)})
     return 0
 
 
+_MODES = {"in": evolution.Mode.IN_CREATION,
+          "out": evolution.Mode.OUT_ANNIHILATION}
+# evolve.branch -> (grid name, first column, evolution law)
+_BRANCHES = {"time": ("time", "t", evolution.time_evolve),
+             "thermal": ("tau", "tau", evolution.thermal_evolve)}
+
+
 def cmd_evolve(cfg: RunConfig, emitter: _Emitter) -> int:
-    spec = cfg.quadrature_spec()
-    pole = cfg.pole(spec)
-    mode = {"in": evolution.Mode.IN_CREATION,
-            "out": evolution.Mode.OUT_ANNIHILATION}[
-        cfg.get_str("evolve.mode", default="in", choices={"in", "out"})]
-    branch = cfg.get_str("evolve.branch", default="time",
-                         choices={"time", "thermal"})
-    value = cfg.get_complex("evolve.value", default=1.0 + 0.0j)
+    pole = cfg.pole(cfg.quadrature_spec())
+    mode = _MODES[cfg.get("evolve.mode", default="in", choices=_MODES)]
+    grid_name, column, evolve = _BRANCHES[
+        cfg.get("evolve.branch", default="time", choices=_BRANCHES)]
+    value = cfg.get("evolve.value", default=1.0 + 0.0j)
     start = evolution.LadderCoefficient(mode=mode, value=value)
 
-    grid = cfg.grid("tau" if branch == "thermal" else "time", required=True)
-    evolve = (evolution.thermal_evolve if branch == "thermal"
-              else evolution.time_evolve)
+    grid = cfg.grid(grid_name, required=True)
     c = evolve(start, pole, grid)
-    name = "tau" if branch == "thermal" else "t"
-    emitter.add_table("trajectory", [name, "re_value", "im_value", "modulus"],
+    emitter.add_table("trajectory",
+                      [column, "re_value", "im_value", "modulus"],
                       zip(grid, c.value.real, c.value.imag, np.abs(c.value)))
 
     temps = cfg.grid("temperature", positive=True)
@@ -260,8 +231,7 @@ def cmd_evolve(cfg: RunConfig, emitter: _Emitter) -> int:
             "in_strictly_decreasing": table.in_strictly_decreasing,
             "out_strictly_increasing": table.out_strictly_increasing,
         }
-    emitter.record["results"]["pole"] = {"e_r": emitter.num(pole.e_r),
-                                         "gamma": emitter.num(pole.gamma)}
+    emitter.record["results"]["pole"] = emitter.num(asdict(pole))
     return 0
 
 
@@ -316,13 +286,14 @@ _SCAN_COLUMNS = {
 def cmd_scan(cfg: RunConfig, emitter: _Emitter) -> int:
     """Sweep one axis.  The fixed sections are read once, before the sweep,
     so a configuration error stops the run instead of filling rows."""
-    axis = cfg.get_str("scan.axis", required=True,
-                       choices=set(_SCAN_COLUMNS))
+    axis = cfg.get("scan.axis", required=True, choices=_SCAN_COLUMNS)
     values = cfg.scan_values()
     if axis == "lambda":
         columns = _scan_lambda(cfg, values)
     elif axis == "gamma":
-        e_r = cfg.get_float("pole.e_r", required=True, positive=True)
+        e_r = cfg.get("pole.e_r", required=True)
+        if e_r <= 0:
+            raise ConfigError(f"pole.e_r must be positive, got {e_r!r}")
         point = cfg.thermo_point()
         columns = _scan_entropy(values, lambda g: thermo.complex_entropy(
             friedrichs.ResonancePole(e_r=e_r, gamma=g), point))
@@ -385,20 +356,13 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         emitter = _Emitter(cfg, args, args.command)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
         status = _COMMANDS[args.command](cfg, emitter)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except _NUMERICAL_ERRORS as exc:
+    except _NUMERICAL_ERRORS as exc:  # first: some are ValueErrors
         emitter.record["results"]["error"] = f"{type(exc).__name__}: {exc}"
         emitter.flush()
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError and model-field checks
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     emitter.flush()

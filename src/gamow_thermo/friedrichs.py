@@ -35,7 +35,6 @@ __all__ = [
     "FlatCutoff",
     "RationalFormFactor",
     "TabulatedFormFactor",
-    "form_factor",
     "FriedrichsModel",
     "ResonancePole",
     "DiscretizedSpectrum",
@@ -199,24 +198,6 @@ class TabulatedFormFactor(FormFactor):
     @property
     def scale_hint(self) -> float:
         return float(self.grid[-1])
-
-
-_FORM_FACTORS = {
-    "flat_cutoff": FlatCutoff,
-    "rational": RationalFormFactor,
-    "tabulated": TabulatedFormFactor,
-}
-
-
-def form_factor(kind: str, **params) -> FormFactor:
-    """Build a form factor by name: flat_cutoff, rational or tabulated."""
-    try:
-        cls = _FORM_FACTORS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown form factor {kind!r}; choose from {sorted(_FORM_FACTORS)}"
-        ) from None
-    return cls(**params)
 
 
 @dataclass(frozen=True)

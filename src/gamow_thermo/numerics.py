@@ -169,8 +169,10 @@ def _panel_eval(fvec, lo: np.ndarray, hi: np.ndarray):
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     pts = c[:, None] + h[:, None] * _NODES[None, :]
-    vals = fvec(pts.ravel())
-    vals = np.asarray(vals).reshape(pts.shape)
+    # a value that is not finite raises below; numpy's warnings would
+    # only repeat it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vals = np.asarray(fvec(pts.ravel())).reshape(pts.shape)
     if not np.all(np.isfinite(vals)):
         bad = pts.ravel()[~np.isfinite(vals.ravel())][0]
         raise IntegrandError(f"integrand is not finite near x = {bad!r}")

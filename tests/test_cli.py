@@ -56,6 +56,9 @@ class TestSurvivalCommand:
         "grid.time.start = 0.0\n"
         "grid.time.stop = 40.0\n"
         "grid.time.points = 9\n")
+    LONG = FLAT_CONFIG + ("grid.time.start = 0.0\n"
+                          "grid.time.stop = 410.0\n"
+                          "grid.time.points = 420\n")
 
     def test_first_row_is_normalized(self, run_cli):
         code, out, record_path = run_cli("survival", self.SHORT)
@@ -124,15 +127,33 @@ class TestSurvivalCommand:
     def test_long_span_regime_width_matches_pole(self, run_cli):
         """Cross-module consistency: the fitted width in the survival
         record agrees with the pole subcommand's width within 5%."""
-        cfg = FLAT_CONFIG + ("grid.time.start = 0.0\n"
-                             "grid.time.stop = 410.0\n"
-                             "grid.time.points = 420\n")
-        code, _, record_path = run_cli("survival", cfg)
+        code, _, record_path = run_cli("survival", self.LONG)
         assert code == 0
         record = json.loads(record_path.read_text())
         gamma_pole = float(record["results"]["pole"]["gamma"])
         gamma_fit = float(record["results"]["regimes"]["gamma_fit"])
         assert abs(gamma_fit - gamma_pole) / gamma_pole < 0.05
+
+    def test_regimes_block_format(self, run_cli):
+        code, _, record_path = run_cli("survival", self.LONG)
+        assert code == 0
+        regimes = json.loads(record_path.read_text())["results"]["regimes"]
+        assert list(regimes) == [
+            "zeno_window", "zeno_curvature", "exponential_window",
+            "gamma_fit", "tail_window", "tail_exponent", "tail_resolved",
+            "tail_ratio_last", "tail_ratio_increasing", "fit_residuals"]
+        for key in ("zeno_window", "exponential_window", "tail_window"):
+            window = regimes[key]
+            assert window is None or (
+                len(window) == 2 and all(isinstance(w, str) for w in window))
+        assert regimes["exponential_window"] is not None
+        for key in ("tail_resolved", "tail_ratio_increasing"):
+            assert isinstance(regimes[key], bool)
+        for key in ("zeno_curvature", "tail_exponent", "tail_ratio_last"):
+            assert regimes[key] is None or isinstance(regimes[key], str)
+        assert isinstance(regimes["gamma_fit"], str)
+        assert regimes["fit_residuals"] and all(
+            isinstance(v, str) for v in regimes["fit_residuals"].values())
 
 
 class TestEntropyCommand:
@@ -365,6 +386,26 @@ class TestScanCommand:
             "scan", FLAT_CONFIG.replace("model.lambda = 0.1\n", "") + scan)
         assert code == 0
         assert out.read_bytes() == with_lambda
+
+
+@pytest.mark.parametrize("command,cfg,key", [
+    ("survival", TestSurvivalCommand.SHORT
+     + "survival.noise_floor = 1e-13x\n", "survival.noise_floor"),
+    ("survival", TestSurvivalCommand.LONG
+     + "survival.noise_floor = 1e-13x\n", "survival.noise_floor"),
+    ("entropy", "pole.e_r = 1.0\npole.gamma = 0.5\nevolve.value = 1+0.5i\n",
+     "evolve.value"),
+    ("entropy", "pole.e_r = 1.0\npole.gamma = 0.5\n"
+     "survival.regimes = maybe\n", "survival.regimes"),
+], ids=["survival-short", "survival-long", "entropy-complex", "entropy-bool"])
+def test_malformed_value_stops_before_work(run_cli, capsys, command, cfg,
+                                           key):
+    """Every value is read when the config loads, also for keys the
+    command never uses, so nothing is computed or written."""
+    code, out, record_path = run_cli(command, cfg)
+    assert code == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists() and not record_path.exists()
 
 
 class TestOutputContract:

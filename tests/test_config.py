@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gamow_thermo as gt
+from gamow_thermo import config
 from gamow_thermo.cli import main as cli_main
 from gamow_thermo.config import ConfigError, RunConfig, load_config
 
@@ -52,7 +53,7 @@ class TestParsing:
         path = tmp_path / "record.json"
         path.write_text('{"config": {"thermo.beta": "2.5"}, "tables": []}')
         cfg = load_config(path)
-        assert cfg.get_float("thermo.beta") == 2.5
+        assert cfg.get("thermo.beta") == 2.5
 
     def test_json_without_config(self, tmp_path):
         path = tmp_path / "record.json"
@@ -63,31 +64,57 @@ class TestParsing:
 
 class TestAccessors:
     def test_float_conversion_failure(self):
-        cfg = RunConfig(raw={"thermo.beta": "warm"})
-        with pytest.raises(ConfigError, match="thermo.beta"):
-            cfg.get_float("thermo.beta")
+        with pytest.raises(ConfigError, match="thermo.beta must be a number"):
+            RunConfig(raw={"thermo.beta": "warm"})
 
     def test_positive_enforced(self):
         cfg = RunConfig(raw={"thermo.beta": "-2.0"})
         with pytest.raises(ConfigError, match="positive"):
-            cfg.get_float("thermo.beta", positive=True)
+            cfg.thermo_point()
 
     def test_required_missing(self):
         with pytest.raises(ConfigError, match="missing required"):
-            RunConfig().get_float("model.omega0", required=True)
+            RunConfig().get("model.omega0", required=True)
 
     def test_complex_literal(self):
         cfg = RunConfig(raw={"evolve.value": "1 - 0.5j"})
-        assert cfg.get_complex("evolve.value") == 1.0 - 0.5j
+        assert cfg.get("evolve.value") == 1.0 - 0.5j
 
     def test_bool_values(self):
         cfg = RunConfig(raw={"survival.regimes": "off"})
-        assert cfg.get_bool("survival.regimes", default=True) is False
+        assert cfg.get("survival.regimes", default=True) is False
 
     def test_choices(self):
         cfg = RunConfig(raw={"output.format": "yaml"})
         with pytest.raises(ConfigError, match="must be one of"):
-            cfg.get_str("output.format", choices={"csv", "json"})
+            cfg.get("output.format", choices=("csv", "json"))
+
+    def test_key_table_is_the_accepted_key_set(self):
+        ranges = {f"{prefix}.{end}"
+                  for prefix in ("grid.time", "grid.tau", "grid.beta",
+                                 "grid.temperature", "scan")
+                  for end in ("start", "stop", "points", "spacing")}
+        assert set(config._KEYS) == ranges | {
+            "model.omega0", "model.lambda", "model.form_factor",
+            "model.cutoff", "model.scale", "model.table",
+            "pole.e_r", "pole.gamma", "thermo.beta", "thermo.k",
+            "evolve.mode", "evolve.branch", "evolve.value",
+            "scan.axis", "scan.values",
+            "survival.regimes", "survival.noise_floor",
+            "numerics.abs_tol", "numerics.rel_tol",
+            "numerics.max_subdivisions",
+            "root.initial_guess", "root.step_tol", "root.residual_tol",
+            "root.max_iter",
+            "output.path", "output.format", "output.precision",
+        }
+
+    def test_unknown_form_factor_kind(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("model.omega0 = 1.0\nmodel.lambda = 0.1\n"
+                        "model.form_factor = gaussian\n")
+        assert cli_main(["pole", "--config", str(path), "--out",
+                         str(tmp_path / "pole.csv"), "--quiet"]) == 1
+        assert "must be one of" in capsys.readouterr().err
 
 
 class TestBuilders:

@@ -26,12 +26,8 @@ def flat_eta_one(model, z):
 
 class TestFormFactors:
     def test_factory(self):
-        ff = gt.form_factor("flat_cutoff", cutoff=5.0)
+        ff = gt.FlatCutoff(cutoff=5.0)
         assert ff.f2(2.0) == 1.0 and ff.f2(6.0) == 0.0
-
-    def test_factory_unknown(self):
-        with pytest.raises(ValueError, match="unknown form factor"):
-            gt.form_factor("gaussian", width=1.0)
 
     def test_flat_validation(self):
         with pytest.raises(ValueError):
