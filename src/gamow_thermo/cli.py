@@ -4,7 +4,8 @@ Subcommands: pole | survival | entropy | evolve | scan.  Every run writes a
 primary table (CSV by default) plus a JSON run record carrying the exact
 configuration, so any emitted number can be reproduced by feeding the
 record back as ``--config``.  Exit codes are stable: 0 success or partial
-success with warnings, 1 configuration or usage error, 2 numerical failure.
+success with warnings, 1 configuration, usage or output error, 2 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ class _Emitter:
 
     def __init__(self, cfg: RunConfig, args, command: str):
         self.precision = cfg.precision()
-        self.format = args.format or cfg.get(
-            "output.format", default="csv", choices=("csv", "json"))
+        self.format = args.format or cfg.get("output.format", default="csv")
         out = args.out or cfg.get("output.path",
                                   default=f"{command}.{self.format}")
         self.out_path = Path(out)
@@ -111,7 +111,8 @@ def cmd_pole(cfg: RunConfig, emitter: _Emitter) -> int:
     model = cfg.model()
     spec = cfg.quadrature_spec()
     perturbative = friedrichs.perturbative_pole(model, spec)
-    resolved = friedrichs.find_pole(model, cfg.root_config(), spec)
+    resolved = friedrichs.find_pole(
+        model, friedrichs.newton_start(cfg.root_config(), perturbative), spec)
     if model.lam == 0.0:
         emitter.warn("stable state: coupling is zero, width vanishes")
         residual = 0.0
@@ -207,9 +208,9 @@ _BRANCHES = {"time": ("time", "t", evolution.time_evolve),
 
 def cmd_evolve(cfg: RunConfig, emitter: _Emitter) -> int:
     pole = cfg.pole(cfg.quadrature_spec())
-    mode = _MODES[cfg.get("evolve.mode", default="in", choices=_MODES)]
-    grid_name, column, evolve = _BRANCHES[
-        cfg.get("evolve.branch", default="time", choices=_BRANCHES)]
+    mode = _MODES[cfg.get("evolve.mode", default="in")]
+    grid_name, column, evolve = _BRANCHES[cfg.get("evolve.branch",
+                                                  default="time")]
     value = cfg.get("evolve.value", default=1.0 + 0.0j)
     start = evolution.LadderCoefficient(mode=mode, value=value)
 
@@ -236,8 +237,8 @@ def cmd_evolve(cfg: RunConfig, emitter: _Emitter) -> int:
 
 
 def _scan_lambda(cfg: RunConfig, values: np.ndarray) -> list:
-    """One pole search per lambda on a model built once; a failed search
-    is an error row."""
+    """One pole search per lambda on a model built once, started from the
+    perturbative estimate it reports; a failed search is an error row."""
     model = RunConfig(raw={**cfg.raw, "model.lambda": "0"},
                       base_dir=cfg.base_dir).model()
     spec, root = cfg.quadrature_spec(), cfg.root_config()
@@ -245,12 +246,13 @@ def _scan_lambda(cfg: RunConfig, values: np.ndarray) -> list:
     def row(lam: float) -> list:
         try:
             at = replace(model, lam=lam)
-            resolved = friedrichs.find_pole(at, root, spec)
-            fgr = friedrichs.perturbative_pole(at, spec).gamma
+            fgr = friedrichs.perturbative_pole(at, spec)
+            resolved = friedrichs.find_pole(
+                at, friedrichs.newton_start(root, fgr), spec)
         except _NUMERICAL_ERRORS + (ValueError,) as exc:
             return [lam, "", "", "", "", f"{type(exc).__name__}: {exc}"]
         ratio = resolved.gamma / lam**2 if lam != 0 else ""
-        return [lam, resolved.e_r, resolved.gamma, ratio, fgr, ""]
+        return [lam, resolved.e_r, resolved.gamma, ratio, fgr.gamma, ""]
 
     return list(zip(*(row(float(v)) for v in values)))
 
@@ -286,7 +288,7 @@ _SCAN_COLUMNS = {
 def cmd_scan(cfg: RunConfig, emitter: _Emitter) -> int:
     """Sweep one axis.  The fixed sections are read once, before the sweep,
     so a configuration error stops the run instead of filling rows."""
-    axis = cfg.get("scan.axis", required=True, choices=_SCAN_COLUMNS)
+    axis = cfg.get("scan.axis", required=True)
     values = cfg.scan_values()
     if axis == "lambda":
         columns = _scan_lambda(cfg, values)
@@ -359,13 +361,16 @@ def main(argv=None) -> int:
         status = _COMMANDS[args.command](cfg, emitter)
     except _NUMERICAL_ERRORS as exc:  # first: some are ValueErrors
         emitter.record["results"]["error"] = f"{type(exc).__name__}: {exc}"
-        emitter.flush()
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+        status = 2
     except ValueError as exc:  # ConfigError and model-field checks
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    emitter.flush()
+    try:
+        emitter.flush()
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     return status
 
 

@@ -4,20 +4,21 @@ A discrete level ``omega0`` embedded in the half-line continuum acquires a
 finite lifetime once the coupling ``lam`` is switched on.  This module
 locates the resulting resonance pole on the second Riemann sheet of the
 reduced resolvent, evaluates the continuum overlap density, and provides a
-brute-force finite-matrix diagonalization that serves as an independent
-oracle for everything else.
+brute-force finite-matrix diagonalization, solved through its secular
+equation, that serves as an independent oracle for everything else.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh
 
 from .numerics import (
+    _BLOCK,
+    NonConvergence,
     QuadratureSpec,
     RootSearchConfig,
     _complex,
@@ -41,6 +42,7 @@ __all__ = [
     "self_energy",
     "find_pole",
     "perturbative_pole",
+    "newton_start",
     "spectral_density",
     "discretize",
 ]
@@ -306,27 +308,34 @@ def perturbative_pole(model: FriedrichsModel,
     return ResonancePole(e_r=model.omega0 - eta.real, gamma=2.0 * eta.imag)
 
 
+def newton_start(cfg: RootSearchConfig,
+                 seed: ResonancePole) -> RootSearchConfig:
+    """``cfg`` with the pole search starting at ``seed`` (normally the
+    :func:`perturbative_pole` estimate), nudged below the real axis when
+    the seed has no width; a guess already in ``cfg`` wins."""
+    if cfg.initial_guess is not None:
+        return cfg
+    guess = seed.z
+    if guess.imag == 0.0:
+        guess -= 1e-6j * max(1.0, abs(guess))
+    return replace(cfg, initial_guess=guess)
+
+
 def find_pole(model: FriedrichsModel, cfg: RootSearchConfig | None = None,
               spec: QuadratureSpec | None = None) -> ResonancePole:
     """Locate the resonance pole: the second-sheet zero below the cut.
 
-    Newton-iterates eta_II from the perturbative estimate (or the guess in
-    ``cfg``).  A converged zero in the upper half-plane is reported as
-    :class:`PoleInUpperHalfPlane` rather than silently conjugated.
+    Newton-iterates eta_II from the guess in ``cfg``, or else from the
+    perturbative estimate (see :func:`newton_start`).  A converged zero in
+    the upper half-plane is reported as :class:`PoleInUpperHalfPlane`
+    rather than silently conjugated.
     """
     cfg = cfg or RootSearchConfig()
     spec = spec or QuadratureSpec()
     if model.lam == 0.0:
         return ResonancePole(e_r=model.omega0, gamma=0.0)
-
     if cfg.initial_guess is None:
-        seed = perturbative_pole(model, spec)
-        guess = seed.z
-        if guess.imag == 0.0:
-            guess -= 1e-6j * max(1.0, abs(guess))
-        cfg = RootSearchConfig(initial_guess=guess, step_tol=cfg.step_tol,
-                               residual_tol=cfg.residual_tol,
-                               max_iter=cfg.max_iter)
+        cfg = newton_start(cfg, perturbative_pole(model, spec))
 
     root = complex_newton(lambda z: self_energy(model, z, "II", spec), cfg)
     scale = max(1.0, abs(root))
@@ -371,17 +380,19 @@ def spectral_density(model: FriedrichsModel, omega,
 class DiscretizedSpectrum:
     """Eigen-decomposition of the finite-matrix stand-in for the model.
 
-    ``eigenvalues`` and ``overlaps`` describe the level's decomposition
-    over the discretized eigenbasis; overlaps sum to one because the basis
-    is orthonormal.  The survival amplitude reduces to an explicit
-    eigen-sum, which makes this the brute-force oracle for the quadrature
-    pipeline.
+    ``eigenvalues`` (ascending) and ``overlaps`` describe the level's
+    decomposition over the discretized eigenbasis; overlaps sum to one
+    because the basis is orthonormal.  The survival amplitude reduces to
+    an explicit eigen-sum, which makes this the brute-force oracle for the
+    quadrature pipeline.  ``max_passes`` is a read-out of the solver: the
+    most secular-function evaluations any one eigenvalue needed.
     """
 
     n_bins: int
     omega_max: float
     eigenvalues: np.ndarray
     overlaps: np.ndarray
+    max_passes: int = 0
 
     def __post_init__(self):
         total = float(np.sum(self.overlaps))
@@ -405,10 +416,15 @@ def discretize(model: FriedrichsModel, n_bins: int,
                omega_max: float) -> DiscretizedSpectrum:
     """Diagonalize the model on a uniform frequency grid.
 
-    Builds the (n_bins+1) x (n_bins+1) real symmetric matrix with the
-    level on the first diagonal entry, midpoint-rule continuum energies on
-    the rest, and couplings lam * f(omega_i) * sqrt(dw).  Flags an
-    omega_max that truncates visible coupling weight.
+    The matrix is the (n_bins+1) x (n_bins+1) arrowhead with the level
+    ``omega0`` on the first diagonal entry, midpoint-rule continuum
+    energies omega_i on the rest, and couplings lam * f(omega_i) * sqrt(dw)
+    in the first row and column.  It is never formed: its eigenvalues are
+    the roots of the secular function (see :func:`_secular_roots`), found
+    in O(n_bins^2) work and O(n_bins) memory, and the level's overlap with
+    each eigenvector follows in closed form.  A bin whose squared coupling
+    is 0 is an eigenvalue omega_i with overlap 0.  Flags an omega_max that
+    truncates visible coupling weight.
     """
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
@@ -424,14 +440,220 @@ def discretize(model: FriedrichsModel, n_bins: int,
 
     dw = omega_max / n_bins
     grid = (np.arange(n_bins) + 0.5) * dw
-    coupling = model.lam * np.sqrt(np.asarray(model.form_factor.f2(grid))
-                                   * dw)
-    ham = np.zeros((n_bins + 1, n_bins + 1))
-    ham[0, 0] = model.omega0
-    idx = np.arange(1, n_bins + 1)
-    ham[idx, idx] = grid
-    ham[0, 1:] = coupling
-    ham[1:, 0] = coupling
-    vals, vecs = eigh(ham)
+    coupling = abs(model.lam) * np.sqrt(np.asarray(model.form_factor.f2(grid))
+                                        * dw)
+    live = coupling**2 > 0.0
+    roots, overlaps, passes = _secular_roots(model.omega0, grid[live],
+                                             coupling[live])
+    vals = np.concatenate([roots, grid[~live]])
+    overlaps = np.concatenate([overlaps, np.zeros(vals.size - roots.size)])
+    order = np.argsort(vals, kind="stable")
     return DiscretizedSpectrum(n_bins=n_bins, omega_max=omega_max,
-                               eigenvalues=vals, overlaps=vecs[0, :] ** 2)
+                               eigenvalues=vals[order],
+                               overlaps=overlaps[order], max_passes=passes)
+
+
+# evaluation passes after which a root search is reported as stuck;
+# bisection alone halves a bracket to float resolution in about 60
+_MAX_PASSES = 100
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+_SMALLEST = np.finfo(float).smallest_subnormal
+
+
+def _secular_roots(omega0: float, poles: np.ndarray, coupling: np.ndarray):
+    """All roots of F(E) = E - omega0 + sum_i c_i^2 / (omega_i - E).
+
+    ``poles`` omega_i ascend strictly and the couplings c_i are positive.
+    F rises from -inf to +inf between neighbouring poles and beyond each
+    end, so root r lies alone in the gap (omega_{r-1}, omega_r), with
+    omega_{-1} = -inf and omega_k = +inf.  Returns the k+1 roots
+    (ascending), the overlaps 1/F'(E) = 1/(1 + sum_i (c_i/(omega_i -
+    E))^2) and the most evaluation passes any root needed.
+
+    Each root is E = omega_o + tau with its origin o at the nearer end of
+    its gap, chosen by the sign of F at the gap's middle, so that
+    omega_i - E = (omega_i - omega_o) - tau carries no cancellation.  The
+    terms of the gap's two end poles are kept apart from the sums over
+    the other poles, and every term is formed from c_i/(omega_i - E), so
+    that a tiny or underflowing c_i^2 next to the root loses nothing.
+    The iterates are the roots of :func:`_middle_way_root`, kept inside
+    the bracket that the signs of F have left (bisecting it otherwise,
+    geometrically while its ends differ by more than a factor 4).
+    A root closes once |F| <= 8 eps (|omega_o - omega0| + |tau| + sum_i
+    |c_i^2/(omega_i - E)|), the float resolution of F as it is summed,
+    once the model's next step falls below 4 ulps of tau (tau, not E,
+    fixes the overlap of a root that hugs its pole), once no double is
+    left inside its bracket, or once the bracket lies within the smallest
+    normal double of the pole (E is then the pole's neighbour, and the
+    overlap, below (tau/c_o)^2 with c_o^2 > 0, is under 1e-290).  Only
+    open roots are evaluated, in blocks of about ``_BLOCK`` (root x pole)
+    elements.  A root closer to a pole than float resolution is returned
+    as the adjacent double, which keeps the roots strictly interlaced
+    with the poles.
+    """
+    k = poles.size
+    if k == 0:
+        return np.array([omega0]), np.array([1.0]), 0
+    rows = np.arange(k + 1)
+    left = np.concatenate([[-np.inf], poles])  # the gap of each root
+    right = np.concatenate([poles, [np.inf]])
+    c_l = np.concatenate([[0.0], coupling])  # its end poles' couplings
+    c_r = np.concatenate([coupling, [0.0]])
+    # tau brackets from the left pole (the first pole for the lowest
+    # root); F < 0 at min(omega0, omega_0) - 2 |c| and F > 0 at
+    # max(omega0, omega_k-1) + 2 |c| bound the end gaps, widened by
+    # rounding slack so that a root there stays strictly inside
+    origin = np.maximum(rows - 1, 0)
+    reach = 2.0 * np.hypot.reduce(coupling) + 4.0 * _EPS * (omega0
+                                                            + poles[-1])
+    lo = np.zeros(k + 1)
+    hi = np.concatenate([[0.0], np.diff(poles), [0.0]])
+    lo[0] = min(omega0 - poles[0], 0.0) - reach
+    hi[-1] = max(omega0 - poles[-1], 0.0) + reach
+    tau = 0.5 * (lo + hi)
+    roots, overlaps = np.empty(k + 1), np.empty(k + 1)
+    r = rows
+    for sweep in range(_MAX_PASSES):
+        o, t = origin[r], tau[r]
+        base = poles[o]
+        psi, phi, dpsi, dphi = _other_poles(poles, coupling, r, base, t)
+        # a root at float distance from its pole has an infinite slope
+        # there: a zero overlap
+        with np.errstate(divide="ignore", over="ignore"):
+            u_l = c_l[r] / np.where(r > 0, left[r] - base - t, -1.0)
+            u_r = c_r[r] / np.where(r < k, right[r] - base - t, 1.0)
+            overlaps[r] = 1.0 / (1.0 + dpsi + dphi + u_l * u_l + u_r * u_r)
+        energy = base + t
+        roots[r] = np.clip(energy, np.nextafter(left[r], np.inf),
+                           np.nextafter(right[r], -np.inf))
+        total = psi + phi
+        f = (base - omega0) + t + total + c_l[r] * u_l + c_r[r] * u_r
+        gauge = (np.abs(base - omega0) + np.abs(t) + phi - psi
+                 + np.abs(c_l[r] * u_l) + np.abs(c_r[r] * u_r))
+        # after the middle of an inner gap: move the origin to the right
+        # pole when the root lies in the right half
+        move = (sweep == 0) & (r > 0) & (r < k) & (f < 0.0)
+        shift = np.where(move, right[r] - base, 0.0)
+        o, t, base = np.where(move, r, o), t - shift, base + shift
+        new = _middle_way_root((base - omega0) + total, t, left[r] - base,
+                               right[r] - base, c_l[r], c_r[r], dpsi, dphi)
+        lo_r = np.where(f < 0.0, t, lo[r] - shift)
+        hi_r = np.where(f > 0.0, t, hi[r] - shift)
+        mid = 0.5 * (lo_r + hi_r)
+        closed = ((np.abs(f) <= 8.0 * _EPS * gauge) & np.isfinite(f)
+                  | (np.abs(new - t) <= 4.0 * np.spacing(np.abs(t)))
+                  | (mid <= lo_r) | (mid >= hi_r)
+                  | (np.maximum(-lo_r, hi_r) < _TINY))
+        # a bracket spanning orders of magnitude on one side of the origin
+        # is bisected geometrically, an end at the origin's pole counting
+        # as the smallest double of the bracket's sign
+        small = np.minimum(np.abs(lo_r), np.abs(hi_r))
+        big = np.maximum(np.abs(lo_r), np.abs(hi_r))
+        small = np.where(small == 0.0, _SMALLEST, small)
+        mid = np.where((lo_r * hi_r >= 0.0) & (big > 4.0 * small),
+                       np.sign(lo_r + hi_r) * np.sqrt(small) * np.sqrt(big),
+                       mid)
+        # a step that lands within 4 ulps outside the bracket has
+        # converged onto its end: take the double next to it instead
+        inside = np.clip(new, np.nextafter(lo_r, hi_r),
+                         np.nextafter(hi_r, lo_r))
+        origin[r], lo[r], hi[r] = o, lo_r, hi_r
+        tau[r] = np.where(np.abs(inside - new)
+                          <= 4.0 * np.spacing(np.abs(new)), inside, mid)
+        r = r[~closed]
+        if not r.size:
+            return roots, overlaps, sweep + 1
+    raise NonConvergence(f"{r.size} secular roots still open after "
+                         f"{_MAX_PASSES} passes")
+
+
+def _other_poles(poles, coupling, rows, base, tau):
+    """For each root ``rows`` at E = base + tau: the sums of c_i^2/(omega_i
+    - E) over the poles left and right of its gap, and of (c_i/(omega_i -
+    E))^2 over the same two sides, leaving out the gap's two end poles.
+
+    ``rows`` ascend; they go in blocks of about ``_BLOCK`` (root x pole)
+    elements, so memory stays flat in the number of poles.
+    """
+    k = poles.size
+    out = np.zeros((4, rows.size))
+    step = max(1, _BLOCK // k)
+    for s in range(0, rows.size, step):
+        r = rows[s:s + step]
+        i = np.arange(r.size)
+        delta = (poles - base[s:s + step, None]) - tau[s:s + step, None]
+        with np.errstate(divide="ignore", over="ignore"):
+            ratio = np.divide(coupling, delta, out=delta)
+        # the gap's end poles are summed apart, exactly
+        ratio[i[r > 0], r[r > 0] - 1] = 0.0
+        ratio[i[r < k], r[r < k]] = 0.0
+        # poles before column a lie left of every gap of the block, poles
+        # from column b on right of it; the band between is split per row
+        a, b = max(r[0] - 1, 0), min(r[-1] + 1, k)
+        band = ratio[:, a:b]
+        on_right = np.arange(a, b) >= r[:, None]
+        for side, cols, mask in ((0, slice(None, a), ~on_right),
+                                 (1, slice(b, None), on_right)):
+            part = np.where(mask, band, 0.0)
+            out[side, s:s + step] = (
+                np.einsum("ij,j->i", ratio[:, cols], coupling[cols])
+                + np.einsum("ij,j->i", part, coupling[a:b]))
+            out[side + 2, s:s + step] = (
+                np.einsum("ij,ij->i", ratio[:, cols], ratio[:, cols])
+                + np.einsum("ij,ij->i", part, part))
+    return out
+
+
+def _middle_way_root(rho, tau, a, b, c_l, c_r, dpsi, dphi):
+    """Root, measured from the origin, of a two-pole model of F per row.
+
+    The iterate sits at ``tau`` in the gap between the poles at ``a`` <
+    ``b``, measured from the origin (so one of them is 0, the near pole;
+    the other, the far end p, is infinite beyond the outer poles), with
+    couplings ``c_l``, ``c_r``.  F = rho + x + (the two end poles' terms)
+    + (the other poles' terms), and ``dpsi``/``dphi`` are the slopes of
+    the other poles left/right of the gap, n' on the near side and f' on
+    the far side.  The "middle way" model c + s/(0 - x) + S/(p - x) of
+    R.-C. Li (LAPACK Working Note 89, 1994; LAPACK's dlaed4) matches F
+    and F' at tau with s = c_near^2 + tau^2 n' and S = c_far^2 + (p -
+    tau)^2 (f' + 1): the slope 1 of F's linear term joins the far side.
+    Its quadratic, c x^2 - (c p + s + S) x + s p = 0, is written with the
+    linear term cancelled by hand,
+
+        c = rho + 2 tau - p + tau n' - (p - tau) f'
+        c p + s + S = p rho + c_near^2 + c_far^2 + tau^2 (1 + n')
+                      + tau (p n' - (p - tau) f'),
+
+    and solved for x/|tau| (over the smallest normal double once tau is
+    subnormal), so that neither a root at float distance from its pole
+    nor couplings whose squares underflow lose digits.  An end gap takes
+    the far pole to infinity: x^2 + (rho + tau n') x - s = 0.  Of the
+    quadratic's two roots the model's lies in (a, b).
+    """
+    near_left = a == 0.0
+    p = np.where(near_left, b, a)
+    c_near = np.where(near_left, c_l, c_r)
+    c_far = np.where(near_left, c_r, c_l)
+    n1 = np.where(near_left, dpsi, dphi)
+    f1 = np.where(near_left, dphi, dpsi)
+    inner = np.isfinite(p)
+    m = np.maximum(np.abs(tau), _TINY)
+    w = tau / m  # +-1 unless tau is subnormal
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d_far = p - tau
+        s = (c_near / m) ** 2 + w * w * n1  # s / m^2
+        q2 = np.where(inner, rho + 2.0 * tau - p + tau * n1 - d_far * f1, 1.0)
+        q1 = np.where(
+            inner,
+            -(p * rho / m + c_near * (c_near / m) + c_far * (c_far / m)
+              + tau * w * (1.0 + n1) + w * (p * n1 - d_far * f1)),
+            rho / m + w * n1)
+        q0 = np.where(inner, s * p, -s)
+        # the discriminant, scaled against overflow
+        g = np.maximum(np.abs(q1), 2.0 * np.sqrt(np.abs(q2))
+                       * np.sqrt(np.abs(q0)))
+        disc = g * np.sqrt(np.abs((q1 / g) ** 2 - 4.0 * (q2 / g) * (q0 / g)))
+        q = -0.5 * q1 - 0.5 * np.copysign(disc, q1)
+        first, second = m * (q / q2), m * (q0 / q)
+    return np.where((first > a) & (first < b), first, second)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gamow_thermo as gt
-from gamow_thermo import cli, config, decay
+from gamow_thermo import cli, config, decay, friedrichs
 from gamow_thermo.cli import main as cli_main
 from gamow_thermo.numerics import NonConvergence
 
@@ -352,6 +352,27 @@ class TestScanCommand:
         assert len(read_csv(out)[1]) == 20
         assert len(calls) == 1
 
+    def test_lambda_scan_seeds_each_search_once(self, run_cli, monkeypatch):
+        """The perturbative estimate a lambda row reports is also its
+        Newton start: one estimate per row, not one more inside find_pole."""
+        calls = []
+        perturbative_pole = friedrichs.perturbative_pole
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return perturbative_pole(*args, **kwargs)
+
+        monkeypatch.setattr(friedrichs, "perturbative_pole", counted)
+        cfg = FLAT_CONFIG + "scan.axis = lambda\nscan.values = 0.05,0.1,0.2\n"
+        code, out, _ = run_cli("scan", cfg)
+        assert code == 0
+        assert len(read_csv(out)[1]) == 3
+        assert len(calls) == 3
+        calls.clear()
+        code, _, _ = run_cli("pole", FLAT_CONFIG)
+        assert code == 0
+        assert len(calls) == 1
+
     def test_lambda_scan_builds_the_model_once(self, run_cli, monkeypatch,
                                                tmp_path):
         reads = []
@@ -397,7 +418,10 @@ class TestScanCommand:
      "evolve.value"),
     ("entropy", "pole.e_r = 1.0\npole.gamma = 0.5\n"
      "survival.regimes = maybe\n", "survival.regimes"),
-], ids=["survival-short", "survival-long", "entropy-complex", "entropy-bool"])
+    ("entropy", "pole.e_r = 1.0\npole.gamma = 0.5\n"
+     "evolve.mode = sideways\n", "evolve.mode"),
+], ids=["survival-short", "survival-long", "entropy-complex", "entropy-bool",
+        "entropy-choice"])
 def test_malformed_value_stops_before_work(run_cli, capsys, command, cfg,
                                            key):
     """Every value is read when the config loads, also for keys the
@@ -406,6 +430,33 @@ def test_malformed_value_stops_before_work(run_cli, capsys, command, cfg,
     assert code == 1
     assert key in capsys.readouterr().err
     assert not out.exists() and not record_path.exists()
+
+
+@pytest.mark.parametrize("key,table", [
+    ("evolve.mode", cli._MODES), ("evolve.branch", cli._BRANCHES),
+    ("scan.axis", cli._SCAN_COLUMNS)])
+def test_branch_tables_are_the_allowed_values(key, table):
+    """The config accepts exactly the values a command has a branch for,
+    so an accepted value never misses its branch."""
+    assert config._KEYS[key][0] == f"one of {sorted(table)}"
+
+
+@pytest.mark.parametrize("extra,numerical", [
+    ("", False), ("root.max_iter = 1\n", True)], ids=["ok", "numerical"])
+def test_unwritable_output_is_output_error(tmp_path, capsys, extra,
+                                           numerical):
+    """An output that cannot be written exits 1 with a typed message, on
+    the normal path and after a numerical failure alike."""
+    blocker = tmp_path / "notadir"
+    blocker.write_text("")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(FLAT_CONFIG + extra)
+    code = cli_main(["pole", "--config", str(cfg_path),
+                     "--out", str(blocker / "x.csv"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "output error:" in err
+    assert ("numerical failure:" in err) == numerical
 
 
 class TestOutputContract:

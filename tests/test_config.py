@@ -85,9 +85,8 @@ class TestAccessors:
         assert cfg.get("survival.regimes", default=True) is False
 
     def test_choices(self):
-        cfg = RunConfig(raw={"output.format": "yaml"})
-        with pytest.raises(ConfigError, match="must be one of"):
-            cfg.get("output.format", choices=("csv", "json"))
+        with pytest.raises(ConfigError, match="output.format must be one of"):
+            RunConfig(raw={"output.format": "yaml"})
 
     def test_key_table_is_the_accepted_key_set(self):
         ranges = {f"{prefix}.{end}"

@@ -1,10 +1,12 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh
 from scipy.optimize import brentq
 
 import gamow_thermo as gt
@@ -298,6 +300,20 @@ class TestPerturbativePole:
 
 
 class TestFindPole:
+    def test_newton_start_is_the_default_seed(self, flat_model):
+        """A search started by newton_start from the perturbative estimate
+        is the default search, bit for bit; a stable seed is nudged below
+        the axis, and a guess already in the config wins."""
+        seed = gt.perturbative_pole(flat_model)
+        started = friedrichs.newton_start(RootSearchConfig(), seed)
+        assert started.initial_guess == seed.z
+        assert gt.find_pole(flat_model, started) == gt.find_pole(flat_model)
+        stable = gt.ResonancePole(e_r=2.0, gamma=0.0)
+        assert friedrichs.newton_start(
+            RootSearchConfig(), stable).initial_guess == 2.0 - 2e-6j
+        own = RootSearchConfig(initial_guess=1.0 - 0.1j)
+        assert friedrichs.newton_start(own, seed) is own
+
     def test_free_model_is_stable(self):
         free = gt.FriedrichsModel(omega0=1.0, lam=0.0,
                                   form_factor=gt.FlatCutoff(cutoff=10.0))
@@ -421,7 +437,80 @@ class TestSpectralDensity:
         assert np.max(np.abs(rho_tab - rho_flat) / rho_flat) < 1e-6
 
 
+def dense_oracle(model, n_bins, omega_max):
+    """Dense ``eigh`` of the arrowhead matrix that ``discretize`` solves.
+
+    Returns the bin energies, the squared couplings z_i, the eigenvalues,
+    the level's overlaps and each overlap's own uncertainty: the
+    a-posteriori bound 2 |r_j| / gap_j on the eigenvector of pair j, with
+    r_j its residual and gap_j its distance to every other computed
+    eigenvalue less that one's residual (infinite where eigh cannot tell
+    the two apart, as for a bin on the level with a coupling below
+    eps * |H|).
+    """
+    dw = omega_max / n_bins
+    grid = (np.arange(n_bins) + 0.5) * dw
+    coupling = model.lam * np.sqrt(model.form_factor.f2(grid) * dw)
+    ham = np.diag(np.concatenate([[model.omega0], grid]))
+    ham[0, 1:] = ham[1:, 0] = coupling
+    vals, vecs = eigh(ham)
+    resid = np.linalg.norm(ham @ vecs - vecs * vals, axis=0)
+    gap = np.abs(vals[:, None] - vals[None, :]) - resid[None, :]
+    np.fill_diagonal(gap, np.inf)
+    gap = gap.min(axis=1)
+    with np.errstate(divide="ignore"):
+        spread = np.where(resid == 0.0, 0.0,
+                          np.where(gap > 0.0, 2.0 * resid / gap, np.inf))
+    return grid, coupling**2, vals, vecs[0] ** 2, spread
+
+
 class TestDiscretize:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["flat", "rational"]),
+           omega0=st.floats(0.5, 2.0), lam=st.floats(0.0, 0.25),
+           n_bins=st.integers(1, 300), omega_max=st.floats(2.5, 20.0))
+    def test_matches_dense_eigh(self, kind, omega0, lam, n_bins, omega_max):
+        """The secular-equation solver against dense eigh: a flat cutoff
+        10 (omega_max inside it, or beyond it with zero couplings) or a
+        rational profile of scale 1.  Energies within 1e-12 (1 + |E|),
+        overlaps within 1e-11 (plus eigh's own uncertainty), eigenvalues
+        strictly interlaced with the bins of nonzero coupling, and the
+        overlaps complete to 1e-12."""
+        ff = (gt.FlatCutoff(cutoff=10.0) if kind == "flat"
+              else gt.RationalFormFactor(scale=1.0))
+        model = gt.FriedrichsModel(omega0=omega0, lam=lam, form_factor=ff)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # truncation flag
+            ds = gt.discretize(model, n_bins, omega_max)
+        grid, z, vals, overlaps, spread = dense_oracle(model, n_bins,
+                                                       omega_max)
+        assert np.all(np.abs(ds.eigenvalues - vals)
+                      <= 1e-12 * (1.0 + np.abs(vals)))
+        assert np.all(np.abs(ds.overlaps - overlaps) <= 1e-11 + spread)
+        assert abs(ds.overlaps.sum() - 1.0) <= 1e-12
+        live = z > 0.0
+        rest = np.delete(ds.eigenvalues,
+                         np.searchsorted(ds.eigenvalues, grid[~live]))
+        chain = np.empty(2 * np.count_nonzero(live) + 1)
+        chain[0::2], chain[1::2] = rest, grid[live]
+        assert np.all(np.diff(chain) > 0.0)
+
+    @pytest.mark.parametrize("form_factor,omega_max", [
+        (gt.FlatCutoff(cutoff=10.0), 10.0),
+        (gt.RationalFormFactor(scale=1.0), 20.0),
+    ], ids=["flat", "rational"])
+    @pytest.mark.parametrize("lam", [0.05, 0.1, 0.2])
+    def test_roots_need_few_passes(self, form_factor, omega_max, lam):
+        """At the benchmark models every eigenvalue closes within 10
+        passes over the secular function; a bracketed Newton iteration
+        needs about 55."""
+        model = gt.FriedrichsModel(omega0=1.0, lam=lam,
+                                   form_factor=form_factor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # truncation flag
+            ds = gt.discretize(model, 2000, omega_max)
+        assert 1 <= ds.max_passes <= 10
+
     def test_free_model_is_diagonal(self):
         free = gt.FriedrichsModel(omega0=1.0, lam=0.0,
                                   form_factor=gt.FlatCutoff(cutoff=10.0))
