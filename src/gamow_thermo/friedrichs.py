@@ -23,7 +23,6 @@ from .numerics import (
     RootSearchConfig,
     _complex,
     _require,
-    _rows,
     _unbox,
     complex_newton,
     principal_values,
@@ -256,10 +255,10 @@ def self_energy(model: FriedrichsModel, z, sheet: str = "I",
     value, imaginary part i*pi*lam^2*f^2(omega).  This sidesteps the
     catastrophic cancellation of approaching the cut numerically.
 
-    Accepts a scalar (giving a Python complex) or an array of z.  The rim
-    points of an array are one batched principal-value evaluation, all
-    other points one batched quadrature with one row per point.  Sheet II
-    needs the form factor's continuation ``f2_complex``.
+    Accepts a scalar (giving a Python complex) or an array of z; all of
+    them go through one call of the Cauchy kernel
+    :func:`~gamow_thermo.numerics.principal_values`.  Sheet II needs the
+    form factor's continuation ``f2_complex``.
     """
     spec = spec or QuadratureSpec()
     if sheet not in ("I", "II"):
@@ -273,24 +272,15 @@ def self_energy(model: FriedrichsModel, z, sheet: str = "I",
     ff = model.form_factor
     lo, hi = ff.support
     rim = (z.imag == 0.0) & (lo < z.real) & (z.real < hi)
-    off = z[~rim]
+    eta = z - model.omega0 - lam2 * principal_values(
+        ff.f2, lo, hi, z, spec, scale=ff.scale_hint)
+    eta[rim] += 1j * np.pi * lam2 * np.asarray(ff.f2(z.real[rim]))
     if sheet == "II":
         # continuation through the cut: from above into Im z < 0, from
         # below into Im z > 0
+        off = z[~rim]
         jump = 2j * np.pi * lam2 * ff.f2_complex(off)
-        jump = np.where(off.imag < 0, jump, -jump)
-    eta = np.empty(z.shape, dtype=complex)
-    w = z.real[rim]
-    if w.size:
-        pv = principal_values(ff.f2, lo, hi, w, spec, scale=ff.scale_hint)
-        eta[rim] = (w - model.omega0 - lam2 * pv
-                    + 1j * np.pi * lam2 * np.asarray(ff.f2(w)))
-    if off.size:
-        eta_off = off - model.omega0 - lam2 * _rows(
-            lambda i, x: ff.f2(x) / (off[i] - x), lo, hi, off.size, spec)
-        if sheet == "II":
-            eta_off += jump
-        eta[~rim] = eta_off
+        eta[~rim] += np.where(off.imag < 0, jump, -jump)
     return _unbox(eta.reshape(shape))
 
 

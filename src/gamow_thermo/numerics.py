@@ -1,8 +1,9 @@
 """Shared numerical kernel.
 
 Adaptive complex quadrature (Gauss-Kronrod 7-15 with bulk bisection) and,
-on the same kernel, Cauchy principal values for a whole array of poles at
-once by singularity subtraction; complex Newton iteration with
+on the same kernel, the Cauchy integrals of g(w) / (z - w) for a whole
+array of z at once: principal values on the axis, a sinh-mapped window
+off it; complex Newton iteration with
 difference-quotient slopes from one array call per step, fixed-step RK4
 evolution of linear complex rates, and Richardson-extrapolated finite
 differences.  Everything here is a pure function of its arguments.
@@ -151,7 +152,7 @@ _WK = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _WG_FULL = np.zeros_like(_WK)
 _WG_FULL[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
-# first-pass panels of an integral (per piece of a principal value)
+# first-pass panels of an integral (per piece of a Cauchy integral)
 _PV_PANELS = 4
 # (panel x node) points per integrand call of the batched quadrature
 _BLOCK = 2**15
@@ -242,24 +243,6 @@ def _composite(f, edges: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
         err = np.concatenate([err[keep], new_err])
 
 
-def _rows(f, a: float, b: float, n: int, spec: QuadratureSpec) -> np.ndarray:
-    """Integrals of ``f(i, x)`` over [a, b] for the rows i < n of the bulk
-    kernel, each starting from the equal panels of a principal-value piece.
-
-    ``b`` may be +inf: [a, inf) is then folded onto [0, 1) through
-    w = a + u/(1-u).
-    """
-    if np.isinf(b):
-        def folded(i, us):
-            one_minus = 1.0 - us
-            return f(i, a + us / one_minus) / one_minus**2
-
-        edges = np.linspace(0.0, 1.0, _PV_PANELS + 1)
-        return _composite(folded, np.tile(edges, (n, 1)), spec)
-    edges = np.linspace(a, b, _PV_PANELS + 1)
-    return _composite(f, np.tile(edges, (n, 1)), spec)
-
-
 def _on_array(f, x: np.ndarray, contract: str) -> np.ndarray:
     """``f(x)`` as a complex array, or :class:`TypeError` naming
     ``contract`` when ``f`` does not map ``x`` to an array of its shape."""
@@ -277,7 +260,8 @@ def integrate(f, a: float, b: float,
     """Integrate a complex-valued ``f`` over [a, b], b possibly +inf.
 
     ``f`` maps a float array to an array of the same shape.  The range
-    is one row of the bulk kernel, as in :func:`_rows`.  The
+    is one row of the bulk kernel, starting from equal panels; [a, inf)
+    is folded onto [0, 1) through w = a + u/(1-u).  The
     Kronrod-Gauss gauge only sees the integrand at its nodes, so the range
     should end where the integrand's support ends: a drop to zero between
     a panel's outermost node and its edge goes unnoticed.
@@ -291,58 +275,129 @@ def integrate(f, a: float, b: float,
         raise ValueError("integration range must satisfy a < b")
     contract = ("the integrand must map a float array to an array of the "
                 "same shape")
-    return complex(_rows(lambda i, x: _on_array(f, x, contract), a, b, 1,
-                         spec)[0])
+
+    folded = np.isinf(b)
+
+    def row(i, u):
+        if not folded:
+            return _on_array(f, u, contract)
+        one_minus = 1.0 - u
+        return _on_array(f, a + u / one_minus, contract) / one_minus**2
+
+    edges = (np.linspace(0.0, 1.0, _PV_PANELS + 1) if folded
+             else np.linspace(a, b, _PV_PANELS + 1))
+    return complex(_composite(row, edges[None, :], spec)[0])
 
 
 def principal_values(g, a: float, b: float, poles,
                      spec: QuadratureSpec | None = None, *,
                      scale: float = 1.0) -> np.ndarray:
-    """Cauchy principal values of the integral of g(w) / (c - w) over [a, b].
+    """The Cauchy integrals of g(w) / (z - w) over [a, b], one per z in
+    ``poles``: principal values for real z, plain integrals otherwise.
 
-    One value for each c in ``poles``, all strictly inside [a, b]; ``b``
-    may be +inf.  ``g`` maps float arrays to real arrays and must be
-    smooth around every pole; a jump elsewhere only costs bisection
-    rounds.  Around each c the window [c - r, c + r], with
-    r the distance to the nearer end, is folded onto itself: there
-    1/(c - w) integrates to zero, which leaves the smooth
-    -int_0^1 (g(c + r x) - g(c - r x)) / x dx.  The rest of the range lies
-    on one side of c, at distances d from r up to the far end, and is
-    integrated in u = ln d, where g du is smooth however close the pole
-    sits to an end.  On an infinite range the distances past
-    T = r + 4 * ``scale`` go in q = T/d instead, smooth for g decaying
-    like 1/w or faster; ``scale`` is where g varies and only steers the
-    first panels.  Window, log and inverse pieces are concatenated into one
-    integral per pole on shared nodes, refined by bisection where a pole's
-    Kronrod-Gauss gauge exceeds max(abs_tol, rel_tol * |PV|).
+    ``b`` may be +inf.  ``g`` maps float arrays to real arrays and must be
+    smooth around every Re z inside the support; a jump elsewhere only
+    costs bisection rounds.  Each z = x + iy splits [a, b] into three
+    pieces, concatenated into one integral per point on shared nodes and
+    refined by bisection where a point's Kronrod-Gauss gauge exceeds
+    max(abs_tol, rel_tol * |integral|):
+
+    - the window [x - r, x + r], r the distance from x to the nearer end
+      (r = 0 when x lies at or outside an end), folded onto itself;
+    - the rest of the range, on one side of x at distances d from
+      ``|min(x - a, b - x)|`` up to the far end;
+    - on an infinite range, the distances past
+      T = ``|x - a|`` + 4 * ``scale`` in q = T/d, smooth for g decaying like
+      1/w or faster (``scale`` is where g varies and only steers the first
+      panels).
+
+    For real z, 1/(x - w) integrates to zero over the window, which
+    leaves the smooth -int_0^1 (g(x + r s) - g(x - r s)) / s ds, and the
+    one-sided piece goes in u = ln d, where g du is smooth however close x
+    sits to an end.  For y != 0, 1/(z - w) is kept exact, and the window
+    and the one-sided piece go in v = asinh(d/|y|): w = x +- |y| sinh v
+    turns g dw / (z - w) into g cosh v dv / (-+sinh v + i sign y), whose
+    factor has modulus one, and the peak of width |y| at w = x into a
+    smooth run of v, so a point 1e-13 off the cut needs only a few rounds
+    of bisection.
+
+    Ends of the support: off the axis, x may lie anywhere; on an end or
+    outside, the window is empty and the one-sided piece starts at the
+    distance from x to the support (v = 0 on an end).  On the axis, x
+    outside the support is a plain integral in u = ln d.  On an end the
+    integral diverges unless g vanishes there: a g that does not raises
+    :class:`IntegrandError`, and for one that does, g(x + d)/d is bounded
+    and the piece goes in d itself.  Real z give real results.  Real and
+    off-axis points are two batches of the bulk kernel, so each result is
+    that of its single-point call.
     """
     spec = spec or QuadratureSpec()
-    c = np.asarray(poles, dtype=float).ravel()
-    if not np.all((a < c) & (c < b)):
-        raise ValueError(f"poles must lie strictly inside [{a!r}, {b!r}]")
-    near, far = c - a, b - c
-    r = np.minimum(near, far)
+    z = np.asarray(poles).ravel()
+    x, y = np.real(z).astype(float), np.imag(z).astype(float)
+    at_end = (y == 0.0) & ((x == a) | (x == b))
+    if at_end.any() and np.any(np.asarray(g(x[at_end])) != 0.0):
+        raise IntegrandError(f"the integral diverges at a support end of "
+                             f"[{a!r}, {b!r}] where g does not vanish")
+    near, far = x - a, b - x
+    nearer = np.minimum(near, far)
+    r, start = np.maximum(nearer, 0.0), np.abs(nearer)
+    side = np.where(near <= far, 1.0, -1.0)
+    end = np.maximum(near, far)
     pieces = 2
     if np.isinf(b):
         pieces = 3
-        far = r + 4.0 * scale
-    side = np.where(near <= far, 1.0, -1.0)
-    span = np.log(np.maximum(near, far) / r)
+        end = start + 4.0 * scale
+    edges = np.linspace(0.0, pieces, pieces * _PV_PANELS + 1)
+    off = y != 0.0
+    ay, sign = np.abs(y), np.sign(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        span = np.log(end / start)
+        v_win = np.arcsinh(r / ay)
+        v_lo, v_hi = np.arcsinh(start / ay), np.arcsinh(end / ay)
 
-    def integrand(i, s):
+    def on_axis(i, s):
         out = np.empty(s.shape)
-        win, log, tail = s < 1.0, (s >= 1.0) & (s < 2.0), s >= 2.0
-        j, x = i[win], s[win]
-        out[win] = (g(c[j] - r[j] * x) - g(c[j] + r[j] * x)) / x
-        j = i[log]
-        d = r[j] * np.exp((s[log] - 1.0) * span[j])
-        out[log] = -side[j] * span[j] * g(c[j] + side[j] * d)
+        win, one, tail = s < 1.0, (s >= 1.0) & (s < 2.0), s >= 2.0
+        j, u = i[win], s[win]
+        out[win] = (g(x[j] - r[j] * u) - g(x[j] + r[j] * u)) / u
+        j, u = i[one], s[one] - 1.0
+        # an end point (start = 0, g vanishing there) goes in d itself
+        linear = start[j] == 0.0
+        d = np.where(linear, u * end[j], start[j] * np.exp(u * span[j]))
+        rate = np.where(linear, end[j] / d, span[j])
+        out[one] = -side[j] * rate * g(x[j] + side[j] * d)
         j, q = i[tail], s[tail] - 2.0
-        out[tail] = -g(c[j] + far[j] / q) / q
+        out[tail] = -g(x[j] + end[j] / q) / q
         return out
 
-    edges = np.linspace(0.0, pieces, pieces * _PV_PANELS + 1)
-    return _composite(integrand, np.tile(edges, (c.size, 1)), spec)
+    def off_axis(i, s):
+        # cosh v / (i sign y - side sinh v)
+        #     = -(side tanh v + i sign y / cosh v), summed over both sides
+        #       on the window
+        out = np.empty(s.shape, dtype=complex)
+        win, one, tail = s < 1.0, (s >= 1.0) & (s < 2.0), s >= 2.0
+        j = i[win]
+        v = s[win] * v_win[j]
+        t = ay[j] * np.sinh(v)
+        up, down = g(x[j] + t), g(x[j] - t)
+        out[win] = v_win[j] * (np.tanh(v) * (down - up)
+                               - 1j * sign[j] * (up + down) / np.cosh(v))
+        j = i[one]
+        width = v_hi[j] - v_lo[j]
+        v = v_lo[j] + (s[one] - 1.0) * width
+        out[one] = -width * g(x[j] + side[j] * ay[j] * np.sinh(v)) * (
+            side[j] * np.tanh(v) + 1j * sign[j] / np.cosh(v))
+        j, q = i[tail], s[tail] - 2.0
+        out[tail] = -g(x[j] + end[j] / q) / (q - 1j * y[j] * q * q / end[j])
+        return out
+
+    out = np.empty(z.shape, dtype=complex if off.any() else float)
+    for rows, integrand in ((~off, on_axis), (off, off_axis)):
+        if rows.any():
+            index = np.flatnonzero(rows)
+            out[rows] = _composite(lambda i, s: integrand(index[i], s),
+                                   np.tile(edges, (index.size, 1)), spec)
+    return out
 
 
 def complex_newton(g, cfg: RootSearchConfig) -> complex:

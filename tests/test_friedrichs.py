@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 from scipy.optimize import brentq
@@ -19,11 +19,62 @@ from gamow_thermo.friedrichs import (
 from gamow_thermo.numerics import RootSearchConfig, principal_values
 
 
-def flat_eta_one(model, z):
-    """Closed-form sheet-I self-energy for the flat cutoff: elementary log."""
-    lam2 = model.lam**2
-    cut = model.form_factor.cutoff
-    return z - model.omega0 - lam2 * (cmath.log(z) - cmath.log(z - cut))
+def closed_eta(model, z, sheet="I"):
+    """Closed-form eta(z) off the cut, for the two analytic profiles.
+
+    Flat cutoff c: the integral of 1/(z - w) over [0, c] is the complex
+    log(z) - log(z - c).  Rational scale s: partial fractions give
+    (z log(-z/s) / pi - s/2) / (z^2 + s^2), see :func:`_rational_integral`.
+    Sheet II adds 2 pi i lam^2 f^2(z) below the axis and subtracts it
+    above.
+    """
+    ff = model.form_factor
+    if isinstance(ff, gt.FlatCutoff):
+        integral = cmath.log(z) - cmath.log(z - ff.cutoff)
+    else:
+        integral = _rational_integral(z, ff.scale)
+    eta = z - model.omega0 - model.lam**2 * integral
+    if sheet == "II":
+        jump = 2j * np.pi * model.lam**2 * ff.f2_complex(z)
+        eta += jump if z.imag < 0 else -jump
+    return eta
+
+
+def _rational_integral(z, s):
+    """N(z) / (z^2 + s^2) with N(z) = z log(-z/s) / pi - s/2.
+
+    N vanishes at both zeros p = +-i s of the denominator, so within
+    |z - p| < s/10 the quotient is taken from N's Taylor series about p,
+    N'(p) = (log(-p/s) + 1) / pi and N^(k)(p) = (-1)^k (k-2)! / (pi p^(k-1))
+    for k >= 2, divided by z - p term by term.
+    """
+    for p in (1j * s, -1j * s):
+        ratio = (z - p) / p
+        if abs(ratio) < 0.1:
+            series = sum((-ratio) ** (k - 1) / (k * (k - 1))
+                         for k in range(2, 24))
+            return (cmath.log(-p / s) + 1.0 - series) / (np.pi * (z + p))
+    return (z * cmath.log(-z / s) / np.pi - 0.5 * s) / (z * z + s * s)
+
+
+def closed_root(model):
+    """The resonance: Newton on the closed-form eta_II from the golden
+    rule, with central-difference slopes, run to rounding level."""
+    f2 = float(model.form_factor.f2(model.omega0))
+    z = complex(model.omega0, -np.pi * model.lam**2 * f2)
+    for _ in range(100):
+        h = 1e-7 * max(1.0, abs(z))
+        slope = (closed_eta(model, z + h, "II")
+                 - closed_eta(model, z - h, "II")) / (2 * h)
+        step = closed_eta(model, z, "II") / slope
+        z -= step
+        if abs(step) <= 4.0 * np.finfo(float).eps * abs(z):
+            return z
+    raise AssertionError(f"closed-form Newton did not settle at {z!r}")
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
 
 
 class TestFormFactors:
@@ -95,11 +146,32 @@ class TestSelfEnergy:
         assert gt.self_energy(free, z, "I") == z - 1.0
         assert gt.self_energy(free, z, "II") == z - 1.0
 
-    def test_sheet_one_against_closed_form(self, flat_model):
-        # oracle: elementary complex logarithm, valid off the cut
-        for z in (1.0 + 0.5j, 3.0 - 2.0j, -1.0 + 0.2j, 0.5 - 0.8j):
-            val = gt.self_energy(flat_model, z, "I")
-            assert abs(val - flat_eta_one(flat_model, z)) < 1e-9
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["flat", "rational"]),
+           sheet=st.sampled_from(["I", "II"]), size=st.floats(0.5, 2.0),
+           where=st.sampled_from(["inside", "low end", "high end",
+                                  "outside"]),
+           frac=st.floats(1e-9, 1.0 - 1e-9), height=_log_uniform(-13.0, 0.5),
+           below=st.booleans())
+    def test_off_cut_against_closed_form(self, kind, sheet, size, where,
+                                         frac, height, below):
+        """Every z off the axis, however close to it, with Re z inside
+        the support, on either end of it or outside it: lam = 1, so the
+        bound is the one on the integral itself."""
+        model = _profile_model(kind, 1.0, 1.0, size)
+        top = 10.0 * size
+        x = {"inside": frac * top, "low end": 0.0,
+             "high end": top if kind == "flat" else 0.0,
+             "outside": -frac * top if kind == "rational" or frac < 0.5
+             else top * (1.0 + frac)}[where]
+        z = complex(x, -height if below else height)
+        # the jump 2 pi i f^2(z) of sheet II has poles at +-i * scale
+        # for the rational profile: eta_II is infinite there, and its
+        # rounding alone exceeds the bound within 1e-5 * scale of them
+        assume(sheet == "I" or kind == "flat"
+               or abs(abs(z.real) + 1j * (abs(z.imag) - size)) > 1e-5 * size)
+        val = gt.self_energy(model, z, sheet)
+        assert abs(val - closed_eta(model, z, sheet)) < 1e-9
 
     def test_sheet_difference_lower_half(self, flat_model):
         # continuation through the cut from above: eta_II - eta_I equals
@@ -139,16 +211,23 @@ class TestSelfEnergy:
     @given(kind=st.sampled_from(["flat", "rational"]),
            sheet=st.sampled_from(["I", "II"]),
            points=st.lists(st.tuples(
-               st.sampled_from(["rim", "upper", "lower", "below"]),
-               st.floats(1e-3, 1.0 - 1e-3), st.floats(1e-3, 3.0)),
+               st.sampled_from(["rim", "upper", "lower", "below", "edge"]),
+               st.floats(1e-3, 1.0 - 1e-3), _log_uniform(-13.0, 0.5)),
                min_size=2, max_size=8))
     def test_array_call_is_the_single_point_calls(self, kind, sheet, points):
+        # "edge": Re z on a support end, above the axis for x < 0.5
         model = _profile_model(kind, 1.0, 0.1, 1.0)
+        ends = (0.0,) if kind == "rational" else (0.0, 10.0)
         z = np.array([{"rim": 10.0 * x, "upper": 10.0 * x + 1j * y,
-                       "lower": 10.0 * x - 1j * y, "below": -y}[where]
+                       "lower": 10.0 * x - 1j * y, "below": -y,
+                       "edge": ends[int(4 * x) % len(ends)]
+                       + 1j * (y if x < 0.5 else -y)}[where]
                       for where, x, y in points], dtype=complex)
-        batch = gt.self_energy(model, z, sheet)
-        single = np.array([gt.self_energy(model, v, sheet) for v in z])
+        # an edge point can land on -i, the pole of the rational f^2 that
+        # sheet II carries: both routes must still agree there (on nan)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            batch = gt.self_energy(model, z, sheet)
+            single = np.array([gt.self_energy(model, v, sheet) for v in z])
         assert batch.shape == z.shape
         assert batch.tobytes() == single.tobytes()
 
@@ -188,6 +267,16 @@ def _profile_model(kind, omega0, lam, size):
     return gt.FriedrichsModel(omega0=omega0, lam=lam, form_factor=ff)
 
 
+def _check_pole(model, pole):
+    """The closed-form root to 1e-9 in z and in Gamma, and the golden-rule
+    width to relative 10 lam^2."""
+    root = closed_root(model)
+    assert abs(pole.z - root) <= 1e-9 * abs(root)
+    assert abs(pole.gamma + 2.0 * root.imag) <= -2e-9 * root.imag
+    golden = 2.0 * np.pi * model.lam**2 * model.form_factor.f2(model.omega0)
+    assert abs(pole.gamma - golden) <= 10.0 * model.lam**2 * golden
+
+
 def _within_table_contract(pv, exact):
     """The density table's accuracy contract on the principal value."""
     return np.all(np.abs(pv - exact)
@@ -200,10 +289,6 @@ def _pv(model, omega):
     lo, hi = ff.support
     return principal_values(ff.f2, lo, hi, omega, _TABLE_SPEC,
                             scale=ff.scale_hint)
-
-
-def _log_uniform(lo_exp, hi_exp):
-    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
 
 
 class TestBatchedBoundary:
@@ -328,6 +413,29 @@ class TestFindPole:
         residual = abs(gt.self_energy(flat_model, flat_pole.z, "II"))
         assert residual <= RootSearchConfig().residual_tol
         assert flat_pole.z.imag < 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["flat", "rational"]),
+           omega0=st.floats(0.5, 2.0), lam=_log_uniform(-7.0, -0.6),
+           size=st.floats(0.5, 2.0))
+    def test_against_closed_form_root_and_golden_rule(self, kind, omega0,
+                                                      lam, size):
+        model = _profile_model(kind, omega0, lam, size)
+        _check_pole(model, gt.find_pole(model))
+
+    @pytest.mark.parametrize("lam", [1e-4, 1e-7])
+    @pytest.mark.parametrize("kind", ["flat", "rational"])
+    def test_weak_coupling(self, kind, lam, run_cli):
+        """A width of order lam^2 puts the pole ~1e-14 below the cut at
+        lam = 1e-7; the search and the CLI job still resolve it."""
+        model = _profile_model(kind, 1.0, lam, 1.0)
+        _check_pole(model, gt.find_pole(model))
+        profile = ("flat_cutoff\nmodel.cutoff = 10.0" if kind == "flat"
+                   else "rational\nmodel.scale = 1.0")
+        code, out, _ = run_cli("pole", f"model.omega0 = 1.0\n"
+                               f"model.lambda = {lam!r}\n"
+                               f"model.form_factor = {profile}\n")
+        assert code == 0 and out.exists()
 
     def test_width_scales_with_coupling_squared(self):
         ratios = []

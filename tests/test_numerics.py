@@ -103,6 +103,10 @@ class TestPrincipalValue:
         with pytest.raises(ValueError):
             principal_values(lambda w: -np.ones_like(w), 0.0, 1.0, [0.0],
                              SPEC)
+        # a g vanishing at the end keeps the integral finite: -pi/2 here
+        val = principal_values(lambda w: w / (1.0 + w * w), 0.0, np.inf,
+                               [0.0], SPEC)
+        assert val[0] == pytest.approx(-0.5 * np.pi, abs=1e-10)
 
     def test_infinite_range_closed_form(self):
         # PV of 1 / ((1 + w^2)(c - w)) over [0, inf), partial fractions
@@ -110,6 +114,17 @@ class TestPrincipalValue:
         exact = (0.5 * np.pi * c + np.log(c)) / (1.0 + c * c)
         val = principal_values(lambda w: 1.0 / (1.0 + w * w), 0.0, np.inf,
                                c, SPEC)
+        assert np.max(np.abs(val - exact)) < 1e-10
+
+    def test_complex_points_closed_form(self):
+        # integral of 1 / ((1 + w^2)(z - w)) over [0, inf) is
+        # (log(-z) + pi z / 2) / (1 + z^2) off the positive axis: points a
+        # hair off the cut, on the end, outside and far away
+        z = np.array([0.3 + 1e-12j, 0.3 - 1e-12j, 1e-6j, 0.5j, -2.0 - 1.0j,
+                      -2.0, 4.0 + 3.0j, 1e3 - 1e-3j])
+        exact = (np.log(-z) + 0.5 * np.pi * z) / (1.0 + z * z)
+        val = principal_values(lambda w: 1.0 / (1.0 + w * w), 0.0, np.inf,
+                               z, SPEC)
         assert np.max(np.abs(val - exact)) < 1e-10
 
     def test_jump_inside_window_is_refined(self):
