@@ -33,6 +33,7 @@ from .friedrichs import (
 )
 from .decay import (
     InsufficientSpan,
+    UnitarityViolation,
     SurvivalSeries,
     RegimeReport,
     DensityTable,

@@ -33,7 +33,7 @@ from .numerics import (
 _NUMERICAL_ERRORS = (
     NonConvergence, MaxIterExceeded, SingularStep, StepUnderflow,
     IntegrandError, OverflowError, friedrichs.PoleInUpperHalfPlane,
-    friedrichs.ContinuationUnavailable,
+    friedrichs.ContinuationUnavailable, decay.UnitarityViolation,
 )
 
 

@@ -11,17 +11,21 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.interpolate import CubicSpline
-from scipy.special import factorial
 
 from .friedrichs import FriedrichsModel, ResonancePole, spectral_density
-from .numerics import NonConvergence, QuadratureSpec, integrate
+from .numerics import (NonConvergence, QuadratureSpec, _cubic_spline,
+                       integrate)
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "InsufficientSpan",
+    "UnitarityViolation",
     "SurvivalSeries",
     "RegimeReport",
     "DensityTable",
@@ -49,9 +53,10 @@ _ZENO_NOISE = 4e-10
 # recurrence M_j = (j M_{j-1} - exp(-i theta)) / (i theta) from the switch up;
 # below it the recurrence cancels like 1/theta^4, so the Taylor series
 # sum_n (-i theta)^n / (n! (n + j + 1)) is used, 18 terms (remainder < 1/18!)
+# with n! as the float product 1 * 2 * ... * n, exact up to 17! < 2^53
 _MOMENT_SWITCH = 1.0
 _TAYLOR = (np.array([1.0, -1j, -1.0, 1j])[np.arange(18) % 4, None]
-           / (factorial(np.arange(18))[:, None]
+           / (np.cumprod(np.maximum(np.arange(18.0), 1.0))[:, None]
               * (np.arange(18)[:, None] + np.arange(1, 5))))
 # (time x interval) elements per synthesis block: stays in cache, flat memory
 _BLOCK = 2**15
@@ -59,6 +64,11 @@ _BLOCK = 2**15
 
 class InsufficientSpan(ValueError):
     """The series does not reach far enough to separate decay regimes."""
+
+
+class UnitarityViolation(ValueError):
+    """Survival probabilities leave [0, 1], or P(0) misses 1, by more than
+    1e-8: for a computed series, a defect of the route that made it."""
 
 
 @dataclass(frozen=True)
@@ -79,9 +89,11 @@ class SurvivalSeries:
         if t.size and (t[0] < 0 or np.any(np.diff(t) <= 0)):
             raise ValueError("times must be nonnegative and increasing")
         if np.any(p < -1e-8) or np.any(p > 1.0 + 1e-8):
-            raise ValueError("probabilities escape [0, 1] beyond tolerance")
+            raise UnitarityViolation(
+                "probabilities escape [0, 1] beyond tolerance")
         if t.size and t[0] == 0.0 and abs(p[0] - 1.0) > 1e-8:
-            raise ValueError(f"P(0) = {p[0]!r} is not 1 within 1e-8")
+            raise UnitarityViolation(
+                f"P(0) = {float(p[0])!r} is not 1 within 1e-8")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "amplitudes", a)
         object.__setattr__(self, "probabilities", p)
@@ -267,7 +279,7 @@ def density_table(model: FriedrichsModel) -> DensityTable:
 
     knots = np.array(sorted(density))
     for _ in range(40):
-        spline = CubicSpline(knots, rho(knots))
+        spline = _cubic_spline(knots, rho(knots))
         mids = 0.5 * (knots[:-1] + knots[1:])
         fresh = rho(mids)
         dev = np.abs(spline(mids) - fresh)

@@ -12,21 +12,26 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .numerics import (
     _BLOCK,
+    IntegrandError,
     NonConvergence,
     QuadratureSpec,
     RootSearchConfig,
     _complex,
+    _cubic_spline,
     _require,
     _unbox,
     complex_newton,
     principal_values,
 )
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "ContinuationUnavailable",
@@ -174,7 +179,7 @@ class TabulatedFormFactor(FormFactor):
             raise ValueError("f^2 samples must be nonnegative")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_spline", CubicSpline(grid, values))
+        object.__setattr__(self, "_spline", _cubic_spline(grid, values))
 
     @classmethod
     def from_file(cls, path) -> "TabulatedFormFactor":
@@ -258,7 +263,8 @@ def self_energy(model: FriedrichsModel, z, sheet: str = "I",
     Accepts a scalar (giving a Python complex) or an array of z; all of
     them go through one call of the Cauchy kernel
     :func:`~gamow_thermo.numerics.principal_values`.  Sheet II needs the
-    form factor's continuation ``f2_complex``.
+    form factor's continuation ``f2_complex``; at a pole of it eta_II is
+    infinite, and :class:`~gamow_thermo.numerics.IntegrandError` names z.
     """
     spec = spec or QuadratureSpec()
     if sheet not in ("I", "II"):
@@ -279,7 +285,13 @@ def self_energy(model: FriedrichsModel, z, sheet: str = "I",
         # continuation through the cut: from above into Im z < 0, from
         # below into Im z > 0
         off = z[~rim]
-        jump = 2j * np.pi * lam2 * ff.f2_complex(off)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            jump = np.broadcast_to(2j * np.pi * lam2 * ff.f2_complex(off),
+                                   off.shape)
+        bad = off[~np.isfinite(jump)]
+        if bad.size:
+            raise IntegrandError(f"eta_II is infinite at z = "
+                                 f"{complex(bad[0])!r}, a pole of f2_complex")
         eta[~rim] += np.where(off.imag < 0, jump, -jump)
     return _unbox(eta.reshape(shape))
 

@@ -154,6 +154,10 @@ _WG_FULL[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 # first-pass panels of an integral (per piece of a Cauchy integral)
 _PV_PANELS = 4
+# first-pass edges of a Cauchy integral by its number of pieces: the
+# window and the one-sided piece, plus the tail on an infinite range
+_PV_EDGES = {pieces: np.linspace(0.0, pieces, pieces * _PV_PANELS + 1)
+             for pieces in (2, 3)}
 # (panel x node) points per integrand call of the batched quadrature
 _BLOCK = 2**15
 
@@ -241,6 +245,14 @@ def _composite(f, edges: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
         hi = np.concatenate([hi[keep], new_hi])
         val = np.concatenate([val[keep], new_val])
         err = np.concatenate([err[keep], new_err])
+
+
+def _cubic_spline(x, y):
+    """The not-a-knot cubic spline through (x, y)."""
+    # imported on first use: SciPy costs a cold CLI run most of its wall
+    # time, and only the density table and tabulated profiles need it
+    from scipy.interpolate import CubicSpline
+    return CubicSpline(x, y)
 
 
 def _on_array(f, x: np.ndarray, contract: str) -> np.ndarray:
@@ -343,11 +355,10 @@ def principal_values(g, a: float, b: float, poles,
     r, start = np.maximum(nearer, 0.0), np.abs(nearer)
     side = np.where(near <= far, 1.0, -1.0)
     end = np.maximum(near, far)
-    pieces = 2
+    edges = _PV_EDGES[2]
     if np.isinf(b):
-        pieces = 3
+        edges = _PV_EDGES[3]
         end = start + 4.0 * scale
-    edges = np.linspace(0.0, pieces, pieces * _PV_PANELS + 1)
     off = y != 0.0
     ay, sign = np.abs(y), np.sign(y)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -395,8 +406,9 @@ def principal_values(g, a: float, b: float, poles,
     for rows, integrand in ((~off, on_axis), (off, off_axis)):
         if rows.any():
             index = np.flatnonzero(rows)
+            first = np.broadcast_to(edges, (index.size, edges.size))
             out[rows] = _composite(lambda i, s: integrand(index[i], s),
-                                   np.tile(edges, (index.size, 1)), spec)
+                                   first, spec)
     return out
 
 

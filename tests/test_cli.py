@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +100,20 @@ class TestSurvivalCommand:
         assert code == 2
         error = json.loads(record_path.read_text())["results"]["error"]
         assert "density table build failed" in error
+
+    def test_failed_normalization_is_numerical(self, run_cli, capsys):
+        # at lambda = 0.3 the flat model's bound state below threshold
+        # carries weight 1.7e-3, which the density table leaves out, so
+        # the series fails its P(0) check: a numerical failure, not a
+        # configuration error
+        cfg = self.SHORT.replace("model.lambda = 0.1", "model.lambda = 0.3")
+        code, _, record_path = run_cli("survival", cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: P(0) = 0.99669")
+        assert "np.float64" not in err
+        error = json.loads(record_path.read_text())["results"]["error"]
+        assert error.startswith("UnitarityViolation: P(0)")
 
     def test_tabulated_profile_runs_without_pole(self, run_cli, tmp_path,
                                                  flat_model):
@@ -523,3 +541,66 @@ class TestOutputContract:
         _, out, _ = run_cli("entropy", cfg)
         _, rows = read_csv(out)
         assert rows[0][1] == "0.653426"
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+_SCIPY_LOADED = ("sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy')")
+
+
+def _cold_run(script: str, cwd: Path):
+    """Run ``script`` in a fresh interpreter on the package in ``src/``;
+    it prints one JSON value last, which is returned."""
+    done = subprocess.run(
+        [sys.executable, "-c", "import json, sys\n" + script],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": str(_SRC)},
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestColdStart:
+    """SciPy is imported where a spline is built, and nowhere else: the
+    pole-based commands never load it."""
+
+    RUNS = {
+        "pole": "",
+        "scan": "scan.axis = lambda\nscan.values = 0.05, 0.1\n",
+        "entropy": "grid.beta.start = 0.5\ngrid.beta.stop = 4.0\n"
+                   "grid.beta.points = 3\n",
+        "evolve": "grid.time.start = 0.0\ngrid.time.stop = 20.0\n"
+                  "grid.time.points = 3\n",
+    }
+
+    def test_import_and_pole_commands_load_no_scipy(self, tmp_path):
+        for command, extra in self.RUNS.items():
+            (tmp_path / f"{command}.cfg").write_text(FLAT_CONFIG + extra)
+        script = f"""
+import gamow_thermo, gamow_thermo.cli
+loaded = {{"import": {_SCIPY_LOADED}}}
+for command in {list(self.RUNS)!r}:
+    code = gamow_thermo.cli.main([command, "--config", command + ".cfg",
+                                  "--out", command + ".csv", "--quiet"])
+    loaded[command] = [code, {_SCIPY_LOADED}]
+print(json.dumps(loaded))
+"""
+        loaded = _cold_run(script, tmp_path)
+        assert loaded.pop("import") == []
+        assert loaded == {command: [0, []] for command in self.RUNS}
+
+    @pytest.mark.parametrize("build", [
+        "gt.TabulatedFormFactor(grid=np.linspace(0.0, 10.0, 8), "
+        "values=np.ones(8))",
+        "gt.density_table(gt.FriedrichsModel(omega0=1.0, lam=0.1, "
+        "form_factor=gt.RationalFormFactor(scale=1.0)))",
+    ], ids=["tabulated", "density_table"])
+    def test_spline_builds_load_scipy_interpolate(self, tmp_path, build):
+        # the guard above would pass vacuously if the probe missed SciPy
+        script = f"""
+import numpy as np
+import gamow_thermo as gt
+before = {_SCIPY_LOADED}
+{build}
+print(json.dumps([before, "scipy.interpolate" in sys.modules]))
+"""
+        assert _cold_run(script, tmp_path) == [[], True]

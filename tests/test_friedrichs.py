@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,7 +17,11 @@ from gamow_thermo.friedrichs import (
     ContinuationUnavailable,
     PoleInUpperHalfPlane,
 )
-from gamow_thermo.numerics import RootSearchConfig, principal_values
+from gamow_thermo.numerics import (
+    IntegrandError,
+    RootSearchConfig,
+    principal_values,
+)
 
 
 def closed_eta(model, z, sheet="I"):
@@ -190,6 +195,21 @@ class TestSelfEnergy:
             - gt.self_energy(flat_model, z, "I")
         assert abs(d + 2j * np.pi * flat_model.lam**2) < 1e-12
 
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+    def test_pole_of_the_continuation_is_a_typed_error(self, scale):
+        """At +-i * scale the rational f^2 has the poles that sheet II
+        carries: eta_II is infinite there and raises, naming z, alone or
+        in a batch, while sheet I stays finite and matches the closed
+        form."""
+        model = _profile_model("rational", 1.0, 0.1, scale)
+        for z in (1j * scale, -1j * scale):
+            with pytest.raises(IntegrandError, match=re.escape(f"z = {z!r}")):
+                gt.self_energy(model, z, "II")
+            with pytest.raises(IntegrandError):
+                gt.self_energy(model, np.array([0.5 - 0.1j, z]), "II")
+            val = gt.self_energy(model, z, "I")
+            assert abs(val - closed_eta(model, z)) < 1e-9
+
     def test_boundary_value_matches_nudged_quadrature(self, flat_model):
         omega = 1.3
         eps = 1e-7
@@ -223,11 +243,18 @@ class TestSelfEnergy:
                        "edge": ends[int(4 * x) % len(ends)]
                        + 1j * (y if x < 0.5 else -y)}[where]
                       for where, x, y in points], dtype=complex)
-        # an edge point can land on -i, the pole of the rational f^2 that
-        # sheet II carries: both routes must still agree there (on nan)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            batch = gt.self_energy(model, z, sheet)
-            single = np.array([gt.self_energy(model, v, sheet) for v in z])
+        # an edge point can land on +-i, the poles of the rational f^2
+        # that sheet II carries: both routes raise there, and the other
+        # points are compared
+        pole = (kind == "rational") & (sheet == "II") & np.isin(z, [1j, -1j])
+        if pole.any():
+            with pytest.raises(IntegrandError):
+                gt.self_energy(model, z, sheet)
+            with pytest.raises(IntegrandError):
+                gt.self_energy(model, z[pole][0], sheet)
+            z = z[~pole]
+        batch = gt.self_energy(model, z, sheet)
+        single = np.array([gt.self_energy(model, v, sheet) for v in z])
         assert batch.shape == z.shape
         assert batch.tobytes() == single.tobytes()
 
