@@ -11,17 +11,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .friedrichs import FriedrichsModel, ResonancePole, spectral_density
-from .numerics import (NonConvergence, QuadratureSpec, _cubic_spline,
-                       integrate)
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
+from .numerics import (NonConvergence, PiecewiseCubic, QuadratureSpec,
+                       _cubic_spline, integrate)
 
 __all__ = [
     "InsufficientSpan",
@@ -44,9 +39,11 @@ _TABLE_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10,
                              max_subdivisions=20000)
 _NORM_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11,
                             max_subdivisions=20000)
-# noise floor of a synthesised P(t) in zeno_check: the transform is exact
-# for the spline, whose refinement keeps it within ~3e-10 of fresh density
-# evaluations, so 4e-10 per probability value is a conservative allowance
+# noise floor of a synthesised P(t) in zeno_check: a typical value, not a
+# derived bound.  The transform is exact for the spline, but the spline's
+# refinement threshold is max(3e-10, 1e-9 |rho|) at each knot midpoint (the
+# worst deviation is 6e-8 on the rational benchmark table), and the error
+# of A(t) is bounded by the integral of |spline - rho|, not by 3e-10
 _ZENO_NOISE = 4e-10
 
 # M_j(theta) = integral of u^j exp(-i theta u) over [0, 1], j = 0..3, by the
@@ -58,8 +55,10 @@ _MOMENT_SWITCH = 1.0
 _TAYLOR = (np.array([1.0, -1j, -1.0, 1j])[np.arange(18) % 4, None]
            / (np.cumprod(np.maximum(np.arange(18.0), 1.0))[:, None]
               * (np.arange(18)[:, None] + np.arange(1, 5))))
-# (time x interval) elements per synthesis block: stays in cache, flat memory
-_BLOCK = 2**15
+# intervals per block of the moment recurrence, so that a single-time
+# transform, result and phases included, stays below glibc's 128 KiB mmap
+# threshold, past which every call would map and fault in fresh pages
+_BLOCK = 2**9
 
 
 class InsufficientSpan(ValueError):
@@ -139,17 +138,39 @@ class RegimeReport:
                 raise ValueError(f"windows overlap or are unordered: {seq}")
 
 
-def _cubic_moments(theta: np.ndarray) -> np.ndarray:
-    """M_0..M_3 at each theta >= 0, stacked on a new trailing axis."""
-    small = theta < _MOMENT_SWITCH
-    safe = np.where(small, _MOMENT_SWITCH, theta)
-    z, inv = np.exp(-1j * safe), -1j / safe
-    moments = [(1.0 - z) * inv]
-    for j in (1, 2, 3):
-        moments.append((j * moments[-1] - z) * inv)
-    out = np.stack(moments, axis=-1)
-    out[small] = polyval(theta[small], _TAYLOR).T
-    return out
+def _moment_sums(theta: np.ndarray, weights: np.ndarray,
+                 taylor: np.ndarray) -> np.ndarray:
+    """sum_j w_jk M_j(theta_k) for ascending theta_k >= 0, from ``weights``
+    (4, k) and their Taylor coefficients ``taylor`` = ``_TAYLOR @ weights``
+    (18, k).
+
+    Below the switch one Horner pass runs in the result itself; above it
+    the recurrence runs on blocks of ``_BLOCK`` values.  Temporaries stay
+    within one block, so a call holds little beyond its result.
+    """
+    acc = np.empty(theta.size, dtype=complex)
+    m = int(np.searchsorted(theta, _MOMENT_SWITCH))
+    # a complex factor: complex *= float would stage a cast copy per step
+    head, factor = acc[:m], theta[:m].astype(complex)
+    head[...] = taylor[-1, :m]
+    for row in taylor[-2::-1]:
+        head *= factor
+        head += row[:m]
+    for s in range(m, theta.size, _BLOCK):
+        th, w, part = (theta[s:s + _BLOCK], weights[:, s:s + _BLOCK],
+                       acc[s:s + _BLOCK])
+        z = -1j * th
+        np.exp(z, out=z)
+        moment = (1.0 - z) * (-1j)
+        moment /= th
+        np.multiply(moment, w[0], out=part)
+        for j in (1, 2, 3):
+            moment *= j
+            moment -= z
+            moment *= -1j
+            moment /= th
+            part += w[j] * moment
+    return acc
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +186,7 @@ class DensityTable:
     beyond the spline's own.
     """
 
-    spline: CubicSpline = field(repr=False)
+    spline: PiecewiseCubic = field(repr=False)
     norm_direct: float
     max_refine_dev: float
 
@@ -188,33 +209,39 @@ class DensityTable:
 
     @property
     def norm(self) -> float:
-        return float(self.spline.integrate(*self._ends))
+        """The spline's integral over its knots, A(0)."""
+        return float(self.fourier(0.0)[0].real)
 
     @functools.cached_property
     def _pieces(self):
-        # starts x, widths h, weights a_j h^(j+1): sum_j w_j M_j(t h) e^{-ixt}
-        h = np.diff(self.spline.x)
-        weights = self.spline.c[::-1].T * h[:, None] ** np.arange(1, 5)
-        return self.spline.x[:-1], h, weights
+        # starts x, widths h, weights a_j h^(j+1): sum_j w_j M_j(t h) e^{-ixt},
+        # and the weights' Taylor coefficients, in order of width, so that
+        # theta = t h is ascending for every t
+        order = np.argsort(np.diff(self.spline.x), kind="stable")
+        h = np.diff(self.spline.x)[order]
+        weights = self.spline.c[::-1, order] * h ** np.arange(1, 5)[:, None]
+        return self.spline.x[:-1][order], h, weights, _TAYLOR @ weights
 
     def fourier(self, times) -> np.ndarray:
         """Integral of rho(w) exp(-i w t) dw for each t >= 0, exactly.
 
         On every interval the cubic's transform is closed form in the
         moments M_j (Filon-type quadrature), so the result carries no
-        quadrature or truncation error.  Times go in blocks of about
-        ``_BLOCK`` (time x interval) elements.
+        quadrature or truncation error.  Times go one at a time, each in
+        memory of a few values per interval.
         """
         t = np.atleast_1d(np.asarray(times, dtype=float))
         if np.any(t < 0):
             raise ValueError("the transform is evaluated for t >= 0")
-        x, h, weights = self._pieces
-        rows = max(1, _BLOCK // h.size)
+        x, h, weights, taylor = self._pieces
         out = np.empty(t.shape, dtype=complex)
-        for s in range(0, t.size, rows):
-            tb = t[s:s + rows, None]
-            out[s:s + rows] = np.einsum("tk,tkj,kj->t", np.exp(-1j * tb * x),
-                                        _cubic_moments(tb * h), weights)
+        for i, ti in enumerate(t.tolist()):
+            acc = _moment_sums(ti * h, weights, taylor)
+            # exp(-i t x) in one buffer: (-1j * t) * x would stage a complex
+            # copy of x next to it
+            phase = np.zeros(h.size, dtype=complex)
+            np.multiply(x, -ti, out=phase.imag)
+            out[i] = np.exp(phase, out=phase) @ acc
         return out
 
 
@@ -336,7 +363,10 @@ def zeno_check(target, h: float = 0.01):
     control.  Two Richardson levels are compared, so the returned
     ``(slope, error_estimate)`` carries a defect of the extrapolation
     itself plus a noise floor; a value drowned in noise is visible rather
-    than masked.  For a model the floor is ``_ZENO_NOISE``.
+    than masked.  For a model the floor is ``_ZENO_NOISE`` (4e-10 per
+    probability), a typical size of the spline table's error rather than
+    a bound on it: the table matches fresh densities at its knot
+    midpoints only within max(3e-10, 1e-9 |rho|).
     """
     if h <= 0:
         raise ValueError("step h must be positive")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .numerics import (
     _BLOCK,
     IntegrandError,
     NonConvergence,
+    PiecewiseCubic,
     QuadratureSpec,
     RootSearchConfig,
     _complex,
@@ -29,9 +29,6 @@ from .numerics import (
     complex_newton,
     principal_values,
 )
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "ContinuationUnavailable",
@@ -162,7 +159,7 @@ class TabulatedFormFactor(FormFactor):
 
     grid: np.ndarray
     values: np.ndarray
-    _spline: CubicSpline = field(init=False, repr=False, compare=False)
+    _spline: PiecewiseCubic = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)

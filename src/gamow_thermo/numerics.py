@@ -5,8 +5,9 @@ on the same kernel, the Cauchy integrals of g(w) / (z - w) for a whole
 array of z at once: principal values on the axis, a sinh-mapped window
 off it; complex Newton iteration with
 difference-quotient slopes from one array call per step, fixed-step RK4
-evolution of linear complex rates, and Richardson-extrapolated finite
-differences.  Everything here is a pure function of its arguments.
+evolution of linear complex rates, Richardson-extrapolated finite
+differences, and the not-a-knot cubic spline.  Everything here is a pure
+function of its arguments.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "QuadratureSpec",
+    "PiecewiseCubic",
     "RootSearchConfig",
     "NonConvergence",
     "IntegrandError",
@@ -247,12 +249,67 @@ def _composite(f, edges: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
         err = np.concatenate([err[keep], new_err])
 
 
-def _cubic_spline(x, y):
-    """The not-a-knot cubic spline through (x, y)."""
-    # imported on first use: SciPy costs a cold CLI run most of its wall
-    # time, and only the density table and tabulated profiles need it
-    from scipy.interpolate import CubicSpline
-    return CubicSpline(x, y)
+@dataclass(frozen=True, eq=False)
+class PiecewiseCubic:
+    """A cubic on each interval [x_k, x_k+1]: at x_k + d its value is
+    c[0, k] d^3 + c[1, k] d^2 + c[2, k] d + c[3, k].  Points outside the
+    knots are extrapolated from the nearest end interval."""
+
+    x: np.ndarray
+    c: np.ndarray
+
+    def __call__(self, omega):
+        w = np.asarray(omega, dtype=float)
+        # the inner knots at or below w number the interval, end ones kept
+        k = np.searchsorted(self.x[1:-1], w, side="right")
+        d = w - self.x[k]
+        c0, c1, c2, c3 = self.c[:, k]
+        return ((c0 * d + c1) * d + c2) * d + c3
+
+
+def _cubic_spline(x, y) -> PiecewiseCubic:
+    """The not-a-knot cubic spline through n >= 4 points (x, y).
+
+    The knot slopes s solve, at each inner knot,
+    h_i s_(i-1) + 2 (h_(i-1) + h_i) s_i + h_(i-1) s_(i+1)
+    = 3 (h_i m_(i-1) + h_(i-1) m_i), with widths h and secants m; one
+    end row each asks the third derivative to be continuous across x_1
+    and x_(n-2).  Subtracting those rows from their neighbours leaves a
+    diagonally dominant system in s_1..s_(n-2), solved in one Thomas
+    sweep; each piece is then the cubic Hermite one of its end slopes.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    h = np.diff(x)
+    m = np.diff(y) / h
+    # end rows: h_1 s_0 + d0 s_1 = r0 and d1 s_(n-2) + h_(n-3) s_(n-1) = r1
+    d0, d1 = h[0] + h[1], h[-2] + h[-1]
+    r0 = ((h[0] + 2.0 * d0) * h[1] * m[0] + h[0] ** 2 * m[1]) / d0
+    r1 = (h[-1] ** 2 * m[-2] + (2.0 * d1 + h[-1]) * h[-2] * m[-1]) / d1
+    diag = 2.0 * (h[:-1] + h[1:])
+    rhs = 3.0 * (h[1:] * m[:-1] + h[:-1] * m[1:])
+    diag[0] -= d0
+    rhs[0] -= r0
+    diag[-1] -= d1
+    rhs[-1] -= r1
+    # Thomas: forward elimination, then back substitution, on Python floats
+    lower, upper = h[1:].tolist(), h[:-1].tolist()
+    d, r = float(diag[0]), float(rhs[0])
+    ds, rs = [d], [r]
+    for lo, up, dg, rh in zip(lower[1:], upper, diag[1:].tolist(),
+                              rhs[1:].tolist()):
+        f = lo / d
+        d, r = dg - f * up, rh - f * r
+        ds.append(d)
+        rs.append(r)
+    s = [r / d]  # s_(n-2) down to s_1, then the end rows give s_(n-1), s_0
+    for up, d, r in zip(upper[-2::-1], ds[-2::-1], rs[-2::-1]):
+        s.append((r - up * s[-1]) / d)
+    s = np.array([(r1 - d1 * s[0]) / h[-2], *s,
+                  (r0 - d0 * s[-1]) / h[1]])[::-1]
+    t = (s[:-1] + s[1:] - 2.0 * m) / h
+    return PiecewiseCubic(x=x, c=np.stack([t / h, (m - s[:-1]) / h - t,
+                                           s[:-1], y[:-1]]))
 
 
 def _on_array(f, x: np.ndarray, contract: str) -> np.ndarray:

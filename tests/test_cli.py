@@ -560,8 +560,9 @@ def _cold_run(script: str, cwd: Path):
 
 
 class TestColdStart:
-    """SciPy is imported where a spline is built, and nowhere else: the
-    pole-based commands never load it."""
+    """No command loads SciPy: the package needs numpy alone, also where
+    it builds a cubic spline (a survival density table, a tabulated
+    profile)."""
 
     RUNS = {
         "pole": "",
@@ -570,37 +571,42 @@ class TestColdStart:
                    "grid.beta.points = 3\n",
         "evolve": "grid.time.start = 0.0\ngrid.time.stop = 20.0\n"
                   "grid.time.points = 3\n",
+        "survival": "grid.time.start = 0.0\ngrid.time.stop = 40.0\n"
+                    "grid.time.points = 3\n",
     }
 
     def test_import_and_pole_commands_load_no_scipy(self, tmp_path):
-        for command, extra in self.RUNS.items():
-            (tmp_path / f"{command}.cfg").write_text(FLAT_CONFIG + extra)
+        grid = np.linspace(0.0, 10.0, 201)
+        np.savetxt(tmp_path / "flat.txt",
+                   np.column_stack([grid, np.ones_like(grid)]))
+        tabulated = FLAT_CONFIG.replace(
+            "model.form_factor = flat_cutoff\nmodel.cutoff = 10.0",
+            "model.form_factor = tabulated\nmodel.table = flat.txt")
+        runs = {command: (command, FLAT_CONFIG + extra)
+                for command, extra in self.RUNS.items()}
+        runs["tabulated"] = ("survival", tabulated + self.RUNS["survival"])
+        for name, (_, text) in runs.items():
+            (tmp_path / f"{name}.cfg").write_text(text)
+        commands = {name: command for name, (command, _) in runs.items()}
         script = f"""
 import gamow_thermo, gamow_thermo.cli
 loaded = {{"import": {_SCIPY_LOADED}}}
-for command in {list(self.RUNS)!r}:
-    code = gamow_thermo.cli.main([command, "--config", command + ".cfg",
-                                  "--out", command + ".csv", "--quiet"])
-    loaded[command] = [code, {_SCIPY_LOADED}]
+for name, command in {commands!r}.items():
+    code = gamow_thermo.cli.main([command, "--config", name + ".cfg",
+                                  "--out", name + ".csv", "--quiet"])
+    loaded[name] = [code, {_SCIPY_LOADED}]
 print(json.dumps(loaded))
 """
         loaded = _cold_run(script, tmp_path)
         assert loaded.pop("import") == []
-        assert loaded == {command: [0, []] for command in self.RUNS}
+        assert loaded == {name: [0, []] for name in runs}
 
-    @pytest.mark.parametrize("build", [
-        "gt.TabulatedFormFactor(grid=np.linspace(0.0, 10.0, 8), "
-        "values=np.ones(8))",
-        "gt.density_table(gt.FriedrichsModel(omega0=1.0, lam=0.1, "
-        "form_factor=gt.RationalFormFactor(scale=1.0)))",
-    ], ids=["tabulated", "density_table"])
-    def test_spline_builds_load_scipy_interpolate(self, tmp_path, build):
+    def test_probe_sees_scipy_when_imported(self, tmp_path):
         # the guard above would pass vacuously if the probe missed SciPy
         script = f"""
-import numpy as np
-import gamow_thermo as gt
+import gamow_thermo
 before = {_SCIPY_LOADED}
-{build}
-print(json.dumps([before, "scipy.interpolate" in sys.modules]))
+import scipy.interpolate
+print(json.dumps([before, "scipy.interpolate" in {_SCIPY_LOADED}]))
 """
         assert _cold_run(script, tmp_path) == [[], True]

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.interpolate import BSpline, CubicSpline
+from scipy.interpolate import BSpline, CubicSpline, PPoly
 
 import gamow_thermo as gt
 from gamow_thermo import decay, friedrichs
@@ -14,9 +15,10 @@ from gamow_thermo.decay import (
     InsufficientSpan,
     RegimeReport,
     SurvivalSeries,
-    _cubic_moments,
     _MOMENT_SWITCH,
     _TABLE_SPEC,
+    _TAYLOR,
+    _moment_sums,
 )
 
 
@@ -148,7 +150,10 @@ class TestExactSynthesis:
         thetas = np.array([1e-3, 0.3, 0.9, below, _MOMENT_SWITCH,
                            np.nextafter(_MOMENT_SWITCH, 2.0), 1.7, 12.0,
                            400.0])
-        got = _cubic_moments(thetas)
+        # unit weights pick one moment: got[k, j] = M_j(thetas[k])
+        units = [np.tile(e[:, None], thetas.size) for e in np.eye(4)]
+        got = np.column_stack([_moment_sums(thetas, w, _TAYLOR @ w)
+                               for w in units])
         with mp.workdps(60):
             for theta, row in zip(thetas, got):
                 exact = np.array(self._moments_closed_form(theta, mp))
@@ -177,9 +182,29 @@ class TestExactSynthesis:
             got = table.fourier(t)[0]
             assert abs(got - exact) / abs(exact) <= 1e-13
 
+    def test_single_time_holds_little_memory(self, rational_model):
+        """One time point on the rational benchmark table (2559 intervals)
+        peaks below 128 KiB, glibc's default threshold for serving an
+        allocation by mmap: a few values per interval, not a stacked
+        (time x interval x moment) array."""
+        table = gt.density_table(rational_model)
+        table.fourier(1.0)  # the cached pieces are built once, not per call
+        for t in (0.0, 3.7, 2700.0):
+            tracemalloc.start()
+            try:
+                table.fourier(t)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 128 * 1024, (t, peak)
+
     def test_zero_time_is_table_norm(self, flat_table, rational_model):
+        # the norm is A(0); SciPy integrates the same pieces independently
         for table in (flat_table, gt.density_table(rational_model)):
-            assert abs(table.fourier(0.0)[0] - table.norm) <= 1e-14
+            pieces = PPoly(table.spline.c, table.spline.x)
+            assert table.norm == table.fourier(0.0)[0].real
+            assert abs(table.fourier(0.0)[0]
+                       - pieces.integrate(*table.knots[[0, -1]])) <= 1e-14
 
     def test_matches_generic_route_flat(self, flat_model, flat_pole,
                                         flat_table):

@@ -3,7 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
+import gamow_thermo as gt
+from gamow_thermo.decay import DensityTable
 from gamow_thermo.numerics import (
     IntegrandError,
     MaxIterExceeded,
@@ -11,6 +16,7 @@ from gamow_thermo.numerics import (
     QuadratureSpec,
     RootSearchConfig,
     SingularStep,
+    _cubic_spline,
     complex_newton,
     derivative,
     integrate,
@@ -19,6 +25,7 @@ from gamow_thermo.numerics import (
 )
 
 SPEC = QuadratureSpec()
+_U = np.finfo(float).eps / 2
 
 
 class TestIntegrate:
@@ -280,3 +287,84 @@ class TestSpecValidation:
             RootSearchConfig(step_tol=-1.0)
         with pytest.raises(ValueError):
             RootSearchConfig(max_iter=0)
+
+
+def _not_a_knot_system(x, y):
+    """Dense slope equations A s = b of the not-a-knot cubic through
+    (x, y): C^2 at each inner knot, and a continuous third derivative
+    across x_1 and x_(n-2)."""
+    n, h = x.size, np.diff(x)
+    m = np.diff(y) / h
+    a, b = np.zeros((n, n)), np.zeros(n)
+    i = np.arange(1, n - 1)
+    a[i, i - 1], a[i, i], a[i, i + 1] = h[1:], 2.0 * (h[:-1] + h[1:]), h[:-1]
+    b[i] = 3.0 * (h[1:] * m[:-1] + h[:-1] * m[1:])
+    d = x[2] - x[0]
+    a[0, :2] = h[1], d
+    b[0] = ((h[0] + 2.0 * d) * h[1] * m[0] + h[0] ** 2 * m[1]) / d
+    d = x[-1] - x[-3]
+    a[-1, -2:] = d, h[-2]
+    b[-1] = (h[-1] ** 2 * m[-2] + (2.0 * d + h[-1]) * h[-2] * m[-1]) / d
+    return a, b
+
+
+@st.composite
+def _knot_sets(draw):
+    """n >= 4 knots on [0, L] with nonnegative values, optionally with
+    the density table's geometric ladders (1e-9 L to 1e-3 L) into one or
+    both ends."""
+    gaps = draw(st.lists(st.floats(0.05, 2.0), min_size=3, max_size=30))
+    x = np.concatenate([[0.0], np.cumsum(gaps)])
+    ladder = x[-1] * np.geomspace(1e-9, 1e-3, 19)
+    ends = draw(st.sampled_from(["none", "lo", "hi", "both"]))
+    parts = [x]
+    if ends in ("lo", "both"):
+        parts.append(x[0] + ladder)
+    if ends in ("hi", "both"):
+        parts.append(x[-1] - ladder)
+    x = np.unique(np.concatenate(parts))
+    y = draw(st.lists(st.floats(0.0, 100.0), min_size=x.size,
+                      max_size=x.size))
+    return x, np.array(y)
+
+
+class TestCubicSpline:
+    @settings(max_examples=100, deadline=None)
+    @given(knots=_knot_sets(),
+           where=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    def test_matches_scipy_not_a_knot(self, knots, where):
+        """Against SciPy's CubicSpline (default not-a-knot) within a bound
+        from rounding.  Each fit is backward stable: its slopes solve
+        (A + dA) s = b + db with |dA| <= 16u|A|, |db| <= 16u|b| (every
+        entry is formed in a few roundings, and elimination on the
+        diagonally dominant system grows no entry past twice its size),
+        so by Skeel's bound each slope is off by at most
+        E = 16u |A^-1| (|A| |s| + |b|).  In Hermite form a value on
+        [x_k, x_k+1] is y_k H00 + y_k+1 H01 + h s_k H10 + h s_k+1 H11
+        with every |H| <= 1: the pieces and Horner's rule add at most
+        16u (|y_k| + |y_k+1| + h (|s_k| + |s_k+1|)), the slopes
+        h (E_k + E_k+1).  Two fits carry it twice."""
+        x, y = knots
+        spline, ref = _cubic_spline(x, y), CubicSpline(x, y)
+        a, b = _not_a_knot_system(x, y)
+        s = np.abs(ref(x, 1))
+        slope_err = 16 * _U * np.abs(np.linalg.inv(a)) @ (np.abs(a) @ s
+                                                          + np.abs(b))
+        h = np.diff(x)
+        scale = y[:-1] + y[1:] + h * (s[:-1] + s[1:])
+        bound = 2.0 * (16 * _U * scale + h * (slope_err[:-1] + slope_err[1:]))
+        w = np.concatenate([x[0] + np.array(where) * (x[-1] - x[0]),
+                            0.5 * (x[:-1] + x[1:])])
+        k = np.clip(np.searchsorted(x, w, side="right") - 1, 0, h.size - 1)
+        assert np.all(np.abs(spline(w) - ref(w)) <= bound[k])
+        assert np.array_equal(spline(x[:-1]), y[:-1])
+        # the whole-range integral, as the density table takes it
+        table = DensityTable(spline=spline, norm_direct=0.0,
+                             max_refine_dev=0.0)
+        assert abs(table.norm - ref.integrate(x[0], x[-1])) \
+            <= np.sum(h * bound) + 2 * x.size * _U * np.sum(h * scale)
+        # a tabulated profile is the same spline, clipped at zero inside
+        profile = gt.TabulatedFormFactor(grid=x, values=y)
+        assert np.all(np.abs(profile.f2(w) - np.clip(ref(w), 0.0, None))
+                      <= bound[k])
+        assert np.array_equal(profile.f2(x[:-1]), y[:-1])
