@@ -601,12 +601,23 @@ print(json.dumps(loaded))
         assert loaded.pop("import") == []
         assert loaded == {name: [0, []] for name in runs}
 
-    def test_probe_sees_scipy_when_imported(self, tmp_path):
-        # the guard above would pass vacuously if the probe missed SciPy
+    @pytest.mark.parametrize("build", [
+        "gt.TabulatedFormFactor(grid=np.linspace(0.0, 10.0, 8), "
+        "values=np.ones(8))",
+        "gt.density_table(gt.FriedrichsModel(omega0=1.0, lam=0.1, "
+        "form_factor=gt.RationalFormFactor(scale=1.0)))",
+    ], ids=["tabulated", "density_table"])
+    def test_spline_builds_load_scipy_interpolate(self, tmp_path, build):
+        # Each spline build runs without SciPy; only an explicit import
+        # loads scipy.interpolate, and the probe sees it then, so the
+        # guard above cannot pass vacuously.
         script = f"""
-import gamow_thermo
+import numpy as np
+import gamow_thermo as gt
 before = {_SCIPY_LOADED}
+{build}
+built = {_SCIPY_LOADED}
 import scipy.interpolate
-print(json.dumps([before, "scipy.interpolate" in {_SCIPY_LOADED}]))
+print(json.dumps([before, built, "scipy.interpolate" in {_SCIPY_LOADED}]))
 """
-        assert _cold_run(script, tmp_path) == [[], True]
+        assert _cold_run(script, tmp_path) == [[], [], True]
