@@ -274,22 +274,29 @@ def self_energy(model: FriedrichsModel, z, sheet: str = "I",
 
     ff = model.form_factor
     lo, hi = ff.support
-    rim = (z.imag == 0.0) & (lo < z.real) & (z.real < hi)
     eta = z - model.omega0 - lam2 * principal_values(
         ff.f2, lo, hi, z, spec, scale=ff.scale_hint)
-    eta[rim] += 1j * np.pi * lam2 * np.asarray(ff.f2(z.real[rim]))
+    # the rim: real points strictly inside the support
+    rim = z.imag == 0.0
+    if np.count_nonzero(rim):
+        rim &= (lo < z.real) & (z.real < hi)
+        eta[rim] += 1j * np.pi * lam2 * np.asarray(ff.f2(z.real[rim]))
+        cut = ~rim
+    else:
+        cut = slice(None)
     if sheet == "II":
         # continuation through the cut: from above into Im z < 0, from
         # below into Im z > 0
-        off = z[~rim]
+        off = z[cut]
         with np.errstate(divide="ignore", invalid="ignore"):
-            jump = np.broadcast_to(2j * np.pi * lam2 * ff.f2_complex(off),
-                                   off.shape)
-        bad = off[~np.isfinite(jump)]
-        if bad.size:
+            jump = 2j * np.pi * lam2 * ff.f2_complex(off)
+        jump = np.where(off.imag < 0, jump, -jump)
+        bad = ~np.isfinite(jump)
+        if np.count_nonzero(bad):
             raise IntegrandError(f"eta_II is infinite at z = "
-                                 f"{complex(bad[0])!r}, a pole of f2_complex")
-        eta[~rim] += np.where(off.imag < 0, jump, -jump)
+                                 f"{complex(off[bad][0])!r}, a pole of "
+                                 f"f2_complex")
+        eta[cut] += jump
     return _unbox(eta.reshape(shape))
 
 
@@ -578,12 +585,15 @@ def _other_poles(poles, coupling, rows, base, tau):
     k = poles.size
     out = np.zeros((4, rows.size))
     step = max(1, _BLOCK // k)
+    buffer = np.empty((min(step, rows.size), k))
     for s in range(0, rows.size, step):
         r = rows[s:s + step]
         i = np.arange(r.size)
-        delta = (poles - base[s:s + step, None]) - tau[s:s + step, None]
+        ratio = buffer[:r.size]
+        np.subtract(poles, base[s:s + step, None], out=ratio)
+        np.subtract(ratio, tau[s:s + step, None], out=ratio)
         with np.errstate(divide="ignore", over="ignore"):
-            ratio = np.divide(coupling, delta, out=delta)
+            np.divide(coupling, ratio, out=ratio)
         # the gap's end poles are summed apart, exactly
         ratio[i[r > 0], r[r > 0] - 1] = 0.0
         ratio[i[r < k], r[r < k]] = 0.0
@@ -595,9 +605,8 @@ def _other_poles(poles, coupling, rows, base, tau):
         for side, cols, mask in ((0, slice(None, a), ~on_right),
                                  (1, slice(b, None), on_right)):
             part = np.where(mask, band, 0.0)
-            out[side, s:s + step] = (
-                np.einsum("ij,j->i", ratio[:, cols], coupling[cols])
-                + np.einsum("ij,j->i", part, coupling[a:b]))
+            out[side, s:s + step] = (ratio[:, cols] @ coupling[cols]
+                                     + part @ coupling[a:b])
             out[side + 2, s:s + step] = (
                 np.einsum("ij,ij->i", ratio[:, cols], ratio[:, cols])
                 + np.einsum("ij,ij->i", part, part))

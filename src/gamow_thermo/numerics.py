@@ -2,8 +2,8 @@
 
 Adaptive complex quadrature (Gauss-Kronrod 7-15 with bulk bisection) and,
 on the same kernel, the Cauchy integrals of g(w) / (z - w) for a whole
-array of z at once: principal values on the axis, a sinh-mapped window
-off it; complex Newton iteration with
+array of z at once, from a static first pass: principal values on the
+axis, a sinh-mapped window off it; complex Newton iteration with
 difference-quotient slopes from one array call per step, fixed-step RK4
 evolution of linear complex rates, Richardson-extrapolated finite
 differences, and the not-a-knot cubic spline.  Everything here is a pure
@@ -148,85 +148,130 @@ _WG = np.array([
     0.417959183673469387755102040816327,
 ])
 
-# full symmetric node/weight tables (negative side first, centre last)
+# full symmetric node table (negative side first, centre last) and its
+# Kronrod and Gauss weights
 _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
-_WK = np.concatenate([_WGK[:-1], _WGK[::-1]])
-_WG_FULL = np.zeros_like(_WK)
-_WG_FULL[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
+_WKG = np.zeros((2, _NODES.size))
+_WKG[0] = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_WKG[1, 1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 # first-pass panels of an integral (per piece of a Cauchy integral)
 _PV_PANELS = 4
-# first-pass edges of a Cauchy integral by its number of pieces: the
-# window and the one-sided piece, plus the tail on an infinite range
-_PV_EDGES = {pieces: np.linspace(0.0, pieces, pieces * _PV_PANELS + 1)
-             for pieces in (2, 3)}
 # (panel x node) points per integrand call of the batched quadrature
 _BLOCK = 2**15
+# the column of a panel's centre among its nodes
+_MID = _NODES.size // 2
+# the two sides x - d and x + d of a Cauchy window, as one array
+_SIDES = np.array([-1.0, 1.0])[:, None, None]
 
 
-def _panel_eval(fvec, lo: np.ndarray, hi: np.ndarray):
-    """Kronrod and Gauss sums over a batch of panels.
+def _first_pass(pieces: int, off: bool):
+    """The first-pass panels of a Cauchy integral with ``pieces`` pieces,
+    s in [p, p + 1) for piece p, each split into ``_PV_PANELS`` equal
+    panels; off the axis the window piece also splits at s = 1/16, 1/8,
+    7/8 and 15/16.
 
-    ``lo``/``hi`` are equal-length arrays of panel edges.  Returns the
-    Kronrod estimates (real for a real ``fvec``) and |K - G| error gauges,
-    both shaped like ``lo``.
+    Returns the panel edges, every node, the half-width of every panel and
+    the slice of each piece's nodes, the nodes given in the piece's own
+    coordinate s - p.
     """
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    pts = c[:, None] + h[:, None] * _NODES[None, :]
-    # a value that is not finite raises below; numpy's warnings would
-    # only repeat it
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals = np.asarray(fvec(pts.ravel())).reshape(pts.shape)
-    if not np.all(np.isfinite(vals)):
-        bad = pts.ravel()[~np.isfinite(vals.ravel())][0]
+    edges = np.linspace(0.0, pieces, pieces * _PV_PANELS + 1)
+    if off:
+        edges = np.insert(edges, [1, 1, _PV_PANELS, _PV_PANELS],
+                          [0.0625, 0.125, 0.875, 0.9375])
+    lo, hi = edges[:-1], edges[1:]
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    nodes = centre[:, None] + half[:, None] * _NODES
+    first = np.searchsorted(centre, np.arange(pieces + 1)) * _NODES.size
+    nodes = nodes.ravel() - np.repeat(np.arange(pieces), np.diff(first))
+    return edges, nodes, half, [slice(*first[p:p + 2])
+                                for p in range(pieces)]
+
+
+# the first pass of every batch kind: (off the axis, number of pieces)
+_PV_PASS = {(off, pieces): _first_pass(pieces, off)
+            for off in (False, True) for pieces in (2, 3)}
+
+
+def _kronrod(vals, half, x):
+    """Kronrod sums and |K - G| gauges of panels of half-width ``half``
+    whose node values, at the nodes ``x``, run along the last axis of
+    ``vals``; both shaped like ``vals`` without that axis."""
+    finite = np.isfinite(vals)
+    if not finite.all():
+        bad = np.broadcast_to(x, vals.shape)[~finite][0]
         raise IntegrandError(f"integrand is not finite near x = {bad!r}")
-    kron = h * (vals * _WK[None, :]).sum(axis=1)
-    gauss = h * (vals * _WG_FULL[None, :]).sum(axis=1)
-    return kron, np.abs(kron - gauss)
+    sums = half[:, None] * (vals[..., None, :] * _WKG).sum(axis=-1)
+    kron = sums[..., 0]
+    return kron, np.abs(kron - sums[..., 1])
 
 
-def _composite(f, edges: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
-    """Integrals over the rows of ``edges``, bisecting offending panels in bulk.
+def _panels(f, i: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Kronrod sums and |K - G| gauges of the panels [lo, hi] of rows
+    ``i``: ``f`` takes the rows as a column and the panels' nodes as the
+    rows of an array."""
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    x = centre[:, None] + half[:, None] * _NODES
+    return _kronrod(f(i[:, None], x), half, x)
 
-    Row i integrates ``f(i, x)`` from ``edges[i, 0]`` to ``edges[i, -1]``,
-    starting from the panels between consecutive entries.  Every panel gets
-    Gauss-Kronrod 7-15 and the gauge |K - G|.  A row whose summed gauge
+
+def _composite(f, edges: np.ndarray, first,
+               spec: QuadratureSpec) -> np.ndarray:
+    """Integrals over rows from their first pass, bisecting offending
+    panels in bulk.
+
+    Row i integrates ``f`` (see :func:`_panels`) from ``edges[0]`` to
+    ``edges[-1]``.  ``first`` yields the first pass of consecutive blocks
+    of rows: the Kronrod sums and |K - G| gauges (rows x panels) of their
+    panels between consecutive ``edges``.  A row whose summed gauge
     exceeds max(abs_tol, rel_tol * |I_i|) bisects each panel holding more
-    than half its share, and the new panels of all such rows are evaluated
-    together; a panel at float resolution is accepted as it stands.  Rows
-    never interact, so a row's result does not depend on its batch.
+    than half its share, and the new panels of all such rows are
+    evaluated together; a panel at float resolution is accepted as it
+    stands.  Only those rows keep their panels.  The sums run panel by
+    panel in order.  Rows never interact, so a row's result does not
+    depend on its batch.
     """
-    n, m = edges.shape[0], edges.shape[1] - 1
+    out, owner, val, err = [], [], [], []
+    offset = 0
+    for block_val, block_err in first:
+        total = np.cumsum(block_val, axis=1)[:, -1]
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        miss = np.flatnonzero(np.cumsum(block_err, axis=1)[:, -1] > tol)
+        if miss.size:
+            owner.append(offset + miss)
+            val.append(block_val[miss])
+            err.append(block_err[miss])
+        out.append(total)
+        offset += total.size
+    out = np.concatenate(out)
+    if not owner:
+        return out
+    # the rows that miss go on, numbered 0..n-1 among themselves
+    owner = np.concatenate(owner)
+    n, m = owner.size, edges.size - 1
     row = np.repeat(np.arange(n), m)
-    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    lo, hi = np.tile(edges[:-1], n), np.tile(edges[1:], n)
+    val, err = np.concatenate(val).ravel(), np.concatenate(err).ravel()
     count = np.full(n, m)
     step = _BLOCK // _NODES.size
 
     def evaluate(row, lo, hi):
-        kron, err = [], []
-        for s in range(0, lo.size, step):
-            owner = np.repeat(row[s:s + step], _NODES.size)
-            k, e = _panel_eval(lambda x: f(owner, x), lo[s:s + step],
-                               hi[s:s + step])
-            kron.append(k)
-            err.append(e)
-        return np.concatenate(kron), np.concatenate(err)
+        parts = [_panels(f, owner[row[s:s + step]], lo[s:s + step],
+                         hi[s:s + step]) for s in range(0, lo.size, step)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
 
-    val, err = evaluate(row, lo, hi)
     while True:
         total = np.zeros(n, dtype=val.dtype)
         np.add.at(total, row, val)
         tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
         open_rows = np.bincount(row, err, n) > tol
         if not open_rows.any():
-            return total
+            out[owner] = total
+            return out
         if count[open_rows].max() > spec.max_subdivisions:
             raise NonConvergence(
                 f"{spec.max_subdivisions} subdivisions exhausted on "
-                f"{int(open_rows.sum())} of {n} integrals")
+                f"{int(open_rows.sum())} of {out.size} integrals")
         split = np.flatnonzero(open_rows[row]
                                & (err > 0.5 * tol[row] / count[row]))
         mid = 0.5 * (lo[split] + hi[split])
@@ -348,14 +393,22 @@ def integrate(f, a: float, b: float,
     folded = np.isinf(b)
 
     def row(i, u):
+        w = u.ravel()
         if not folded:
-            return _on_array(f, u, contract)
-        one_minus = 1.0 - u
-        return _on_array(f, a + u / one_minus, contract) / one_minus**2
+            return _on_array(f, w, contract).reshape(u.shape)
+        one_minus = 1.0 - w
+        return (_on_array(f, a + w / one_minus, contract)
+                / one_minus**2).reshape(u.shape)
 
     edges = (np.linspace(0.0, 1.0, _PV_PANELS + 1) if folded
              else np.linspace(a, b, _PV_PANELS + 1))
-    return complex(_composite(row, edges[None, :], spec)[0])
+    lo, hi = edges[:-1], edges[1:]
+    # a value that is not finite raises; numpy's warnings would only
+    # repeat it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        val, err = _panels(row, np.zeros(lo.size, dtype=int), lo, hi)
+        return complex(_composite(row, edges, [(val[None], err[None])],
+                                  spec)[0])
 
 
 def principal_values(g, a: float, b: float, poles,
@@ -364,12 +417,12 @@ def principal_values(g, a: float, b: float, poles,
     """The Cauchy integrals of g(w) / (z - w) over [a, b], one per z in
     ``poles``: principal values for real z, plain integrals otherwise.
 
-    ``b`` may be +inf.  ``g`` maps float arrays to real arrays and must be
-    smooth around every Re z inside the support; a jump elsewhere only
-    costs bisection rounds.  Each z = x + iy splits [a, b] into three
-    pieces, concatenated into one integral per point on shared nodes and
-    refined by bisection where a point's Kronrod-Gauss gauge exceeds
-    max(abs_tol, rel_tol * |integral|):
+    ``b`` may be +inf.  ``g`` maps a float array of any shape to a real
+    array of that shape and must be smooth around every Re z inside the
+    support; a jump elsewhere only costs bisection rounds.  Each
+    z = x + iy splits [a, b] into three pieces, concatenated into one
+    integral per point on shared nodes and refined by bisection where a
+    point's Kronrod-Gauss gauge exceeds max(abs_tol, rel_tol * |integral|):
 
     - the window [x - r, x + r], r the distance from x to the nearer end
       (r = 0 when x lies at or outside an end), folded onto itself;
@@ -399,74 +452,128 @@ def principal_values(g, a: float, b: float, poles,
     and the piece goes in d itself.  Real z give real results.  Real and
     off-axis points are two batches of the bulk kernel, so each result is
     that of its single-point call.
+
+    The first pass is static: each batch kind (on or off the axis, two or
+    three pieces) starts from one table of panels in s, four per piece,
+    and off the axis the window also splits at v/v_win = 1/16, 1/8, 7/8
+    and 15/16, its two ends, where a narrow resonance's integrand varies
+    fastest in v.  Each piece's integrand is evaluated once, as one
+    (points x nodes) broadcast, and a point with an empty window (r = 0)
+    takes zero there without calling g.  So a call costs about the same
+    for one point as for a few: its cost is per call, not per point.
+    Only points that miss their tolerance go on to bisection, which
+    evaluates each new panel with the integrand of its piece.
     """
     spec = spec or QuadratureSpec()
     z = np.asarray(poles).ravel()
     x, y = np.real(z).astype(float), np.imag(z).astype(float)
-    at_end = (y == 0.0) & ((x == a) | (x == b))
-    if at_end.any() and np.any(np.asarray(g(x[at_end])) != 0.0):
-        raise IntegrandError(f"the integral diverges at a support end of "
-                             f"[{a!r}, {b!r}] where g does not vanish")
+    off = y != 0.0
+    n_off = np.count_nonzero(off)
+    # a value that is not finite raises; numpy's warnings would only
+    # repeat it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if n_off in (0, z.size):
+            return _cauchy(g, a, b, x, y, n_off > 0, scale, spec)
+        out = np.empty(z.shape, dtype=complex)
+        for rows, kind in ((off, True), (~off, False)):
+            out[rows] = _cauchy(g, a, b, x[rows], y[rows], kind, scale, spec)
+    return out
+
+
+def _cauchy(g, a: float, b: float, x: np.ndarray, y: np.ndarray, off: bool,
+            scale: float, spec: QuadratureSpec) -> np.ndarray:
+    """The Cauchy integrals of :func:`principal_values` for one batch
+    kind: every z = x + iy on the axis, or every one off it."""
+    if not x.size:
+        return np.empty(0, dtype=complex if off else float)
+    if not off:
+        at_end = (x == a) | (x == b)
+        if np.count_nonzero(at_end) and np.any(g(x[at_end]) != 0.0):
+            raise IntegrandError(f"the integral diverges at a support end "
+                                 f"of [{a!r}, {b!r}] where g does not "
+                                 f"vanish")
     near, far = x - a, b - x
     nearer = np.minimum(near, far)
     r, start = np.maximum(nearer, 0.0), np.abs(nearer)
     side = np.where(near <= far, 1.0, -1.0)
-    end = np.maximum(near, far)
-    edges = _PV_EDGES[2]
-    if np.isinf(b):
-        edges = _PV_EDGES[3]
-        end = start + 4.0 * scale
-    off = y != 0.0
-    ay, sign = np.abs(y), np.sign(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    infinite = b == np.inf
+    end = start + 4.0 * scale if infinite else np.maximum(near, far)
+
+    # the integrand of each piece in its own coordinate u = s - p in
+    # [0, 1): j picks the rows, as a column
+    if not off:
         span = np.log(end / start)
-        v_win = np.arcsinh(r / ay)
-        v_lo, v_hi = np.arcsinh(start / ay), np.arcsinh(end / ay)
 
-    def on_axis(i, s):
-        out = np.empty(s.shape)
-        win, one, tail = s < 1.0, (s >= 1.0) & (s < 2.0), s >= 2.0
-        j, u = i[win], s[win]
-        out[win] = (g(x[j] - r[j] * u) - g(x[j] + r[j] * u)) / u
-        j, u = i[one], s[one] - 1.0
-        # an end point (start = 0, g vanishing there) goes in d itself
-        linear = start[j] == 0.0
-        d = np.where(linear, u * end[j], start[j] * np.exp(u * span[j]))
-        rate = np.where(linear, end[j] / d, span[j])
-        out[one] = -side[j] * rate * g(x[j] + side[j] * d)
-        j, q = i[tail], s[tail] - 2.0
-        out[tail] = -g(x[j] + end[j] / q) / q
-        return out
+        def window(j, u):
+            down, up = g(x[j] + _SIDES * (r[j] * u))
+            return (down - up) / u
 
-    def off_axis(i, s):
+        def one_sided(j, u):
+            # an end point (start = 0, g vanishing there) goes in d itself
+            linear = start[j] == 0.0
+            d = np.where(linear, u * end[j], start[j] * np.exp(u * span[j]))
+            rate = np.where(linear, end[j] / d, span[j])
+            return -side[j] * rate * g(x[j] + side[j] * d)
+
+        def tail(j, q):
+            return -g(x[j] + end[j] / q) / q
+    else:
+        ay, i_sign = np.abs(y), 1j * np.sign(y)
+        v_win, v_lo, v_hi = np.arcsinh(np.array([r, start, end]) / ay)
+        width, lever = v_hi - v_lo, side * ay
+
         # cosh v / (i sign y - side sinh v)
         #     = -(side tanh v + i sign y / cosh v), summed over both sides
         #       on the window
-        out = np.empty(s.shape, dtype=complex)
-        win, one, tail = s < 1.0, (s >= 1.0) & (s < 2.0), s >= 2.0
-        j = i[win]
-        v = s[win] * v_win[j]
-        t = ay[j] * np.sinh(v)
-        up, down = g(x[j] + t), g(x[j] - t)
-        out[win] = v_win[j] * (np.tanh(v) * (down - up)
-                               - 1j * sign[j] * (up + down) / np.cosh(v))
-        j = i[one]
-        width = v_hi[j] - v_lo[j]
-        v = v_lo[j] + (s[one] - 1.0) * width
-        out[one] = -width * g(x[j] + side[j] * ay[j] * np.sinh(v)) * (
-            side[j] * np.tanh(v) + 1j * sign[j] / np.cosh(v))
-        j, q = i[tail], s[tail] - 2.0
-        out[tail] = -g(x[j] + end[j] / q) / (q - 1j * y[j] * q * q / end[j])
-        return out
+        def window(j, u):
+            v = u * v_win[j]
+            down, up = g(x[j] + _SIDES * (ay[j] * np.sinh(v)))
+            return v_win[j] * (np.tanh(v) * (down - up)
+                               - i_sign[j] * ((up + down) / np.cosh(v)))
 
-    out = np.empty(z.shape, dtype=complex if off.any() else float)
-    for rows, integrand in ((~off, on_axis), (off, off_axis)):
-        if rows.any():
-            index = np.flatnonzero(rows)
-            first = np.broadcast_to(edges, (index.size, edges.size))
-            out[rows] = _composite(lambda i, s: integrand(index[i], s),
-                                   first, spec)
-    return out
+        def one_sided(j, u):
+            v = v_lo[j] + u * width[j]
+            return -width[j] * g(x[j] + lever[j] * np.sinh(v)) * (
+                side[j] * np.tanh(v) + i_sign[j] / np.cosh(v))
+
+        def tail(j, q):
+            return -g(x[j] + end[j] / q) / (q - 1j * y[j] * q * q / end[j])
+
+    pieces = [window, one_sided, tail][:2 + infinite]
+    dtype = complex if off else float
+
+    def by_piece(i, s):
+        # a bisected panel lies inside one piece: its centre names it
+        piece = s[:, _MID].astype(int)
+        vals = np.empty(s.shape, dtype=dtype)
+        for p, f in enumerate(pieces):
+            sel = piece == p
+            if sel.any():
+                vals[sel] = f(i[sel], s[sel] - p)
+        return vals
+
+    # the static first pass, by blocks of rows: each piece's nodes are one
+    # broadcast over the block; rows with an empty window (r = 0) take
+    # zero there
+    edges, nodes, half, cut = _PV_PASS[off, len(pieces)]
+
+    def first_pass():
+        step = max(1, _BLOCK // nodes.size)
+        for s in range(0, x.size, step):
+            rows = slice(s, s + step)
+            vals = np.empty((r[rows].size, nodes.size), dtype=dtype)
+            for f, part in zip(pieces, cut):
+                if f is window and np.count_nonzero(r[rows]) < len(vals):
+                    vals[:, part] = 0.0
+                    live = np.flatnonzero(r[rows])
+                    if live.size:
+                        vals[live, part] = f(s + live[:, None], nodes[part])
+                else:
+                    vals[:, part] = f((rows, None), nodes[part])
+            yield _kronrod(vals.reshape(len(vals), half.size, _NODES.size),
+                           half, nodes.reshape(half.size, _NODES.size))
+
+    return _composite(by_piece, edges, first_pass(), spec)
 
 
 def complex_newton(g, cfg: RootSearchConfig) -> complex:

@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
 """Regenerate the golden CSV/JSON fixtures from the checked-in configs.
 
-Run from anywhere: python tests/golden/refresh.py
+Run from anywhere: python tests/golden/refresh.py [--check]
 Only refresh on purpose; the regression test compares bytes.  For every
 fixture it prints whether the file changed and, if it did, the largest
 absolute deviation between numbers at the same place (JSON path or CSV
 cell) in the old and the new file, plus the places that appeared,
 disappeared or changed in something other than a number.
+
+With --check the fixtures are regenerated into a temporary directory and
+only the report is printed: ``expected/`` is left as it is, and the exit
+code is 1 when any fixture would change.
 """
 
+import argparse
 import json
+import tempfile
 from pathlib import Path
 
 from gamow_thermo.cli import main as cli_main
@@ -67,21 +73,46 @@ def compare(path: Path, old: str | None, new: str) -> str:
             f"{other} other values changed")
 
 
-def main() -> int:
-    expected = HERE / "expected"
-    expected.mkdir(exist_ok=True)
-    old = {p.name: p.read_text() for p in expected.iterdir() if p.is_file()}
+def regenerate(target: Path) -> int:
+    """Run every golden config, writing its fixtures into ``target``;
+    returns the first nonzero exit code, else 0."""
     for command in COMMANDS:
         cfg = HERE / "configs" / f"{command}.cfg"
-        out = expected / f"{command}.csv"
+        out = target / f"{command}.csv"
         code = cli_main([command, "--config", str(cfg), "--out", str(out),
                          "--quiet"])
         if code != 0:
             print(f"[x] {command} exited {code}")
             return code
-    for path in sorted(p for p in expected.iterdir() if p.is_file()):
-        report = compare(path, old.get(path.name), path.read_text())
-        print(f"{path.name}: {report}")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="report against expected/ without writing it; "
+                             "exit 1 if any fixture would change")
+    args = parser.parse_args(argv)
+    expected = HERE / "expected"
+    expected.mkdir(exist_ok=True)
+    old = {p.name: p.read_text() for p in expected.iterdir() if p.is_file()}
+    with tempfile.TemporaryDirectory() as scratch:
+        target = Path(scratch) if args.check else expected
+        code = regenerate(target)
+        if code != 0:
+            return code
+        new = {p.name: p.read_text() for p in target.iterdir()
+               if p.is_file()}
+    changed = False
+    for name in sorted(old.keys() | new.keys()):
+        report = ("removed" if name not in new else
+                  compare(Path(name), old.get(name), new[name]))
+        changed |= report != "unchanged"
+        print(f"{name}: {report}")
+    if args.check:
+        print(f"[{'x' if changed else 'ok'}] fixtures under {expected} "
+              f"{'would change' if changed else 'are current'}")
+        return int(changed)
     print(f"[ok] fixtures refreshed under {expected}")
     return 0
 

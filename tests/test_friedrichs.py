@@ -593,9 +593,9 @@ def dense_oracle(model, n_bins, omega_max):
     gap = np.abs(vals[:, None] - vals[None, :]) - resid[None, :]
     np.fill_diagonal(gap, np.inf)
     gap = gap.min(axis=1)
-    with np.errstate(divide="ignore"):
-        spread = np.where(resid == 0.0, 0.0,
-                          np.where(gap > 0.0, 2.0 * resid / gap, np.inf))
+    spread = np.where(resid == 0.0, 0.0, np.inf)
+    bounded = (resid != 0.0) & (gap > 0.0)
+    spread[bounded] = 2.0 * resid[bounded] / gap[bounded]
     return grid, coupling**2, vals, vecs[0] ** 2, spread
 
 

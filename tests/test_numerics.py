@@ -154,6 +154,99 @@ class TestPrincipalValue:
                              [0.5], SPEC)
 
 
+def _recording(g):
+    """``g``, and the list of the point arrays of its calls."""
+    seen = []
+
+    def recorded(w):
+        seen.append(np.array(w))
+        return g(w)
+
+    return recorded, seen
+
+
+def _bump_cauchy(z, top, c, s):
+    """Integral of g(w) / (z - w) over [0, top] for the bump
+    g = 1/((w - c)^2 + s^2), by partial fractions over its poles
+    p, q = c +- is; its real part is the principal value for real z
+    inside the range."""
+    z, p, q = np.asarray(z, dtype=complex), c + 1j * s, c - 1j * s
+    a = 1.0 / ((z - p) * (z - q))
+    b, d = 1.0 / ((p - q) * (z - p)), 1.0 / ((q - p) * (z - q))
+    out = a * np.log(z) - b * np.log(-p) - d * np.log(-q)
+    if np.isinf(top):
+        # the logarithms at the far end cancel up to a log(-1) = +-i pi
+        return out - a * 1j * np.pi * np.where(z.imag < 0, -1.0, 1.0)
+    return out - a * np.log(z - top) + b * np.log(top - p) \
+        + d * np.log(top - q)
+
+
+# g's points per z in the first pass, by piece: four Kronrod-15 panels a
+# piece; the window sees both sides of Re z, and off the axis it has four
+# more panels
+_WINDOW_ON, _WINDOW_OFF, _PIECE = 2 * 4 * 15, 2 * 8 * 15, 4 * 15
+
+
+class TestFirstPass:
+    """Work counts of the Cauchy kernel: its static first pass calls g
+    once per piece, on every point's nodes at once."""
+
+    @pytest.mark.parametrize("lam", [0.03, 0.1, 0.25])
+    @pytest.mark.parametrize("profile", [gt.FlatCutoff(cutoff=10.0),
+                                         gt.RationalFormFactor(scale=1.0)],
+                             ids=["flat", "rational"])
+    def test_pole_stencil_needs_no_bisection(self, profile, lam):
+        model = gt.FriedrichsModel(omega0=1.0, lam=lam, form_factor=profile)
+        z = gt.find_pole(model).z
+        h = 1e-6 * max(1.0, abs(z))
+        g, seen = _recording(profile.f2)
+        lo, hi = profile.support
+        principal_values(g, lo, hi, [z, z + h, z - h], SPEC,
+                         scale=profile.scale_hint)
+        pieces = [_WINDOW_OFF, _PIECE, _PIECE][:3 if np.isinf(hi) else 2]
+        assert [w.size for w in seen] == [3 * n for n in pieces]
+
+    def test_empty_window_calls_no_g(self):
+        # Re z at or outside the support's end: the window is empty, and
+        # only the live point of the off-axis batch reaches the window's g
+        z = np.array([0.3 - 0.2j, -2.0 - 1.0j, 0.5j, -2.0])
+        g, seen = _recording(lambda w: 1.0 / (1.0 + w * w))
+        val = principal_values(g, 0.0, np.inf, z, SPEC)
+        assert np.max(np.abs(val - _bump_cauchy(z, np.inf, 0.0, 1.0))) \
+            < 1e-10
+        assert [w.size for w in seen] == [
+            _WINDOW_OFF, 3 * _PIECE, 3 * _PIECE,  # off the axis
+            _PIECE, _PIECE]                       # z = -2, on it
+        # no point of an empty window (Re z itself, or below the support)
+        # reaches g
+        assert all(np.all(w > 0.0) for w in seen[1:])
+
+    @pytest.mark.parametrize("top", [4.0, np.inf], ids=["finite", "infinite"])
+    @pytest.mark.parametrize("z", [0.3, 0.3 - 0.2j], ids=["rim", "off"])
+    def test_forced_bisection_reaches_every_piece(self, z, top):
+        # one narrow bump in each piece around Re z = 0.3: the window
+        # [0, 0.6], the one-sided piece up to the far end (finite) or to
+        # 4.6 = 0.3 + T (T = 0.3 + 4 scale), and the tail beyond
+        bumps = [(0.15, 0.02), (2.0, 0.05), (20.0, 0.5)]
+        g, seen = _recording(lambda w: sum(1.0 / ((w - c) ** 2 + s * s)
+                                           for c, s in bumps))
+        tight = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14)
+        val = principal_values(g, 0.0, top, [z], tight)[0]
+        exact = sum(_bump_cauchy(z, top, c, s) for c, s in bumps)
+        if not np.iscomplex(z):
+            exact = exact.real
+        assert abs(val - exact) <= 1e-12 * abs(exact)
+        # after one first-pass call per piece, every call is one bisection
+        # round of one piece, told apart by where its points lie
+        pieces = 2 if np.isfinite(top) else 3
+        rounds = seen[pieces:]
+        window = [w for w in rounds if w.max() <= 0.6]
+        one_sided = [w for w in rounds if 0.6 <= w.min() and w.max() <= 4.6]
+        tail = [w for w in rounds if 4.6 <= w.min()]
+        assert len(window) + len(one_sided) + len(tail) == len(rounds)
+        assert window and one_sided and (tail or pieces == 2)
+
+
 class TestComplexNewton:
     CASES = [
         (lambda z: z * z + 1.0, 0.1 + 0.9j, 1j),
