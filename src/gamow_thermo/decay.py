@@ -194,18 +194,8 @@ class DensityTable:
     def knots(self) -> np.ndarray:
         return self.spline.x
 
-    @functools.cached_property
-    def _ends(self) -> tuple[float, float]:
-        # Python floats: with numpy-scalar bounds a scalar call, as the
-        # QUADPACK references in the tests make, is about a third slower
-        return float(self.knots[0]), float(self.knots[-1])
-
     def __call__(self, omega):
-        w = np.asarray(omega, dtype=float)
-        lo, hi = self._ends
-        out = np.where((w >= lo) & (w <= hi),
-                       self.spline(np.clip(w, lo, hi)), 0.0)
-        return out if out.ndim else float(out)
+        return self.spline(omega)
 
     @property
     def norm(self) -> float:

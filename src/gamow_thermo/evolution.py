@@ -118,9 +118,10 @@ def temperature_monotonicity(pole: ResonancePole, t_grid,
     """Thermal factors across temperatures: hotter means a smaller creation
     coefficient and a larger annihilation coefficient.
 
-    With tau = beta = 1/(kT), the moduli are exp(+beta E_R) and
-    exp(-beta E_R); the first column strictly decreases with T, the second
-    strictly increases, and their product stays 1.
+    With tau = beta = 1/(kT), the moduli of the :func:`thermal_evolve`
+    factors are exp(+beta E_R) and exp(-beta E_R); the first column
+    strictly decreases with T, the second strictly increases, and their
+    product stays 1.
     """
     temps = np.asarray(t_grid, dtype=float)
     if temps.ndim != 1 or temps.size < 1:
@@ -128,11 +129,11 @@ def temperature_monotonicity(pole: ResonancePole, t_grid,
     if np.any(temps <= 0) or np.any(np.diff(temps) <= 0):
         raise ValueError("temperatures must be positive and increasing")
     beta = 1.0 / (k * temps)
-    if np.any(beta * pole.e_r > _EXP_GUARD):
-        raise OverflowError("lowest temperature overflows the thermal factor")
-    return MonotonicityTable(temperatures=temps,
-                             in_factors=np.exp(beta * pole.e_r),
-                             out_factors=np.exp(-beta * pole.e_r))
+    in_factors, out_factors = (
+        np.abs(thermal_evolve(LadderCoefficient(mode), pole, beta).value)
+        for mode in Mode)
+    return MonotonicityTable(temperatures=temps, in_factors=in_factors,
+                             out_factors=out_factors)
 
 
 def verify_ode_solutions(pole: ResonancePole, tau_grid) -> float:

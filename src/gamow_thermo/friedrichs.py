@@ -106,8 +106,8 @@ class FlatCutoff(FormFactor):
 
     def f2(self, omega):
         omega = np.asarray(omega, dtype=float)
-        out = np.where((omega >= 0.0) & (omega <= self.cutoff), 1.0, 0.0)
-        return out if out.ndim else float(out)
+        return _unbox(np.where((omega >= 0.0) & (omega <= self.cutoff),
+                               1.0, 0.0))
 
     def f2_complex(self, z):
         return 1.0 + 0.0j
@@ -133,9 +133,8 @@ class RationalFormFactor(FormFactor):
 
     def f2(self, omega):
         omega = np.asarray(omega, dtype=float)
-        out = np.where(omega >= 0.0,
-                       omega / (np.pi * (omega**2 + self.scale**2)), 0.0)
-        return out if out.ndim else float(out)
+        return _unbox(np.where(
+            omega >= 0.0, omega / (np.pi * (omega**2 + self.scale**2)), 0.0))
 
     def f2_complex(self, z):
         return z / (np.pi * (z * z + self.scale**2))
@@ -166,6 +165,8 @@ class TabulatedFormFactor(FormFactor):
         values = np.asarray(self.values, dtype=float)
         if grid.ndim != 1 or grid.size < 4:
             raise ValueError("tabulated form factor needs >= 4 grid points")
+        if not (np.isfinite(grid).all() and np.isfinite(values).all()):
+            raise ValueError("tabulated grid and f^2 samples must be finite")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("tabulated grid must be strictly increasing")
         if grid[0] < 0:
@@ -187,12 +188,8 @@ class TabulatedFormFactor(FormFactor):
         return cls(grid=data[:, 0], values=data[:, 1])
 
     def f2(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        inside = (omega >= self.grid[0]) & (omega <= self.grid[-1])
-        interp = self._spline(np.clip(omega, self.grid[0], self.grid[-1]))
         # the interpolant may undershoot between nonnegative samples
-        out = np.where(inside, np.clip(interp, 0.0, None), 0.0)
-        return out if out.ndim else float(out)
+        return _unbox(np.clip(self._spline(omega), 0.0, None))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -379,7 +376,7 @@ def spectral_density(model: FriedrichsModel, omega,
     if np.any(inside):
         eta = self_energy(model, arr[inside], "I", spec)
         rho[inside] = model.lam**2 * f2[inside] / np.abs(eta) ** 2
-    return rho if rho.ndim else float(rho)
+    return _unbox(rho)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ function of its arguments.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,29 +157,28 @@ _WKG = np.zeros((2, _NODES.size))
 _WKG[0] = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _WKG[1, 1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
-# first-pass panels of an integral (per piece of a Cauchy integral)
-_PV_PANELS = 4
+# first-pass panels per piece of an integral
+_PANELS = 4
 # (panel x node) points per integrand call of the batched quadrature
 _BLOCK = 2**15
-# the column of a panel's centre among its nodes
-_MID = _NODES.size // 2
 # the two sides x - d and x + d of a Cauchy window, as one array
 _SIDES = np.array([-1.0, 1.0])[:, None, None]
 
 
+@functools.cache
 def _first_pass(pieces: int, off: bool):
-    """The first-pass panels of a Cauchy integral with ``pieces`` pieces,
-    s in [p, p + 1) for piece p, each split into ``_PV_PANELS`` equal
-    panels; off the axis the window piece also splits at s = 1/16, 1/8,
-    7/8 and 15/16.
+    """The static first pass of an integral with ``pieces`` pieces, s in
+    [p, p + 1) for piece p, each split into ``_PANELS`` equal panels;
+    off the axis the window piece of a Cauchy integral also splits at
+    s = 1/16, 1/8, 7/8 and 15/16.
 
     Returns the panel edges, every node, the half-width of every panel and
     the slice of each piece's nodes, the nodes given in the piece's own
     coordinate s - p.
     """
-    edges = np.linspace(0.0, pieces, pieces * _PV_PANELS + 1)
+    edges = np.linspace(0.0, pieces, pieces * _PANELS + 1)
     if off:
-        edges = np.insert(edges, [1, 1, _PV_PANELS, _PV_PANELS],
+        edges = np.insert(edges, [1, 1, _PANELS, _PANELS],
                           [0.0625, 0.125, 0.875, 0.9375])
     lo, hi = edges[:-1], edges[1:]
     centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -186,11 +187,6 @@ def _first_pass(pieces: int, off: bool):
     nodes = nodes.ravel() - np.repeat(np.arange(pieces), np.diff(first))
     return edges, nodes, half, [slice(*first[p:p + 2])
                                 for p in range(pieces)]
-
-
-# the first pass of every batch kind: (off the axis, number of pieces)
-_PV_PASS = {(off, pieces): _first_pass(pieces, off)
-            for off in (False, True) for pieces in (2, 3)}
 
 
 def _kronrod(vals, half, x):
@@ -206,65 +202,85 @@ def _kronrod(vals, half, x):
     return kron, np.abs(kron - sums[..., 1])
 
 
-def _panels(f, i: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Kronrod sums and |K - G| gauges of the panels [lo, hi] of rows
-    ``i``: ``f`` takes the rows as a column and the panels' nodes as the
-    rows of an array."""
-    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    x = centre[:, None] + half[:, None] * _NODES
-    return _kronrod(f(i[:, None], x), half, x)
-
-
-def _composite(f, edges: np.ndarray, first,
-               spec: QuadratureSpec) -> np.ndarray:
-    """Integrals over rows from their first pass, bisecting offending
+def _composite(pieces, table, n: int, spec: QuadratureSpec, dtype,
+               live=()) -> np.ndarray:
+    """The integrals of ``n`` rows over s in [0, len(pieces)) from the
+    first pass ``table`` of :func:`_first_pass`, bisecting offending
     panels in bulk.
 
-    Row i integrates ``f`` (see :func:`_panels`) from ``edges[0]`` to
-    ``edges[-1]``.  ``first`` yields the first pass of consecutive blocks
-    of rows: the Kronrod sums and |K - G| gauges (rows x panels) of their
-    panels between consecutive ``edges``.  A row whose summed gauge
-    exceeds max(abs_tol, rel_tol * |I_i|) bisects each panel holding more
-    than half its share, and the new panels of all such rows are
-    evaluated together; a panel at float resolution is accepted as it
-    stands.  Only those rows keep their panels.  The sums run panel by
-    panel in order.  Rows never interact, so a row's result does not
-    depend on its batch.
+    Piece p covers s in [p, p + 1): ``pieces[p](j, u)`` is its integrand
+    at the rows j (an index that picks them as a column) and the nodes
+    u = s - p (the rows of an array), shaped like their broadcast.
+    ``live`` holds, for the leading pieces, a mask of the rows where the
+    piece can be nonzero; the other rows take zero there without a call.
+
+    The first pass goes by blocks of rows, each piece's nodes one
+    broadcast over the block.  A row whose summed gauge exceeds
+    max(abs_tol, rel_tol * |I_i|) bisects each panel holding more than
+    half its share, and the new panels of all such rows are evaluated
+    together, each with the integrand of its piece; a panel at float
+    resolution is accepted as it stands.  The sums run panel by panel in
+    order.  Rows never interact, so a row's result does not depend on
+    its batch.
     """
+    edges, nodes, half, cut = table
     out, owner, val, err = [], [], [], []
-    offset = 0
-    for block_val, block_err in first:
+    step = max(1, _BLOCK // nodes.size)
+    for s in range(0, n, step):
+        rows = slice(s, min(s + step, n))
+        vals = np.empty((rows.stop - s, nodes.size), dtype=dtype)
+        for f, part, mask in itertools.zip_longest(pieces, cut, live):
+            if mask is None or np.count_nonzero(mask[rows]) == len(vals):
+                vals[:, part] = f((rows, None), nodes[part])
+                continue
+            hit = np.flatnonzero(mask[rows])
+            vals[:, part] = 0.0
+            if hit.size:
+                vals[hit, part] = f(s + hit[:, None], nodes[part])
+        block_val, block_err = _kronrod(
+            vals.reshape(len(vals), half.size, _NODES.size), half,
+            nodes.reshape(half.size, _NODES.size))
         total = np.cumsum(block_val, axis=1)[:, -1]
         tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
         miss = np.flatnonzero(np.cumsum(block_err, axis=1)[:, -1] > tol)
         if miss.size:
-            owner.append(offset + miss)
+            owner.append(s + miss)
             val.append(block_val[miss])
             err.append(block_err[miss])
         out.append(total)
-        offset += total.size
     out = np.concatenate(out)
     if not owner:
         return out
-    # the rows that miss go on, numbered 0..n-1 among themselves
+    # the rows that miss go on, numbered 0..k-1 among themselves
     owner = np.concatenate(owner)
-    n, m = owner.size, edges.size - 1
-    row = np.repeat(np.arange(n), m)
-    lo, hi = np.tile(edges[:-1], n), np.tile(edges[1:], n)
+    k, m = owner.size, edges.size - 1
+    row = np.repeat(np.arange(k), m)
+    lo, hi = np.tile(edges[:-1], k), np.tile(edges[1:], k)
     val, err = np.concatenate(val).ravel(), np.concatenate(err).ravel()
-    count = np.full(n, m)
+    count = np.full(k, m)
     step = _BLOCK // _NODES.size
 
     def evaluate(row, lo, hi):
-        parts = [_panels(f, owner[row[s:s + step]], lo[s:s + step],
-                         hi[s:s + step]) for s in range(0, lo.size, step)]
+        # a bisected panel lies inside one piece: its centre names it
+        parts = []
+        for c in range(0, lo.size, step):
+            centre = 0.5 * (lo[c:c + step] + hi[c:c + step])
+            half = 0.5 * (hi[c:c + step] - lo[c:c + step])
+            s = centre[:, None] + half[:, None] * _NODES
+            j, piece = owner[row[c:c + step]][:, None], centre.astype(int)
+            vals = np.empty(s.shape, dtype=dtype)
+            for p, f in enumerate(pieces):
+                sel = piece == p
+                if sel.any():
+                    vals[sel] = f(j[sel], s[sel] - p)
+            parts.append(_kronrod(vals, half, s))
         return tuple(np.concatenate(part) for part in zip(*parts))
 
     while True:
-        total = np.zeros(n, dtype=val.dtype)
+        total = np.zeros(k, dtype=val.dtype)
         np.add.at(total, row, val)
         tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
-        open_rows = np.bincount(row, err, n) > tol
+        open_rows = np.bincount(row, err, k) > tol
         if not open_rows.any():
             out[owner] = total
             return out
@@ -286,7 +302,7 @@ def _composite(f, edges: np.ndarray, first,
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
         new_val, new_err = evaluate(new_row, new_lo, new_hi)
-        count += np.bincount(row[split], minlength=n)
+        count += np.bincount(row[split], minlength=k)
         row = np.concatenate([row[keep], new_row])
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
@@ -297,19 +313,23 @@ def _composite(f, edges: np.ndarray, first,
 @dataclass(frozen=True, eq=False)
 class PiecewiseCubic:
     """A cubic on each interval [x_k, x_k+1]: at x_k + d its value is
-    c[0, k] d^3 + c[1, k] d^2 + c[2, k] d + c[3, k].  Points outside the
-    knots are extrapolated from the nearest end interval."""
+    c[0, k] d^3 + c[1, k] d^2 + c[2, k] d + c[3, k].  It is zero outside
+    [x_0, x_n]; a scalar point gives a float."""
 
     x: np.ndarray
     c: np.ndarray
 
     def __call__(self, omega):
         w = np.asarray(omega, dtype=float)
+        lo, hi = self.x[0], self.x[-1]
+        # clipped first, so that far-out points stay clear of overflow
+        inner = np.clip(w, lo, hi)
         # the inner knots at or below w number the interval, end ones kept
-        k = np.searchsorted(self.x[1:-1], w, side="right")
-        d = w - self.x[k]
+        k = np.searchsorted(self.x[1:-1], inner, side="right")
+        d = inner - self.x[k]
         c0, c1, c2, c3 = self.c[:, k]
-        return ((c0 * d + c1) * d + c2) * d + c3
+        return _unbox(np.where((w >= lo) & (w <= hi),
+                               ((c0 * d + c1) * d + c2) * d + c3, 0.0))
 
 
 def _cubic_spline(x, y) -> PiecewiseCubic:
@@ -374,11 +394,12 @@ def integrate(f, a: float, b: float,
     """Integrate a complex-valued ``f`` over [a, b], b possibly +inf.
 
     ``f`` maps a float array to an array of the same shape.  The range
-    is one row of the bulk kernel, starting from equal panels; [a, inf)
-    is folded onto [0, 1) through w = a + u/(1-u).  The
-    Kronrod-Gauss gauge only sees the integrand at its nodes, so the range
-    should end where the integrand's support ends: a drop to zero between
-    a panel's outermost node and its edge goes unnoticed.
+    is one row and one piece of the bulk kernel, on u in [0, 1): a finite
+    range maps as w = a + (b - a) u, and [a, inf) folds through
+    w = a + u/(1-u).  The Kronrod-Gauss gauge only sees the integrand at
+    its nodes, so the range should end where the integrand's support
+    ends: a drop to zero between a panel's outermost node and its edge
+    goes unnoticed.
 
     Returns the integral estimate; raises :class:`NonConvergence` when the
     subdivision budget runs out, :class:`IntegrandError` on NaN/inf and
@@ -390,25 +411,20 @@ def integrate(f, a: float, b: float,
     contract = ("the integrand must map a float array to an array of the "
                 "same shape")
 
-    folded = np.isinf(b)
-
-    def row(i, u):
+    def piece(rows, u):
         w = u.ravel()
-        if not folded:
-            return _on_array(f, w, contract).reshape(u.shape)
-        one_minus = 1.0 - w
-        return (_on_array(f, a + w / one_minus, contract)
-                / one_minus**2).reshape(u.shape)
+        if b < np.inf:
+            vals = (b - a) * _on_array(f, a + (b - a) * w, contract)
+        else:
+            one_minus = 1.0 - w
+            vals = _on_array(f, a + w / one_minus, contract) / one_minus**2
+        return vals.reshape(u.shape)
 
-    edges = (np.linspace(0.0, 1.0, _PV_PANELS + 1) if folded
-             else np.linspace(a, b, _PV_PANELS + 1))
-    lo, hi = edges[:-1], edges[1:]
     # a value that is not finite raises; numpy's warnings would only
     # repeat it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        val, err = _panels(row, np.zeros(lo.size, dtype=int), lo, hi)
-        return complex(_composite(row, edges, [(val[None], err[None])],
-                                  spec)[0])
+        return complex(_composite([piece], _first_pass(1, False), 1, spec,
+                                  complex)[0])
 
 
 def principal_values(g, a: float, b: float, poles,
@@ -540,40 +556,9 @@ def _cauchy(g, a: float, b: float, x: np.ndarray, y: np.ndarray, off: bool,
             return -g(x[j] + end[j] / q) / (q - 1j * y[j] * q * q / end[j])
 
     pieces = [window, one_sided, tail][:2 + infinite]
-    dtype = complex if off else float
-
-    def by_piece(i, s):
-        # a bisected panel lies inside one piece: its centre names it
-        piece = s[:, _MID].astype(int)
-        vals = np.empty(s.shape, dtype=dtype)
-        for p, f in enumerate(pieces):
-            sel = piece == p
-            if sel.any():
-                vals[sel] = f(i[sel], s[sel] - p)
-        return vals
-
-    # the static first pass, by blocks of rows: each piece's nodes are one
-    # broadcast over the block; rows with an empty window (r = 0) take
-    # zero there
-    edges, nodes, half, cut = _PV_PASS[off, len(pieces)]
-
-    def first_pass():
-        step = max(1, _BLOCK // nodes.size)
-        for s in range(0, x.size, step):
-            rows = slice(s, s + step)
-            vals = np.empty((r[rows].size, nodes.size), dtype=dtype)
-            for f, part in zip(pieces, cut):
-                if f is window and np.count_nonzero(r[rows]) < len(vals):
-                    vals[:, part] = 0.0
-                    live = np.flatnonzero(r[rows])
-                    if live.size:
-                        vals[live, part] = f(s + live[:, None], nodes[part])
-                else:
-                    vals[:, part] = f((rows, None), nodes[part])
-            yield _kronrod(vals.reshape(len(vals), half.size, _NODES.size),
-                           half, nodes.reshape(half.size, _NODES.size))
-
-    return _composite(by_piece, edges, first_pass(), spec)
+    # a point with an empty window (r = 0) takes zero there
+    return _composite(pieces, _first_pass(len(pieces), off), x.size, spec,
+                      complex if off else float, live=[r > 0.0])
 
 
 def complex_newton(g, cfg: RootSearchConfig) -> complex:

@@ -115,6 +115,25 @@ class TestSurvivalCommand:
         error = json.loads(record_path.read_text())["results"]["error"]
         assert error.startswith("UnitarityViolation: P(0)")
 
+    @pytest.mark.parametrize("column,bad", [(1, "nan"), (1, "inf"),
+                                            (0, "nan")],
+                             ids=["nan-value", "inf-value", "nan-grid"])
+    def test_non_finite_table_is_config_error(self, run_cli, tmp_path,
+                                              capsys, column, bad):
+        rows = [[f"{w:.1f}", "1.0"] for w in np.linspace(0.0, 10.0, 11)]
+        rows[5][column] = bad
+        (tmp_path / "flat.txt").write_text(
+            "".join(" ".join(r) + "\n" for r in rows))
+        cfg = self.SHORT.replace(
+            "model.form_factor = flat_cutoff\nmodel.cutoff = 10.0",
+            "model.form_factor = tabulated\nmodel.table = flat.txt")
+        code, out, record_path = run_cli("survival", cfg)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: invalid model section: tabulated grid and f^2 "
+            "samples must be finite\n")
+        assert not out.exists() and not record_path.exists()
+
     def test_tabulated_profile_runs_without_pole(self, run_cli, tmp_path,
                                                  flat_model):
         """No continuation, no pole: amplitudes still come from the

@@ -114,6 +114,29 @@ class TestFormFactors:
             gt.TabulatedFormFactor(grid=np.linspace(0, 1, 5),
                                    values=np.array([1, 1, -1, 1, 1.0]))
 
+    @pytest.mark.parametrize("where,bad", [("values", np.nan),
+                                           ("values", np.inf),
+                                           ("grid", np.nan)],
+                             ids=["nan-value", "inf-value", "nan-grid"])
+    def test_tabulated_rejects_non_finite_samples(self, where, bad):
+        table = {"grid": np.linspace(0.0, 4.0, 9), "values": np.ones(9)}
+        table[where][5] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            gt.TabulatedFormFactor(**table)
+
+    @pytest.mark.parametrize("ff", [
+        gt.FlatCutoff(cutoff=10.0), gt.RationalFormFactor(scale=1.0),
+        gt.TabulatedFormFactor(grid=np.linspace(0.0, 4.0, 9),
+                               values=np.ones(9))],
+        ids=["flat", "rational", "tabulated"])
+    def test_scalar_in_float_out(self, ff):
+        model = gt.FriedrichsModel(omega0=1.0, lam=0.1, form_factor=ff)
+        for w in (2.0, 20.0):
+            assert type(ff.f2(w)) is float
+            assert type(gt.spectral_density(model, w)) is float
+        assert ff.f2(np.array([2.0])).shape == (1,)
+        assert gt.spectral_density(model, np.array([2.0])).shape == (1,)
+
     def test_tabulated_from_file(self, tmp_path):
         grid = np.linspace(0.0, 10.0, 200)
         path = tmp_path / "ff.txt"

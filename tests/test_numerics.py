@@ -27,6 +27,22 @@ from gamow_thermo.numerics import (
 SPEC = QuadratureSpec()
 _U = np.finfo(float).eps / 2
 
+# integrand points per row in the first pass, by piece: four Kronrod-15
+# panels a piece; a Cauchy window sees both sides of Re z, and off the
+# axis it has four more panels
+_WINDOW_ON, _WINDOW_OFF, _PIECE = 2 * 4 * 15, 2 * 8 * 15, 4 * 15
+
+
+def _recording(g):
+    """``g``, and the list of the point arrays of its calls."""
+    seen = []
+
+    def recorded(w):
+        seen.append(np.array(w))
+        return g(w)
+
+    return recorded, seen
+
 
 class TestIntegrate:
     def test_constant(self):
@@ -78,6 +94,24 @@ class TestIntegrate:
     def test_bad_range(self):
         with pytest.raises(ValueError):
             integrate(lambda w: w, 1.0, 0.0, SPEC)
+
+    @pytest.mark.parametrize("b", [3.0, np.inf], ids=["finite", "infinite"])
+    def test_smooth_integrand_is_one_first_pass_call(self, b):
+        # one piece of four Kronrod-15 panels, and no bisection
+        f, seen = _recording(lambda w: 1.0 / (1.0 + w * w))
+        assert abs(integrate(f, 0.0, b, SPEC) - math.atan(b)) < 1e-10
+        assert [w.size for w in seen] == [_PIECE]
+
+    @pytest.mark.parametrize("b", [4.0, np.inf], ids=["finite", "infinite"])
+    def test_narrow_bump_is_bisected(self, b):
+        # 1/((w - c)^2 + s^2) integrates to (atan((b - c)/s) + atan(c/s))/s
+        c, s = 1.3, 0.01
+        f, seen = _recording(lambda w: 1.0 / ((w - c) ** 2 + s * s))
+        tight = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14)
+        exact = (math.atan((b - c) / s) + math.atan(c / s)) / s
+        assert abs(integrate(f, 0.0, b, tight) - exact) <= 1e-12 * exact
+        assert len(seen) > 1
+        assert all(w.size % 15 == 0 for w in seen[1:])
 
 
 class TestPrincipalValue:
@@ -154,17 +188,6 @@ class TestPrincipalValue:
                              [0.5], SPEC)
 
 
-def _recording(g):
-    """``g``, and the list of the point arrays of its calls."""
-    seen = []
-
-    def recorded(w):
-        seen.append(np.array(w))
-        return g(w)
-
-    return recorded, seen
-
-
 def _bump_cauchy(z, top, c, s):
     """Integral of g(w) / (z - w) over [0, top] for the bump
     g = 1/((w - c)^2 + s^2), by partial fractions over its poles
@@ -179,12 +202,6 @@ def _bump_cauchy(z, top, c, s):
         return out - a * 1j * np.pi * np.where(z.imag < 0, -1.0, 1.0)
     return out - a * np.log(z - top) + b * np.log(top - p) \
         + d * np.log(top - q)
-
-
-# g's points per z in the first pass, by piece: four Kronrod-15 panels a
-# piece; the window sees both sides of Re z, and off the axis it has four
-# more panels
-_WINDOW_ON, _WINDOW_OFF, _PIECE = 2 * 4 * 15, 2 * 8 * 15, 4 * 15
 
 
 class TestFirstPass:
@@ -461,3 +478,16 @@ class TestCubicSpline:
         assert np.all(np.abs(profile.f2(w) - np.clip(ref(w), 0.0, None))
                       <= bound[k])
         assert np.array_equal(profile.f2(x[:-1]), y[:-1])
+
+    def test_zero_outside_knots(self):
+        x = np.linspace(1.0, 3.0, 9)
+        spline = _cubic_spline(x, np.exp(x))
+        below = [np.nextafter(1.0, 0.0), 0.5, -1e300, -np.inf]
+        above = [np.nextafter(3.0, 4.0), 7.0, 1e300, np.inf]
+        # far-out points are clipped before Horner's rule: no overflow
+        with np.errstate(all="raise"):
+            out = spline(np.array(below + above))
+        assert np.array_equal(out, np.zeros(8))
+        assert spline(x[0]) == math.exp(1.0)
+        assert type(spline(2.0)) is float and type(spline(5.0)) is float
+        assert spline(5.0) == 0.0
