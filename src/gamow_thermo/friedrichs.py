@@ -10,13 +10,14 @@ equation, that serves as an independent oracle for everything else.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .numerics import (
-    _BLOCK,
     IntegrandError,
     NonConvergence,
     PiecewiseCubic,
@@ -388,7 +389,8 @@ class DiscretizedSpectrum:
     because the basis is orthonormal.  The survival amplitude reduces to
     an explicit eigen-sum, which makes this the brute-force oracle for the
     quadrature pipeline.  ``max_passes`` is a read-out of the solver: the
-    most secular-function evaluations any one eigenvalue needed.
+    most exact secular-function evaluations any one eigenvalue needed (the
+    steps on the model that starts it are not counted).
     """
 
     n_bins: int
@@ -425,12 +427,19 @@ def discretize(model: FriedrichsModel, n_bins: int,
     in the first row and column.  It is never formed: its eigenvalues are
     the roots of the secular function (see :func:`_secular_roots`), found
     in O(n_bins^2) work and O(n_bins) memory, and the level's overlap with
-    each eigenvector follows in closed form.  A bin whose squared coupling
-    is 0 is an eigenvalue omega_i with overlap 0.  Flags an omega_max that
-    truncates visible coupling weight.
+    each eigenvector follows in closed form.  Each exact pass over the
+    open roots costs O(n_bins^2); from a start modelled in O(n_bins log
+    n_bins), nearly every root closes in two, and only the two outermost
+    roots and those beside bins of zero coupling take more.  A bin whose
+    squared coupling is 0 is an eigenvalue omega_i with overlap 0.  Flags
+    an omega_max that truncates visible coupling weight.  ``n_bins`` must
+    be an integer >= 1 and ``omega_max`` finite and above ``omega0``.
     """
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
+    if isinstance(n_bins, bool) or not isinstance(n_bins, numbers.Integral) \
+            or n_bins < 1:
+        raise ValueError(f"n_bins must be an integer >= 1, got {n_bins!r}")
+    if not np.isfinite(omega_max):
+        raise ValueError(f"omega_max must be finite, got {omega_max!r}")
     if omega_max <= model.omega0:
         raise ValueError("omega_max must exceed omega0")
     support_hi = model.form_factor.support[1]
@@ -462,6 +471,20 @@ _MAX_PASSES = 100
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 _SMALLEST = np.finfo(float).smallest_subnormal
+# (root x pole) terms per block of an exact pass
+_SWEEP = 2**16
+# The model start of a one-step gap sums its 2 _NEAR nearest poles exactly
+# and each farther pole, at least _NEAR + 1/2 steps from the gap's middle,
+# as a Taylor series in the offset x from the middle, |x| <= half a step.
+# _TAYLOR is the lowest last power at which every far term's relative
+# truncation, at most (2 _NEAR + 1)^-(_TAYLOR + 1) (2 _NEAR + 1)/(2 _NEAR),
+# falls under _MODEL_TOL, the accuracy the start aims at (_TAYLOR = 4).
+_NEAR = 16
+_MODEL_TOL = 1e-7
+_TAYLOR = math.ceil(math.log((2 * _NEAR + 1) / (2 * _NEAR) / _MODEL_TOL)
+                    / math.log(2 * _NEAR + 1)) - 1
+# middle-way steps taken on the model
+_MODEL_STEPS = 3
 
 
 def _secular_roots(omega0: float, poles: np.ndarray, coupling: np.ndarray):
@@ -472,7 +495,7 @@ def _secular_roots(omega0: float, poles: np.ndarray, coupling: np.ndarray):
     end, so root r lies alone in the gap (omega_{r-1}, omega_r), with
     omega_{-1} = -inf and omega_k = +inf.  Returns the k+1 roots
     (ascending), the overlaps 1/F'(E) = 1/(1 + sum_i (c_i/(omega_i -
-    E))^2) and the most evaluation passes any root needed.
+    E))^2) and the most exact passes, evaluations of F, any root needed.
 
     Each root is E = omega_o + tau with its origin o at the nearer end of
     its gap, chosen by the sign of F at the gap's middle, so that
@@ -482,7 +505,11 @@ def _secular_roots(omega0: float, poles: np.ndarray, coupling: np.ndarray):
     that a tiny or underflowing c_i^2 next to the root loses nothing.
     The iterates are the roots of :func:`_middle_way_root`, kept inside
     the bracket that the signs of F have left (bisecting it otherwise,
-    geometrically while its ends differ by more than a factor 4).
+    geometrically while its ends differ by more than a factor 4).  The
+    bracket starts as the whole gap.  A root of a gap one step wide on a
+    uniform grid starts from :func:`_model_start`, usually within 1e-7 of
+    its offset, at the origin the model picked; every other root starts
+    at the middle of its gap, and its first pass picks the origin.
     A root closes once |F| <= 8 eps (|omega_o - omega0| + |tau| + sum_i
     |c_i^2/(omega_i - E)|), the float resolution of F as it is summed,
     once the model's next step falls below 4 ulps of tau (tau, not E,
@@ -490,10 +517,12 @@ def _secular_roots(omega0: float, poles: np.ndarray, coupling: np.ndarray):
     left inside its bracket, or once the bracket lies within the smallest
     normal double of the pole (E is then the pole's neighbour, and the
     overlap, below (tau/c_o)^2 with c_o^2 > 0, is under 1e-290).  Only
-    open roots are evaluated, in blocks of about ``_BLOCK`` (root x pole)
-    elements.  A root closer to a pole than float resolution is returned
-    as the adjacent double, which keeps the roots strictly interlaced
-    with the poles.
+    open roots are evaluated, in blocks of about ``_SWEEP`` (root x pole)
+    elements: an exact pass costs O(k^2) and the model start O(k log k),
+    and from that start nearly every root closes in two exact passes.  A
+    root closer to a pole than float resolution is returned as the
+    adjacent double, which keeps the roots strictly interlaced with the
+    poles.
     """
     k = poles.size
     if k == 0:
@@ -515,6 +544,13 @@ def _secular_roots(omega0: float, poles: np.ndarray, coupling: np.ndarray):
     lo[0] = min(omega0 - poles[0], 0.0) - reach
     hi[-1] = max(omega0 - poles[-1], 0.0) + reach
     tau = 0.5 * (lo + hi)
+    # the inner gaps start at their middle, save the one-step gaps of a
+    # uniform grid, which start from a model of F at an origin it picked
+    at_mid = (rows > 0) & (rows < k)
+    g, o, t = _model_start(omega0, poles, coupling)
+    shift = poles[o] - poles[g - 1]
+    at_mid[g] = False
+    origin[g], lo[g], hi[g], tau[g] = o, lo[g] - shift, hi[g] - shift, t
     roots, overlaps = np.empty(k + 1), np.empty(k + 1)
     r = rows
     for sweep in range(_MAX_PASSES):
@@ -534,9 +570,9 @@ def _secular_roots(omega0: float, poles: np.ndarray, coupling: np.ndarray):
         f = (base - omega0) + t + total + c_l[r] * u_l + c_r[r] * u_r
         gauge = (np.abs(base - omega0) + np.abs(t) + phi - psi
                  + np.abs(c_l[r] * u_l) + np.abs(c_r[r] * u_r))
-        # after the middle of an inner gap: move the origin to the right
-        # pole when the root lies in the right half
-        move = (sweep == 0) & (r > 0) & (r < k) & (f < 0.0)
+        # after the middle of an inner gap started there: move the origin
+        # to the right pole when the root lies in the right half
+        move = (sweep == 0) & at_mid[r] & (f < 0.0)
         shift = np.where(move, right[r] - base, 0.0)
         o, t, base = np.where(move, r, o), t - shift, base + shift
         new = _middle_way_root((base - omega0) + total, t, left[r] - base,
@@ -571,43 +607,140 @@ def _secular_roots(omega0: float, poles: np.ndarray, coupling: np.ndarray):
                          f"{_MAX_PASSES} passes")
 
 
+def _model_start(omega0, poles, coupling):
+    """Origins and offsets tau from which to solve the one-step gaps.
+
+    A gap (omega_{r-1}, omega_r) is one step wide when its end poles are
+    neighbours on a lattice omega_0 + j h that holds every pole (to 1e-6
+    h) and has at most twice as many sites as poles; without such a
+    lattice no gap is, and the arrays come back empty.  On a one-step gap
+    F is modelled from the offset x of E from the gap's middle: the 2
+    ``_NEAR`` nearest poles are summed exactly, the farther ones as the
+    series sum_n T_n x^n, T_n = sum_i c_i^2 / (omega_i - E_mid)^(n+1) for
+    n <= ``_TAYLOR``.  The T_n of every gap are correlations of c^2 over
+    the lattice with fixed kernels, taken at once by FFT in O(k log k);
+    each model step costs O(k _NEAR).  The model's sign at the middle
+    picks the origin, as an exact pass at the middle would, and
+    ``_MODEL_STEPS`` middle-way steps on the model give tau.  A poor start
+    costs exact passes and nothing else: those still bracket the whole
+    gap.  Returns the rows r, their origins and their tau.
+    """
+    none = np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0)
+    if poles.size < 2:
+        return none
+    h = np.min(np.diff(poles))
+    if not np.rint((poles[-1] - poles[0]) / h) < 2 * poles.size:
+        return none
+    site = np.rint((poles - poles[0]) / h).astype(int)
+    h = (poles[-1] - poles[0]) / site[-1]
+    r = 1 + np.flatnonzero(np.diff(site) == 1)
+    if np.max(np.abs(poles[0] + site * h - poles)) > 1e-6 * h or not r.size:
+        return none
+    # h^(n+1) T_n, left and right, at the gap whose right end is site q:
+    # the sum over sites j of c_j^2 (j - q + 1/2)^-(n+1) with j - q <
+    # -_NEAR or >= _NEAR, a correlation, circular over twice the lattice
+    sites = site[-1] + 1
+    m = np.arange(2 * sites)
+    m = np.where(m < sites, m, m - 2 * sites)
+    powers = np.cumprod(np.broadcast_to(1.0 / (m + 0.5),
+                                        (_TAYLOR + 1, m.size)), axis=0)
+    kernels = np.stack([np.where(m < -_NEAR, powers, 0.0),
+                        np.where(m >= _NEAR, powers, 0.0)])
+    weight = np.zeros(2 * sites)
+    weight[site] = coupling**2
+    coef = np.fft.irfft(np.fft.rfft(weight) * np.conj(np.fft.rfft(kernels)),
+                        2 * sites)[..., 1:sites]
+    # the model runs on every gap q = 1 .. sites - 1 of the lattice (a
+    # column), padded with empty sites, and only the one-step gaps' tau
+    # are kept; row j of a column is site q - _NEAR + j, the gap's ends
+    # are rows _NEAR - 1 and _NEAR
+    at = poles[0] + np.arange(-_NEAR, sites + _NEAR) * h
+    c_at = np.zeros(at.size)
+    at[site + _NEAR], c_at[site + _NEAR] = poles, coupling
+    window = np.lib.stride_tricks.sliding_window_view
+    near_at = window(at, sites - 1)[1:2 * _NEAR + 1]
+    near_c = window(c_at, sites - 1)[1:2 * _NEAR + 1]
+    left, right = near_at[_NEAR - 1], near_at[_NEAR]
+    c_l, c_r = near_c[_NEAR - 1], near_c[_NEAR]
+    base, t = left, 0.5 * (right - left)
+    # written in place: fresh temporaries of this size cost page faults
+    u, w = np.empty((2,) + near_at.shape)
+    for step in range(_MODEL_STEPS):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            np.subtract(near_at, base, out=u)
+            np.divide(near_c, np.subtract(u, t, out=u), out=u)
+            xi = (base + t - 0.5 * (left + right)) / h
+            val, slope = np.zeros((2, t.size)), np.zeros((2, t.size))
+            for n in range(_TAYLOR, -1, -1):
+                slope = slope * xi + val
+                val = val * xi + coef[:, n]
+            # the other poles' sums and slopes, left and right of the gap
+            np.multiply(u, near_c, out=w)
+            sums = np.stack([w[:_NEAR - 1].sum(axis=0),
+                             w[_NEAR + 1:].sum(axis=0)]) + val / h
+            np.multiply(u, u, out=w)
+            slopes = np.stack([w[:_NEAR - 1].sum(axis=0),
+                               w[_NEAR + 1:].sum(axis=0)]) + slope / h**2
+            if step == 0:
+                # at the middle, as in an exact pass: the root lies in the
+                # right half, whose pole becomes its origin, when F < 0
+                f = ((base - omega0) + t + sums[0] + sums[1]
+                     - c_l * (c_l / t) + c_r * (c_r / t))
+                move = f < 0.0
+                base = np.where(move, right, left)
+                t = np.where(move, -t, t)
+            a, b = left - base, right - base
+            new = _middle_way_root((base - omega0) + sums[0] + sums[1], t,
+                                   a, b, c_l, c_r, *slopes)
+        t = np.where((new > a) & (new < b), new, t)
+    q = site[r] - 1
+    return r, np.where(move[q], r, r - 1), t[q]
+
+
 def _other_poles(poles, coupling, rows, base, tau):
     """For each root ``rows`` at E = base + tau: the sums of c_i^2/(omega_i
     - E) over the poles left and right of its gap, and of (c_i/(omega_i -
     E))^2 over the same two sides, leaving out the gap's two end poles.
 
-    ``rows`` ascend; they go in blocks of about ``_BLOCK`` (root x pole)
-    elements, so memory stays flat in the number of poles.
+    ``rows`` ascend; they go in blocks of about ``_SWEEP`` (root x pole)
+    elements, each one array of the terms c_i/(omega_i - E), so memory
+    stays flat in the number of poles.
     """
     k = poles.size
-    out = np.zeros((4, rows.size))
-    step = max(1, _BLOCK // k)
+    out = np.empty((4, rows.size))
+    step = max(1, _SWEEP // k)
     buffer = np.empty((min(step, rows.size), k))
     for s in range(0, rows.size, step):
         r = rows[s:s + step]
-        i = np.arange(r.size)
-        ratio = buffer[:r.size]
-        np.subtract(poles, base[s:s + step, None], out=ratio)
-        np.subtract(ratio, tau[s:s + step, None], out=ratio)
+        u = buffer[:r.size]
+        # copied first: subtracting columns in place runs faster than
+        # from a broadcast row
+        u[...] = poles
+        np.subtract(u, base[s:s + step, None], out=u)
+        np.subtract(u, tau[s:s + step, None], out=u)
         with np.errstate(divide="ignore", over="ignore"):
-            np.divide(coupling, ratio, out=ratio)
-        # the gap's end poles are summed apart, exactly
-        ratio[i[r > 0], r[r > 0] - 1] = 0.0
-        ratio[i[r < k], r[r < k]] = 0.0
+            np.divide(coupling, u, out=u)
         # poles before column a lie left of every gap of the block, poles
-        # from column b on right of it; the band between is split per row
+        # from column b on right of it; in the band between, each row
+        # drops its gap's end poles (columns r - 1 and r) and splits the
+        # rest
         a, b = max(r[0] - 1, 0), min(r[-1] + 1, k)
-        band = ratio[:, a:b]
-        on_right = np.arange(a, b) >= r[:, None]
-        for side, cols, mask in ((0, slice(None, a), ~on_right),
-                                 (1, slice(b, None), on_right)):
-            part = np.where(mask, band, 0.0)
-            out[side, s:s + step] = (ratio[:, cols] @ coupling[cols]
-                                     + part @ coupling[a:b])
-            out[side + 2, s:s + step] = (
-                np.einsum("ij,ij->i", ratio[:, cols], ratio[:, cols])
-                + np.einsum("ij,ij->i", part, part))
+        col = np.arange(a, b) - r[:, None]
+        band = np.where(np.stack([col < -1, col > 0]), u[:, a:b], 0.0)
+        left, right = u[:, :a], u[:, b:]
+        out[:2, s:s + step] = (np.stack([left @ coupling[:a],
+                                         right @ coupling[b:]])
+                               + band @ coupling[a:b])
+        out[2:, s:s + step] = (np.stack([_row_squares(left),
+                                         _row_squares(right)])
+                               + np.einsum("sij,sij->si", band, band))
     return out
+
+
+def _row_squares(x):
+    """Sum of squares of each row of a 2-D array, as batched dot products
+    (faster here than ``einsum``)."""
+    return np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]
 
 
 def _middle_way_root(rho, tau, a, b, c_l, c_r, dpsi, dphi):

@@ -563,8 +563,9 @@ class TestOutputContract:
 
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
-_SCIPY_LOADED = ("sorted(m for m in sys.modules "
-                 "if m.split('.')[0] == 'scipy')")
+# the optional modules loaded so far: SciPy and numpy.fft
+_LAZY_LOADED = ("sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy' or m.startswith('numpy.fft'))")
 
 
 def _cold_run(script: str, cwd: Path):
@@ -581,7 +582,8 @@ def _cold_run(script: str, cwd: Path):
 class TestColdStart:
     """No command loads SciPy: the package needs numpy alone, also where
     it builds a cubic spline (a survival density table, a tabulated
-    profile)."""
+    profile).  Nor does any command load numpy.fft, which only the
+    eigen-sum oracle's secular solver uses."""
 
     RUNS = {
         "pole": "",
@@ -609,11 +611,11 @@ class TestColdStart:
         commands = {name: command for name, (command, _) in runs.items()}
         script = f"""
 import gamow_thermo, gamow_thermo.cli
-loaded = {{"import": {_SCIPY_LOADED}}}
+loaded = {{"import": {_LAZY_LOADED}}}
 for name, command in {commands!r}.items():
     code = gamow_thermo.cli.main([command, "--config", name + ".cfg",
                                   "--out", name + ".csv", "--quiet"])
-    loaded[name] = [code, {_SCIPY_LOADED}]
+    loaded[name] = [code, {_LAZY_LOADED}]
 print(json.dumps(loaded))
 """
         loaded = _cold_run(script, tmp_path)
@@ -633,10 +635,23 @@ print(json.dumps(loaded))
         script = f"""
 import numpy as np
 import gamow_thermo as gt
-before = {_SCIPY_LOADED}
+before = {_LAZY_LOADED}
 {build}
-built = {_SCIPY_LOADED}
+built = {_LAZY_LOADED}
 import scipy.interpolate
-print(json.dumps([before, built, "scipy.interpolate" in {_SCIPY_LOADED}]))
+print(json.dumps([before, built, "scipy.interpolate" in {_LAZY_LOADED}]))
 """
         assert _cold_run(script, tmp_path) == [[], [], True]
+
+    def test_discretize_loads_numpy_fft(self, tmp_path):
+        # The secular solver's model start reaches numpy.fft through
+        # ``np.fft`` only once it runs, and the probe sees it then.
+        script = f"""
+import gamow_thermo as gt
+before = {_LAZY_LOADED}
+gt.discretize(gt.FriedrichsModel(omega0=1.0, lam=0.1,
+                                 form_factor=gt.FlatCutoff(cutoff=10.0)),
+              50, 10.0)
+print(json.dumps([before, "numpy.fft" in {_LAZY_LOADED}]))
+"""
+        assert _cold_run(script, tmp_path) == [[], True]

@@ -598,18 +598,27 @@ class TestSpectralDensity:
 def dense_oracle(model, n_bins, omega_max):
     """Dense ``eigh`` of the arrowhead matrix that ``discretize`` solves.
 
-    Returns the bin energies, the squared couplings z_i, the eigenvalues,
-    the level's overlaps and each overlap's own uncertainty: the
-    a-posteriori bound 2 |r_j| / gap_j on the eigenvector of pair j, with
-    r_j its residual and gap_j its distance to every other computed
-    eigenvalue less that one's residual (infinite where eigh cannot tell
-    the two apart, as for a bin on the level with a coupling below
-    eps * |H|).
+    Returns the bin energies, the squared couplings z_i, and what
+    :func:`dense_eigh` returns for them.
     """
     dw = omega_max / n_bins
     grid = (np.arange(n_bins) + 0.5) * dw
     coupling = model.lam * np.sqrt(model.form_factor.f2(grid) * dw)
-    ham = np.diag(np.concatenate([[model.omega0], grid]))
+    return (grid, coupling**2) + dense_eigh(model.omega0, grid, coupling)
+
+
+def dense_eigh(omega0, poles, coupling):
+    """Dense ``eigh`` of the arrowhead matrix with ``omega0`` and ``poles``
+    on the diagonal and ``coupling`` in the first row and column.
+
+    Returns the eigenvalues, the level's overlaps and each overlap's own
+    uncertainty: the a-posteriori bound 2 |r_j| / gap_j on the eigenvector
+    of pair j, with r_j its residual and gap_j its distance to every other
+    computed eigenvalue less that one's residual (infinite where eigh
+    cannot tell the two apart, as for a bin on the level with a coupling
+    below eps * |H|).
+    """
+    ham = np.diag(np.concatenate([[omega0], poles]))
     ham[0, 1:] = ham[1:, 0] = coupling
     vals, vecs = eigh(ham)
     resid = np.linalg.norm(ham @ vecs - vecs * vals, axis=0)
@@ -619,7 +628,21 @@ def dense_oracle(model, n_bins, omega_max):
     spread = np.where(resid == 0.0, 0.0, np.inf)
     bounded = (resid != 0.0) & (gap > 0.0)
     spread[bounded] = 2.0 * resid[bounded] / gap[bounded]
-    return grid, coupling**2, vals, vecs[0] ** 2, spread
+    return vals, vecs[0] ** 2, spread
+
+
+def _rows_to_other_poles(monkeypatch):
+    """Record the number of roots of each exact pass of the secular
+    solver: the list of the row counts that reach ``_other_poles``."""
+    seen = []
+    exact = friedrichs._other_poles
+
+    def recorded(poles, coupling, rows, base, tau):
+        seen.append(rows.size)
+        return exact(poles, coupling, rows, base, tau)
+
+    monkeypatch.setattr(friedrichs, "_other_poles", recorded)
+    return seen
 
 
 class TestDiscretize:
@@ -669,6 +692,78 @@ class TestDiscretize:
             ds = gt.discretize(model, 2000, omega_max)
         assert 1 <= ds.max_passes <= 10
 
+    @pytest.mark.parametrize("form_factor,omega_max", [
+        (gt.FlatCutoff(cutoff=10.0), 10.0),
+        (gt.RationalFormFactor(scale=1.0), 20.0),
+    ], ids=["flat", "rational"])
+    @pytest.mark.parametrize("lam", [0.05, 0.1, 0.2])
+    def test_roots_close_in_two_exact_passes(self, monkeypatch, form_factor,
+                                             omega_max, lam):
+        """At the benchmark models the model start leaves two exact
+        passes per root, bar a few: at most 2.2 (n + 1) rows reach the
+        O(n^2) sums in all (4.00 - 4.56 (n + 1) when every root started
+        at the middle of its gap)."""
+        seen = _rows_to_other_poles(monkeypatch)
+        model = gt.FriedrichsModel(omega0=1.0, lam=lam,
+                                   form_factor=form_factor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # truncation flag
+            gt.discretize(model, 2000, omega_max)
+        assert seen[0] == 2001
+        assert sum(seen) <= 2.2 * 2001
+
+    def test_matches_dense_eigh_beyond_cutoff(self, flat_model):
+        """n = 2000 bins out to 1.5 cutoffs: the third of the bins above
+        the cutoff have zero coupling and are left to the grid; the rest
+        are solved from the model start."""
+        ds = gt.discretize(flat_model, 2000, 15.0)
+        grid, z, vals, overlaps, spread = dense_oracle(flat_model, 2000,
+                                                       15.0)
+        assert np.count_nonzero(z == 0.0) == 667
+        assert np.all(np.abs(ds.eigenvalues - vals)
+                      <= 1e-12 * (1.0 + np.abs(vals)))
+        assert np.all(np.abs(ds.overlaps - overlaps) <= 1e-11 + spread)
+        assert abs(ds.overlaps.sum() - 1.0) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), k=st.integers(2, 80),
+           omega0=st.floats(-1.0, 3.0), step=st.floats(1e-3, 0.5),
+           decades=st.floats(0.0, 16.0), jitter=st.booleans())
+    def test_secular_roots_match_dense_eigh(self, data, k, omega0, step,
+                                            decades, jitter):
+        """``_secular_roots`` against dense eigh on poles that are a
+        lattice with holes (one-step gaps, which start from the model,
+        mixed with wider ones, which start at their middle), or that lattice
+        shifted off itself pole by pole (no model start), with couplings
+        spread over up to 16 decades of c^2.  Energies within 1e-12 (1 +
+        |E|) of eigh, overlaps within 1e-11 plus eigh's own uncertainty,
+        roots strictly interlaced with the poles, overlaps complete to
+        1e-12."""
+        gaps = data.draw(st.lists(st.sampled_from([1, 1, 1, 2, 3]),
+                                  min_size=k - 2, max_size=k - 2))
+        gaps.insert(data.draw(st.integers(0, k - 2)), 1)  # the step
+        site = np.concatenate([[0], np.cumsum(gaps, dtype=int)])
+        poles = 0.5 + step * site
+        if jitter:
+            poles = poles + step * np.resize([0.0, 0.31, 0.17], k)
+        log_z = data.draw(st.lists(st.floats(-decades, 0.0), min_size=k,
+                                   max_size=k))
+        coupling = np.sqrt(step * 10.0 ** np.array(log_z))
+        starts, _, _ = friedrichs._model_start(omega0, poles, coupling)
+        if not jitter:
+            one_step = 1 + np.flatnonzero(np.diff(site) == 1)
+            lattice = site[-1] < 2 * k
+            assert np.array_equal(starts, one_step if lattice else [])
+        roots, overlaps, passes = friedrichs._secular_roots(omega0, poles,
+                                                            coupling)
+        vals, dense, spread = dense_eigh(omega0, poles, coupling)
+        assert np.all(np.abs(roots - vals) <= 1e-12 * (1.0 + np.abs(vals)))
+        assert np.all(np.abs(overlaps - dense) <= 1e-11 + spread)
+        assert abs(overlaps.sum() - 1.0) <= 1e-12
+        chain = np.empty(2 * k + 1)
+        chain[0::2], chain[1::2] = roots, poles
+        assert np.all(np.diff(chain) > 0.0)
+
     def test_free_model_is_diagonal(self):
         free = gt.FriedrichsModel(omega0=1.0, lam=0.0,
                                   form_factor=gt.FlatCutoff(cutoff=10.0))
@@ -692,6 +787,19 @@ class TestDiscretize:
             gt.discretize(flat_model, 0, 10.0)
         with pytest.raises(ValueError):
             gt.discretize(flat_model, 100, 0.5)
+
+    @pytest.mark.parametrize("n_bins,omega_max,match", [
+        (100, float("nan"), "omega_max must be finite"),
+        (100, float("inf"), "omega_max must be finite"),
+        (2.5, 12.0, "n_bins must be an integer"),
+        (True, 12.0, "n_bins must be an integer"),
+    ], ids=["nan", "inf", "fractional-bins", "bool-bins"])
+    def test_rejects_non_finite_range_and_non_integer_bins(
+            self, flat_model, n_bins, omega_max, match):
+        # NaN used to give NaN eigenvalues with overlaps summing to 1, inf
+        # inf eigenvalues, and 2.5 bins a 3-bin grid of step 4
+        with pytest.raises(ValueError, match=match):
+            gt.discretize(flat_model, n_bins, omega_max)
 
     def test_survival_amplitude_shapes(self, oracle_2000):
         scalar = oracle_2000.survival_amplitude(1.0)
