@@ -44,6 +44,13 @@ def _boolean(text: str) -> bool:
     raise ValueError(text)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _numbers(text: str) -> np.ndarray:
     parts = [p for p in (s.strip() for s in text.split(",")) if p]
     if not parts:
@@ -53,6 +60,7 @@ def _numbers(text: str) -> np.ndarray:
 
 # how the text of a value is read: (what the error message asks for, reader)
 _NUMBER = ("a number", float)
+_FINITE = ("a finite number", _finite)
 _INTEGER = ("an integer", int)
 _COMPLEX = ("a complex literal like 1+0.5j",
             lambda text: complex(text.replace(" ", "")))
@@ -70,7 +78,7 @@ def _one_of(*allowed: str):
     return (f"one of {sorted(allowed)}", read)
 
 
-_RANGE = {"start": _NUMBER, "stop": _NUMBER, "points": _INTEGER,
+_RANGE = {"start": _FINITE, "stop": _FINITE, "points": _INTEGER,
           "spacing": _one_of("linear", "log")}
 
 # the parameter key of each form factor kind
@@ -79,9 +87,9 @@ _FORM_FACTOR_KEYS = {"flat_cutoff": "model.cutoff", "rational": "model.scale",
 
 # every accepted key and how its value is read
 _KEYS = {
-    "model.omega0": _NUMBER, "model.lambda": _NUMBER,
+    "model.omega0": _FINITE, "model.lambda": _NUMBER,
     "model.form_factor": _one_of(*_FORM_FACTOR_KEYS),
-    "model.cutoff": _NUMBER, "model.scale": _NUMBER, "model.table": _TEXT,
+    "model.cutoff": _FINITE, "model.scale": _FINITE, "model.table": _TEXT,
     "pole.e_r": _NUMBER, "pole.gamma": _NUMBER,
     "thermo.beta": _NUMBER, "thermo.k": _NUMBER,
     **{f"grid.{name}.{end}": reader

@@ -46,19 +46,16 @@ _NORM_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11,
 # of A(t) is bounded by the integral of |spline - rho|, not by 3e-10
 _ZENO_NOISE = 4e-10
 
-# M_j(theta) = integral of u^j exp(-i theta u) over [0, 1], j = 0..3, by the
-# recurrence M_j = (j M_{j-1} - exp(-i theta)) / (i theta) from the switch up;
-# below it the recurrence cancels like 1/theta^4, so the Taylor series
-# sum_n (-i theta)^n / (n! (n + j + 1)) is used, 18 terms (remainder < 1/18!)
-# with n! as the float product 1 * 2 * ... * n, exact up to 17! < 2^53
+# the transform of one spline piece, sum_j w_j M_j(theta) with weights
+# w_j = a_j h^(j+1) and moments M_j(theta) = integral of u^j exp(-i theta u)
+# over [0, 1], j = 0..3, at theta = t h.  Below the switch it is the Taylor
+# series M_j = sum_n (-i theta)^n _TAYLOR[n, j], 18 terms (remainder
+# < 1/18!), with n! as the float product 1 * 2 * ... * n, exact up to
+# 17! < 2^53; from the switch up the closed form (integration by parts,
+# exact for a cubic) takes over, whose terms cancel like 1/theta^4 below it
 _MOMENT_SWITCH = 1.0
-_TAYLOR = (np.array([1.0, -1j, -1.0, 1j])[np.arange(18) % 4, None]
-           / (np.cumprod(np.maximum(np.arange(18.0), 1.0))[:, None]
-              * (np.arange(18)[:, None] + np.arange(1, 5))))
-# intervals per block of the moment recurrence, so that a single-time
-# transform, result and phases included, stays below glibc's 128 KiB mmap
-# threshold, past which every call would map and fault in fresh pages
-_BLOCK = 2**9
+_TAYLOR = 1.0 / (np.cumprod(np.maximum(np.arange(18.0), 1.0))[:, None]
+                 * (np.arange(18)[:, None] + np.arange(1, 5)))
 
 
 class InsufficientSpan(ValueError):
@@ -85,6 +82,8 @@ class SurvivalSeries:
         if not (t.shape == a.shape == p.shape) or t.ndim != 1:
             raise ValueError("times, amplitudes, probabilities must be "
                              "1-d and equally shaped")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("times must be finite")
         if t.size and (t[0] < 0 or np.any(np.diff(t) <= 0)):
             raise ValueError("times must be nonnegative and increasing")
         if np.any(p < -1e-8) or np.any(p > 1.0 + 1e-8):
@@ -138,41 +137,6 @@ class RegimeReport:
                 raise ValueError(f"windows overlap or are unordered: {seq}")
 
 
-def _moment_sums(theta: np.ndarray, weights: np.ndarray,
-                 taylor: np.ndarray) -> np.ndarray:
-    """sum_j w_jk M_j(theta_k) for ascending theta_k >= 0, from ``weights``
-    (4, k) and their Taylor coefficients ``taylor`` = ``_TAYLOR @ weights``
-    (18, k).
-
-    Below the switch one Horner pass runs in the result itself; above it
-    the recurrence runs on blocks of ``_BLOCK`` values.  Temporaries stay
-    within one block, so a call holds little beyond its result.
-    """
-    acc = np.empty(theta.size, dtype=complex)
-    m = int(np.searchsorted(theta, _MOMENT_SWITCH))
-    # a complex factor: complex *= float would stage a cast copy per step
-    head, factor = acc[:m], theta[:m].astype(complex)
-    head[...] = taylor[-1, :m]
-    for row in taylor[-2::-1]:
-        head *= factor
-        head += row[:m]
-    for s in range(m, theta.size, _BLOCK):
-        th, w, part = (theta[s:s + _BLOCK], weights[:, s:s + _BLOCK],
-                       acc[s:s + _BLOCK])
-        z = -1j * th
-        np.exp(z, out=z)
-        moment = (1.0 - z) * (-1j)
-        moment /= th
-        np.multiply(moment, w[0], out=part)
-        for j in (1, 2, 3):
-            moment *= j
-            moment -= z
-            moment *= -1j
-            moment /= th
-            part += w[j] * moment
-    return acc
-
-
 @dataclass(frozen=True, eq=False)
 class DensityTable:
     """Spline surrogate of the overlap density, Fourier-transformed exactly.
@@ -204,34 +168,78 @@ class DensityTable:
 
     @functools.cached_property
     def _pieces(self):
-        # starts x, widths h, weights a_j h^(j+1): sum_j w_j M_j(t h) e^{-ixt},
-        # and the weights' Taylor coefficients, in order of width, so that
-        # theta = t h is ascending for every t
-        order = np.argsort(np.diff(self.spline.x), kind="stable")
-        h = np.diff(self.spline.x)[order]
-        weights = self.spline.c[::-1, order] * h ** np.arange(1, 5)[:, None]
-        return self.spline.x[:-1][order], h, weights, _TAYLOR @ weights
+        """Per-interval coefficient matrices of the transform, with the
+        intervals in ascending order of width h, so that for every t the
+        Taylor ones (t h below the switch) come first.
+
+        ``knots`` holds the intervals' left knots x_k in that order, then
+        the last knot, and ``right`` places each right knot x_k + h_k in
+        it, so that no phase is gathered but the right ones.  Row k of
+        ``taylor`` holds sum_j w_j _TAYLOR[n, j] h^n for n = 0..17: below
+        the switch the piece's transform is exp(-i t x_k) times
+        sum_n (-i t)^n taylor[k, n].  Rows of ``first`` and ``last`` hold
+        the piece's derivatives 0..3 at its left and right knot: integrated
+        by parts four times, its transform is the sum over p of (i t)^-(p+1)
+        (first[k, p] exp(-i t x_k) - last[k, p] exp(-i t (x_k + h_k))).
+        """
+        x, c = self.spline.x, self.spline.c
+        order = np.argsort(np.diff(x), kind="stable")
+        h = np.diff(x)[order]
+        place = np.empty(x.size, dtype=np.intp)
+        place[order], place[-1] = np.arange(h.size), h.size
+        a = c[::-1, order]
+        a0, a1, a2, a3 = a
+        weights = a * h ** np.arange(1, 5)[:, None]
+        powers = h[:, None] ** np.arange(len(_TAYLOR))
+        taylor = (weights.T @ _TAYLOR.T) * powers
+        first = np.column_stack([a0, a1, 2.0 * a2, 6.0 * a3])
+        last = np.column_stack([((a3 * h + a2) * h + a1) * h + a0,
+                                (3.0 * a3 * h + 2.0 * a2) * h + a1,
+                                6.0 * a3 * h + 2.0 * a2, 6.0 * a3])
+        return (np.append(x[order], x[-1]), h, place[order + 1], taylor,
+                first, last)
 
     def fourier(self, times) -> np.ndarray:
-        """Integral of rho(w) exp(-i w t) dw for each t >= 0, exactly.
+        """Integral of rho(w) exp(-i w t) dw for each finite t >= 0, exactly.
 
-        On every interval the cubic's transform is closed form in the
-        moments M_j (Filon-type quadrature), so the result carries no
-        quadrature or truncation error.  Times go one at a time, each in
-        memory of a few values per interval.
+        On every interval the cubic's transform is closed form (Filon-type
+        quadrature), so the result carries no quadrature or truncation
+        error.  Times go one at a time.  Each takes one cosine and one sine
+        per knot for the phases exp(-i t x), then three small real matrix
+        products of those phases with the cached :attr:`_pieces`: the
+        Taylor sums of the narrow intervals (t h < 1) and the end-point
+        sums of the wide ones at their left and right knots.  A Horner
+        step in t over 18 scalars, and one in 1/(i t) over 4, finishes
+        the time.  Memory stays at four values per knot.
         """
-        t = np.atleast_1d(np.asarray(times, dtype=float))
-        if np.any(t < 0):
-            raise ValueError("the transform is evaluated for t >= 0")
-        x, h, weights, taylor = self._pieces
-        out = np.empty(t.shape, dtype=complex)
-        for i, ti in enumerate(t.tolist()):
-            acc = _moment_sums(ti * h, weights, taylor)
-            # exp(-i t x) in one buffer: (-1j * t) * x would stage a complex
-            # copy of x next to it
-            phase = np.zeros(h.size, dtype=complex)
-            np.multiply(x, -ti, out=phase.imag)
-            out[i] = np.exp(phase, out=phase) @ acc
+        t = np.atleast_1d(np.asarray(times, dtype=float)).tolist()
+        if not all(0.0 <= ti < np.inf for ti in t):
+            raise ValueError("the transform is evaluated at finite t >= 0")
+        knots, h, right, taylor, first, last = self._pieces
+        out = np.empty(len(t), dtype=complex)
+        for i, ti in enumerate(t):
+            # cos(t x) and -sin(t x) in the two rows of one buffer
+            phase = np.empty((2, knots.size))
+            np.multiply(knots, -ti, out=phase[1])
+            np.cos(phase[1], out=phase[0])
+            np.sin(phase[1], out=phase[1])
+            m = (h.size if ti == 0.0
+                 else int(np.searchsorted(h, _MOMENT_SWITCH / ti)))
+            re = im = 0.0
+            if m:
+                # Horner in z = -i t: (re + i im) z = t im - i t re
+                sums = phase[:, :m] @ taylor[:m]
+                for cos_sum, sin_sum in zip(*sums[:, ::-1].tolist()):
+                    re, im = ti * im + cos_sum, sin_sum - ti * re
+            if m < h.size:
+                sums = phase[:, m:-1] @ first[m:]
+                sums -= phase.take(right[m:], axis=1) @ last[m:]
+                # Horner in v = 1/(i t): (a + i b) v = (b - i a) / t
+                a = b = 0.0
+                for cos_sum, sin_sum in zip(*sums[:, ::-1].tolist()):
+                    a, b = (b + sin_sum) / ti, -(a + cos_sum) / ti
+                re, im = re + a, im + b
+            out[i] = complex(re, im)
         return out
 
 

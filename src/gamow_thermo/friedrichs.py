@@ -102,8 +102,8 @@ class FlatCutoff(FormFactor):
     cutoff: float
 
     def __post_init__(self):
-        if self.cutoff <= 0:
-            raise ValueError("cutoff must be positive")
+        if not 0 < self.cutoff < np.inf:
+            raise ValueError("cutoff must be positive and finite")
 
     def f2(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -129,8 +129,8 @@ class RationalFormFactor(FormFactor):
     scale: float
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < np.inf:
+            raise ValueError("scale must be positive and finite")
 
     def f2(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -215,8 +215,8 @@ class FriedrichsModel:
     form_factor: FormFactor
 
     def __post_init__(self):
-        if self.omega0 <= 0:
-            raise ValueError("omega0 must be positive")
+        if not 0 < self.omega0 < np.inf:
+            raise ValueError("omega0 must be positive and finite")
         if not np.isfinite(self.lam) or self.lam != np.real(self.lam):
             raise ValueError("coupling must be real and finite")
 

@@ -134,6 +134,22 @@ class TestSurvivalCommand:
             "samples must be finite\n")
         assert not out.exists() and not record_path.exists()
 
+    @pytest.mark.parametrize("key,bad", [
+        ("grid.time.stop", "nan"), ("grid.time.stop", "inf"),
+        ("model.omega0", "nan"), ("model.cutoff", "inf")])
+    def test_non_finite_number_is_config_error(self, run_cli, capsys, key,
+                                               bad):
+        """NaN passes every ordering check, so each of these once reached
+        the numerics: an IndexError traceback, or exit 2."""
+        lines = [f"{key} = {bad}" if ln.split(" = ")[0] == key else ln
+                 for ln in self.SHORT.splitlines()]
+        code, out, record_path = run_cli("survival", "\n".join(lines) + "\n")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"{key} must be a finite number" in err
+        assert not out.exists() and not record_path.exists()
+
     def test_tabulated_profile_runs_without_pole(self, run_cli, tmp_path,
                                                  flat_model):
         """No continuation, no pole: amplitudes still come from the

@@ -132,6 +132,18 @@ class TestBuilders:
         with pytest.raises(ConfigError, match="omega0"):
             cfg.model()
 
+    @pytest.mark.parametrize("key,bad", [
+        ("model.omega0", "nan"), ("model.omega0", "inf"),
+        ("model.cutoff", "inf"), ("model.cutoff", "nan")])
+    def test_model_numbers_must_be_finite(self, key, bad):
+        raw = {"model.omega0": "1.0", "model.lambda": "0.1",
+               "model.form_factor": "flat_cutoff", "model.cutoff": "10.0"}
+        with pytest.raises(ConfigError, match=f"{key} must be a finite"):
+            RunConfig(raw={**raw, key: bad})
+        with pytest.raises(ConfigError, match="model.scale must be a finite"):
+            RunConfig(raw={**raw, "model.form_factor": "rational",
+                           "model.scale": bad})
+
     def test_tabulated_model_relative_path(self, tmp_path):
         grid = np.linspace(0.0, 10.0, 100)
         np.savetxt(tmp_path / "ff.txt",
@@ -171,6 +183,15 @@ class TestBuilders:
                              "grid.time.points": "4"})
         with pytest.raises(ConfigError, match="stop must exceed"):
             cfg.grid("time")
+
+    @pytest.mark.parametrize("end", ["start", "stop"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_grid_ends_must_be_finite(self, end, bad):
+        raw = {"grid.time.start": "0", "grid.time.stop": "40",
+               "grid.time.points": "9", f"grid.time.{end}": bad}
+        with pytest.raises(ConfigError,
+                           match=f"grid.time.{end} must be a finite"):
+            RunConfig(raw=raw)
 
     def test_scan_values(self):
         cfg = RunConfig(raw={"scan.values": "0.05, 0.1, 0.2"})

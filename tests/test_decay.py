@@ -17,9 +17,8 @@ from gamow_thermo.decay import (
     SurvivalSeries,
     _MOMENT_SWITCH,
     _TABLE_SPEC,
-    _TAYLOR,
-    _moment_sums,
 )
+from gamow_thermo.numerics import PiecewiseCubic
 
 
 def _quadpack_fourier(density, edges, t):
@@ -131,6 +130,15 @@ class TestSurvivalAmplitude:
         with pytest.raises(ValueError):
             gt.survival_amplitude(flat_model, -1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, flat_model, flat_table, bad):
+        with pytest.raises(ValueError, match="finite"):
+            gt.survival_amplitude(flat_model, bad)
+        with pytest.raises(ValueError, match="finite"):
+            gt.survival_probability(flat_model, [0.0, 1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            flat_table.fourier([bad])
+
 
 class TestExactSynthesis:
     """The spline table's closed-form Fourier transform."""
@@ -139,28 +147,84 @@ class TestExactSynthesis:
     def _moments_closed_form(theta, mp):
         # M_j = j!/(i theta)^(j+1) [1 - exp(-i theta) sum_m<=j (i theta)^m/m!]
         it = 1j * mp.mpf(theta)
-        return [complex(mp.factorial(j) / it**(j + 1)
-                        * (1 - mp.exp(-it) * sum(it**m / mp.factorial(m)
-                                                 for m in range(j + 1))))
+        return [mp.factorial(j) / it**(j + 1)
+                * (1 - mp.exp(-it) * sum(it**m / mp.factorial(m)
+                                         for m in range(j + 1)))
                 for j in range(4)]
 
     def test_moments_on_both_sides_of_the_switch(self):
+        """The transform of u^j on [0, 1] at t = theta is the moment
+        M_j(theta), on both sides of the Taylor switch."""
         mp = pytest.importorskip("mpmath")
         below = np.nextafter(_MOMENT_SWITCH, 0.0)
         thetas = np.array([1e-3, 0.3, 0.9, below, _MOMENT_SWITCH,
                            np.nextafter(_MOMENT_SWITCH, 2.0), 1.7, 12.0,
                            400.0])
-        # unit weights pick one moment: got[k, j] = M_j(thetas[k])
-        units = [np.tile(e[:, None], thetas.size) for e in np.eye(4)]
-        got = np.column_stack([_moment_sums(thetas, w, _TAYLOR @ w)
-                               for w in units])
+        # one-interval tables whose cubic is u^j: got[k, j] = M_j(thetas[k])
+        tables = [DensityTable(spline=PiecewiseCubic(
+            x=np.array([0.0, 1.0]), c=e[::-1, None]),
+            norm_direct=1.0 / (j + 1), max_refine_dev=0.0)
+            for j, e in enumerate(np.eye(4))]
+        got = np.column_stack([table.fourier(thetas) for table in tables])
         with mp.workdps(60):
             for theta, row in zip(thetas, got):
-                exact = np.array(self._moments_closed_form(theta, mp))
+                exact = np.array([complex(m) for m in
+                                  self._moments_closed_form(theta, mp)])
                 assert np.max(np.abs(row - exact) / np.abs(exact)) <= 1e-13
         # one ulp across the switch moves every moment by ~1e-16 at most
         jump = np.abs(got[3] - got[4]) / np.abs(got[4])
         assert np.max(jump) <= 1e-14
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_wide_range_of_widths_against_mpmath(self, seed):
+        """A random nonnegative spline whose widths span 1e-6 to 1e2,
+        against the sum of its pieces' closed-form moments in mpmath,
+        exact to 40 digits, at t = 0, at times that put intervals on both
+        sides of the switch, and at t = 1e6, where every interval is wide.
+
+        The bound is derived from rounding.  The knots lie on a 2^-24
+        grid below 2^10, so t x is exact for these times and each phase
+        is off by its cosine's and sine's rounding only (4 ulp).  Let
+        W = sum_k sum_j |a_jk| h_k^(j+1), which bounds the sum of
+        integral |piece|.  An interval's terms add up to at most 22
+        times its share of W: below the switch sum_n theta^n/(n! (n+j+1))
+        <= e - 1 per weight, above it the end-point sums carry the
+        factorials (p-1)! and j!/(j+1-p)!, at most 6 and 16 per weight.
+        Each term is off by at most (K + 64) u: about 10 u in the cached
+        coefficients, 8 u in the phase, K u in the sums over the K
+        intervals and 36 u in the Horner steps, which leaves 10 u spare.
+        So |error| <= 22 (K + 64) u W."""
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(seed)
+        widths = rng.permutation(10.0 ** np.linspace(-6.0, 2.0, 9))
+        inner = np.concatenate([[0.0], np.cumsum(
+            np.round(widths * 2.0**24) / 2.0**24)])
+        knots = np.concatenate([[inner[0]] * 3, inner, [inner[-1]] * 3])
+        pieces = PPoly.from_spline(BSpline(
+            knots, rng.uniform(0.0, 1.0, inner.size + 2), 3))
+        keep = np.diff(pieces.x) > 0
+        table = DensityTable(spline=PiecewiseCubic(x=inner,
+                                                   c=pieces.c[:, keep]),
+                             norm_direct=0.0, max_refine_dev=0.0)
+        h, a = np.diff(inner), table.spline.c[::-1]
+        bound = (22 * (h.size + 64) * np.finfo(float).eps / 2
+                 * np.sum(np.abs(a) * h ** np.arange(1, 5)[:, None]))
+        times = [0.0, 0.5, 3.0, 40.0, 4096.0, 1e6]
+        got = table.fourier(times)
+        with mp.workdps(80):  # theta >= 5e-7: at most 26 digits cancel
+            for t, value in zip(times, got):
+                exact = mp.mpc(0)
+                for k in range(h.size):
+                    x0, hk = mp.mpf(inner[k]), mp.mpf(inner[k + 1]) - \
+                        mp.mpf(inner[k])
+                    moments = (self._moments_closed_form(t * hk, mp) if t
+                               else [1 / mp.mpf(j + 1) for j in range(4)])
+                    exact += mp.exp(-1j * t * x0) * mp.fsum(
+                        mp.mpf(a[j, k]) * hk ** (j + 1) * moments[j]
+                        for j in range(4))
+                assert abs(value - complex(exact)) <= bound, (t, bound)
+                if t == 1e6:  # the end terms, ~1e-6, stand far above it
+                    assert abs(exact) > 1e3 * bound
 
     def test_one_cubic_piece_against_closed_form(self):
         mp = pytest.importorskip("mpmath")
@@ -186,10 +250,11 @@ class TestExactSynthesis:
         """One time point on the rational benchmark table (2559 intervals)
         peaks below 128 KiB, glibc's default threshold for serving an
         allocation by mmap: a few values per interval, not a stacked
-        (time x interval x moment) array."""
+        (time x interval x moment) array.  From t = 1e5 on every interval
+        is wide, so both of its end knots are gathered."""
         table = gt.density_table(rational_model)
         table.fourier(1.0)  # the cached pieces are built once, not per call
-        for t in (0.0, 3.7, 2700.0):
+        for t in (0.0, 3.7, 2700.0, 1e5, 1e6):
             tracemalloc.start()
             try:
                 table.fourier(t)
@@ -323,6 +388,11 @@ class TestSurvivalSeries:
             SurvivalSeries(times=np.array([0.0, 1.0]),
                            amplitudes=np.array([1.0 + 0j, 1.2 + 0j]),
                            probabilities=np.array([1.0, 1.44]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="times must be finite"):
+                SurvivalSeries(times=np.array([0.0, 1.0, bad]),
+                               amplitudes=np.ones(3, dtype=complex),
+                               probabilities=np.ones(3))
 
 
 class TestGamowApproximation:

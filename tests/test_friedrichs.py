@@ -91,6 +91,16 @@ class TestFormFactors:
         with pytest.raises(ValueError):
             gt.FlatCutoff(cutoff=-1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_parameters_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="cutoff must be positive and"):
+            gt.FlatCutoff(cutoff=bad)
+        with pytest.raises(ValueError, match="scale must be positive and"):
+            gt.RationalFormFactor(scale=bad)
+        with pytest.raises(ValueError, match="omega0 must be positive and"):
+            gt.FriedrichsModel(omega0=bad, lam=0.1,
+                               form_factor=gt.FlatCutoff(cutoff=10.0))
+
     def test_rational_profile(self):
         ff = gt.RationalFormFactor(scale=2.0)
         w = 3.0

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
@@ -26,6 +26,9 @@ from gamow_thermo.numerics import (
 
 SPEC = QuadratureSpec()
 _U = np.finfo(float).eps / 2
+# the smallest subnormal: under gradual underflow every operation may add
+# an absolute error of at most half of it
+_ETA = np.nextafter(0.0, 1.0)
 
 # integrand points per row in the first pass, by piece: four Kronrod-15
 # panels a piece; a Cauchy window sees both sides of Re z, and off the
@@ -442,6 +445,9 @@ class TestCubicSpline:
     @settings(max_examples=100, deadline=None)
     @given(knots=_knot_sets(),
            where=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    @example(knots=(np.array([0.0, 1.0, 2.0, 3.0]),
+                    np.array([0.0, 0.0, 0.0, 2.22507386e-311])),
+             where=[0.0])
     def test_matches_scipy_not_a_knot(self, knots, where):
         """Against SciPy's CubicSpline (default not-a-knot) within a bound
         from rounding.  Each fit is backward stable: its slopes solve
@@ -453,7 +459,10 @@ class TestCubicSpline:
         [x_k, x_k+1] is y_k H00 + y_k+1 H01 + h s_k H10 + h s_k+1 H11
         with every |H| <= 1: the pieces and Horner's rule add at most
         16u (|y_k| + |y_k+1| + h (|s_k| + |s_k+1|)), the slopes
-        h (E_k + E_k+1).  Two fits carry it twice."""
+        h (E_k + E_k+1).  Under gradual underflow each of those 16
+        operations may also add half the smallest subnormal, an absolute
+        8 eta that the relative terms miss when the values are subnormal.
+        Two fits carry it twice."""
         x, y = knots
         spline, ref = _cubic_spline(x, y), CubicSpline(x, y)
         a, b = _not_a_knot_system(x, y)
@@ -462,7 +471,8 @@ class TestCubicSpline:
                                                           + np.abs(b))
         h = np.diff(x)
         scale = y[:-1] + y[1:] + h * (s[:-1] + s[1:])
-        bound = 2.0 * (16 * _U * scale + h * (slope_err[:-1] + slope_err[1:]))
+        bound = 2.0 * (16 * _U * scale + h * (slope_err[:-1] + slope_err[1:])
+                       + 8 * _ETA)
         w = np.concatenate([x[0] + np.array(where) * (x[-1] - x[0]),
                             0.5 * (x[:-1] + x[1:])])
         k = np.clip(np.searchsorted(x, w, side="right") - 1, 0, h.size - 1)
