@@ -18,6 +18,7 @@ from .numerics import (
 from .friedrichs import (
     ContinuationUnavailable,
     PoleInUpperHalfPlane,
+    PoleOutsideSupport,
     FormFactor,
     FlatCutoff,
     RationalFormFactor,

@@ -33,7 +33,8 @@ from .numerics import (
 _NUMERICAL_ERRORS = (
     NonConvergence, MaxIterExceeded, SingularStep, StepUnderflow,
     IntegrandError, OverflowError, friedrichs.PoleInUpperHalfPlane,
-    friedrichs.ContinuationUnavailable, decay.UnitarityViolation,
+    friedrichs.PoleOutsideSupport, friedrichs.ContinuationUnavailable,
+    decay.UnitarityViolation,
 )
 
 
@@ -110,21 +111,20 @@ class _Emitter:
 def cmd_pole(cfg: RunConfig, emitter: _Emitter) -> int:
     model = cfg.model()
     spec = cfg.quadrature_spec()
-    perturbative = friedrichs.perturbative_pole(model, spec)
-    resolved = friedrichs.find_pole(
-        model, friedrichs.newton_start(cfg.root_config(), perturbative), spec)
+    estimate = friedrichs.perturbative_pole(model, spec)
+    fgr = -2.0 * estimate.imag
+    resolved = friedrichs.find_pole(model, cfg.root_config(estimate), spec)
     if model.lam == 0.0:
         emitter.warn("stable state: coupling is zero, width vanishes")
         residual = 0.0
     else:
         residual = abs(friedrichs.self_energy(model, resolved.z, "II", spec))
+    delta = abs(resolved.gamma - fgr)
     emitter.add_table(
         "pole",
         ["method", "e_r", "gamma", "residual", "delta_gamma"],
-        [["resolved", resolved.e_r, resolved.gamma, residual,
-          abs(resolved.gamma - perturbative.gamma)],
-         ["perturbative", perturbative.e_r, perturbative.gamma, "",
-          abs(resolved.gamma - perturbative.gamma)]])
+        [["resolved", resolved.e_r, resolved.gamma, residual, delta],
+         ["perturbative", estimate.real, fgr, "", delta]])
     emitter.record["results"]["pole"] = emitter.num(
         {**asdict(resolved), "residual": residual})
     return 0
@@ -140,6 +140,9 @@ def cmd_survival(cfg: RunConfig, emitter: _Emitter) -> int:
         pole = None
         emitter.warn("the form factor has no analytic continuation, so no "
                      "resonance pole exists; p_gamow is left blank")
+    except friedrichs.PoleOutsideSupport as exc:
+        pole = None
+        emitter.warn(f"{exc}; p_gamow is left blank")
     else:
         emitter.record["results"]["pole"] = emitter.num(asdict(pole))
 
@@ -238,21 +241,21 @@ def cmd_evolve(cfg: RunConfig, emitter: _Emitter) -> int:
 
 def _scan_lambda(cfg: RunConfig, values: np.ndarray) -> list:
     """One pole search per lambda on a model built once, started from the
-    perturbative estimate it reports; a failed search is an error row."""
+    estimate whose width it reports; a failed search is an error row."""
     model = RunConfig(raw={**cfg.raw, "model.lambda": "0"},
                       base_dir=cfg.base_dir).model()
-    spec, root = cfg.quadrature_spec(), cfg.root_config()
+    spec = cfg.quadrature_spec()
+    cfg.root_config()  # a bad root.* key stops the scan before any row
 
     def row(lam: float) -> list:
         try:
             at = replace(model, lam=lam)
-            fgr = friedrichs.perturbative_pole(at, spec)
-            resolved = friedrichs.find_pole(
-                at, friedrichs.newton_start(root, fgr), spec)
+            est = friedrichs.perturbative_pole(at, spec)
+            resolved = friedrichs.find_pole(at, cfg.root_config(est), spec)
         except _NUMERICAL_ERRORS + (ValueError,) as exc:
             return [lam, "", "", "", "", f"{type(exc).__name__}: {exc}"]
         ratio = resolved.gamma / lam**2 if lam != 0 else ""
-        return [lam, resolved.e_r, resolved.gamma, ratio, fgr.gamma, ""]
+        return [lam, resolved.e_r, resolved.gamma, ratio, -2 * est.imag, ""]
 
     return list(zip(*(row(float(v)) for v in values)))
 

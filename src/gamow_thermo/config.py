@@ -44,9 +44,9 @@ def _boolean(text: str) -> bool:
     raise ValueError(text)
 
 
-def _finite(text: str) -> float:
+def _finite(text: str, low: float = -np.inf) -> float:
     value = float(text)
-    if not np.isfinite(value):
+    if not (np.isfinite(value) and value >= low):
         raise ValueError(text)
     return value
 
@@ -61,6 +61,7 @@ def _numbers(text: str) -> np.ndarray:
 # how the text of a value is read: (what the error message asks for, reader)
 _NUMBER = ("a number", float)
 _FINITE = ("a finite number", _finite)
+_NONNEGATIVE = ("a finite nonnegative number", lambda t: _finite(t, 0.0))
 _INTEGER = ("an integer", int)
 _COMPLEX = ("a complex literal like 1+0.5j",
             lambda text: complex(text.replace(" ", "")))
@@ -100,7 +101,7 @@ _KEYS = {
     "scan.axis": _one_of("lambda", "gamma", "beta"),
     "scan.values": ("comma-separated numbers", _numbers),
     **{f"scan.{end}": reader for end, reader in _RANGE.items()},
-    "survival.regimes": _BOOLEAN, "survival.noise_floor": _NUMBER,
+    "survival.regimes": _BOOLEAN, "survival.noise_floor": _NONNEGATIVE,
     "numerics.abs_tol": _NUMBER, "numerics.rel_tol": _NUMBER,
     "numerics.max_subdivisions": _INTEGER,
     "root.initial_guess": _COMPLEX, "root.step_tol": _NUMBER,
@@ -214,11 +215,12 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"invalid numerics section: {exc}") from exc
 
-    def root_config(self) -> RootSearchConfig:
+    def root_config(self, start: complex | None = None) -> RootSearchConfig:
+        """The root.* keys, with ``start`` as the default initial guess."""
         base = RootSearchConfig()
         try:
             return RootSearchConfig(
-                initial_guess=self.get("root.initial_guess"),
+                initial_guess=self.get("root.initial_guess", start),
                 step_tol=self.get("root.step_tol", base.step_tol),
                 residual_tol=self.get("root.residual_tol", base.residual_tol),
                 max_iter=self.get("root.max_iter", base.max_iter))

@@ -34,6 +34,7 @@ from .numerics import (
 __all__ = [
     "ContinuationUnavailable",
     "PoleInUpperHalfPlane",
+    "PoleOutsideSupport",
     "FormFactor",
     "FlatCutoff",
     "RationalFormFactor",
@@ -44,7 +45,6 @@ __all__ = [
     "self_energy",
     "find_pole",
     "perturbative_pole",
-    "newton_start",
     "spectral_density",
     "discretize",
 ]
@@ -56,6 +56,10 @@ class ContinuationUnavailable(ValueError):
 
 class PoleInUpperHalfPlane(RuntimeError):
     """Root search converged to a non-resonant (upper half-plane) zero."""
+
+
+class PoleOutsideSupport(RuntimeError):
+    """Root search converged to a zero outside the form factor's support."""
 
 
 class FormFactor:
@@ -299,30 +303,16 @@ def self_energy(model: FriedrichsModel, z, sheet: str = "I",
 
 
 def perturbative_pole(model: FriedrichsModel,
-                      spec: QuadratureSpec | None = None) -> ResonancePole:
-    """Second-order pole estimate from eta(omega0 + i0): golden-rule width
-    Gamma = 2 Im eta, principal-value shift e_r = omega0 - Re eta.
-
-    Serves both as the default Newton seed and as an independent check on
-    :func:`find_pole` (the two agree to relative O(lam^2)).
+                      spec: QuadratureSpec | None = None) -> complex:
+    """Second-order pole estimate omega0 - eta(omega0 + i0), a complex: its
+    real part is the principal-value shift omega0 - Re eta, and -2 Im is
+    the golden-rule width 2 Im eta.  It is the default start of
+    :func:`find_pole` and an independent check on it (the two agree to
+    relative O(lam^2)); unlike a resonance it may lie anywhere.
     """
     if not np.isfinite(model.form_factor.f2(model.omega0)):
         raise ValueError("f^2(omega0) must be finite")
-    eta = self_energy(model, model.omega0, "I", spec)
-    return ResonancePole(e_r=model.omega0 - eta.real, gamma=2.0 * eta.imag)
-
-
-def newton_start(cfg: RootSearchConfig,
-                 seed: ResonancePole) -> RootSearchConfig:
-    """``cfg`` with the pole search starting at ``seed`` (normally the
-    :func:`perturbative_pole` estimate), nudged below the real axis when
-    the seed has no width; a guess already in ``cfg`` wins."""
-    if cfg.initial_guess is not None:
-        return cfg
-    guess = seed.z
-    if guess.imag == 0.0:
-        guess -= 1e-6j * max(1.0, abs(guess))
-    return replace(cfg, initial_guess=guess)
+    return model.omega0 - self_energy(model, model.omega0, "I", spec)
 
 
 def find_pole(model: FriedrichsModel, cfg: RootSearchConfig | None = None,
@@ -330,16 +320,21 @@ def find_pole(model: FriedrichsModel, cfg: RootSearchConfig | None = None,
     """Locate the resonance pole: the second-sheet zero below the cut.
 
     Newton-iterates eta_II from the guess in ``cfg``, or else from the
-    perturbative estimate (see :func:`newton_start`).  A converged zero in
-    the upper half-plane is reported as :class:`PoleInUpperHalfPlane`
-    rather than silently conjugated.
+    :func:`perturbative_pole` estimate; a real start moves 1e-6 max(1, |z|)
+    below the axis.  Deforming the decay integral into the lower half-plane
+    sweeps only a zero with Im z <= 0 and Re z strictly inside the support,
+    so any other is raised, never conjugated or clipped:
+    :class:`PoleInUpperHalfPlane` or :class:`PoleOutsideSupport`.
     """
     cfg = cfg or RootSearchConfig()
     spec = spec or QuadratureSpec()
     if model.lam == 0.0:
         return ResonancePole(e_r=model.omega0, gamma=0.0)
-    if cfg.initial_guess is None:
-        cfg = newton_start(cfg, perturbative_pole(model, spec))
+    start = (perturbative_pole(model, spec) if cfg.initial_guess is None
+             else cfg.initial_guess)
+    if start.imag == 0.0:
+        start -= 1e-6j * max(1.0, abs(start))
+    cfg = replace(cfg, initial_guess=start)
 
     root = complex_newton(lambda z: self_energy(model, z, "II", spec), cfg)
     scale = max(1.0, abs(root))
@@ -347,8 +342,11 @@ def find_pole(model: FriedrichsModel, cfg: RootSearchConfig | None = None,
         raise PoleInUpperHalfPlane(
             f"converged to {root!r}: upper half-plane zeros are not "
             "decaying resonances")
-    gamma = max(0.0, -2.0 * root.imag)
-    return ResonancePole(e_r=root.real, gamma=gamma)
+    lo, hi = model.form_factor.support
+    if not lo < root.real < hi:
+        raise PoleOutsideSupport(f"converged to {root!r}, outside the "
+                                 f"support ({lo:g}, {hi:g}): no resonance")
+    return ResonancePole(e_r=root.real, gamma=max(0.0, -2.0 * root.imag))
 
 
 def spectral_density(model: FriedrichsModel, omega,

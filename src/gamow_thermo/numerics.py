@@ -105,8 +105,8 @@ class QuadratureSpec:
 class RootSearchConfig:
     """Complex Newton search parameters.
 
-    ``initial_guess`` may be left as None by callers that derive a
-    problem-specific default before invoking :func:`complex_newton`.
+    ``initial_guess`` may be None only for ``friedrichs.find_pole``, which
+    then starts from its perturbative estimate.
     """
 
     initial_guess: complex | None = None

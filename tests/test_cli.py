@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gamow_thermo as gt
 from gamow_thermo import cli, config, decay, friedrichs
@@ -53,6 +55,57 @@ class TestPoleCommand:
         code, _, _ = run_cli("pole", cfg)
         assert code == 1
         assert "omega0" in capsys.readouterr().err
+
+    def test_strong_coupling_prints_the_estimate(self, run_cli):
+        """At lambda = 1 the estimate lies left of threshold; it is
+        printed as it is, and the search started from it resolves."""
+        cfg = FLAT_CONFIG.replace("model.lambda = 0.1", "model.lambda = 1.0")
+        code, out, _ = run_cli("pole", cfg)
+        assert code == 0
+        header, rows = read_csv(out)
+        resolved, estimate = (dict(zip(header, r)) for r in rows)
+        assert float(resolved["e_r"]) == pytest.approx(0.239143191572)
+        assert float(resolved["gamma"]) == pytest.approx(10.3032574516)
+        assert float(estimate["e_r"]) == pytest.approx(1.0 - np.log(9.0))
+        assert float(estimate["gamma"]) == pytest.approx(2.0 * np.pi)
+
+    @pytest.mark.parametrize("omega0,lam,cutoff,z", [
+        ("0.05", "0.3", "10.0", "(-0.2187"), ("1.0", "0.1", "0.5", "(1.0068")],
+        ids=["below-threshold", "above-cutoff"])
+    def test_zero_outside_support_is_numerical(self, run_cli, capsys, omega0,
+                                               lam, cutoff, z):
+        cfg = (f"model.omega0 = {omega0}\nmodel.lambda = {lam}\n"
+               f"model.form_factor = flat_cutoff\nmodel.cutoff = {cutoff}\n")
+        code, out, record_path = run_cli("pole", cfg)
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(
+            f"numerical failure: converged to {z}")
+        error = json.loads(record_path.read_text())["results"]["error"]
+        assert error.startswith("PoleOutsideSupport: ")
+        assert f"outside the support (0, {float(cutoff):g})" in error
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(["flat_cutoff", "rational"]),
+           omega0=st.floats(-2.0, np.log10(3.0)),
+           lam=st.floats(-2.0, np.log10(2.0)),
+           size=st.floats(np.log10(0.3), 1.0))
+    def test_valid_config_never_exits_one(self, run_cli, kind, omega0, lam,
+                                          size):
+        """A valid model either has a resonance inside its support (exit
+        0) or fails with a typed numerical error (exit 2), never as a
+        config error; exponents are drawn, so the values are log-uniform."""
+        key = "model.cutoff" if kind == "flat_cutoff" else "model.scale"
+        cfg = (f"model.omega0 = {10**omega0!r}\n"
+               f"model.lambda = {10**lam!r}\n"
+               f"model.form_factor = {kind}\n{key} = {10**size!r}\n")
+        code, out, _ = run_cli("pole", cfg)
+        assert code in (0, 2)
+        if code == 0:
+            e_r = float(read_csv(out)[1][0][1])
+            hi = 10**size if kind == "flat_cutoff" else np.inf
+            assert 0.0 < e_r < hi
 
 
 class TestSurvivalCommand:
@@ -149,6 +202,25 @@ class TestSurvivalCommand:
         assert err.startswith("config error: ")
         assert f"{key} must be a finite number" in err
         assert not out.exists() and not record_path.exists()
+
+    def test_zero_outside_support_leaves_p_gamow_blank(self, run_cli,
+                                                       capsys):
+        """The pole is only survival's comparison: a zero right of the
+        cutoff is a warning, and the run still stops where it stopped
+        before, on P(0), for the missing bound state above the
+        continuum."""
+        cfg = self.SHORT.replace("model.cutoff = 10.0", "model.cutoff = 0.5")
+        code, out, record_path = run_cli("survival", cfg)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: P(0) = 9.41")
+        record = json.loads(record_path.read_text())
+        assert record["results"]["error"].startswith(
+            "UnitarityViolation: P(0) = 9.41")
+        assert "pole" not in record["results"]
+        assert any("outside the support (0, 0.5)" in w
+                   and "p_gamow is left blank" in w
+                   for w in record["warnings"])
 
     def test_tabulated_profile_runs_without_pole(self, run_cli, tmp_path,
                                                  flat_model):
@@ -253,6 +325,13 @@ class TestEntropyCommand:
         assert float(record["results"]["pole"]["gamma"]) == pytest.approx(
             0.0635520235703, rel=1e-9)
 
+    def test_strong_coupling_pole_from_model(self, run_cli):
+        cfg = FLAT_CONFIG.replace("model.lambda = 0.1", "model.lambda = 1.0")
+        code, _, record_path = run_cli("entropy", cfg)
+        assert code == 0
+        pole = json.loads(record_path.read_text())["results"]["pole"]
+        assert float(pole["e_r"]) == pytest.approx(0.239143191572)
+
 
 @pytest.mark.parametrize("command,extra", [
     ("entropy", ""),
@@ -325,6 +404,20 @@ class TestScanCommand:
                   for r in rows]
         assert (max(ratios) - min(ratios)) / ratios[1] < 10.0 * 0.2**2
         assert all(r[-1] == "" for r in rows)
+
+    def test_lambda_scan_through_strong_coupling(self, run_cli):
+        """Every row resolves, also where the estimate lies left of
+        threshold (lambda >= 0.8); gamma_fgr is the golden rule."""
+        cfg = FLAT_CONFIG + "scan.axis = lambda\nscan.values = 0.1,0.5,0.8,1\n"
+        code, out, record_path = run_cli("scan", cfg)
+        assert code == 0
+        header, rows = read_csv(out)
+        table = [dict(zip(header, r)) for r in rows]
+        assert all(r["error"] == "" and r["e_r"] != "" for r in table)
+        assert [float(r["gamma_fgr"]) for r in table] == pytest.approx(
+            [2.0 * np.pi * lam**2 for lam in (0.1, 0.5, 0.8, 1.0)])
+        assert float(table[-1]["e_r"]) == pytest.approx(0.239143191572)
+        assert json.loads(record_path.read_text())["warnings"] == []
 
     def test_gamma_scan_imag_monotone(self, run_cli):
         cfg = ("pole.e_r = 1.0\nthermo.beta = 1.0\n"
@@ -467,13 +560,18 @@ class TestScanCommand:
      + "survival.noise_floor = 1e-13x\n", "survival.noise_floor"),
     ("survival", TestSurvivalCommand.LONG
      + "survival.noise_floor = 1e-13x\n", "survival.noise_floor"),
+    ("survival", TestSurvivalCommand.LONG
+     + "survival.noise_floor = nan\n", "survival.noise_floor"),
+    ("survival", TestSurvivalCommand.LONG
+     + "survival.noise_floor = -1e-13\n", "survival.noise_floor"),
     ("entropy", "pole.e_r = 1.0\npole.gamma = 0.5\nevolve.value = 1+0.5i\n",
      "evolve.value"),
     ("entropy", "pole.e_r = 1.0\npole.gamma = 0.5\n"
      "survival.regimes = maybe\n", "survival.regimes"),
     ("entropy", "pole.e_r = 1.0\npole.gamma = 0.5\n"
      "evolve.mode = sideways\n", "evolve.mode"),
-], ids=["survival-short", "survival-long", "entropy-complex", "entropy-bool",
+], ids=["survival-short", "survival-long", "survival-nan-floor",
+        "survival-negative-floor", "entropy-complex", "entropy-bool",
         "entropy-choice"])
 def test_malformed_value_stops_before_work(run_cli, capsys, command, cfg,
                                            key):

@@ -271,6 +271,7 @@ class TestExactSynthesis:
             assert abs(table.fourier(0.0)[0]
                        - pieces.integrate(*table.knots[[0, -1]])) <= 1e-14
 
+    @pytest.mark.slow
     def test_matches_generic_route_flat(self, flat_model, flat_pole,
                                         flat_table):
         """Exact transform against QUADPACK on the same spline, knot to
@@ -280,6 +281,7 @@ class TestExactSynthesis:
             reference = _quadpack_fourier(flat_table, flat_table.knots, t)
             assert abs(exact - reference) < 1e-9
 
+    @pytest.mark.slow
     def test_matches_generic_route_rational(self, rational_model):
         """The same on the whole unbounded-support table, out to 27/Gamma
         (about 1.3 s of QUADPACK per time point)."""

@@ -16,6 +16,7 @@ from gamow_thermo.decay import _TABLE_SPEC
 from gamow_thermo.friedrichs import (
     ContinuationUnavailable,
     PoleInUpperHalfPlane,
+    PoleOutsideSupport,
 )
 from gamow_thermo.numerics import (
     IntegrandError,
@@ -411,53 +412,72 @@ class TestBatchedBoundary:
 
 
 class TestPerturbativePole:
+    """The estimate is the complex omega0 - eta(omega0 + i0): real part
+    the shifted level, -2 Im the golden-rule width."""
+
     def test_free_model(self):
         free = gt.FriedrichsModel(omega0=1.0, lam=0.0,
                                   form_factor=gt.FlatCutoff(cutoff=10.0))
-        pole = gt.perturbative_pole(free)
-        assert (pole.e_r, pole.gamma) == (1.0, 0.0)
+        assert gt.perturbative_pole(free) == 1.0
 
     def test_golden_rule_width(self, flat_model):
-        pole = gt.perturbative_pole(flat_model)
-        assert pole.gamma == pytest.approx(2.0 * np.pi * 0.01, rel=1e-10)
+        estimate = gt.perturbative_pole(flat_model)
+        assert isinstance(estimate, complex)
+        assert -2.0 * estimate.imag == pytest.approx(2.0 * np.pi * 0.01,
+                                                     rel=1e-10)
 
     def test_symmetric_cutoff_kills_shift(self):
         # level centered in [0, 2]: the principal value vanishes by symmetry
         model = gt.FriedrichsModel(omega0=1.0, lam=0.1,
                                    form_factor=gt.FlatCutoff(cutoff=2.0))
-        pole = gt.perturbative_pole(model)
-        assert pole.e_r == pytest.approx(1.0, abs=1e-9)
+        estimate = gt.perturbative_pole(model)
+        assert estimate.real == pytest.approx(1.0, abs=1e-9)
 
     def test_rational_form_factor(self):
         model = gt.FriedrichsModel(omega0=1.0, lam=0.1,
                                    form_factor=gt.RationalFormFactor(scale=1.0))
-        pole = gt.perturbative_pole(model)
-        assert pole.gamma == pytest.approx(
+        estimate = gt.perturbative_pole(model)
+        assert -2.0 * estimate.imag == pytest.approx(
             2.0 * np.pi * 0.01 * 1.0 / (np.pi * 2.0), rel=1e-9)
 
     def test_level_above_support(self):
         # omega0 outside [0, c]: no width, shift lam^2 ln(omega0/(omega0 - c))
         model = gt.FriedrichsModel(omega0=1.0, lam=0.1,
                                    form_factor=gt.FlatCutoff(cutoff=0.5))
-        pole = gt.perturbative_pole(model)
-        assert pole.gamma == 0.0
-        assert pole.e_r == pytest.approx(1.0 + 0.01 * np.log(2.0), abs=1e-14)
+        estimate = gt.perturbative_pole(model)
+        assert estimate.imag == 0.0
+        assert estimate.real == pytest.approx(1.0 + 0.01 * np.log(2.0),
+                                              abs=1e-14)
+
+    def test_strong_coupling_estimate_is_not_checked(self):
+        # flat cutoff 10 at lambda = 1: the shift ln 9 carries the estimate
+        # below threshold, which a resonance may not be but an estimate may
+        model = _profile_model("flat", 1.0, 1.0, 1.0)
+        estimate = gt.perturbative_pole(model)
+        assert estimate == pytest.approx(1.0 - np.log(9.0) - 1j * np.pi,
+                                         rel=1e-12)
 
 
 class TestFindPole:
-    def test_newton_start_is_the_default_seed(self, flat_model):
-        """A search started by newton_start from the perturbative estimate
-        is the default search, bit for bit; a stable seed is nudged below
-        the axis, and a guess already in the config wins."""
-        seed = gt.perturbative_pole(flat_model)
-        started = friedrichs.newton_start(RootSearchConfig(), seed)
-        assert started.initial_guess == seed.z
-        assert gt.find_pole(flat_model, started) == gt.find_pole(flat_model)
-        stable = gt.ResonancePole(e_r=2.0, gamma=0.0)
-        assert friedrichs.newton_start(
-            RootSearchConfig(), stable).initial_guess == 2.0 - 2e-6j
-        own = RootSearchConfig(initial_guess=1.0 - 0.1j)
-        assert friedrichs.newton_start(own, seed) is own
+    def test_estimate_is_the_default_start(self, flat_model, monkeypatch):
+        """A search started at the perturbative estimate is the default
+        search, bit for bit; a real guess is nudged 1e-6 max(1, |z|)
+        below the axis before Newton sees it."""
+        estimate = gt.perturbative_pole(flat_model)
+        assert gt.find_pole(
+            flat_model, RootSearchConfig(initial_guess=estimate)) == \
+            gt.find_pole(flat_model)
+        starts = []
+        newton = friedrichs.complex_newton
+
+        def recorded(g, cfg):
+            starts.append(cfg.initial_guess)
+            return newton(g, cfg)
+
+        monkeypatch.setattr(friedrichs, "complex_newton", recorded)
+        gt.find_pole(flat_model, RootSearchConfig(initial_guess=2.0))
+        gt.find_pole(flat_model, RootSearchConfig(initial_guess=0.5 + 0j))
+        assert starts == [2.0 - 2e-6j, 0.5 - 1e-6j]
 
     def test_free_model_is_stable(self):
         free = gt.FriedrichsModel(omega0=1.0, lam=0.0,
@@ -531,8 +551,8 @@ class TestFindPole:
         assert len(shapes) <= iterations + 2 < 10
 
     def test_upper_half_root_is_reported(self, flat_model):
-        seed = gt.perturbative_pole(flat_model)
-        cfg = RootSearchConfig(initial_guess=np.conjugate(seed.z))
+        estimate = gt.perturbative_pole(flat_model)
+        cfg = RootSearchConfig(initial_guess=estimate.conjugate())
         with pytest.raises(PoleInUpperHalfPlane):
             gt.find_pole(flat_model, cfg)
 
@@ -542,6 +562,39 @@ class TestFindPole:
         model = gt.FriedrichsModel(omega0=1.0, lam=0.1, form_factor=ff)
         with pytest.raises(ContinuationUnavailable):
             gt.find_pole(model)
+
+    @pytest.mark.parametrize("lam,zero", [
+        (0.7, 0.29801734126 - 2.36479324074j),
+        (0.8, 0.25013173689 - 3.16645184943j),
+        (1.0, 0.23914319157 - 5.15162872582j),
+        (1.5, 0.49452253322 - 12.59415761842j)])
+    def test_strong_coupling_resolves(self, lam, zero):
+        """Flat cutoff 10, omega0 = 1: the estimate lies left of threshold
+        from lambda ~ 0.7 on, and Newton still reaches the sheet-II zero
+        of the closed-form eta_II."""
+        model = _profile_model("flat", 1.0, lam, 1.0)
+        z = gt.find_pole(model).z
+        assert abs(z - zero) <= 1e-9 * abs(zero)
+        assert abs(closed_eta(model, z, "II")) <= 1e-12 * abs(z)
+
+    @pytest.mark.parametrize("omega0,lam,cutoff,zero", [
+        (0.05, 0.3, 10.0, -0.2188 - 0.4676j),
+        (1.0, 0.1, 0.5, 1.0068 - 0.0622j)],
+        ids=["below-threshold", "above-cutoff"])
+    def test_zero_outside_support_is_no_resonance(self, omega0, lam, cutoff,
+                                                  zero):
+        """A converged zero left of threshold, or right of a flat cutoff
+        (the sheet-II shadow of a level above the continuum), is swept by
+        no decay contour: it is raised with z and the support named."""
+        model = gt.FriedrichsModel(omega0=omega0, lam=lam,
+                                   form_factor=gt.FlatCutoff(cutoff=cutoff))
+        with pytest.raises(PoleOutsideSupport,
+                           match=rf"support \(0, {cutoff:g}\)") as info:
+            gt.find_pole(model)
+        z = complex(re.search(r"converged to \((.*?)\)",
+                              str(info.value)).group(1))
+        assert abs(z - zero) < 1e-4
+        assert abs(closed_eta(model, z, "II")) <= 1e-12
 
 
 class TestSpectralDensity:
