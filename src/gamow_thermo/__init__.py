@@ -3,6 +3,7 @@
 from .numerics import (
     QuadratureSpec,
     RootSearchConfig,
+    NumericalFailure,
     NonConvergence,
     IntegrandError,
     MaxIterExceeded,

@@ -21,21 +21,7 @@ import numpy as np
 
 from . import __version__, decay, evolution, friedrichs, thermo
 from .config import ConfigError, RunConfig, load_config
-from .numerics import (
-    IntegrandError,
-    InvalidElements,
-    MaxIterExceeded,
-    NonConvergence,
-    SingularStep,
-    StepUnderflow,
-)
-
-_NUMERICAL_ERRORS = (
-    NonConvergence, MaxIterExceeded, SingularStep, StepUnderflow,
-    IntegrandError, OverflowError, friedrichs.PoleInUpperHalfPlane,
-    friedrichs.PoleOutsideSupport, friedrichs.ContinuationUnavailable,
-    decay.UnitarityViolation,
-)
+from .numerics import InvalidElements, NumericalFailure
 
 
 class _Emitter:
@@ -136,11 +122,7 @@ def cmd_survival(cfg: RunConfig, emitter: _Emitter) -> int:
     try:
         pole = friedrichs.find_pole(model, cfg.root_config(),
                                     cfg.quadrature_spec())
-    except friedrichs.ContinuationUnavailable:
-        pole = None
-        emitter.warn("the form factor has no analytic continuation, so no "
-                     "resonance pole exists; p_gamow is left blank")
-    except friedrichs.PoleOutsideSupport as exc:
+    except NumericalFailure as exc:
         pole = None
         emitter.warn(f"{exc}; p_gamow is left blank")
     else:
@@ -148,7 +130,7 @@ def cmd_survival(cfg: RunConfig, emitter: _Emitter) -> int:
 
     try:
         table = decay.density_table(model)
-    except (NonConvergence, IntegrandError) as exc:
+    except NumericalFailure as exc:
         raise type(exc)(f"density table build failed: {exc}") from exc
     series = decay.survival_probability(model, grid)
     emitter.record["results"]["density_table"] = emitter.num({
@@ -252,7 +234,7 @@ def _scan_lambda(cfg: RunConfig, values: np.ndarray) -> list:
             at = replace(model, lam=lam)
             est = friedrichs.perturbative_pole(at, spec)
             resolved = friedrichs.find_pole(at, cfg.root_config(est), spec)
-        except _NUMERICAL_ERRORS + (ValueError,) as exc:
+        except (NumericalFailure, ValueError) as exc:
             return [lam, "", "", "", "", f"{type(exc).__name__}: {exc}"]
         ratio = resolved.gamma / lam**2 if lam != 0 else ""
         return [lam, resolved.e_r, resolved.gamma, ratio, -2 * est.imag, ""]
@@ -362,7 +344,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         emitter = _Emitter(cfg, args, args.command)
         status = _COMMANDS[args.command](cfg, emitter)
-    except _NUMERICAL_ERRORS as exc:  # first: some are ValueErrors
+    # before ValueError: some numerical failures are ValueErrors too
+    except (NumericalFailure, OverflowError) as exc:
         emitter.record["results"]["error"] = f"{type(exc).__name__}: {exc}"
         print(f"numerical failure: {exc}", file=sys.stderr)
         status = 2

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .friedrichs import FriedrichsModel, ResonancePole, spectral_density
-from .numerics import (NonConvergence, PiecewiseCubic, QuadratureSpec,
-                       _cubic_spline, integrate)
+from .numerics import (NonConvergence, NumericalFailure, PiecewiseCubic,
+                       QuadratureSpec, _cubic_spline, integrate)
 
 __all__ = [
     "InsufficientSpan",
@@ -62,7 +62,7 @@ class InsufficientSpan(ValueError):
     """The series does not reach far enough to separate decay regimes."""
 
 
-class UnitarityViolation(ValueError):
+class UnitarityViolation(NumericalFailure, ValueError):
     """Survival probabilities leave [0, 1], or P(0) misses 1, by more than
     1e-8: for a computed series, a defect of the route that made it."""
 
@@ -211,6 +211,11 @@ class DensityTable:
         sums of the wide ones at their left and right knots.  A Horner
         step in t over 18 scalars, and one in 1/(i t) over 4, finishes
         the time.  Memory stays at four values per knot.
+
+        Large t: the phase t x is rounded by about u t |x| (u the unit
+        roundoff), and a late A(t) cancels end-point terms of size rho/t,
+        so accuracy falls as t grows: on the flat benchmark table t = 1e12
+        gives no correct digit, and nothing warns.
         """
         t = np.atleast_1d(np.asarray(times, dtype=float)).tolist()
         if not all(0.0 <= ti < np.inf for ti in t):

@@ -20,6 +20,7 @@ import numpy as np
 from .numerics import (
     IntegrandError,
     NonConvergence,
+    NumericalFailure,
     PiecewiseCubic,
     QuadratureSpec,
     RootSearchConfig,
@@ -50,15 +51,15 @@ __all__ = [
 ]
 
 
-class ContinuationUnavailable(ValueError):
+class ContinuationUnavailable(NumericalFailure, ValueError):
     """The form factor has no analytic continuation off the real axis."""
 
 
-class PoleInUpperHalfPlane(RuntimeError):
+class PoleInUpperHalfPlane(NumericalFailure, RuntimeError):
     """Root search converged to a non-resonant (upper half-plane) zero."""
 
 
-class PoleOutsideSupport(RuntimeError):
+class PoleOutsideSupport(NumericalFailure, RuntimeError):
     """Root search converged to a zero outside the form factor's support."""
 
 
@@ -82,7 +83,7 @@ class FormFactor:
         raises :class:`ContinuationUnavailable` for a profile without an
         analytic expression."""
         raise ContinuationUnavailable(
-            f"{type(self).__name__} cannot be continued off the real axis")
+            f"{type(self).__name__} has no analytic continuation")
 
     @property
     def support(self) -> tuple[float, float]:

@@ -22,6 +22,7 @@ __all__ = [
     "QuadratureSpec",
     "PiecewiseCubic",
     "RootSearchConfig",
+    "NumericalFailure",
     "NonConvergence",
     "IntegrandError",
     "MaxIterExceeded",
@@ -36,23 +37,27 @@ __all__ = [
 ]
 
 
-class NonConvergence(RuntimeError):
+class NumericalFailure(Exception):
+    """A numerical route could not deliver a trustworthy number: exit 2."""
+
+
+class NonConvergence(NumericalFailure, RuntimeError):
     """Subdivision or refinement budget exhausted before reaching tolerance."""
 
 
-class IntegrandError(ValueError):
+class IntegrandError(NumericalFailure, ValueError):
     """Integrand produced a NaN or infinity inside the integration range."""
 
 
-class MaxIterExceeded(RuntimeError):
+class MaxIterExceeded(NumericalFailure, RuntimeError):
     """Root search did not converge within the iteration budget."""
 
 
-class SingularStep(RuntimeError):
+class SingularStep(NumericalFailure, RuntimeError):
     """Numerical derivative vanished; Newton step is undefined."""
 
 
-class StepUnderflow(RuntimeError):
+class StepUnderflow(NumericalFailure, RuntimeError):
     """ODE step halving hit the resolution floor without converging."""
 
 
@@ -189,14 +194,16 @@ def _first_pass(pieces: int, off: bool):
                                 for p in range(pieces)]
 
 
-def _kronrod(vals, half, x):
-    """Kronrod sums and |K - G| gauges of panels of half-width ``half``
-    whose node values, at the nodes ``x``, run along the last axis of
-    ``vals``; both shaped like ``vals`` without that axis."""
+def _kronrod(vals, half, centre):
+    """Kronrod sums and |K - G| gauges of the panels centre +- half in s
+    whose node values run along the last axis of ``vals``; both shaped
+    like ``vals`` without that axis."""
     finite = np.isfinite(vals)
     if not finite.all():
-        bad = np.broadcast_to(x, vals.shape)[~finite][0]
-        raise IntegrandError(f"integrand is not finite near x = {bad!r}")
+        nodes = centre[:, None] + half[:, None] * _NODES
+        bad = float(np.broadcast_to(nodes, vals.shape)[~finite][0])
+        raise IntegrandError(f"integrand is not finite near quadrature "
+                             f"coordinate s = {bad!r} (not omega)")
     sums = half[:, None] * (vals[..., None, :] * _WKG).sum(axis=-1)
     kron = sums[..., 0]
     return kron, np.abs(kron - sums[..., 1])
@@ -224,6 +231,7 @@ def _composite(pieces, table, n: int, spec: QuadratureSpec, dtype,
     its batch.
     """
     edges, nodes, half, cut = table
+    centre = 0.5 * (edges[:-1] + edges[1:])
     out, owner, val, err = [], [], [], []
     step = max(1, _BLOCK // nodes.size)
     for s in range(0, n, step):
@@ -238,8 +246,7 @@ def _composite(pieces, table, n: int, spec: QuadratureSpec, dtype,
             if hit.size:
                 vals[hit, part] = f(s + hit[:, None], nodes[part])
         block_val, block_err = _kronrod(
-            vals.reshape(len(vals), half.size, _NODES.size), half,
-            nodes.reshape(half.size, _NODES.size))
+            vals.reshape(len(vals), half.size, _NODES.size), half, centre)
         total = np.cumsum(block_val, axis=1)[:, -1]
         tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
         miss = np.flatnonzero(np.cumsum(block_err, axis=1)[:, -1] > tol)
@@ -273,7 +280,7 @@ def _composite(pieces, table, n: int, spec: QuadratureSpec, dtype,
                 sel = piece == p
                 if sel.any():
                     vals[sel] = f(j[sel], s[sel] - p)
-            parts.append(_kronrod(vals, half, s))
+            parts.append(_kronrod(vals, half, centre))
         return tuple(np.concatenate(part) for part in zip(*parts))
 
     while True:
@@ -596,30 +603,16 @@ def complex_newton(g, cfg: RootSearchConfig) -> complex:
         f"no root after {cfg.max_iter} iterations (last z = {z!r})")
 
 
-def _rk4_linear(z: complex, y0: complex, tau_grid: np.ndarray,
-                steps_per_interval: np.ndarray) -> np.ndarray:
-    out = np.empty(tau_grid.size, dtype=complex)
-    out[0] = y = complex(y0)
-    for i in range(tau_grid.size - 1):
-        n = int(steps_per_interval[i])
-        h = (tau_grid[i + 1] - tau_grid[i]) / n
-        for _ in range(n):
-            k1 = z * y
-            k2 = z * (y + 0.5 * h * k1)
-            k3 = z * (y + 0.5 * h * k2)
-            k4 = z * (y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = y
-    return out
-
-
 def ode_evolve(z: complex, y0: complex, tau_grid,
                rel_tol: float = 1e-10) -> np.ndarray:
     """Evolve dy/dtau = z*y through the given grid points.
 
     Classic fixed-step RK4, with the step count doubled until two
     successive refinements agree to ``rel_tol`` in relative terms at every
-    grid point.  The first grid point carries ``y0`` unchanged.
+    grid point.  The first grid point carries ``y0`` unchanged.  For this
+    linear rate one step of size h multiplies y by R(hz), with
+    R(w) = 1 + w + w^2/2 + w^3/6 + w^4/24, so n steps across an interval
+    are R(z dt/n)^n and the grid is their running product.
     """
     tau = np.asarray(tau_grid, dtype=float)
     if tau.ndim != 1 or tau.size < 1:
@@ -630,14 +623,20 @@ def ode_evolve(z: complex, y0: complex, tau_grid,
         return np.array([complex(y0)])
 
     dt = np.diff(tau)
+
+    def rk4(steps):
+        w = z * dt / steps
+        r = 1.0 + w * (1.0 + w * (0.5 + w * (1.0 / 6.0 + w / 24.0)))
+        return complex(y0) * np.cumprod(np.concatenate([[1.0], r**steps]))
+
     steps = np.maximum(1, np.ceil(abs(z) * dt / 0.5)).astype(int)
-    prev = _rk4_linear(z, y0, tau, steps)
+    prev = rk4(steps)
     prev_diff = None
     for _ in range(40):
         if np.any(dt / (2 * steps) < 1e-15 * np.abs(tau[1:]).clip(min=1.0)):
             raise StepUnderflow("step halving reached float resolution")
         steps = steps * 2
-        cur = _rk4_linear(z, y0, tau, steps)
+        cur = rk4(steps)
         scale = np.maximum(np.abs(cur), 1e-300)
         diff = float(np.max(np.abs(cur - prev) / scale))
         if diff <= rel_tol:

@@ -76,6 +76,16 @@ class ComplexEntropy:
         return _complex(self.real_part, self.imag_part)
 
 
+def _log_product(beta, w):
+    """Log(beta * w), split as ln beta + Log w where the product is not a
+    normal double (subnormal, zero or overflowing) and would lose digits."""
+    with np.errstate(divide="ignore", over="ignore"):
+        product = beta * w
+        size = np.abs(product)
+        normal = (size >= np.finfo(float).tiny) & (size < np.inf)
+        return np.where(normal, np.log(product), np.log(beta) + np.log(w))
+
+
 def complex_entropy(pole: ResonancePole, point: ThermoPoint) -> ComplexEntropy:
     """Closed-form entropy of a resonance at inverse temperature beta.
 
@@ -86,7 +96,7 @@ def complex_entropy(pole: ResonancePole, point: ThermoPoint) -> ComplexEntropy:
     """
     k = point.k
     magnitude = np.hypot(pole.e_r, 0.5 * pole.gamma)
-    real = k * (1.0 - np.log(point.beta * magnitude))
+    real = k * (1.0 - _log_product(point.beta, magnitude))
     imag = -k * np.arctan(0.5 * pole.gamma / pole.e_r)
     return ComplexEntropy(real_part=real, imag_part=imag, k=k)
 
@@ -100,7 +110,7 @@ def entropy_via_log_identity(pole: ResonancePole,
     arctangent above; the two routes agree to machine precision and are
     tested against each other as an algebraic oracle.
     """
-    s = point.k * (1.0 - np.log(point.beta * np.conjugate(pole.z)))
+    s = point.k * (1.0 - _log_product(point.beta, np.conjugate(pole.z)))
     return ComplexEntropy(real_part=s.real, imag_part=s.imag, k=point.k)
 
 

@@ -222,6 +222,26 @@ class TestSurvivalCommand:
                    and "p_gamow is left blank" in w
                    for w in record["warnings"])
 
+    def test_failed_pole_search_keeps_the_table(self, run_cli):
+        """Any failed pole search only blanks p_gamow: one Newton
+        iteration is too few, and the amplitudes are those of a run
+        without the key."""
+        code, out, _ = run_cli("survival", self.SHORT, out_name="full.csv")
+        assert code == 0
+        _, full = read_csv(out)
+        code, out, record_path = run_cli("survival",
+                                         self.SHORT + "root.max_iter = 1\n")
+        assert code == 0
+        header, rows = read_csv(out)
+        p_gamow = header.index("p_gamow")
+        assert all(r[p_gamow] == "" for r in rows)
+        assert [r[:p_gamow] for r in rows] == [r[:p_gamow] for r in full]
+        record = json.loads(record_path.read_text())
+        assert "pole" not in record["results"]
+        assert any(w.startswith("no root after 1 iterations")
+                   and w.endswith("; p_gamow is left blank")
+                   for w in record["warnings"])
+
     def test_tabulated_profile_runs_without_pole(self, run_cli, tmp_path,
                                                  flat_model):
         """No continuation, no pole: amplitudes still come from the
@@ -608,6 +628,46 @@ def test_unwritable_output_is_output_error(tmp_path, capsys, extra,
     assert code == 1
     assert "output error:" in err
     assert ("numerical failure:" in err) == numerical
+
+
+@pytest.mark.parametrize("cls,base", [
+    (gt.NonConvergence, RuntimeError), (gt.IntegrandError, ValueError),
+    (gt.MaxIterExceeded, RuntimeError), (gt.SingularStep, RuntimeError),
+    (gt.StepUnderflow, RuntimeError), (gt.ContinuationUnavailable, ValueError),
+    (gt.PoleInUpperHalfPlane, RuntimeError),
+    (gt.PoleOutsideSupport, RuntimeError),
+    (gt.UnitarityViolation, ValueError)])
+def test_numerical_errors_keep_their_builtin_base(cls, base):
+    assert issubclass(cls, gt.NumericalFailure)
+    assert issubclass(cls, base)
+
+
+def test_input_errors_are_not_numerical():
+    for cls in (gt.InvalidElements, config.ConfigError, gt.InsufficientSpan):
+        assert not issubclass(cls, gt.NumericalFailure)
+
+
+def test_any_numerical_failure_exits_two(run_cli, monkeypatch, capsys):
+    """The exit code follows the type: a failure class the CLI has never
+    heard of exits 2 from ``pole`` and fills an error row in a scan."""
+    class Fresh(gt.NumericalFailure):
+        pass
+
+    def fail(*args, **kwargs):
+        raise Fresh("no verdict")
+
+    monkeypatch.setattr(friedrichs, "find_pole", fail)
+    code, out, record_path = run_cli("pole", FLAT_CONFIG)
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "numerical failure: no verdict\n"
+    assert json.loads(record_path.read_text())["results"][
+        "error"] == "Fresh: no verdict"
+    cfg = FLAT_CONFIG + "scan.axis = lambda\nscan.values = 0.05,0.1\n"
+    code, out, _ = run_cli("scan", cfg)
+    assert code == 2
+    _, rows = read_csv(out)
+    assert [r[-1] for r in rows] == ["Fresh: no verdict"] * 2
 
 
 class TestOutputContract:

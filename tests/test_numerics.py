@@ -93,6 +93,13 @@ class TestIntegrate:
     def test_non_finite_integrand(self):
         with pytest.raises(IntegrandError):
             integrate(lambda w: np.full_like(w, np.nan), 0.0, 1.0, SPEC)
+        # the first node past the NaN edge, printed as a plain number
+        with pytest.raises(IntegrandError) as info:
+            integrate(lambda w: np.where(w > 0.5, np.nan, 1.0), 0.0, 1.0,
+                      SPEC)
+        assert str(info.value) == (
+            "integrand is not finite near quadrature coordinate "
+            "s = 0.5010680786098984 (not omega)")
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
@@ -189,6 +196,13 @@ class TestPrincipalValue:
         with pytest.raises(IntegrandError):
             principal_values(lambda w: np.full_like(w, np.nan), 0.0, 1.0,
                              [0.5], SPEC)
+        # a NaN past w = 100 lies in the tail, the third piece, s in [2, 3)
+        with pytest.raises(IntegrandError) as info:
+            principal_values(lambda w: np.where(w > 100.0, np.nan, 1.0 / w),
+                             0.0, np.inf, [0.5], SPEC)
+        assert "np.float64" not in str(info.value)
+        s = float(str(info.value).split("s = ")[1].split(" ")[0])
+        assert 2.0 <= s < 3.0
 
 
 def _bump_cauchy(z, top, c, s):

@@ -172,6 +172,23 @@ class TestEntropyScan:
         assert info.value.mask.tolist() == [False, True]
 
 
+@pytest.mark.parametrize("e_r,gamma,beta", [
+    (0.97778, 0.063552, 1e-320), (1e10, 1.0, 1e300)],
+    ids=["subnormal-beta", "overflowing-product"])
+def test_extreme_beta_matches_mpmath(e_r, gamma, beta):
+    """beta |z_R| underflows to a subnormal, or overflows, for these
+    points; both routes still match 1 - Log(beta conj(z_R)) in 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        exact = complex(1 - mp.log(mp.mpf(beta) * mp.mpc(e_r, gamma / 2)))
+    pole = gt.ResonancePole(e_r=e_r, gamma=gamma)
+    point = gt.ThermoPoint(beta=beta)
+    for route in (gt.complex_entropy, gt.entropy_via_log_identity):
+        assert abs(route(pole, point).value - exact) <= 4e-16 * abs(exact)
+    assert entropy(1e10, 1.0, 1e300).real_part == pytest.approx(
+        -712.8013788281542, rel=1e-15)
+
+
 def _log_uniform(lo, hi):
     return st.floats(lo, hi).map(lambda x: 10.0**x)
 
@@ -184,10 +201,13 @@ _K = st.floats(0.1, 10.0)
 
 class TestProperties:
     """Over E_R and beta in [1e-6, 1e6], Gamma/E_R = 0 or in
-    [1e-12, 1e6] and k in [0.1, 10]."""
+    [1e-12, 1e6] and k in [0.1, 10]; the two routes agree for every
+    positive finite beta, subnormals included."""
 
     @settings(max_examples=300, deadline=None)
-    @given(e_r=_E_R, ratio=_RATIO, beta=_BETA, k=_K)
+    @given(e_r=_E_R, ratio=_RATIO, k=_K,
+           beta=st.floats(min_value=0.0, exclude_min=True,
+                          allow_infinity=False, allow_subnormal=True))
     def test_closed_form_matches_log_identity(self, e_r, ratio, beta, k):
         pole = gt.ResonancePole(e_r=e_r, gamma=ratio * e_r)
         point = gt.ThermoPoint(beta=beta, k=k)
