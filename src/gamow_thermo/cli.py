@@ -11,6 +11,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import sys
@@ -81,9 +82,11 @@ class _Emitter:
         if self.format == "csv":
             for index, table in enumerate(self.record["tables"]):
                 path = self._csv_path(index, table["name"])
-                lines = [",".join(table["columns"])]
-                lines += [",".join(r) for r in table["rows"]]
-                path.write_text("\n".join(lines) + "\n", newline="\n")
+                # quoted where a field holds a comma, as error texts may
+                with open(path, "w", newline="") as handle:
+                    writer = csv.writer(handle, lineterminator="\n")
+                    writer.writerow(table["columns"])
+                    writer.writerows(table["rows"])
                 written.append(path)
         sidecar = self.out_path.with_suffix(".json")
         sidecar.write_text(json.dumps(self.record, indent=2) + "\n",

@@ -428,7 +428,7 @@ def discretize(model: FriedrichsModel, n_bins: int,
     in O(n_bins^2) work and O(n_bins) memory, and the level's overlap with
     each eigenvector follows in closed form.  Each exact pass over the
     open roots costs O(n_bins^2); from a start modelled in O(n_bins log
-    n_bins), nearly every root closes in two, and only the two outermost
+    n_bins), nearly every root closes in one, and only the two outermost
     roots and those beside bins of zero coupling take more.  A bin whose
     squared coupling is 0 is an eigenvalue omega_i with overlap 0.  Flags
     an omega_max that truncates visible coupling weight.  ``n_bins`` must
@@ -477,13 +477,14 @@ _SWEEP = 2**16
 # as a Taylor series in the offset x from the middle, |x| <= half a step.
 # _TAYLOR is the lowest last power at which every far term's relative
 # truncation, at most (2 _NEAR + 1)^-(_TAYLOR + 1) (2 _NEAR + 1)/(2 _NEAR),
-# falls under _MODEL_TOL, the accuracy the start aims at (_TAYLOR = 4).
+# falls under _MODEL_TOL, the accuracy the start aims at (_TAYLOR = 8):
+# near float resolution, so that one exact pass closes nearly every root.
 _NEAR = 16
-_MODEL_TOL = 1e-7
+_MODEL_TOL = 1e-13
 _TAYLOR = math.ceil(math.log((2 * _NEAR + 1) / (2 * _NEAR) / _MODEL_TOL)
                     / math.log(2 * _NEAR + 1)) - 1
 # middle-way steps taken on the model
-_MODEL_STEPS = 3
+_MODEL_STEPS = 4
 
 
 def _secular_roots(omega0: float, poles: np.ndarray, coupling: np.ndarray):
@@ -506,9 +507,10 @@ def _secular_roots(omega0: float, poles: np.ndarray, coupling: np.ndarray):
     the bracket that the signs of F have left (bisecting it otherwise,
     geometrically while its ends differ by more than a factor 4).  The
     bracket starts as the whole gap.  A root of a gap one step wide on a
-    uniform grid starts from :func:`_model_start`, usually within 1e-7 of
-    its offset, at the origin the model picked; every other root starts
-    at the middle of its gap, and its first pass picks the origin.
+    uniform grid starts from :func:`_model_start`, usually within float
+    resolution of its offset, at the origin the model picked; every other
+    root starts at the middle of its gap, and its first pass picks the
+    origin.
     A root closes once |F| <= 8 eps (|omega_o - omega0| + |tau| + sum_i
     |c_i^2/(omega_i - E)|), the float resolution of F as it is summed,
     once the model's next step falls below 4 ulps of tau (tau, not E,
@@ -518,7 +520,7 @@ def _secular_roots(omega0: float, poles: np.ndarray, coupling: np.ndarray):
     overlap, below (tau/c_o)^2 with c_o^2 > 0, is under 1e-290).  Only
     open roots are evaluated, in blocks of about ``_SWEEP`` (root x pole)
     elements: an exact pass costs O(k^2) and the model start O(k log k),
-    and from that start nearly every root closes in two exact passes.  A
+    and from that start nearly every root closes in one exact pass.  A
     root closer to a pole than float resolution is returned as the
     adjacent double, which keeps the roots strictly interlaced with the
     poles.
@@ -620,9 +622,10 @@ def _model_start(omega0, poles, coupling):
     the lattice with fixed kernels, taken at once by FFT in O(k log k);
     each model step costs O(k _NEAR).  The model's sign at the middle
     picks the origin, as an exact pass at the middle would, and
-    ``_MODEL_STEPS`` middle-way steps on the model give tau.  A poor start
-    costs exact passes and nothing else: those still bracket the whole
-    gap.  Returns the rows r, their origins and their tau.
+    ``_MODEL_STEPS`` middle-way steps on the model give tau, aimed at
+    float resolution, so that one exact pass closes nearly every root.  A
+    poor start costs exact passes and nothing else: those still bracket
+    the whole gap.  Returns the rows r, their origins and their tau.
     """
     none = np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0)
     if poles.size < 2:

@@ -17,6 +17,9 @@ from gamow_thermo.numerics import NonConvergence
 
 from conftest import FLAT_CONFIG
 
+# one pole-search step from a start far from the benchmark pole: too few
+_FAR_START = "root.max_iter = 1\nroot.initial_guess = 2-0.5j\n"
+
 
 def read_csv(path):
     with open(path, newline="") as handle:
@@ -224,13 +227,13 @@ class TestSurvivalCommand:
 
     def test_failed_pole_search_keeps_the_table(self, run_cli):
         """Any failed pole search only blanks p_gamow: one Newton
-        iteration is too few, and the amplitudes are those of a run
-        without the key."""
+        iteration from a far start is too few, and the amplitudes are
+        those of a run without the keys."""
         code, out, _ = run_cli("survival", self.SHORT, out_name="full.csv")
         assert code == 0
         _, full = read_csv(out)
         code, out, record_path = run_cli("survival",
-                                         self.SHORT + "root.max_iter = 1\n")
+                                         self.SHORT + _FAR_START)
         assert code == 0
         header, rows = read_csv(out)
         p_gamow = header.index("p_gamow")
@@ -539,6 +542,49 @@ class TestScanCommand:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("profile", [
+        "model.form_factor = flat_cutoff\nmodel.cutoff = 10.0\n",
+        "model.form_factor = rational\nmodel.scale = 1.0\n"],
+        ids=["flat", "rational"])
+    @pytest.mark.parametrize("lam", [0.03, 0.1, 0.25])
+    def test_lambda_row_takes_at_most_four_kernel_calls(
+            self, run_cli, monkeypatch, profile, lam):
+        """The estimate and the pole search of one row evaluate the
+        self-energy at most four times: the search returns the corrected
+        point of a stencil without evaluating it."""
+        calls = []
+        self_energy = friedrichs.self_energy
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return self_energy(*args, **kwargs)
+
+        monkeypatch.setattr(friedrichs, "self_energy", counted)
+        cfg = (f"model.omega0 = 1.0\n{profile}"
+               f"scan.axis = lambda\nscan.values = {lam}\n")
+        code, out, _ = run_cli("scan", cfg)
+        assert code == 0
+        assert read_csv(out)[1][0][-1] == ""
+        assert len(calls) <= 4
+
+    def test_error_text_with_a_comma_stays_one_field(self, run_cli):
+        """A PoleOutsideSupport message names the support "(0, 0.5)": the
+        field is quoted, so a CSV reader gets six fields a row and the
+        whole message."""
+        cfg = ("model.omega0 = 1.0\nmodel.form_factor = flat_cutoff\n"
+               "model.cutoff = 0.5\n"
+               "scan.axis = lambda\nscan.values = 0.1, 0.2\n")
+        code, out, record_path = run_cli("scan", cfg)
+        assert code == 2
+        header, rows = read_csv(out)
+        assert len(header) == 6 and [len(r) for r in rows] == [6, 6]
+        table = json.loads(record_path.read_text())["tables"][0]
+        assert [r[-1] for r in rows] == [r[-1] for r in table["rows"]]
+        assert all(r[-1].startswith("PoleOutsideSupport: converged to (")
+                   and r[-1].endswith(
+                       "outside the support (0, 0.5): no resonance")
+                   for r in rows)
+
     def test_lambda_scan_builds_the_model_once(self, run_cli, monkeypatch,
                                                tmp_path):
         reads = []
@@ -613,7 +659,7 @@ def test_branch_tables_are_the_allowed_values(key, table):
 
 
 @pytest.mark.parametrize("extra,numerical", [
-    ("", False), ("root.max_iter = 1\n", True)], ids=["ok", "numerical"])
+    ("", False), (_FAR_START, True)], ids=["ok", "numerical"])
 def test_unwritable_output_is_output_error(tmp_path, capsys, extra,
                                            numerical):
     """An output that cannot be written exits 1 with a typed message, on

@@ -310,15 +310,17 @@ class TestComplexNewton:
             complex_newton(lambda z: z, RootSearchConfig())
 
     def test_one_stencil_call_per_iteration(self):
-        # each call is the stencil [z, z + h, z - h]; the residual at the
-        # new iterate is read from the next stencil, never from a 4th call
+        # each call is the stencil [z, z + h, z - h]; the search stops at
+        # a stencil whose residual and correction are within tolerance and
+        # returns the corrected point, which it never evaluates
         stencils = []
 
         def g(z):
             stencils.append(z.copy())
             return z * z + 1.0
 
-        found = complex_newton(g, RootSearchConfig(initial_guess=0.1 + 0.9j))
+        cfg = RootSearchConfig(initial_guess=0.1 + 0.9j)
+        found = complex_newton(g, cfg)
         assert abs(found - 1j) < 1e-10
         assert all(s.shape == (3,) for s in stencils)
         for s in stencils:
@@ -326,7 +328,16 @@ class TestComplexNewton:
             assert (s[1], s[2]) == (s[0] + h, s[0] - h)
         centres = [s[0] for s in stencils]
         assert len(set(centres)) == len(centres)
-        assert centres[-1] == found
+        z, up, down = (complex(v) for v in stencils[-1])
+        h = 1e-6 * max(1.0, abs(z))
+        gz, g_up, g_down = map(complex, g(np.array([z, up, down])))
+        slope = (g_up - g_down) / (2.0 * h)
+        newton = gz / slope
+        bend = newton * ((g_up + g_down - 2.0 * gz) / (h * h)) / (2.0 * slope)
+        assert abs(bend) < 0.1  # Halley's step at the last stencil
+        assert found == z - newton / (1.0 - bend)
+        assert abs(gz) <= cfg.residual_tol
+        assert abs(found - z) <= cfg.step_tol
 
     def test_scalar_only_g_rejected(self):
         cfg = RootSearchConfig(initial_guess=1.0 + 0.0j)
