@@ -48,6 +48,7 @@ from .decay import (
 )
 from .thermo import (
     IllDefinedBracket,
+    NonFiniteEntropy,
     ThermoPoint,
     ComplexEntropy,
     complex_entropy,

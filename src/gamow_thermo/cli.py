@@ -5,7 +5,10 @@ primary table (CSV by default) plus a JSON run record carrying the exact
 configuration, so any emitted number can be reproduced by feeding the
 record back as ``--config``.  Exit codes are stable: 0 success or partial
 success with warnings, 1 configuration, usage or output error, 2 numerical
-failure.
+failure.  Two types decide them: a :class:`ConfigError`, which every
+command raises before its first numerical call, exits 1, and a
+:class:`NumericalFailure` or :class:`OverflowError` exits 2.  Any other
+exception is a bug and leaves with its traceback.
 """
 
 from __future__ import annotations
@@ -97,14 +100,15 @@ class _Emitter:
                 print(f"wrote {path}")
 
 
-def cmd_pole(cfg: RunConfig, emitter: _Emitter) -> int:
+def cmd_pole(cfg: RunConfig, emitter: _Emitter) -> None:
     model = cfg.model()
     spec = cfg.quadrature_spec()
+    cfg.root_config()  # a bad root.* key stops the run before the estimate
     estimate = friedrichs.perturbative_pole(model, spec)
     fgr = -2.0 * estimate.imag
     resolved = friedrichs.find_pole(model, cfg.root_config(estimate), spec)
-    if model.lam == 0.0:
-        emitter.warn("stable state: coupling is zero, width vanishes")
+    if model.lam**2 == 0.0:
+        emitter.warn("stable state: lambda^2 is zero, width vanishes")
         residual = 0.0
     else:
         residual = abs(friedrichs.self_energy(model, resolved.z, "II", spec))
@@ -116,10 +120,9 @@ def cmd_pole(cfg: RunConfig, emitter: _Emitter) -> int:
          ["perturbative", estimate.real, fgr, "", delta]])
     emitter.record["results"]["pole"] = emitter.num(
         {**asdict(resolved), "residual": residual})
-    return 0
 
 
-def cmd_survival(cfg: RunConfig, emitter: _Emitter) -> int:
+def cmd_survival(cfg: RunConfig, emitter: _Emitter) -> None:
     model = cfg.model()
     grid = cfg.grid("time", required=True)
     try:
@@ -167,15 +170,14 @@ def cmd_survival(cfg: RunConfig, emitter: _Emitter) -> int:
             else:
                 emitter.record["results"]["regimes"] = emitter.num(
                     asdict(report))
-    return 0
 
 
-def cmd_entropy(cfg: RunConfig, emitter: _Emitter) -> int:
-    pole = cfg.pole(cfg.quadrature_spec())
+def cmd_entropy(cfg: RunConfig, emitter: _Emitter) -> None:
     point = cfg.thermo_point()
     betas = cfg.grid("beta", positive=True)
     betas = np.atleast_1d(point.beta if betas is None else betas)
     point = replace(point, beta=betas)
+    pole = cfg.pole(cfg.quadrature_spec())
     closed = thermo.complex_entropy(pole, point)
     via_log = thermo.entropy_via_log_identity(pole, point)
     emitter.add_table("entropy", ["beta", "re_s", "im_s", "identity_dev"],
@@ -184,7 +186,6 @@ def cmd_entropy(cfg: RunConfig, emitter: _Emitter) -> int:
     emitter.record["results"]["pole"] = emitter.num(asdict(pole))
     emitter.record["results"]["thermo"] = emitter.num(
         {"k": point.k, "betas": list(betas)})
-    return 0
 
 
 _MODES = {"in": evolution.Mode.IN_CREATION,
@@ -194,24 +195,23 @@ _BRANCHES = {"time": ("time", "t", evolution.time_evolve),
              "thermal": ("tau", "tau", evolution.thermal_evolve)}
 
 
-def cmd_evolve(cfg: RunConfig, emitter: _Emitter) -> int:
-    pole = cfg.pole(cfg.quadrature_spec())
+def cmd_evolve(cfg: RunConfig, emitter: _Emitter) -> None:
     mode = _MODES[cfg.get("evolve.mode", default="in")]
     grid_name, column, evolve = _BRANCHES[cfg.get("evolve.branch",
                                                   default="time")]
     value = cfg.get("evolve.value", default=1.0 + 0.0j)
     start = evolution.LadderCoefficient(mode=mode, value=value)
-
     grid = cfg.grid(grid_name, required=True)
+    temps = cfg.grid("temperature", positive=True)
+    k = None if temps is None else cfg.thermo_point().k
+    pole = cfg.pole(cfg.quadrature_spec())
+
     c = evolve(start, pole, grid)
     emitter.add_table("trajectory",
                       [column, "re_value", "im_value", "modulus"],
                       zip(grid, c.value.real, c.value.imag, np.abs(c.value)))
-
-    temps = cfg.grid("temperature", positive=True)
     if temps is not None:
-        table = evolution.temperature_monotonicity(pole, temps,
-                                                   k=cfg.thermo_point().k)
+        table = evolution.temperature_monotonicity(pole, temps, k=k)
         emitter.add_table(
             "temperature",
             ["temperature", "in_factor", "out_factor"],
@@ -221,7 +221,6 @@ def cmd_evolve(cfg: RunConfig, emitter: _Emitter) -> int:
             "out_strictly_increasing": table.out_strictly_increasing,
         }
     emitter.record["results"]["pole"] = emitter.num(asdict(pole))
-    return 0
 
 
 def _scan_lambda(cfg: RunConfig, values: np.ndarray) -> list:
@@ -239,7 +238,7 @@ def _scan_lambda(cfg: RunConfig, values: np.ndarray) -> list:
             resolved = friedrichs.find_pole(at, cfg.root_config(est), spec)
         except (NumericalFailure, ValueError) as exc:
             return [lam, "", "", "", "", f"{type(exc).__name__}: {exc}"]
-        ratio = resolved.gamma / lam**2 if lam != 0 else ""
+        ratio = resolved.gamma / lam**2 if lam**2 != 0 else ""
         return [lam, resolved.e_r, resolved.gamma, ratio, -2 * est.imag, ""]
 
     return list(zip(*(row(float(v)) for v in values)))
@@ -273,9 +272,10 @@ _SCAN_COLUMNS = {
 }
 
 
-def cmd_scan(cfg: RunConfig, emitter: _Emitter) -> int:
+def cmd_scan(cfg: RunConfig, emitter: _Emitter) -> None:
     """Sweep one axis.  The fixed sections are read once, before the sweep,
-    so a configuration error stops the run instead of filling rows."""
+    so a configuration error stops the run instead of filling rows; a
+    sweep whose every point failed is a numerical failure."""
     axis = cfg.get("scan.axis", required=True)
     values = cfg.scan_values()
     if axis == "lambda":
@@ -288,17 +288,18 @@ def cmd_scan(cfg: RunConfig, emitter: _Emitter) -> int:
         columns = _scan_entropy(values, lambda g: thermo.complex_entropy(
             friedrichs.ResonancePole(e_r=e_r, gamma=g), point))
     else:
-        pole = cfg.pole(cfg.quadrature_spec())
         point = cfg.thermo_point()
+        pole = cfg.pole(cfg.quadrature_spec())
         columns = _scan_entropy(values, lambda b: thermo.complex_entropy(
             pole, replace(point, beta=b)))
     emitter.add_table("scan", _SCAN_COLUMNS[axis], zip(*columns))
     failures = int(np.count_nonzero(np.asarray(columns[-1]) != ""))
     emitter.record["results"]["points"] = values.size
     emitter.record["results"]["failed_points"] = failures
+    if failures == values.size:
+        raise NumericalFailure(f"all {failures} scan points failed")
     if failures:
         emitter.warn(f"{failures} of {values.size} scan points failed")
-    return 2 if failures == values.size else 0
 
 
 _COMMANDS = {
@@ -343,18 +344,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on a usage error, the numerical-failure code
         return 1 if exc.code else 0
+    status = 0
     try:
         cfg = load_config(args.config)
         emitter = _Emitter(cfg, args, args.command)
-        status = _COMMANDS[args.command](cfg, emitter)
-    # before ValueError: some numerical failures are ValueErrors too
+        _COMMANDS[args.command](cfg, emitter)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except (NumericalFailure, OverflowError) as exc:
         emitter.record["results"]["error"] = f"{type(exc).__name__}: {exc}"
         print(f"numerical failure: {exc}", file=sys.stderr)
         status = 2
-    except ValueError as exc:  # ConfigError and model-field checks
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     try:
         emitter.flush()
     except OSError as exc:

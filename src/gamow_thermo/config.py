@@ -51,6 +51,13 @@ def _finite(text: str, low: float = -np.inf) -> float:
     return value
 
 
+def _complex(text: str) -> complex:
+    value = complex(text.replace(" ", ""))
+    if not np.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _numbers(text: str) -> np.ndarray:
     parts = [p for p in (s.strip() for s in text.split(",")) if p]
     if not parts:
@@ -59,12 +66,11 @@ def _numbers(text: str) -> np.ndarray:
 
 
 # how the text of a value is read: (what the error message asks for, reader)
-_NUMBER = ("a number", float)
 _FINITE = ("a finite number", _finite)
 _NONNEGATIVE = ("a finite nonnegative number", lambda t: _finite(t, 0.0))
 _INTEGER = ("an integer", int)
-_COMPLEX = ("a complex literal like 1+0.5j",
-            lambda text: complex(text.replace(" ", "")))
+_COMPLEX = ("a complex literal like 1+0.5j with finite parts",
+            _complex)
 _BOOLEAN = ("a boolean", _boolean)
 _TEXT = ("text", str)
 
@@ -88,11 +94,11 @@ _FORM_FACTOR_KEYS = {"flat_cutoff": "model.cutoff", "rational": "model.scale",
 
 # every accepted key and how its value is read
 _KEYS = {
-    "model.omega0": _FINITE, "model.lambda": _NUMBER,
+    "model.omega0": _FINITE, "model.lambda": _FINITE,
     "model.form_factor": _one_of(*_FORM_FACTOR_KEYS),
     "model.cutoff": _FINITE, "model.scale": _FINITE, "model.table": _TEXT,
-    "pole.e_r": _NUMBER, "pole.gamma": _NUMBER,
-    "thermo.beta": _NUMBER, "thermo.k": _NUMBER,
+    "pole.e_r": _FINITE, "pole.gamma": _FINITE,
+    "thermo.beta": _FINITE, "thermo.k": _FINITE,
     **{f"grid.{name}.{end}": reader
        for name in ("time", "tau", "beta", "temperature")
        for end, reader in _RANGE.items()},
@@ -102,10 +108,10 @@ _KEYS = {
     "scan.values": ("comma-separated numbers", _numbers),
     **{f"scan.{end}": reader for end, reader in _RANGE.items()},
     "survival.regimes": _BOOLEAN, "survival.noise_floor": _NONNEGATIVE,
-    "numerics.abs_tol": _NUMBER, "numerics.rel_tol": _NUMBER,
+    "numerics.abs_tol": _FINITE, "numerics.rel_tol": _FINITE,
     "numerics.max_subdivisions": _INTEGER,
-    "root.initial_guess": _COMPLEX, "root.step_tol": _NUMBER,
-    "root.residual_tol": _NUMBER, "root.max_iter": _INTEGER,
+    "root.initial_guess": _COMPLEX, "root.step_tol": _FINITE,
+    "root.residual_tol": _FINITE, "root.max_iter": _INTEGER,
     "output.path": _TEXT, "output.format": _one_of("csv", "json"),
     "output.precision": _INTEGER,
 }
@@ -238,7 +244,7 @@ class RunConfig:
 
     def _spaced(self, prefix: str, floor: float | None = None) -> np.ndarray:
         """Points from the start/stop/points/spacing keys under ``prefix``;
-        with a ``floor``, a range that rises from at least ``floor``."""
+        with a ``floor``, points that rise strictly from at least ``floor``."""
         start = self.get(f"{prefix}.start", required=True)
         stop = self.get(f"{prefix}.stop", required=True)
         points = self.get(f"{prefix}.points", required=True)
@@ -254,7 +260,11 @@ class RunConfig:
             if spacing == "log" and start <= 0:
                 raise ConfigError(f"{prefix}: log spacing needs start > 0")
         space = np.geomspace if spacing == "log" else np.linspace
-        return space(start, stop, points)
+        grid = space(start, stop, points)
+        if floor is not None and not np.all(np.diff(grid) > 0):
+            raise ConfigError(f"{prefix}: {points} points between start and "
+                              "stop are not distinct floats")
+        return grid
 
     def grid(self, name: str, required: bool = False,
              positive: bool = False) -> np.ndarray | None:

@@ -64,7 +64,14 @@ class InsufficientSpan(ValueError):
 
 class UnitarityViolation(NumericalFailure, ValueError):
     """Survival probabilities leave [0, 1], or P(0) misses 1, by more than
-    1e-8: for a computed series, a defect of the route that made it."""
+    1e-8 (a NaN misses both): for a computed series, a defect of the
+    route that made it."""
+
+
+def _check_start(p0: float) -> None:
+    """Raise :class:`UnitarityViolation` unless P(0) is 1 within 1e-8."""
+    if not abs(p0 - 1.0) <= 1e-8:
+        raise UnitarityViolation(f"P(0) = {float(p0)!r} is not 1 within 1e-8")
 
 
 @dataclass(frozen=True)
@@ -86,12 +93,11 @@ class SurvivalSeries:
             raise ValueError("times must be finite")
         if t.size and (t[0] < 0 or np.any(np.diff(t) <= 0)):
             raise ValueError("times must be nonnegative and increasing")
-        if np.any(p < -1e-8) or np.any(p > 1.0 + 1e-8):
+        if not np.all((p >= -1e-8) & (p <= 1.0 + 1e-8)):
             raise UnitarityViolation(
                 "probabilities escape [0, 1] beyond tolerance")
-        if t.size and t[0] == 0.0 and abs(p[0] - 1.0) > 1e-8:
-            raise UnitarityViolation(
-                f"P(0) = {float(p[0])!r} is not 1 within 1e-8")
+        if t.size and t[0] == 0.0:
+            _check_start(p[0])
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "amplitudes", a)
         object.__setattr__(self, "probabilities", p)
@@ -161,7 +167,7 @@ class DensityTable:
     def __call__(self, omega):
         return self.spline(omega)
 
-    @property
+    @functools.cached_property
     def norm(self) -> float:
         """The spline's integral over its knots, A(0)."""
         return float(self.fourier(0.0)[0].real)
@@ -215,12 +221,17 @@ class DensityTable:
         Large t: the phase t x is rounded by about u t |x| (u the unit
         roundoff), and a late A(t) cancels end-point terms of size rho/t,
         so accuracy falls as t grows: on the flat benchmark table t = 1e12
-        gives no correct digit, and nothing warns.
+        gives no correct digit, and nothing warns.  A phase t x that
+        overflows raises :class:`NumericalFailure`.
         """
         t = np.atleast_1d(np.asarray(times, dtype=float)).tolist()
         if not all(0.0 <= ti < np.inf for ti in t):
             raise ValueError("the transform is evaluated at finite t >= 0")
         knots, h, right, taylor, first, last = self._pieces
+        # the last knot is the largest, and no knot is negative
+        if max(t, default=0.0) * float(knots[-1]) == np.inf:
+            raise NumericalFailure("the phase t * omega overflows at "
+                                   f"t = {max(t)!r}")
         out = np.empty(len(t), dtype=complex)
         for i, ti in enumerate(t):
             # cos(t x) and -sin(t x) in the two rows of one buffer
@@ -257,13 +268,15 @@ def _tail_cutoff(model: FriedrichsModel) -> float:
     lam2 = model.lam**2
     w = 8.0 * max(model.omega0, model.form_factor.scale_hint)
     for _ in range(60):
+        if w == np.inf:
+            break
         # crude density bound lam^2 f^2 / (w/2)^2 past the resonance region
         bound = 4.0 * lam2 * integrate(lambda x: f2(x) / x**2, w, np.inf,
                                        _NORM_SPEC).real
         if bound < 3e-10:
             return w
         w *= 2.0
-    raise ValueError("coupling weight decays too slowly to truncate")
+    raise NonConvergence("coupling weight decays too slowly to truncate")
 
 
 @functools.lru_cache(maxsize=8)
@@ -277,9 +290,11 @@ def density_table(model: FriedrichsModel) -> DensityTable:
     knot.  Every midpoint is checked each round because a cubic spline is
     global: a new knot moves the fit on intervals accepted earlier.  Each
     density is evaluated once, and each set of new frequencies is one
-    batched density call.  The cache is not single-flight: concurrent
-    first callers for one model each build, and may each return, their
-    own table.
+    batched density call.  A density, normalization or fit that is not
+    finite raises :class:`NumericalFailure`: a NaN would pass every
+    refinement test.  The cache is not single-flight: concurrent first
+    callers for one model each build, and may each return, their own
+    table.
     """
     hi = _tail_cutoff(model)
     lo = model.form_factor.support[0]
@@ -289,11 +304,15 @@ def density_table(model: FriedrichsModel) -> DensityTable:
         keys = np.asarray(ws, dtype=float).tolist()
         new = [w for w in keys if w not in density]
         if new:
-            density.update(zip(new, spectral_density(
-                model, np.array(new), _TABLE_SPEC).tolist()))
+            fresh = spectral_density(model, np.array(new), _TABLE_SPEC)
+            if not np.isfinite(fresh).all():
+                raise NumericalFailure("the overlap density is not finite")
+            density.update(zip(new, fresh.tolist()))
         return np.array([density[w] for w in keys])
 
     norm_direct = float(integrate(rho, lo, hi, _NORM_SPEC).real)
+    if not np.isfinite(norm_direct):
+        raise NumericalFailure("the overlap density's norm is not finite")
 
     # resolve the slow logarithmic walls at support edges where f^2 jumps
     scale = hi - lo
@@ -310,6 +329,8 @@ def density_table(model: FriedrichsModel) -> DensityTable:
     knots = np.array(sorted(density))
     for _ in range(40):
         spline = _cubic_spline(knots, rho(knots))
+        if not np.isfinite(spline.c).all():
+            raise NumericalFailure("the density spline is not finite")
         mids = 0.5 * (knots[:-1] + knots[1:])
         fresh = rho(mids)
         dev = np.abs(spline(mids) - fresh)
@@ -338,11 +359,16 @@ def survival_probability(model: FriedrichsModel, t_grid) -> SurvivalSeries:
     """Survival series |A(t)|^2 over an ordered nonnegative grid.
 
     The whole grid is one vectorised exact transform of the spline table.
+    P(0) = A(0)^2, the table's :attr:`~DensityTable.norm`, must be 1
+    within 1e-8 whatever the grid: a table that misses weight (a bound
+    state it leaves out) raises :class:`UnitarityViolation`.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1:
         raise ValueError("t_grid must be a non-empty 1-d sequence")
-    amps = density_table(model).fourier(t)
+    table = density_table(model)
+    _check_start(table.norm ** 2)
+    amps = table.fourier(t)
     return SurvivalSeries(times=t, amplitudes=amps,
                           probabilities=np.abs(amps) ** 2)
 

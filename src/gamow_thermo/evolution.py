@@ -62,16 +62,21 @@ def _rate(mode: Mode, pole: ResonancePole) -> complex:
 def _evolve(c0: LadderCoefficient, pole: ResonancePole,
             tau) -> LadderCoefficient:
     """The one code path of both branches, elementwise over an array of
-    tau: the coefficient times exp(+-tau z_R)."""
-    exponent = tau * _rate(c0.mode, pole)
+    tau: the coefficient times exp(+-tau z_R).  A factor past the guard,
+    a phase tau z_R that overflows, or a product that does, raises
+    :class:`OverflowError`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = tau * _rate(c0.mode, pole)
+        value = c0.value * np.exp(exponent)
     worst = np.max(np.abs(np.real(exponent)), initial=0.0)
-    if worst > _EXP_GUARD:
+    if not worst <= _EXP_GUARD:
         raise OverflowError(
             f"evolution factor exp({worst:.1f}) overflows float64; "
             "shorten the evolution span")
-    return LadderCoefficient(mode=c0.mode,
-                             value=c0.value * np.exp(exponent),
-                             tau=c0.tau + tau)
+    if not np.isfinite(value).all():
+        raise OverflowError("evolution phase or coefficient overflows "
+                            "float64; shorten the evolution span")
+    return LadderCoefficient(mode=c0.mode, value=value, tau=c0.tau + tau)
 
 
 def thermal_evolve(c0: LadderCoefficient, pole: ResonancePole,
@@ -128,7 +133,10 @@ def temperature_monotonicity(pole: ResonancePole, t_grid,
         raise ValueError("temperature grid must be a non-empty 1-d sequence")
     if np.any(temps <= 0) or np.any(np.diff(temps) <= 0):
         raise ValueError("temperatures must be positive and increasing")
-    beta = 1.0 / (k * temps)
+    # k T beyond the float range gives beta = 0, below it beta = inf,
+    # which the evolution reports as an overflow
+    with np.errstate(over="ignore", divide="ignore"):
+        beta = 1.0 / (k * temps)
     in_factors, out_factors = (
         np.abs(thermal_evolve(LadderCoefficient(mode), pole, beta).value)
         for mode in Mode)

@@ -139,8 +139,11 @@ class RationalFormFactor(FormFactor):
 
     def f2(self, omega):
         omega = np.asarray(omega, dtype=float)
-        return _unbox(np.where(
-            omega >= 0.0, omega / (np.pi * (omega**2 + self.scale**2)), 0.0))
+        # past omega^2 = inf the profile underflows to its limit, zero;
+        # where omega^2 + scale^2 underflows to 0 it is inf
+        with np.errstate(over="ignore", divide="ignore"):
+            return _unbox(np.where(omega >= 0.0, omega / (
+                np.pi * (omega**2 + self.scale**2)), 0.0))
 
     def f2_complex(self, z):
         return z / (np.pi * (z * z + self.scale**2))
@@ -181,9 +184,13 @@ class TabulatedFormFactor(FormFactor):
             raise ValueError("grid and values must have matching shapes")
         if np.any(values < 0):
             raise ValueError("f^2 samples must be nonnegative")
+        spline = _cubic_spline(grid, values)
+        if not np.isfinite(spline.c).all():
+            raise ValueError("the spline through the tabulated f^2 samples "
+                             "is not finite")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_spline", _cubic_spline(grid, values))
+        object.__setattr__(self, "_spline", spline)
 
     @classmethod
     def from_file(cls, path) -> "TabulatedFormFactor":
@@ -210,7 +217,8 @@ class TabulatedFormFactor(FormFactor):
 class FriedrichsModel:
     """Level energy, real coupling and coupling profile.
 
-    Only lam**2 enters any observable, so the coupling sign is free.
+    Only lam**2 enters any observable, so the coupling sign is free, and
+    lam**2 must be a finite float: |lam| up to about 1.3e154.
     Models with value-hashable form factors compare by value, which lets
     per-model caches (the density table) be shared across instances.
     """
@@ -222,8 +230,9 @@ class FriedrichsModel:
     def __post_init__(self):
         if not 0 < self.omega0 < np.inf:
             raise ValueError("omega0 must be positive and finite")
-        if not np.isfinite(self.lam) or self.lam != np.real(self.lam):
-            raise ValueError("coupling must be real and finite")
+        lam = complex(self.lam)
+        if lam.imag != 0.0 or not math.isfinite(lam.real * lam.real):
+            raise ValueError("coupling must be real, with a finite square")
 
 
 @dataclass(frozen=True)
@@ -291,7 +300,7 @@ def self_energy(model: FriedrichsModel, z, sheet: str = "I",
         # continuation through the cut: from above into Im z < 0, from
         # below into Im z > 0
         off = z[cut]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             jump = 2j * np.pi * lam2 * ff.f2_complex(off)
         jump = np.where(off.imag < 0, jump, -jump)
         bad = ~np.isfinite(jump)
@@ -312,7 +321,7 @@ def perturbative_pole(model: FriedrichsModel,
     relative O(lam^2)); unlike a resonance it may lie anywhere.
     """
     if not np.isfinite(model.form_factor.f2(model.omega0)):
-        raise ValueError("f^2(omega0) must be finite")
+        raise IntegrandError("f^2(omega0) is not finite")
     return model.omega0 - self_energy(model, model.omega0, "I", spec)
 
 
@@ -329,7 +338,7 @@ def find_pole(model: FriedrichsModel, cfg: RootSearchConfig | None = None,
     """
     cfg = cfg or RootSearchConfig()
     spec = spec or QuadratureSpec()
-    if model.lam == 0.0:
+    if model.lam**2 == 0.0:
         return ResonancePole(e_r=model.omega0, gamma=0.0)
     start = (perturbative_pole(model, spec) if cfg.initial_guess is None
              else cfg.initial_guess)
@@ -356,16 +365,17 @@ def spectral_density(model: FriedrichsModel, omega,
 
     rho = lam^2 f^2 / |eta(omega + i0)|^2.  It is nonnegative, integrates
     to one when no discrete state survives the coupling, and peaks within
-    a width of the resonance energy for narrow resonances.  Accepts a
-    scalar or an array of frequencies; an array is one batched
+    a width of the resonance energy for narrow resonances.  An uncoupled
+    level (lam^2 = 0) has no continuum density: it is zero everywhere.
+    Accepts a scalar or an array of frequencies; an array is one batched
     boundary evaluation.
     """
     spec = spec or QuadratureSpec()
     arr = np.asarray(omega, dtype=float)
     if np.any(arr < 0):
         raise ValueError("spectral density is defined for omega >= 0")
-    if model.lam == 0.0:
-        raise ValueError("spectral density needs a nonzero coupling")
+    if model.lam**2 == 0.0:
+        return _unbox(np.zeros(arr.shape))
 
     lo, hi = model.form_factor.support
     f2 = np.asarray(model.form_factor.f2(arr), dtype=float)
@@ -375,7 +385,9 @@ def spectral_density(model: FriedrichsModel, omega,
     rho = np.zeros(arr.shape)
     if np.any(inside):
         eta = self_energy(model, arr[inside], "I", spec)
-        rho[inside] = model.lam**2 * f2[inside] / np.abs(eta) ** 2
+        # |eta|^2 may overflow far out, where rho is zero
+        with np.errstate(over="ignore"):
+            rho[inside] = model.lam**2 * f2[inside] / np.abs(eta) ** 2
     return _unbox(rho)
 
 

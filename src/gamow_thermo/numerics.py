@@ -341,6 +341,7 @@ class PiecewiseCubic:
                                ((c0 * d + c1) * d + c2) * d + c3, 0.0))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _cubic_spline(x, y) -> PiecewiseCubic:
     """The not-a-knot cubic spline through n >= 4 points (x, y).
 
@@ -351,6 +352,9 @@ def _cubic_spline(x, y) -> PiecewiseCubic:
     and x_(n-2).  Subtracting those rows from their neighbours leaves a
     diagonally dominant system in s_1..s_(n-2), solved in one Thomas
     sweep; each piece is then the cubic Hermite one of its end slopes.
+    Points too close or too far apart for float arithmetic give
+    coefficients that are not finite, without a numpy warning; callers
+    check them.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -478,6 +482,13 @@ def principal_values(g, a: float, b: float, poles,
     off-axis points are two batches of the bulk kernel, so each result is
     that of its single-point call.
 
+    A point with |y| below 2^-1000 of the farthest distance its sinh map
+    reaches (the far end, or T on an infinite range), where asinh(d/|y|)
+    would overflow, takes its limit on the axis, exact in double
+    precision there: the real point's integral less i pi sign(y) g(x)
+    inside the support, the plain integral outside it, and the
+    divergence rule on an end.
+
     The first pass is static: each batch kind (on or off the axis, two or
     three pieces) starts from one table of panels in s, four per piece,
     and off the axis the window also splits at v/v_win = 1/16, 1/8, 7/8
@@ -523,6 +534,17 @@ def _cauchy(g, a: float, b: float, x: np.ndarray, y: np.ndarray, off: bool,
     side = np.where(near <= far, 1.0, -1.0)
     infinite = b == np.inf
     end = start + 4.0 * scale if infinite else np.maximum(near, far)
+    if off:
+        ay = np.abs(y)
+        rim = ay < 2.0**-1000 * end
+        if np.count_nonzero(rim):
+            # asinh(end/|y|) would overflow: the limit on the axis
+            out = np.empty(x.size, dtype=complex)
+            out[~rim] = _cauchy(g, a, b, x[~rim], y[~rim], True, scale, spec)
+            out[rim] = _cauchy(g, a, b, x[rim], y[rim], False, scale, spec)
+            rim &= (a < x) & (x < b)
+            out[rim] -= 1j * np.pi * np.sign(y[rim]) * g(x[rim])
+            return out
 
     # the integrand of each piece in its own coordinate u = s - p in
     # [0, 1): j picks the rows, as a column
@@ -543,7 +565,7 @@ def _cauchy(g, a: float, b: float, x: np.ndarray, y: np.ndarray, off: bool,
         def tail(j, q):
             return -g(x[j] + end[j] / q) / q
     else:
-        ay, i_sign = np.abs(y), 1j * np.sign(y)
+        i_sign = 1j * np.sign(y)
         v_win, v_lo, v_hi = np.arcsinh(np.array([r, start, end]) / ay)
         width, lever = v_hi - v_lo, side * ay
 

@@ -15,10 +15,12 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .friedrichs import ResonancePole
-from .numerics import _complex, _require, _unbox, derivative
+from .numerics import (InvalidElements, NumericalFailure, _complex, _require,
+                       _unbox, derivative)
 
 __all__ = [
     "IllDefinedBracket",
+    "NonFiniteEntropy",
     "ThermoPoint",
     "ComplexEntropy",
     "complex_entropy",
@@ -31,6 +33,11 @@ __all__ = [
 class IllDefinedBracket(RuntimeError):
     """Raised by the trace route over resonance eigenvectors: the norm-like
     brackets it needs do not exist, so that route cannot be computed."""
+
+
+class NonFiniteEntropy(NumericalFailure, InvalidElements):
+    """An entropy part is not a finite float, for an infinite input or for
+    a k (1 - ln(beta |z_R|)) past the float range; ``mask`` marks where."""
 
 
 @dataclass(frozen=True)
@@ -64,8 +71,9 @@ class ComplexEntropy:
     def __post_init__(self, k):
         real, imag = np.broadcast_arrays(np.asarray(self.real_part, float),
                                          np.asarray(self.imag_part, float))
-        _require(np.isfinite(real) & np.isfinite(imag),
-                 "entropy parts must be finite")
+        finite = np.isfinite(real) & np.isfinite(imag)
+        if not finite.all():
+            raise NonFiniteEntropy("entropy parts must be finite", ~finite)
         _require((-0.5 * k * np.pi <= imag) & (imag <= 1e-15 * k),
                  "imaginary entropy outside [-k*pi/2, 0]")
         object.__setattr__(self, "real_part", _unbox(real.copy()))
@@ -95,9 +103,11 @@ def complex_entropy(pole: ResonancePole, point: ThermoPoint) -> ComplexEntropy:
     oscillator entropy k * (1 - ln(beta * E_R)).
     """
     k = point.k
-    magnitude = np.hypot(pole.e_r, 0.5 * pole.gamma)
-    real = k * (1.0 - _log_product(point.beta, magnitude))
-    imag = -k * np.arctan(0.5 * pole.gamma / pole.e_r)
+    # a part past the float range is reported by ComplexEntropy
+    with np.errstate(over="ignore"):
+        magnitude = np.hypot(pole.e_r, 0.5 * pole.gamma)
+        real = k * (1.0 - _log_product(point.beta, magnitude))
+        imag = -k * np.arctan2(0.5 * pole.gamma, pole.e_r)
     return ComplexEntropy(real_part=real, imag_part=imag, k=k)
 
 
@@ -110,7 +120,8 @@ def entropy_via_log_identity(pole: ResonancePole,
     arctangent above; the two routes agree to machine precision and are
     tested against each other as an algebraic oracle.
     """
-    s = point.k * (1.0 - _log_product(point.beta, np.conjugate(pole.z)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = point.k * (1.0 - _log_product(point.beta, np.conjugate(pole.z)))
     return ComplexEntropy(real_part=s.real, imag_part=s.imag, k=point.k)
 
 

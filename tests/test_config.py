@@ -64,8 +64,41 @@ class TestParsing:
 
 class TestAccessors:
     def test_float_conversion_failure(self):
-        with pytest.raises(ConfigError, match="thermo.beta must be a number"):
+        with pytest.raises(ConfigError,
+                           match="thermo.beta must be a finite number"):
             RunConfig(raw={"thermo.beta": "warm"})
+
+    @pytest.mark.parametrize("key", [
+        "model.lambda", "pole.e_r", "pole.gamma", "thermo.beta", "thermo.k",
+        "numerics.abs_tol", "numerics.rel_tol", "root.step_tol",
+        "root.residual_tol"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_every_number_must_be_finite(self, key, bad):
+        """A non-finite number stops the config when it loads, before any
+        command reads it."""
+        with pytest.raises(ConfigError, match=f"{key} must be a finite "):
+            RunConfig(raw={key: bad})
+
+    @pytest.mark.parametrize("key", ["evolve.value", "root.initial_guess"])
+    @pytest.mark.parametrize("bad", ["nan+1j", "1+infj", "-inf"])
+    def test_complex_parts_must_be_finite(self, key, bad):
+        with pytest.raises(ConfigError, match=f"{key} must be a complex "):
+            RunConfig(raw={key: bad})
+
+    def test_scan_values_accept_any_float(self):
+        """nan, inf and negative scan values are error rows, not config
+        errors."""
+        values = RunConfig(raw={"scan.values": "nan, inf, -1"}).scan_values()
+        assert np.isnan(values[0]) and values[1] == np.inf
+
+    def test_grid_of_equal_floats_is_config_error(self):
+        """A range narrower than its points leaves repeated floats, which
+        no time or temperature grid may hold."""
+        cfg = RunConfig(raw={"grid.time.start": "1.0",
+                             "grid.time.stop": "1.0000000000000002",
+                             "grid.time.points": "5"})
+        with pytest.raises(ConfigError, match="not distinct floats"):
+            cfg.grid("time")
 
     def test_positive_enforced(self):
         cfg = RunConfig(raw={"thermo.beta": "-2.0"})

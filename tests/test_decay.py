@@ -54,6 +54,24 @@ class TestDensityTable:
     def test_cache_returns_same_object(self, flat_model, flat_table):
         assert gt.density_table(flat_model) is flat_table
 
+    @pytest.mark.parametrize("cutoff", [1e-300, 1e308])
+    def test_non_finite_build_is_numerical(self, cutoff):
+        """Knots closer than float resolution, or a density that
+        overflows, give no finite fit: the build stops, where a NaN would
+        pass every refinement test."""
+        model = gt.FriedrichsModel(omega0=1.0, lam=0.1,
+                                   form_factor=gt.FlatCutoff(cutoff=cutoff))
+        with pytest.raises(gt.NumericalFailure, match="not finite"):
+            gt.density_table(model)
+
+    def test_untruncatable_tail_is_numerical(self):
+        """8 max(omega0, scale) overflows: no truncation point exists."""
+        model = gt.FriedrichsModel(
+            omega0=1e308, lam=0.1,
+            form_factor=gt.RationalFormFactor(scale=1.0))
+        with pytest.raises(gt.NonConvergence, match="too slowly"):
+            gt.density_table(model)
+
     def test_build_batches_the_boundary_self_energy(self, rational_model,
                                                     monkeypatch):
         """A build makes one boundary evaluation per density batch (tens),
@@ -341,6 +359,12 @@ class TestExactSynthesis:
         with pytest.raises(ValueError):
             flat_table.fourier([1.0, -1.0])
 
+    def test_overflowing_phase_is_numerical(self, flat_table):
+        """t x past the float range has no phase: a numerical failure,
+        raised before numpy would warn."""
+        with pytest.raises(gt.NumericalFailure, match="overflows"):
+            flat_table.fourier([1.0, 1e308])
+
 
 class TestSurvivalSeries:
     def test_first_point_normalized(self, flat_series):
@@ -395,6 +419,28 @@ class TestSurvivalSeries:
                 SurvivalSeries(times=np.array([0.0, 1.0, bad]),
                                amplitudes=np.ones(3, dtype=complex),
                                probabilities=np.ones(3))
+
+    @pytest.mark.parametrize("start", [0.0, 0.5])
+    def test_nan_probability_fails_unitarity(self, start):
+        """A NaN is no probability: it fails the range check, and at
+        t = 0 the P(0) check too, instead of passing both."""
+        nan = np.full(2, np.nan)
+        with pytest.raises(gt.UnitarityViolation):
+            SurvivalSeries(times=np.array([start, 1.0]),
+                           amplitudes=nan.astype(complex), probabilities=nan)
+        with pytest.raises(gt.UnitarityViolation, match="P\\(0\\) = nan"):
+            decay._check_start(np.nan)
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.5, 1.0], [0.5, 1.0]],
+                             ids=["with-zero", "without-zero"])
+    def test_missing_weight_fails_on_any_grid(self, grid):
+        """At lambda = 0.3 the flat model's bound state below threshold
+        carries weight the table leaves out: P(0) = A(0)^2 of the table
+        misses 1 whether or not the grid holds t = 0."""
+        model = gt.FriedrichsModel(omega0=1.0, lam=0.3,
+                                   form_factor=gt.FlatCutoff(cutoff=10.0))
+        with pytest.raises(gt.UnitarityViolation, match="P\\(0\\) = 0.99669"):
+            gt.survival_probability(model, grid)
 
 
 class TestGamowApproximation:

@@ -81,6 +81,17 @@ class TestTimeEvolve:
         with pytest.raises(OverflowError, match="overflows"):
             gt.time_evolve(coeff(Mode.OUT_ANNIHILATION), pole, 1e5)
 
+    def test_overflowing_phase_reports(self):
+        """t E_R past the float range leaves no phase: an OverflowError,
+        raised before numpy would warn."""
+        far = gt.ResonancePole(e_r=1e308, gamma=0.2)
+        with pytest.raises(OverflowError, match="phase"):
+            gt.time_evolve(coeff(), far, np.array([0.0, 40.0]))
+
+    def test_overflowing_coefficient_reports(self, pole):
+        with pytest.raises(OverflowError, match="coefficient"):
+            gt.thermal_evolve(coeff(value=1e308), pole, 10.0)
+
 
 class TestSemigroup:
     def test_composition_is_exact(self, pole):
@@ -136,6 +147,17 @@ class TestTemperatureMonotonicity:
         pole = gt.ResonancePole(e_r=1.0, gamma=0.5)
         with pytest.raises(OverflowError):
             gt.temperature_monotonicity(pole, np.array([1e-4, 1.0]))
+
+    def test_extreme_entropy_unit(self):
+        """k T below the float range makes beta infinite, an overflow;
+        above it beta is 0 and every factor is 1."""
+        pole = gt.ResonancePole(e_r=1.0, gamma=0.5)
+        temps = np.array([0.5, 1.0])
+        with pytest.raises(OverflowError):
+            gt.temperature_monotonicity(pole, temps, k=1e-320)
+        table = gt.temperature_monotonicity(pole, temps, k=1e308)
+        assert np.all(table.in_factors == 1.0)
+        assert np.all(table.out_factors == 1.0)
 
 
 class TestVerifyOdeSolutions:

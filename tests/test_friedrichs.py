@@ -110,6 +110,25 @@ class TestFormFactors:
         assert ff.f2_complex(1.0 - 0.5j) == pytest.approx(
             (1.0 - 0.5j) / (np.pi * ((1.0 - 0.5j) ** 2 + 4.0)))
 
+    def test_rational_profile_past_the_float_range(self):
+        """Where omega^2 overflows the profile is its limit, 0, and where
+        omega^2 + scale^2 underflows to 0 it is inf: no numpy warning."""
+        assert gt.RationalFormFactor(scale=1.0).f2(1e308) == 0.0
+        assert gt.RationalFormFactor(scale=1e-320).f2(1e-320) == np.inf
+
+    @pytest.mark.parametrize("lam", [1e200, -1.4e154, np.nan, 1j])
+    def test_coupling_square_must_be_finite(self, lam):
+        with pytest.raises(ValueError, match="finite square"):
+            gt.FriedrichsModel(omega0=1.0, lam=lam,
+                               form_factor=gt.FlatCutoff(cutoff=10.0))
+
+    def test_tabulated_spline_must_be_finite(self):
+        """A grid out to 1e308 overflows the spline fit: the samples are
+        rejected, as a non-finite sample is."""
+        with pytest.raises(ValueError, match="spline .* is not finite"):
+            gt.TabulatedFormFactor(grid=np.linspace(0.0, 1e308, 11),
+                                   values=np.ones(11))
+
     def test_tabulated_matches_samples_and_clips(self):
         grid = np.linspace(0.0, 4.0, 41)
         ff = gt.TabulatedFormFactor(grid=grid, values=np.sin(grid) ** 2)
@@ -457,8 +476,29 @@ class TestPerturbativePole:
         assert estimate == pytest.approx(1.0 - np.log(9.0) - 1j * np.pi,
                                          rel=1e-12)
 
+    def test_infinite_profile_at_the_level_is_numerical(self):
+        model = gt.FriedrichsModel(
+            omega0=1e-320, lam=0.1,
+            form_factor=gt.RationalFormFactor(scale=1e-320))
+        with pytest.raises(gt.IntegrandError, match="f\\^2\\(omega0\\)"):
+            gt.perturbative_pole(model)
+
 
 class TestFindPole:
+    @pytest.mark.parametrize("lam", [1e-155, 1e-158])
+    @pytest.mark.parametrize("kind", ["flat", "rational"])
+    def test_subnormal_width_resolves(self, kind, lam):
+        """lambda^2 subnormal puts the stencil's points closer to the axis
+        than the sinh map resolves; they take the rim value, and the pole
+        is the golden rule's, 2 pi lambda^2 f^2(omega0)."""
+        ff = (gt.FlatCutoff(cutoff=10.0) if kind == "flat"
+              else gt.RationalFormFactor(scale=1.0))
+        pole = gt.find_pole(gt.FriedrichsModel(omega0=1.0, lam=lam,
+                                               form_factor=ff))
+        assert pole.e_r == 1.0
+        assert pole.gamma == pytest.approx(
+            2.0 * np.pi * lam**2 * ff.f2(1.0), rel=1e-6)
+
     def test_estimate_is_the_default_start(self, flat_model, monkeypatch):
         """A search started at the perturbative estimate is the default
         search, bit for bit; a real guess is nudged 1e-6 max(1, |z|)
@@ -656,10 +696,15 @@ class TestSpectralDensity:
             gt.spectral_density(flat_model, -0.5)
 
     def test_needs_coupling(self):
-        free = gt.FriedrichsModel(omega0=1.0, lam=0.0,
-                                  form_factor=gt.FlatCutoff(cutoff=10.0))
-        with pytest.raises(ValueError):
-            gt.spectral_density(free, 1.0)
+        """The continuum density needs a coupling: where lambda^2 is 0 it
+        is zero everywhere, also at omega = omega0, where eta vanishes."""
+        omega = np.array([0.0, 0.5, 1.0, 10.0, 11.0])
+        for lam in (0.0, 1e-170):
+            free = gt.FriedrichsModel(omega0=1.0, lam=lam,
+                                      form_factor=gt.FlatCutoff(cutoff=10.0))
+            assert gt.spectral_density(free, 1.0) == 0.0
+            assert np.array_equal(gt.spectral_density(free, omega),
+                                  np.zeros(5))
 
     def test_tabulated_profile_reproduces_flat_density(self, flat_model,
                                                        flat_pole):

@@ -204,6 +204,35 @@ class TestPrincipalValue:
         s = float(str(info.value).split("s = ")[1].split(" ")[0])
         assert 2.0 <= s < 3.0
 
+    @pytest.mark.parametrize("y", [1e-307, 3e-308, 1e-310, 5e-324])
+    def test_point_beside_the_axis_takes_its_limit(self, y):
+        """Below 2^-1000 of the farthest distance, |y| would overflow the
+        sinh map; the point takes the rim value PV - i pi sign(y) g(x),
+        for both signs and with the batch's other points untouched."""
+        g = gt.FlatCutoff(cutoff=10.0).f2
+        pv, far = principal_values(g, 0.0, 10.0, [1.0, 2.0 - 0.5j], SPEC)
+        got = principal_values(g, 0.0, 10.0,
+                               [1.0 - 1j * y, 1.0 + 1j * y, 2.0 - 0.5j], SPEC)
+        assert got[0] == pv + 1j * np.pi
+        assert got[1] == pv - 1j * np.pi
+        assert got[2] == far
+
+    def test_point_beside_the_axis_on_an_unbounded_range(self):
+        g = gt.RationalFormFactor(scale=1.0).f2
+        pv = principal_values(g, 0.0, np.inf, [1.0], SPEC)[0]
+        got = principal_values(g, 0.0, np.inf, [1.0 - 1e-310j], SPEC)[0]
+        assert got == pv + 1j * np.pi * g(1.0)
+
+    def test_point_beside_the_axis_outside_and_on_an_end(self):
+        """Outside the support the limit is the plain integral; on an end
+        where g does not vanish it diverges, as on the axis."""
+        g = gt.FlatCutoff(cutoff=10.0).f2
+        plain = principal_values(g, 0.0, 10.0, [11.0], SPEC)[0]
+        assert principal_values(g, 0.0, 10.0, [11.0 - 1e-310j],
+                                SPEC)[0] == plain
+        with pytest.raises(IntegrandError, match="diverges"):
+            principal_values(g, 0.0, 10.0, [10.0 - 1e-310j], SPEC)
+
 
 def _bump_cauchy(z, top, c, s):
     """Integral of g(w) / (z - w) over [0, top] for the bump

@@ -171,6 +171,27 @@ class TestEntropyScan:
                                gt.ThermoPoint(beta=np.array([1.0, np.inf])))
         assert info.value.mask.tolist() == [False, True]
 
+    def test_overflowing_entropy_is_numerical(self):
+        """k (1 - ln(beta |z_R|)) past the float range is a numerical
+        failure that still marks its elements, so a scan keeps the other
+        rows."""
+        point = gt.ThermoPoint(beta=np.array([1.0, 1e-300]), k=1e308)
+        with pytest.raises(gt.NonFiniteEntropy) as info:
+            gt.complex_entropy(gt.ResonancePole(1.0, 0.2), point)
+        assert isinstance(info.value, gt.NumericalFailure)
+        assert info.value.mask.tolist() == [False, True]
+        with pytest.raises(gt.NonFiniteEntropy):
+            gt.entropy_via_log_identity(gt.ResonancePole(1.0, 0.2), point)
+        # k arctan(Gamma / (2 E_R)) past the float range
+        with pytest.raises(gt.NonFiniteEntropy):
+            entropy(1.0, np.array([8.0]), 1.0, k=1.7e308)
+
+    def test_subnormal_level_sits_on_the_bound(self):
+        """Gamma / (2 E_R) overflows for a subnormal E_R; the angle of
+        conj(z_R) does not."""
+        s = entropy(1e-320, np.array([0.0, 2.0]), 1.0)
+        assert s.imag_part.tolist() == [0.0, -0.5 * np.pi]
+
 
 @pytest.mark.parametrize("e_r,gamma,beta", [
     (0.97778, 0.063552, 1e-320), (1e10, 1.0, 1e300)],
