@@ -26,6 +26,7 @@ from .friedrichs import (
     TabulatedFormFactor,
     FriedrichsModel,
     ResonancePole,
+    ResolvedPole,
     DiscretizedSpectrum,
     self_energy,
     find_pole,

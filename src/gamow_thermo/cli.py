@@ -50,12 +50,14 @@ class _Emitter:
 
     def num(self, value):
         """``value`` with every number printed at the configured precision,
-        through dicts, lists and tuples; text, bools, Python ints and None
-        pass through unchanged."""
+        through dicts, lists and tuples, and a complex as ``[re, im]``;
+        text, bools, Python ints and None pass through unchanged."""
         if isinstance(value, dict):
             return {k: self.num(v) for k, v in value.items()}
         if isinstance(value, (list, tuple)):
             return [self.num(v) for v in value]
+        if isinstance(value, complex):
+            return [self.num(value.real), self.num(value.imag)]
         if value is None or isinstance(value, (str, bool, int)):
             return value
         value = float(value)
@@ -102,24 +104,18 @@ class _Emitter:
 
 def cmd_pole(cfg: RunConfig, emitter: _Emitter) -> None:
     model = cfg.model()
-    spec = cfg.quadrature_spec()
-    cfg.root_config()  # a bad root.* key stops the run before the estimate
-    estimate = friedrichs.perturbative_pole(model, spec)
-    fgr = -2.0 * estimate.imag
-    resolved = friedrichs.find_pole(model, cfg.root_config(estimate), spec)
+    pole = friedrichs.find_pole(model, cfg.root_config(),
+                                cfg.quadrature_spec())
     if model.lam**2 == 0.0:
         emitter.warn("stable state: lambda^2 is zero, width vanishes")
-        residual = 0.0
-    else:
-        residual = abs(friedrichs.self_energy(model, resolved.z, "II", spec))
-    delta = abs(resolved.gamma - fgr)
+    fgr = -2.0 * pole.estimate.imag
+    delta = abs(pole.gamma - fgr)
     emitter.add_table(
         "pole",
         ["method", "e_r", "gamma", "residual", "delta_gamma"],
-        [["resolved", resolved.e_r, resolved.gamma, residual, delta],
-         ["perturbative", estimate.real, fgr, "", delta]])
-    emitter.record["results"]["pole"] = emitter.num(
-        {**asdict(resolved), "residual": residual})
+        [["resolved", pole.e_r, pole.gamma, pole.residual, delta],
+         ["perturbative", pole.estimate.real, fgr, "", delta]])
+    emitter.record["results"]["pole"] = emitter.num(asdict(pole))
 
 
 def cmd_survival(cfg: RunConfig, emitter: _Emitter) -> None:
@@ -156,17 +152,13 @@ def cmd_survival(cfg: RunConfig, emitter: _Emitter) -> None:
                          "classified")
         elif pole.gamma <= 0:
             emitter.warn("stable pole: no decay regimes to classify")
-        elif series.span < 25.0 / pole.gamma:
-            emitter.warn(
-                f"time grid spans {series.span:.4g} < 25/Gamma = "
-                f"{25 / pole.gamma:.4g}; regimes not classified")
         else:
             noise = cfg.get("survival.noise_floor", default=1e-13)
             try:
                 report = decay.classify_regimes(series, pole,
                                                 noise_floor=noise)
             except decay.InsufficientSpan as exc:
-                emitter.warn(str(exc))
+                emitter.warn(f"{exc}; regimes not classified")
             else:
                 emitter.record["results"]["regimes"] = emitter.num(
                     asdict(report))
@@ -223,23 +215,26 @@ def cmd_evolve(cfg: RunConfig, emitter: _Emitter) -> None:
     emitter.record["results"]["pole"] = emitter.num(asdict(pole))
 
 
+def _failure(exc: Exception) -> str:
+    """The text of an error row or record: the type name, then the message."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _scan_lambda(cfg: RunConfig, values: np.ndarray) -> list:
-    """One pole search per lambda on a model built once, started from the
-    estimate whose width it reports; a failed search is an error row."""
+    """One pole search per lambda on a model built once, each reporting
+    its own estimate; a failed search is an error row."""
     model = RunConfig(raw={**cfg.raw, "model.lambda": "0"},
                       base_dir=cfg.base_dir).model()
     spec = cfg.quadrature_spec()
-    cfg.root_config()  # a bad root.* key stops the scan before any row
+    root = cfg.root_config()
 
     def row(lam: float) -> list:
         try:
-            at = replace(model, lam=lam)
-            est = friedrichs.perturbative_pole(at, spec)
-            resolved = friedrichs.find_pole(at, cfg.root_config(est), spec)
+            pole = friedrichs.find_pole(replace(model, lam=lam), root, spec)
         except (NumericalFailure, ValueError) as exc:
-            return [lam, "", "", "", "", f"{type(exc).__name__}: {exc}"]
-        ratio = resolved.gamma / lam**2 if lam**2 != 0 else ""
-        return [lam, resolved.e_r, resolved.gamma, ratio, -2 * est.imag, ""]
+            return [lam, "", "", "", "", _failure(exc)]
+        ratio = pole.gamma / lam**2 if lam**2 != 0 else ""
+        return [lam, pole.e_r, pole.gamma, ratio, -2 * pole.estimate.imag, ""]
 
     return list(zip(*(row(float(v)) for v in values)))
 
@@ -258,7 +253,7 @@ def _scan_entropy(values: np.ndarray, entropy) -> list:
             bad = np.broadcast_to(exc.mask, (np.count_nonzero(keep),))
             if not bad.any():
                 raise
-            error[np.flatnonzero(keep)[bad]] = f"ValueError: {exc}"
+            error[np.flatnonzero(keep)[bad]] = _failure(exc)
     re_s, im_s = np.full((2, values.size), "", dtype=object)
     re_s[keep], im_s[keep] = s.real_part, s.imag_part
     return [values, re_s, im_s, error]
@@ -292,6 +287,7 @@ def cmd_scan(cfg: RunConfig, emitter: _Emitter) -> None:
         pole = cfg.pole(cfg.quadrature_spec())
         columns = _scan_entropy(values, lambda b: thermo.complex_entropy(
             pole, replace(point, beta=b)))
+        emitter.record["results"]["pole"] = emitter.num(asdict(pole))
     emitter.add_table("scan", _SCAN_COLUMNS[axis], zip(*columns))
     failures = int(np.count_nonzero(np.asarray(columns[-1]) != ""))
     emitter.record["results"]["points"] = values.size
@@ -353,7 +349,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (NumericalFailure, OverflowError) as exc:
-        emitter.record["results"]["error"] = f"{type(exc).__name__}: {exc}"
+        emitter.record["results"]["error"] = _failure(exc)
         print(f"numerical failure: {exc}", file=sys.stderr)
         status = 2
     try:

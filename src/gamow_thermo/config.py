@@ -221,12 +221,13 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"invalid numerics section: {exc}") from exc
 
-    def root_config(self, start: complex | None = None) -> RootSearchConfig:
-        """The root.* keys, with ``start`` as the default initial guess."""
+    def root_config(self) -> RootSearchConfig:
+        """The root.* keys; without ``root.initial_guess`` the pole search
+        starts from its perturbative estimate."""
         base = RootSearchConfig()
         try:
             return RootSearchConfig(
-                initial_guess=self.get("root.initial_guess", start),
+                initial_guess=self.get("root.initial_guess"),
                 step_tol=self.get("root.step_tol", base.step_tol),
                 residual_tol=self.get("root.residual_tol", base.residual_tol),
                 max_iter=self.get("root.max_iter", base.max_iter))

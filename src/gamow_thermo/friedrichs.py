@@ -42,6 +42,7 @@ __all__ = [
     "TabulatedFormFactor",
     "FriedrichsModel",
     "ResonancePole",
+    "ResolvedPole",
     "DiscretizedSpectrum",
     "self_energy",
     "find_pole",
@@ -312,13 +313,28 @@ def self_energy(model: FriedrichsModel, z, sheet: str = "I",
     return _unbox(eta.reshape(shape))
 
 
+@dataclass(frozen=True)
+class ResolvedPole(ResonancePole):
+    """A pole found by :func:`find_pole`, with the report of its search:
+    the :func:`perturbative_pole` ``estimate``, the ``residual`` |eta_II|
+    at the centre of the last Newton stencil, the ``step`` taken from
+    there to the pole, and the number of ``stencils`` (0 for an uncoupled
+    level, which needs no search)."""
+
+    estimate: complex
+    residual: float
+    step: float
+    stencils: int
+
+
 def perturbative_pole(model: FriedrichsModel,
                       spec: QuadratureSpec | None = None) -> complex:
     """Second-order pole estimate omega0 - eta(omega0 + i0), a complex: its
     real part is the principal-value shift omega0 - Re eta, and -2 Im is
     the golden-rule width 2 Im eta.  It is the default start of
-    :func:`find_pole` and an independent check on it (the two agree to
-    relative O(lam^2)); unlike a resonance it may lie anywhere.
+    :func:`find_pole`, which reports it as the pole's ``estimate``, and an
+    independent check on it (the two agree to relative O(lam^2)); unlike a
+    resonance it may lie anywhere.
     """
     if not np.isfinite(model.form_factor.f2(model.omega0)):
         raise IntegrandError("f^2(omega0) is not finite")
@@ -326,27 +342,31 @@ def perturbative_pole(model: FriedrichsModel,
 
 
 def find_pole(model: FriedrichsModel, cfg: RootSearchConfig | None = None,
-              spec: QuadratureSpec | None = None) -> ResonancePole:
+              spec: QuadratureSpec | None = None) -> ResolvedPole:
     """Locate the resonance pole: the second-sheet zero below the cut.
 
-    Newton-iterates eta_II from the guess in ``cfg``, or else from the
-    :func:`perturbative_pole` estimate; a real start moves 1e-6 max(1, |z|)
-    below the axis.  Deforming the decay integral into the lower half-plane
-    sweeps only a zero with Im z <= 0 and Re z strictly inside the support,
-    so any other is raised, never conjugated or clipped:
-    :class:`PoleInUpperHalfPlane` or :class:`PoleOutsideSupport`.
+    Computes the :func:`perturbative_pole` estimate once, then
+    Newton-iterates eta_II from the guess in ``cfg``, or else from that
+    estimate; a real start moves 1e-6 max(1, |z|) below the axis.
+    Deforming the decay integral into the lower half-plane sweeps only a
+    zero with Im z <= 0 and Re z strictly inside the support, so any other
+    is raised, never conjugated or clipped: :class:`PoleInUpperHalfPlane`
+    or :class:`PoleOutsideSupport`.  The pole carries the estimate and
+    the search's report, so no caller evaluates eta again for them.
     """
     cfg = cfg or RootSearchConfig()
     spec = spec or QuadratureSpec()
+    estimate = perturbative_pole(model, spec)
     if model.lam**2 == 0.0:
-        return ResonancePole(e_r=model.omega0, gamma=0.0)
-    start = (perturbative_pole(model, spec) if cfg.initial_guess is None
-             else cfg.initial_guess)
+        return ResolvedPole(e_r=model.omega0, gamma=0.0, estimate=estimate,
+                            residual=0.0, step=0.0, stencils=0)
+    start = estimate if cfg.initial_guess is None else cfg.initial_guess
     if start.imag == 0.0:
         start -= 1e-6j * max(1.0, abs(start))
     cfg = replace(cfg, initial_guess=start)
 
-    root = complex_newton(lambda z: self_energy(model, z, "II", spec), cfg)
+    root, residual, step, stencils = complex_newton(
+        lambda z: self_energy(model, z, "II", spec), cfg)
     scale = max(1.0, abs(root))
     if root.imag > 1e-10 * scale:
         raise PoleInUpperHalfPlane(
@@ -356,7 +376,9 @@ def find_pole(model: FriedrichsModel, cfg: RootSearchConfig | None = None,
     if not lo < root.real < hi:
         raise PoleOutsideSupport(f"converged to {root!r}, outside the "
                                  f"support ({lo:g}, {hi:g}): no resonance")
-    return ResonancePole(e_r=root.real, gamma=max(0.0, -2.0 * root.imag))
+    return ResolvedPole(e_r=root.real, gamma=max(0.0, -2.0 * root.imag),
+                        estimate=estimate, residual=residual, step=step,
+                        stencils=stencils)
 
 
 def spectral_density(model: FriedrichsModel, omega,

@@ -592,7 +592,8 @@ def _cauchy(g, a: float, b: float, x: np.ndarray, y: np.ndarray, off: bool,
                       complex if off else float, live=[r > 0.0])
 
 
-def complex_newton(g, cfg: RootSearchConfig) -> complex:
+def complex_newton(g, cfg: RootSearchConfig
+                   ) -> tuple[complex, float, float, int]:
     """Newton iteration for analytic ``g`` with central-difference slopes.
 
     ``g`` maps a complex array to an array of the same shape; each
@@ -604,15 +605,16 @@ def complex_newton(g, cfg: RootSearchConfig) -> complex:
     |b| < 0.1, which holds near a simple root (b -> 0 there), and Newton's
     s elsewhere; it is Python complex arithmetic.  Converged means the
     step and the residual |g(z)| at the same stencil are below
-    ``step_tol`` and ``residual_tol``: the search then returns the
-    corrected point without evaluating g there.  Each of at most
-    ``max_iter`` iterations is one stencil.
+    ``step_tol`` and ``residual_tol``: the search then returns
+    ``(root, residual, step, stencils)``: the corrected point (g is not
+    evaluated there), that residual, |step| and the number of stencils,
+    one per iteration and at most ``max_iter``.
     """
     if cfg.initial_guess is None:
         raise ValueError("RootSearchConfig.initial_guess is required")
     contract = "g must map a complex array to an array of the same shape"
     z = complex(cfg.initial_guess)
-    for _ in range(cfg.max_iter):
+    for stencils in range(1, cfg.max_iter + 1):
         h = 1e-6 * max(1.0, abs(z))
         gz, g_up, g_down = map(complex, _on_array(
             g, np.array([z, z + h, z - h]), contract))
@@ -627,7 +629,7 @@ def complex_newton(g, cfg: RootSearchConfig) -> complex:
             step /= 1.0 - bend
         z = z - step
         if abs(step) <= cfg.step_tol and abs(gz) <= cfg.residual_tol:
-            return z
+            return z, abs(gz), abs(step), stencils
     raise MaxIterExceeded(
         f"no root after {cfg.max_iter} iterations (last z = {z!r})")
 

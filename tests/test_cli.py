@@ -492,6 +492,10 @@ class TestScanCommand:
     @pytest.mark.parametrize("axis,bad", [("gamma", ["nan", "inf", "-0.5"]),
                                           ("beta", ["nan", "inf", "0"])])
     def test_invalid_values_are_error_rows(self, run_cli, axis, bad):
+        """Each error row names the type of its failure, as a lambda row
+        and the run record do: a value the check rejects is
+        ``InvalidElements``, an entropy past the float range
+        ``NonFiniteEntropy``."""
         cfg = ("pole.e_r = 1.0\npole.gamma = 0.5\nthermo.beta = 1.0\n"
                f"scan.axis = {axis}\nscan.values = 0.5, "
                + ", ".join(bad) + ", 1.5\n")
@@ -501,7 +505,8 @@ class TestScanCommand:
         assert [r[-1] != "" for r in rows] == [False, True, True, True,
                                                False]
         assert all(r[1] == r[2] == "" for r in rows[1:4])
-        assert all(r[-1].startswith("ValueError: ") for r in rows[1:4])
+        assert [r[-1].split(": ")[0] for r in rows[1:4]] == [
+            "InvalidElements", "NonFiniteEntropy", "InvalidElements"]
         assert json.loads(record_path.read_text())["results"][
             "failed_points"] == 3
 
@@ -714,6 +719,64 @@ def test_any_numerical_failure_exits_two(run_cli, monkeypatch, capsys):
     assert code == 2
     _, rows = read_csv(out)
     assert [r[-1] for r in rows] == ["Fresh: no verdict"] * 2
+
+
+_GOLDEN_CONFIGS = Path(__file__).resolve().parent / "golden" / "configs"
+_TIME = "grid.time.start = 0.0\ngrid.time.stop = 40.0\ngrid.time.points = 9\n"
+_BETA_SCAN = "scan.axis = beta\nscan.values = 0.5, 1.0\n"
+
+
+class TestPoleReport:
+    """A record whose pole was searched carries the search's own report
+    under ``results.pole``; a direct ``pole.*`` pole is its two numbers."""
+
+    def test_pole_takes_three_kernel_calls(self, run_cli, monkeypatch):
+        """The estimate and two Newton stencils: the residual in the table
+        is the search's, not one more evaluation at the root."""
+        calls = []
+        self_energy = friedrichs.self_energy
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return self_energy(*args, **kwargs)
+
+        monkeypatch.setattr(friedrichs, "self_energy", counted)
+        code, out, record_path = run_cli(
+            "pole", (_GOLDEN_CONFIGS / "pole.cfg").read_text())
+        assert code == 0
+        assert len(calls) == 3
+        header, rows = read_csv(out)
+        report = json.loads(record_path.read_text())["results"]["pole"]
+        assert rows[0][header.index("residual")] == report["residual"]
+
+    @pytest.mark.parametrize("command,extra", [
+        ("pole", ""), ("survival", _TIME), ("entropy", ""),
+        ("evolve", _TIME), ("scan", _BETA_SCAN)],
+        ids=["pole", "survival", "entropy", "evolve", "scan-beta"])
+    def test_searched_pole_reports_itself(self, run_cli, flat_model, command,
+                                          extra):
+        code, _, record_path = run_cli(command, FLAT_CONFIG + extra)
+        assert code == 0
+        pole = json.loads(record_path.read_text())["results"]["pole"]
+        assert list(pole) == ["e_r", "gamma", "estimate", "residual", "step",
+                              "stencils"]
+        root = gt.RootSearchConfig()
+        assert float(pole["residual"]) <= root.residual_tol
+        assert float(pole["step"]) <= root.step_tol
+        assert 1 <= pole["stencils"] <= root.max_iter
+        estimate = gt.perturbative_pole(flat_model)
+        assert [float(v) for v in pole["estimate"]] == pytest.approx(
+            [estimate.real, estimate.imag], rel=1e-11)
+
+    @pytest.mark.parametrize("command,extra", [
+        ("entropy", ""), ("evolve", _TIME), ("scan", _BETA_SCAN)],
+        ids=["entropy", "evolve", "scan-beta"])
+    def test_direct_pole_is_its_parameters(self, run_cli, command, extra):
+        code, _, record_path = run_cli(
+            command, "pole.e_r = 1.0\npole.gamma = 0.2\n" + extra)
+        assert code == 0
+        assert json.loads(record_path.read_text())["results"]["pole"] == {
+            "e_r": "1", "gamma": "0.2"}
 
 
 class TestOutputContract:

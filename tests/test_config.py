@@ -255,7 +255,5 @@ class TestBuilders:
                              "root.max_iter": "7"})
         rc = cfg.root_config()
         assert rc.initial_guess == 0.9 - 0.05j and rc.max_iter == 7
-        # a set root.initial_guess wins over the caller's start
-        assert cfg.root_config(start=1.0 - 0.1j).initial_guess == 0.9 - 0.05j
-        assert RunConfig().root_config(start=1.0 - 0.1j).initial_guess == \
-            1.0 - 0.1j
+        # unset, the pole search starts from its own estimate
+        assert RunConfig().root_config().initial_guess is None

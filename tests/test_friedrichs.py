@@ -524,6 +524,38 @@ class TestFindPole:
                                   form_factor=gt.FlatCutoff(cutoff=10.0))
         pole = gt.find_pole(free)
         assert (pole.e_r, pole.gamma) == (1.0, 0.0)
+        assert (pole.estimate, pole.residual, pole.step, pole.stencils) == \
+            (1.0, 0.0, 0.0, 0)
+
+    @pytest.mark.parametrize("kind,lam", [("flat", 0.1), ("flat", 1.0),
+                                          ("rational", 0.1)])
+    def test_reports_its_estimate_and_search(self, kind, lam):
+        """The pole carries the perturbative estimate bit for bit, and the
+        residual, step and stencil count of the search that found it, all
+        within the search's tolerances, from one estimate and one
+        self-energy call per stencil."""
+        model = _profile_model(kind, 1.0, lam, 1.0)
+        calls = []
+        eta = friedrichs.self_energy
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return eta(*args, **kwargs)
+
+        cfg = RootSearchConfig()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(friedrichs, "self_energy", counted)
+            pole = gt.find_pole(model, cfg)
+        assert isinstance(pole, gt.ResolvedPole)
+        assert pole.estimate == gt.perturbative_pole(model)
+        assert pole.residual <= cfg.residual_tol
+        assert pole.step <= cfg.step_tol
+        assert 1 <= pole.stencils <= cfg.max_iter
+        assert len(calls) == pole.stencils + 1
+        # the step runs from the last stencil's centre to the pole
+        centre = complex(calls[-1][0])
+        assert abs(abs(pole.z - centre) - pole.step) <= \
+            4.0 * np.finfo(float).eps * abs(centre)
 
     def test_width_near_golden_rule(self, flat_model, flat_pole):
         fgr = 2.0 * np.pi * flat_model.lam**2

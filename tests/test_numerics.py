@@ -320,8 +320,9 @@ class TestComplexNewton:
     @pytest.mark.parametrize("g,guess,root", CASES)
     def test_known_roots(self, g, guess, root):
         cfg = RootSearchConfig(initial_guess=guess)
-        found = complex_newton(g, cfg)
+        found, residual, step, _ = complex_newton(g, cfg)
         assert abs(found - root) < 1e-10
+        assert residual <= cfg.residual_tol and step <= cfg.step_tol
         assert abs(g(found)) <= cfg.residual_tol
 
     def test_max_iter(self):
@@ -341,7 +342,8 @@ class TestComplexNewton:
     def test_one_stencil_call_per_iteration(self):
         # each call is the stencil [z, z + h, z - h]; the search stops at
         # a stencil whose residual and correction are within tolerance and
-        # returns the corrected point, which it never evaluates
+        # returns the corrected point, which it never evaluates, with the
+        # residual and correction of that stencil and the stencil count
         stencils = []
 
         def g(z):
@@ -349,8 +351,9 @@ class TestComplexNewton:
             return z * z + 1.0
 
         cfg = RootSearchConfig(initial_guess=0.1 + 0.9j)
-        found = complex_newton(g, cfg)
+        found, residual, step, count = complex_newton(g, cfg)
         assert abs(found - 1j) < 1e-10
+        assert count == len(stencils)
         assert all(s.shape == (3,) for s in stencils)
         for s in stencils:
             h = 1e-6 * max(1.0, abs(s[0]))
@@ -365,8 +368,8 @@ class TestComplexNewton:
         bend = newton * ((g_up + g_down - 2.0 * gz) / (h * h)) / (2.0 * slope)
         assert abs(bend) < 0.1  # Halley's step at the last stencil
         assert found == z - newton / (1.0 - bend)
-        assert abs(gz) <= cfg.residual_tol
-        assert abs(found - z) <= cfg.step_tol
+        assert residual == abs(gz) <= cfg.residual_tol
+        assert step == abs(newton / (1.0 - bend)) <= cfg.step_tol
 
     def test_scalar_only_g_rejected(self):
         cfg = RootSearchConfig(initial_guess=1.0 + 0.0j)
