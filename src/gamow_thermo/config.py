@@ -244,8 +244,9 @@ class RunConfig:
             raise ConfigError(f"invalid thermo section: {exc}") from exc
 
     def _spaced(self, prefix: str, floor: float | None = None) -> np.ndarray:
-        """Points from the start/stop/points/spacing keys under ``prefix``;
-        with a ``floor``, points that rise strictly from at least ``floor``."""
+        """Finite points from the start/stop/points/spacing keys under
+        ``prefix``, log-spaced only between nonzero ends of one sign; with a
+        ``floor``, points that rise strictly from at least ``floor``."""
         start = self.get(f"{prefix}.start", required=True)
         stop = self.get(f"{prefix}.stop", required=True)
         points = self.get(f"{prefix}.points", required=True)
@@ -258,10 +259,16 @@ class RunConfig:
             if start < floor:
                 raise ConfigError(f"{prefix}.start must be "
                                   f"{'positive' if floor else 'nonnegative'}")
-            if spacing == "log" and start <= 0:
-                raise ConfigError(f"{prefix}: log spacing needs start > 0")
+        if spacing == "log" and not (start > 0 < stop or start < 0 > stop):
+            raise ConfigError(f"{prefix}: log spacing needs a nonzero start "
+                              "and stop of one sign")
         space = np.geomspace if spacing == "log" else np.linspace
-        grid = space(start, stop, points)
+        # a linear range wider than the float range has no finite step
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = space(start, stop, points)
+        if not np.isfinite(grid).all():
+            raise ConfigError(f"{prefix}: {points} points between start and "
+                              "stop are not all finite floats")
         if floor is not None and not np.all(np.diff(grid) > 0):
             raise ConfigError(f"{prefix}: {points} points between start and "
                               "stop are not distinct floats")

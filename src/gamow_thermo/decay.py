@@ -479,6 +479,7 @@ def classify_regimes(series: SurvivalSeries, pole: ResonancePole,
     zeno_window = None
     zeno_c = None
     zeno_resid = None
+    # ending at or before exp_window[0], the window never overlaps it
     limit = min(0.5 / gamma, exp_window[0])
     candidates = np.nonzero((t > 0) & (t <= limit))[0]
     for k in candidates[::-1]:
@@ -535,9 +536,6 @@ def classify_regimes(series: SurvivalSeries, pole: ResonancePole,
         residuals["zeno"] = zeno_resid
     if tail_resid is not None:
         residuals["tail"] = tail_resid
-
-    if zeno_window is not None and zeno_window[1] > exp_window[0]:
-        zeno_window = (zeno_window[0], exp_window[0])
 
     return RegimeReport(zeno_window=zeno_window, zeno_curvature=zeno_c,
                         exponential_window=exp_window, gamma_fit=gamma_fit,

@@ -29,7 +29,8 @@ __all__ = [
     "verify_ode_solutions",
 ]
 
-# |Re(tau * z_R)| beyond which exp overflows float64; reported, never saturated
+# |Re(tau * z_R)| beyond which exp over- or underflows float64; reported,
+# never saturated
 _EXP_GUARD = 700.0
 
 
@@ -68,10 +69,12 @@ def _evolve(c0: LadderCoefficient, pole: ResonancePole,
     with np.errstate(over="ignore", invalid="ignore"):
         exponent = tau * _rate(c0.mode, pole)
         value = c0.value * np.exp(exponent)
-    worst = np.max(np.abs(np.real(exponent)), initial=0.0)
-    if not worst <= _EXP_GUARD:
+    real = np.ravel(np.real(exponent))
+    worst = real[np.argmax(np.abs(real))] if real.size else 0.0
+    if not abs(worst) <= _EXP_GUARD:
         raise OverflowError(
-            f"evolution factor exp({worst:.1f}) overflows float64; "
+            f"evolution factor exp({worst:.1f}) "
+            f"{'underflows' if worst < 0 else 'overflows'} float64; "
             "shorten the evolution span")
     if not np.isfinite(value).all():
         raise OverflowError("evolution phase or coefficient overflows "

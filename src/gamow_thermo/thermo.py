@@ -19,20 +19,13 @@ from .numerics import (InvalidElements, NumericalFailure, _complex, _require,
                        _unbox, derivative)
 
 __all__ = [
-    "IllDefinedBracket",
     "NonFiniteEntropy",
     "ThermoPoint",
     "ComplexEntropy",
     "complex_entropy",
     "entropy_via_log_identity",
     "canonical_entropy",
-    "naive_partition_function",
 ]
-
-
-class IllDefinedBracket(RuntimeError):
-    """Raised by the trace route over resonance eigenvectors: the norm-like
-    brackets it needs do not exist, so that route cannot be computed."""
 
 
 class NonFiniteEntropy(NumericalFailure, InvalidElements):
@@ -139,18 +132,3 @@ def canonical_entropy(log_z, point: ThermoPoint,
     value = complex(log_z(beta))
     dlog, _err = derivative(log_z, beta, rel_step * beta)
     return point.k * (value - beta * complex(dlog))
-
-
-def naive_partition_function(pole: ResonancePole, point: ThermoPoint):
-    """Trace of the Boltzmann weight over the resonance-plus-continuum basis.
-
-    Deliberately not implemented: the diagonal brackets of resonance
-    eigenvectors and of the outgoing continuum states have no finite value,
-    so this route to the partition function cannot be evaluated.  Kept as
-    an explicit dead end; use :func:`complex_entropy` (coherent-state
-    route) instead.
-    """
-    raise IllDefinedBracket(
-        "the trace over the resonance + outgoing-continuum basis requires "
-        "norm-like brackets that are not defined; the coherent-state route "
-        "(complex_entropy) is the computable one")

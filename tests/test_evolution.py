@@ -81,6 +81,14 @@ class TestTimeEvolve:
         with pytest.raises(OverflowError, match="overflows"):
             gt.time_evolve(coeff(Mode.OUT_ANNIHILATION), pole, 1e5)
 
+    def test_decay_guard_reports_underflow(self):
+        """exp(-Gamma t / 2) past the guard is named by its signed
+        exponent as an underflow, not an overflow."""
+        pole = gt.ResonancePole(e_r=1.0, gamma=0.2)
+        with pytest.raises(OverflowError,
+                           match=r"exp\(-800\.0\) underflows float64"):
+            gt.time_evolve(coeff(), pole, np.array([0.0, 8000.0]))
+
     def test_overflowing_phase_reports(self):
         """t E_R past the float range leaves no phase: an OverflowError,
         raised before numpy would warn."""

@@ -8,6 +8,7 @@ finite numbers.
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,25 @@ def test_infinite_number_is_named_on_load(tmp_path, capsys, command, text,
     assert capsys.readouterr().err.startswith(
         f"config error: {tmp_path / 'run.cfg'}: {key} must be a finite "
         "number, got 'inf'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spacing,start,stop", [
+    ("log", "0", "1"), ("log", "-1", "1"), ("linear", "-1e308", "1e308"),
+], ids=["log-zero", "log-signs", "linear-overflow"])
+def test_unrepresentable_scan_range_is_config_error(tmp_path, capsys,
+                                                    spacing, start, stop):
+    """A scan range that numpy could not lay out as finite floats is
+    named before any point runs, with no numpy warning."""
+    text = ("pole.e_r = 1.0\nthermo.beta = 1.0\nscan.axis = gamma\n"
+            f"scan.spacing = {spacing}\nscan.start = {start}\n"
+            f"scan.stop = {stop}\nscan.points = 3\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = _run(tmp_path, "scan", text)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: scan: ")
+    assert [w for w in caught if w.category is RuntimeWarning] == []
     assert not out.exists()
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gamow_thermo as gt
-from gamow_thermo.thermo import IllDefinedBracket
 
 
 def entropy(e_r, gamma, beta, k=1.0):
@@ -251,10 +250,3 @@ class TestProperties:
                 for e, r, b in rows])
             assert array.view(np.uint64).tolist() == \
                 scalar.view(np.uint64).tolist()
-
-
-class TestNaivePartitionFunction:
-    def test_always_raises(self):
-        pole = gt.ResonancePole(e_r=1.0, gamma=0.5)
-        with pytest.raises(IllDefinedBracket):
-            gt.naive_partition_function(pole, gt.ThermoPoint(beta=1.0))
