@@ -230,8 +230,12 @@ def _scan_lambda(cfg: RunConfig, values: np.ndarray) -> list:
 
     def row(lam: float) -> list:
         try:
-            pole = friedrichs.find_pole(replace(model, lam=lam), root, spec)
-        except (NumericalFailure, ValueError) as exc:
+            row_model = replace(model, lam=lam)
+        except ValueError as exc:  # the model's finite-square check only
+            return [lam, "", "", "", "", _failure(exc)]
+        try:
+            pole = friedrichs.find_pole(row_model, root, spec)
+        except NumericalFailure as exc:
             return [lam, "", "", "", "", _failure(exc)]
         ratio = pole.gamma / lam**2 if lam**2 != 0 else ""
         return [lam, pole.e_r, pole.gamma, ratio, -2 * pole.estimate.imag, ""]

@@ -224,7 +224,10 @@ class DensityTable:
         gives no correct digit, and nothing warns.  A phase t x that
         overflows raises :class:`NumericalFailure`.
         """
-        t = np.atleast_1d(np.asarray(times, dtype=float)).tolist()
+        t = np.atleast_1d(np.asarray(times, dtype=float))
+        if t.ndim != 1:
+            raise ValueError("times are a scalar or 1-d")
+        t = t.tolist()
         if not all(0.0 <= ti < np.inf for ti in t):
             raise ValueError("the transform is evaluated at finite t >= 0")
         knots, h, right, taylor, first, last = self._pieces
@@ -344,31 +347,26 @@ def density_table(model: FriedrichsModel) -> DensityTable:
                         max_refine_dev=float(dev.max(initial=0.0)))
 
 
-def survival_amplitude(model: FriedrichsModel, t: float) -> complex:
-    """Overlap of the evolved level with itself at time t.
-
-    The Fourier transform of the overlap density, taken exactly on the
-    cached spline table (:meth:`DensityTable.fourier`).
-    """
-    if t < 0:
-        raise ValueError("survival amplitude is evaluated for t >= 0")
-    return complex(density_table(model).fourier(t)[0])
-
-
-def survival_probability(model: FriedrichsModel, t_grid) -> SurvivalSeries:
-    """Survival series |A(t)|^2 over an ordered nonnegative grid.
-
-    The whole grid is one vectorised exact transform of the spline table.
-    P(0) = A(0)^2, the table's :attr:`~DensityTable.norm`, must be 1
-    within 1e-8 whatever the grid: a table that misses weight (a bound
-    state it leaves out) raises :class:`UnitarityViolation`.
-    """
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 1:
-        raise ValueError("t_grid must be a non-empty 1-d sequence")
+def survival_amplitude(model: FriedrichsModel, t):
+    """A(t) of the model's level: a Python complex for a scalar t, an array
+    for a 1-d array, the exact transform of the cached spline table
+    (:meth:`DensityTable.fourier`, which checks the times).  Whatever the
+    times, P(0) = A(0)^2, the table's :attr:`~DensityTable.norm` squared,
+    must be 1 within 1e-8: a table that misses weight (a bound state it
+    leaves out) raises :class:`UnitarityViolation`."""
     table = density_table(model)
     _check_start(table.norm ** 2)
     amps = table.fourier(t)
+    return amps if np.ndim(t) else complex(amps[0])
+
+
+def survival_probability(model: FriedrichsModel, t_grid) -> SurvivalSeries:
+    """Survival series |A(t)|^2 over an ordered nonnegative grid, from one
+    :func:`survival_amplitude` call."""
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or t.size < 1:
+        raise ValueError("t_grid must be a non-empty 1-d sequence")
+    amps = survival_amplitude(model, t)
     return SurvivalSeries(times=t, amplitudes=amps,
                           probabilities=np.abs(amps) ** 2)
 
@@ -387,30 +385,27 @@ def gamow_approximation(pole: ResonancePole, t):
 def zeno_check(target, h: float = 0.01):
     """One-sided Richardson estimate of P'(0) with its error gauge.
 
-    ``target`` is a model (survival probability is synthesized) or any
-    callable P(t) such as an oracle series interpolant or an exponential
-    control.  Two Richardson levels are compared, so the returned
-    ``(slope, error_estimate)`` carries a defect of the extrapolation
-    itself plus a noise floor; a value drowned in noise is visible rather
-    than masked.  For a model the floor is ``_ZENO_NOISE`` (4e-10 per
-    probability), a typical size of the spline table's error rather than
-    a bound on it: the table matches fresh densities at its knot
-    midpoints only within max(3e-10, 1e-9 |rho|).
+    ``target`` is a model, whose four P(t) come from one P(0)-checked
+    :func:`survival_amplitude` call, or any callable P(t) such as an
+    oracle series interpolant or an exponential control.  Two Richardson
+    levels are compared, so the returned ``(slope, error_estimate)``
+    carries a defect of the extrapolation itself plus a noise floor; a
+    value drowned in noise is visible rather than masked.  For a model
+    the floor is ``_ZENO_NOISE`` (4e-10 per probability), a typical size
+    of the spline table's error rather than a bound on it: the table
+    matches fresh densities at its knot midpoints only within
+    max(3e-10, 1e-9 |rho|).
     """
     if h <= 0:
         raise ValueError("step h must be positive")
+    times = [0.0, h, h / 2, h / 4]
     if callable(target):
-        p = target
+        p = [float(target(tk)) for tk in times]
         noise = 0.0
     else:
-        model = target
-
-        def p(tk: float) -> float:
-            return abs(survival_amplitude(model, tk)) ** 2
+        p = [abs(a) ** 2 for a in survival_amplitude(target, times).tolist()]
         noise = _ZENO_NOISE
-
-    p0 = float(p(0.0))
-    diffs = [(float(p(h / 2**k)) - p0) / (h / 2**k) for k in range(3)]
+    diffs = [(pk - p[0]) / tk for pk, tk in zip(p[1:], times[1:])]
     level_one = 2.0 * diffs[1] - diffs[0]
     level_two = 2.0 * diffs[2] - diffs[1]
     err = abs(level_two - level_one) + 3.0 * noise / h

@@ -27,6 +27,17 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+def test_readme_pole_example_is_the_golden_fixture():
+    """README's ``pole`` example prints the golden fixture's bytes, so a
+    refresh of the fixture cannot leave the example stale."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    example = readme.split("### Example", 1)[1]
+    block = example.split("```csv\n", 1)[1].split("```", 1)[0]
+    golden = root / "tests" / "golden" / "expected" / "pole.csv"
+    assert block.encode() == golden.read_bytes()
+
+
 class TestPoleCommand:
     def test_flat_model_row(self, run_cli):
         code, out, record_path = run_cli("pole", FLAT_CONFIG)
@@ -719,6 +730,25 @@ def test_any_numerical_failure_exits_two(run_cli, monkeypatch, capsys):
     assert code == 2
     _, rows = read_csv(out)
     assert [r[-1] for r in rows] == ["Fresh: no verdict"] * 2
+
+
+def test_lambda_row_catches_value_error_only_from_the_model(run_cli,
+                                                           monkeypatch):
+    """A lambda the model rejects is an error row; a bare ``ValueError``
+    from the pole search is a bug and escapes ``main``."""
+    cfg = FLAT_CONFIG + "scan.axis = lambda\nscan.values = 1e200, nan, 0.1\n"
+    code, out, _ = run_cli("scan", cfg)
+    assert code == 0
+    _, rows = read_csv(out)
+    assert [r[-1] for r in rows] == [
+        "ValueError: coupling must be real, with a finite square"] * 2 + [""]
+
+    def fail(*args, **kwargs):
+        raise ValueError("a bug in the search")
+
+    monkeypatch.setattr(friedrichs, "find_pole", fail)
+    with pytest.raises(ValueError, match="a bug in the search"):
+        run_cli("scan", cfg)
 
 
 _GOLDEN_CONFIGS = Path(__file__).resolve().parent / "golden" / "configs"

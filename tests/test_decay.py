@@ -3,10 +3,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import BSpline, CubicSpline, PPoly
+from scipy.optimize import brentq
 
 import gamow_thermo as gt
 from gamow_thermo import decay, friedrichs
@@ -114,7 +115,59 @@ class TestDensityTable:
         assert abs(table.norm - table.norm_direct) < 5e-9
 
 
+def _flat_bound_weight(omega0, lam, cutoff):
+    """Weight 1/eta'(E_b) of the flat model's bound state below threshold,
+    from the closed form eta(E) = E - omega0 - lam^2 ln(-E / (c - E)),
+    its root bracketed in u = ln(-E); 0 for a root below 1e-304."""
+    lam2 = lam * lam
+
+    def eta(u):
+        return -np.exp(u) - omega0 - lam2 * (u - np.log(cutoff + np.exp(u)))
+
+    if eta(-700.0) < 0:
+        return 0.0
+    e_b = -np.exp(brentq(eta, -700.0, 10.0, xtol=1e-14))
+    return 1.0 / (1.0 + lam2 / -e_b - lam2 / (cutoff - e_b))
+
+
+def _flat(omega0, lam, cutoff):
+    return gt.FriedrichsModel(omega0=omega0, lam=lam,
+                              form_factor=gt.FlatCutoff(cutoff=cutoff))
+
+
+def _rational(omega0, lam, scale):
+    return gt.FriedrichsModel(omega0=omega0, lam=lam,
+                              form_factor=gt.RationalFormFactor(scale=scale))
+
+
 class TestSurvivalAmplitude:
+    @settings(max_examples=25, deadline=None)
+    @given(model=st.one_of(
+        st.builds(_flat, omega0=st.floats(0.5, 2.0), lam=st.floats(0.05, 0.5),
+                  cutoff=st.floats(5.0, 20.0)),
+        st.builds(_rational, omega0=st.floats(0.5, 2.0),
+                  lam=st.floats(0.05, 0.5), scale=st.floats(0.5, 2.0))))
+    @example(model=_flat(1.0, 0.3, 10.0))
+    @example(model=_flat(0.5, 0.22, 5.0))
+    def test_unitarity_over_the_parameter_space(self, model):
+        """Amplitudes on a fixed grid either raise UnitarityViolation or
+        keep P(0) = 1 and P <= 1 within 1e-8.  A flat model whose bound
+        state (closed form) takes more than 1e-6 of P(0) must raise:
+        the table leaves that weight out."""
+        ts = np.linspace(0.0, 200.0, 81)
+        form = model.form_factor
+        missed = 0.0
+        if isinstance(form, gt.FlatCutoff):
+            missed = 1.0 - (1.0 - _flat_bound_weight(
+                model.omega0, model.lam, form.cutoff)) ** 2
+        try:
+            p = np.abs(gt.survival_amplitude(model, ts)) ** 2
+        except gt.UnitarityViolation:
+            return
+        assert missed <= 1e-6
+        assert abs(p[0] - 1.0) <= 1e-8
+        assert np.all(p <= 1.0 + 1e-8)
+
     def test_normalization_at_zero(self, flat_model, flat_table):
         amp = gt.survival_amplitude(flat_model, 0.0)
         assert abs(amp - 1.0) < 1e-8
@@ -156,6 +209,12 @@ class TestSurvivalAmplitude:
             gt.survival_probability(flat_model, [0.0, 1.0, bad])
         with pytest.raises(ValueError, match="finite"):
             flat_table.fourier([bad])
+
+    def test_two_dimensional_times_rejected(self, flat_model, flat_table):
+        with pytest.raises(ValueError, match="scalar or 1-d"):
+            flat_table.fourier([[0.0, 1.0]])
+        with pytest.raises(ValueError, match="scalar or 1-d"):
+            gt.survival_amplitude(flat_model, np.zeros((2, 2)))
 
 
 class TestExactSynthesis:
@@ -350,10 +409,13 @@ class TestExactSynthesis:
 
     def test_series_is_one_call_matching_single_points(self, flat_model,
                                                        flat_series):
+        """An array of times gives the scalar calls' amplitudes bit for
+        bit, in a series and from ``survival_amplitude`` itself."""
         ts = flat_series.times[::40]
         singles = [gt.survival_amplitude(flat_model, float(t)) for t in ts]
-        assert np.max(np.abs(flat_series.amplitudes[::40] - singles)) \
-            <= 1e-15
+        assert all(type(a) is complex for a in singles)
+        assert gt.survival_amplitude(flat_model, ts).tolist() == singles
+        assert flat_series.amplitudes[::40].tolist() == singles
 
     def test_negative_time_rejected(self, flat_table):
         with pytest.raises(ValueError):
@@ -431,16 +493,23 @@ class TestSurvivalSeries:
         with pytest.raises(gt.UnitarityViolation, match="P\\(0\\) = nan"):
             decay._check_start(np.nan)
 
-    @pytest.mark.parametrize("grid", [[0.0, 0.5, 1.0], [0.5, 1.0]],
-                             ids=["with-zero", "without-zero"])
-    def test_missing_weight_fails_on_any_grid(self, grid):
+    @pytest.mark.parametrize("route", [
+        lambda m: gt.survival_probability(m, [0.0, 0.5, 1.0]),
+        lambda m: gt.survival_probability(m, [0.5, 1.0]),
+        lambda m: gt.survival_amplitude(m, 0.5),
+        lambda m: gt.survival_amplitude(m, np.array([0.5, 1.0])),
+        gt.zeno_check],
+        ids=["with-zero", "without-zero", "amplitude-scalar",
+             "amplitude-array", "zeno"])
+    def test_missing_weight_fails_on_any_grid(self, route):
         """At lambda = 0.3 the flat model's bound state below threshold
         carries weight the table leaves out: P(0) = A(0)^2 of the table
-        misses 1 whether or not the grid holds t = 0."""
+        misses 1 whether or not the times hold t = 0, on every route that
+        computes an amplitude."""
         model = gt.FriedrichsModel(omega0=1.0, lam=0.3,
                                    form_factor=gt.FlatCutoff(cutoff=10.0))
         with pytest.raises(gt.UnitarityViolation, match="P\\(0\\) = 0.99669"):
-            gt.survival_probability(model, grid)
+            route(model)
 
 
 class TestGamowApproximation:
@@ -473,6 +542,9 @@ class TestZenoCheck:
         tol = 1e-4 * flat_pole.gamma
         assert abs(slope) < tol
         assert err < tol
+        # one array call gives the slope of four scalar probabilities
+        assert slope == gt.zeno_check(
+            lambda t: abs(gt.survival_amplitude(flat_model, t)) ** 2)[0]
 
     def test_exponential_control_is_flagged(self, flat_pole):
         gamma = flat_pole.gamma
