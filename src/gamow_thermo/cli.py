@@ -42,7 +42,6 @@ class _Emitter:
             "tool": {"name": "gamow-thermo", "version": __version__},
             "command": command,
             "config": dict(cfg.raw),
-            "numerics": self.num(asdict(cfg.quadrature_spec())),
             "warnings": [],
             "results": {},
             "tables": [],
@@ -104,8 +103,7 @@ class _Emitter:
 
 def cmd_pole(cfg: RunConfig, emitter: _Emitter) -> None:
     model = cfg.model()
-    pole = friedrichs.find_pole(model, cfg.root_config(),
-                                cfg.quadrature_spec())
+    pole = friedrichs.find_pole(model, cfg.root_config())
     if model.lam**2 == 0.0:
         emitter.warn("stable state: lambda^2 is zero, width vanishes")
     fgr = -2.0 * pole.estimate.imag
@@ -122,8 +120,7 @@ def cmd_survival(cfg: RunConfig, emitter: _Emitter) -> None:
     model = cfg.model()
     grid = cfg.grid("time", required=True)
     try:
-        pole = friedrichs.find_pole(model, cfg.root_config(),
-                                    cfg.quadrature_spec())
+        pole = friedrichs.find_pole(model, cfg.root_config())
     except NumericalFailure as exc:
         pole = None
         emitter.warn(f"{exc}; p_gamow is left blank")
@@ -169,7 +166,7 @@ def cmd_entropy(cfg: RunConfig, emitter: _Emitter) -> None:
     betas = cfg.grid("beta", positive=True)
     betas = np.atleast_1d(point.beta if betas is None else betas)
     point = replace(point, beta=betas)
-    pole = cfg.pole(cfg.quadrature_spec())
+    pole = cfg.pole()
     closed = thermo.complex_entropy(pole, point)
     via_log = thermo.entropy_via_log_identity(pole, point)
     emitter.add_table("entropy", ["beta", "re_s", "im_s", "identity_dev"],
@@ -196,7 +193,7 @@ def cmd_evolve(cfg: RunConfig, emitter: _Emitter) -> None:
     grid = cfg.grid(grid_name, required=True)
     temps = cfg.grid("temperature", positive=True)
     k = None if temps is None else cfg.thermo_point().k
-    pole = cfg.pole(cfg.quadrature_spec())
+    pole = cfg.pole()
 
     c = evolve(start, pole, grid)
     emitter.add_table("trajectory",
@@ -225,7 +222,6 @@ def _scan_lambda(cfg: RunConfig, values: np.ndarray) -> list:
     its own estimate; a failed search is an error row."""
     model = RunConfig(raw={**cfg.raw, "model.lambda": "0"},
                       base_dir=cfg.base_dir).model()
-    spec = cfg.quadrature_spec()
     root = cfg.root_config()
 
     def row(lam: float) -> list:
@@ -234,7 +230,7 @@ def _scan_lambda(cfg: RunConfig, values: np.ndarray) -> list:
         except ValueError as exc:  # the model's finite-square check only
             return [lam, "", "", "", "", _failure(exc)]
         try:
-            pole = friedrichs.find_pole(row_model, root, spec)
+            pole = friedrichs.find_pole(row_model, root)
         except NumericalFailure as exc:
             return [lam, "", "", "", "", _failure(exc)]
         ratio = pole.gamma / lam**2 if lam**2 != 0 else ""
@@ -288,7 +284,7 @@ def cmd_scan(cfg: RunConfig, emitter: _Emitter) -> None:
             friedrichs.ResonancePole(e_r=e_r, gamma=g), point))
     else:
         point = cfg.thermo_point()
-        pole = cfg.pole(cfg.quadrature_spec())
+        pole = cfg.pole()
         columns = _scan_entropy(values, lambda b: thermo.complex_entropy(
             pole, replace(point, beta=b)))
         emitter.record["results"]["pole"] = emitter.num(asdict(pole))

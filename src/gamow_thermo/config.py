@@ -25,7 +25,7 @@ from .friedrichs import (
     TabulatedFormFactor,
     find_pole,
 )
-from .numerics import QuadratureSpec, RootSearchConfig
+from .numerics import RootSearchConfig
 from .thermo import ThermoPoint
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
@@ -108,8 +108,6 @@ _KEYS = {
     "scan.values": ("comma-separated numbers", _numbers),
     **{f"scan.{end}": reader for end, reader in _RANGE.items()},
     "survival.regimes": _BOOLEAN, "survival.noise_floor": _NONNEGATIVE,
-    "numerics.abs_tol": _FINITE, "numerics.rel_tol": _FINITE,
-    "numerics.max_subdivisions": _INTEGER,
     "root.initial_guess": _COMPLEX, "root.step_tol": _FINITE,
     "root.residual_tol": _FINITE, "root.max_iter": _INTEGER,
     "output.path": _TEXT, "output.format": _one_of("csv", "json"),
@@ -197,7 +195,7 @@ class RunConfig:
         except (ValueError, OSError) as exc:
             raise ConfigError(f"invalid model section: {exc}") from exc
 
-    def pole(self, spec: QuadratureSpec | None = None) -> ResonancePole:
+    def pole(self) -> ResonancePole:
         """Direct pole.e_r/pole.gamma when given, else resolved from the model."""
         if "pole.e_r" in self.raw or "pole.gamma" in self.raw:
             e_r = self.get("pole.e_r", required=True)
@@ -208,18 +206,7 @@ class RunConfig:
                 raise ConfigError(f"invalid pole section: {exc}") from exc
         if not any(k.startswith("model.") for k in self.raw):
             raise ConfigError("need either a pole.* or a model.* section")
-        return find_pole(self.model(), self.root_config(), spec)
-
-    def quadrature_spec(self) -> QuadratureSpec:
-        base = QuadratureSpec()
-        try:
-            return QuadratureSpec(
-                abs_tol=self.get("numerics.abs_tol", base.abs_tol),
-                rel_tol=self.get("numerics.rel_tol", base.rel_tol),
-                max_subdivisions=self.get("numerics.max_subdivisions",
-                                          base.max_subdivisions))
-        except ValueError as exc:
-            raise ConfigError(f"invalid numerics section: {exc}") from exc
+        return find_pole(self.model(), self.root_config())
 
     def root_config(self) -> RootSearchConfig:
         """The root.* keys; without ``root.initial_guess`` the pole search

@@ -32,11 +32,7 @@ __all__ = [
     "classify_regimes",
 ]
 
-# accuracy of the tabulated density's principal values: each one within
-# max(1e-12, 1e-10 |PV|) by its Kronrod-Gauss gauge (the spline fit has
-# its own refinement threshold below)
-_TABLE_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10,
-                             max_subdivisions=20000)
+# accuracy of the density's norm integral and of the tail cutoff's bound
 _NORM_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11,
                             max_subdivisions=20000)
 # noise floor of a synthesised P(t) in zeno_check: a typical value, not a
@@ -307,7 +303,7 @@ def density_table(model: FriedrichsModel) -> DensityTable:
         keys = np.asarray(ws, dtype=float).tolist()
         new = [w for w in keys if w not in density]
         if new:
-            fresh = spectral_density(model, np.array(new), _TABLE_SPEC)
+            fresh = spectral_density(model, np.array(new))
             if not np.isfinite(fresh).all():
                 raise NumericalFailure("the overlap density is not finite")
             density.update(zip(new, fresh.tolist()))
@@ -403,7 +399,7 @@ def zeno_check(target, h: float = 0.01):
         p = [float(target(tk)) for tk in times]
         noise = 0.0
     else:
-        p = [abs(a) ** 2 for a in survival_amplitude(target, times).tolist()]
+        p = (np.abs(survival_amplitude(target, times)) ** 2).tolist()
         noise = _ZENO_NOISE
     diffs = [(pk - p[0]) / tk for pk, tk in zip(p[1:], times[1:])]
     level_one = 2.0 * diffs[1] - diffs[0]

@@ -327,8 +327,7 @@ class ResolvedPole(ResonancePole):
     stencils: int
 
 
-def perturbative_pole(model: FriedrichsModel,
-                      spec: QuadratureSpec | None = None) -> complex:
+def perturbative_pole(model: FriedrichsModel) -> complex:
     """Second-order pole estimate omega0 - eta(omega0 + i0), a complex: its
     real part is the principal-value shift omega0 - Re eta, and -2 Im is
     the golden-rule width 2 Im eta.  It is the default start of
@@ -338,11 +337,11 @@ def perturbative_pole(model: FriedrichsModel,
     """
     if not np.isfinite(model.form_factor.f2(model.omega0)):
         raise IntegrandError("f^2(omega0) is not finite")
-    return model.omega0 - self_energy(model, model.omega0, "I", spec)
+    return model.omega0 - self_energy(model, model.omega0)
 
 
-def find_pole(model: FriedrichsModel, cfg: RootSearchConfig | None = None,
-              spec: QuadratureSpec | None = None) -> ResolvedPole:
+def find_pole(model: FriedrichsModel,
+              cfg: RootSearchConfig | None = None) -> ResolvedPole:
     """Locate the resonance pole: the second-sheet zero below the cut.
 
     Computes the :func:`perturbative_pole` estimate once, then
@@ -355,8 +354,7 @@ def find_pole(model: FriedrichsModel, cfg: RootSearchConfig | None = None,
     the search's report, so no caller evaluates eta again for them.
     """
     cfg = cfg or RootSearchConfig()
-    spec = spec or QuadratureSpec()
-    estimate = perturbative_pole(model, spec)
+    estimate = perturbative_pole(model)
     if model.lam**2 == 0.0:
         return ResolvedPole(e_r=model.omega0, gamma=0.0, estimate=estimate,
                             residual=0.0, step=0.0, stencils=0)
@@ -366,7 +364,7 @@ def find_pole(model: FriedrichsModel, cfg: RootSearchConfig | None = None,
     cfg = replace(cfg, initial_guess=start)
 
     root, residual, step, stencils = complex_newton(
-        lambda z: self_energy(model, z, "II", spec), cfg)
+        lambda z: self_energy(model, z, "II"), cfg)
     scale = max(1.0, abs(root))
     if root.imag > 1e-10 * scale:
         raise PoleInUpperHalfPlane(
@@ -381,8 +379,15 @@ def find_pole(model: FriedrichsModel, cfg: RootSearchConfig | None = None,
                         stencils=stencils)
 
 
-def spectral_density(model: FriedrichsModel, omega,
-                     spec: QuadratureSpec | None = None):
+# accuracy of the density's principal values, each within max(1e-12,
+# 1e-10 |PV|) by its Kronrod-Gauss gauge: the density table is fitted to
+# these values, and the pole search's QuadratureSpec() defaults would move
+# its knots
+_DENSITY_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10,
+                               max_subdivisions=20000)
+
+
+def spectral_density(model: FriedrichsModel, omega):
     """Continuum overlap density rho(omega) of the (bare) level.
 
     rho = lam^2 f^2 / |eta(omega + i0)|^2.  It is nonnegative, integrates
@@ -390,9 +395,10 @@ def spectral_density(model: FriedrichsModel, omega,
     a width of the resonance energy for narrow resonances.  An uncoupled
     level (lam^2 = 0) has no continuum density: it is zero everywhere.
     Accepts a scalar or an array of frequencies; an array is one batched
-    boundary evaluation.
+    boundary evaluation.  Its principal values are taken at the accuracy
+    of the density table that :func:`~gamow_thermo.decay.density_table`
+    fits to it, so every caller gets the table's own densities.
     """
-    spec = spec or QuadratureSpec()
     arr = np.asarray(omega, dtype=float)
     if np.any(arr < 0):
         raise ValueError("spectral density is defined for omega >= 0")
@@ -406,7 +412,7 @@ def spectral_density(model: FriedrichsModel, omega,
     inside = (f2 != 0.0) & (arr > lo) & (arr < hi)
     rho = np.zeros(arr.shape)
     if np.any(inside):
-        eta = self_energy(model, arr[inside], "I", spec)
+        eta = self_energy(model, arr[inside], "I", _DENSITY_SPEC)
         # |eta|^2 may overflow far out, where rho is zero
         with np.errstate(over="ignore"):
             rho[inside] = model.lam**2 * f2[inside] / np.abs(eta) ** 2

@@ -810,17 +810,24 @@ class TestPoleReport:
 
 
 class TestOutputContract:
-    def test_round_trip_record_reproduces_bytes(self, run_cli, tmp_path):
-        cfg = "pole.e_r = 1.0\npole.gamma = 2.0\nthermo.beta = 1.0\n"
-        code, out, record_path = run_cli("entropy", cfg)
-        assert code == 0
-        rerun_out = tmp_path / "rerun.csv"
-        code = cli_main(["entropy", "--config", str(record_path),
-                         "--out", str(rerun_out), "--quiet"])
-        assert code == 0
-        assert rerun_out.read_bytes() == out.read_bytes()
-        assert json.loads(rerun_out.with_suffix(".json").read_text())[
-            "tables"] == json.loads(record_path.read_text())["tables"]
+    def test_round_trip_record_reproduces_bytes(self, tmp_path):
+        """The run record of each golden config, fed back as ``--config``,
+        reproduces every CSV byte for byte and the same tables."""
+        first, rerun = tmp_path / "first", tmp_path / "rerun"
+        for command in ("pole", "survival", "entropy", "evolve", "scan"):
+            for config_path, out_dir in (
+                    (_GOLDEN_CONFIGS / f"{command}.cfg", first),
+                    (first / f"{command}.json", rerun)):
+                assert cli_main([command, "--config", str(config_path),
+                                 "--out", str(out_dir / f"{command}.csv"),
+                                 "--quiet"]) == 0
+            tables = [json.loads((out_dir / f"{command}.json").read_text())[
+                "tables"] for out_dir in (first, rerun)]
+            assert tables[0] == tables[1], command
+        csvs = [{path.name: path.read_bytes() for path in out_dir.glob(
+            "*.csv")} for out_dir in (first, rerun)]
+        assert len(csvs[0]) == 6
+        assert csvs[0] == csvs[1]
 
     def test_sidecar_numbers_match_csv(self, run_cli):
         cfg = "pole.e_r = 1.0\npole.gamma = 2.0\nthermo.beta = 1.0\n"

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,24 @@ def write_and_load(tmp_path, text):
     path = tmp_path / "run.cfg"
     path.write_text(text)
     return load_config(path)
+
+
+def test_readme_names_only_accepted_keys():
+    """Every backticked ``section.key`` in README whose section is a config
+    section is a key, and every ``section.*`` matches one, so README
+    cannot advertise a removed key."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sections = {key.split(".")[0] for key in config._KEYS}
+    named = [name for name in re.findall(r"`([^`\s]+)`", readme)
+             if re.fullmatch(r"[a-z_]+(\.[a-z0-9_]+)*(\.\*)?", name)
+             and "." in name and name.split(".")[0] in sections]
+    assert named
+    for name in named:
+        if name.endswith(".*"):
+            assert any(key.startswith(name[:-1]) for key in config._KEYS), \
+                name
+        else:
+            assert name in config._KEYS, name
 
 
 class TestParsing:
@@ -36,14 +57,19 @@ class TestParsing:
             write_and_load(tmp_path, "model.omega_zero = 1.0\n")
 
     def test_oscillation_split_is_not_a_key(self, tmp_path):
+        """Removed keys, the oscillation split and the quadrature
+        tolerances, stop a config that still sets them."""
         path = tmp_path / "run.cfg"
-        path.write_text("model.omega0 = 1.0\nmodel.lambda = 0.1\n"
-                        "numerics.oscillation_split = 30\n")
-        with pytest.raises(ConfigError, match="unknown config key"):
-            load_config(path)
         out = tmp_path / "pole.csv"
-        assert cli_main(["pole", "--config", str(path), "--out", str(out),
-                         "--quiet"]) == 1
+        for key in ("numerics.oscillation_split", "numerics.abs_tol",
+                    "numerics.rel_tol", "numerics.max_subdivisions"):
+            path.write_text("model.omega0 = 1.0\nmodel.lambda = 0.1\n"
+                            f"{key} = 30\n")
+            with pytest.raises(ConfigError,
+                               match=f"unknown config key '{key}'"):
+                load_config(path)
+            assert cli_main(["pole", "--config", str(path), "--out",
+                             str(out), "--quiet"]) == 1
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -70,8 +96,7 @@ class TestAccessors:
 
     @pytest.mark.parametrize("key", [
         "model.lambda", "pole.e_r", "pole.gamma", "thermo.beta", "thermo.k",
-        "numerics.abs_tol", "numerics.rel_tol", "root.step_tol",
-        "root.residual_tol"])
+        "root.step_tol", "root.residual_tol"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_every_number_must_be_finite(self, key, bad):
         """A non-finite number stops the config when it loads, before any
@@ -133,8 +158,6 @@ class TestAccessors:
             "evolve.mode", "evolve.branch", "evolve.value",
             "scan.axis", "scan.values",
             "survival.regimes", "survival.noise_floor",
-            "numerics.abs_tol", "numerics.rel_tol",
-            "numerics.max_subdivisions",
             "root.initial_guess", "root.step_tol", "root.residual_tol",
             "root.max_iter",
             "output.path", "output.format", "output.precision",
@@ -243,12 +266,6 @@ class TestBuilders:
         assert RunConfig().precision() == 12
         with pytest.raises(ConfigError, match="precision"):
             RunConfig(raw={"output.precision": "20"}).precision()
-
-    def test_quadrature_overrides(self):
-        cfg = RunConfig(raw={"numerics.abs_tol": "1e-8",
-                             "numerics.max_subdivisions": "100"})
-        spec = cfg.quadrature_spec()
-        assert spec.abs_tol == 1e-8 and spec.max_subdivisions == 100
 
     def test_root_overrides(self):
         cfg = RunConfig(raw={"root.initial_guess": "0.9-0.05j",

@@ -17,7 +17,6 @@ from gamow_thermo.decay import (
     RegimeReport,
     SurvivalSeries,
     _MOMENT_SWITCH,
-    _TABLE_SPEC,
 )
 from gamow_thermo.numerics import PiecewiseCubic
 
@@ -52,6 +51,23 @@ class TestDensityTable:
         direct = gt.spectral_density(flat_model, probes)
         assert np.max(np.abs(flat_table(probes) - direct)) < 5e-9
 
+    @pytest.mark.parametrize("form_factor", [
+        gt.FlatCutoff(cutoff=10.0), gt.RationalFormFactor(scale=1.0),
+        gt.TabulatedFormFactor(
+            grid=np.linspace(0.0, 10.0, 41),
+            values=gt.RationalFormFactor(scale=1.0).f2(
+                np.linspace(0.0, 10.0, 41)))],
+        ids=["flat", "rational", "tabulated"])
+    def test_knots_hold_the_public_densities(self, form_factor):
+        """The spline passes through spectral_density itself at every knot
+        (the last one is evaluated from the piece on its left)."""
+        model = gt.FriedrichsModel(omega0=1.0, lam=0.1,
+                                   form_factor=form_factor)
+        table = gt.density_table(model)
+        knots = table.knots[:-1]
+        np.testing.assert_array_equal(table(knots),
+                                      gt.spectral_density(model, knots))
+
     def test_cache_returns_same_object(self, flat_model, flat_table):
         assert gt.density_table(flat_model) is flat_table
 
@@ -81,9 +97,9 @@ class TestDensityTable:
         density = decay.spectral_density
         eta = friedrichs.self_energy
 
-        def counted_density(model, omega, spec=None):
+        def counted_density(model, omega):
             batches.append(np.size(omega))
-            return density(model, omega, spec)
+            return density(model, omega)
 
         def counted_eta(model, z, sheet="I", spec=None):
             boundary.append(len(batches))
@@ -108,7 +124,7 @@ class TestDensityTable:
         model = gt.FriedrichsModel(omega0=omega0, lam=lam, form_factor=form)
         table = gt.density_table.__wrapped__(model)
         mids = 0.5 * (table.knots[:-1] + table.knots[1:])
-        fresh = gt.spectral_density(model, mids, _TABLE_SPEC)
+        fresh = gt.spectral_density(model, mids)
         dev = np.abs(table(mids) - fresh)
         assert np.all(dev <= np.maximum(3e-10, 1e-9 * np.abs(fresh)))
         assert table.max_refine_dev == dev.max()
@@ -544,7 +560,7 @@ class TestZenoCheck:
         assert err < tol
         # one array call gives the slope of four scalar probabilities
         assert slope == gt.zeno_check(
-            lambda t: abs(gt.survival_amplitude(flat_model, t)) ** 2)[0]
+            lambda t: np.abs(gt.survival_amplitude(flat_model, t)) ** 2)[0]
 
     def test_exponential_control_is_flagged(self, flat_pole):
         gamma = flat_pole.gamma

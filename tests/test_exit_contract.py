@@ -104,9 +104,9 @@ def test_an_unexpected_exception_is_a_bug(tmp_path, monkeypatch):
     ("entropy", _set(DIRECT, "pole.gamma", "inf"), "pole.gamma"),
     ("entropy", DIRECT + "thermo.k = inf\n", "thermo.k"),
     ("evolve", _set(DIRECT, "pole.e_r", "inf") + TIME, "pole.e_r"),
-    ("pole", FLAT_CONFIG + "numerics.abs_tol = inf\n", "numerics.abs_tol"),
+    ("pole", FLAT_CONFIG + "root.step_tol = inf\n", "root.step_tol"),
 ], ids=["entropy-e_r", "entropy-gamma", "entropy-k", "evolve-e_r",
-        "pole-abs_tol"])
+        "pole-step_tol"])
 def test_infinite_number_is_named_on_load(tmp_path, capsys, command, text,
                                           key):
     code, out = _run(tmp_path, command, text)
@@ -275,10 +275,10 @@ BASES = [
      "scan.start = 0.0\nscan.stop = 4.0\nscan.points = 5\n"),
 ]
 # (command, base, key): every numeric key of a section the base sets, and
-# the numerics, root and output keys
+# the root and output keys
 CASES = [(command, base, key) for command, base in BASES
          for key in sorted(_INTEGER_KEYS | _NUMBER_KEYS)
-         if key.split(".")[0] in ("numerics", "root", "output")
+         if key.split(".")[0] in ("root", "output")
          or f"\n{key.rsplit('.', 1)[0]}." in f"\n{base}"]
 
 

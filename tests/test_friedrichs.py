@@ -12,7 +12,6 @@ from scipy.optimize import brentq
 
 import gamow_thermo as gt
 from gamow_thermo import friedrichs
-from gamow_thermo.decay import _TABLE_SPEC
 from gamow_thermo.friedrichs import (
     ContinuationUnavailable,
     PoleInUpperHalfPlane,
@@ -367,7 +366,7 @@ def _pv(model, omega):
     """The principal value inside eta(omega + i0), as self_energy takes it."""
     ff = model.form_factor
     lo, hi = ff.support
-    return principal_values(ff.f2, lo, hi, omega, _TABLE_SPEC,
+    return principal_values(ff.f2, lo, hi, omega, friedrichs._DENSITY_SPEC,
                             scale=ff.scale_hint)
 
 
