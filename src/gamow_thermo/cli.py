@@ -103,7 +103,7 @@ class _Emitter:
 
 def cmd_pole(cfg: RunConfig, emitter: _Emitter) -> None:
     model = cfg.model()
-    pole = friedrichs.find_pole(model, cfg.root_config())
+    pole = friedrichs.find_pole(model, cfg.get("root.initial_guess"))
     if model.lam**2 == 0.0:
         emitter.warn("stable state: lambda^2 is zero, width vanishes")
     fgr = -2.0 * pole.estimate.imag
@@ -120,7 +120,7 @@ def cmd_survival(cfg: RunConfig, emitter: _Emitter) -> None:
     model = cfg.model()
     grid = cfg.grid("time", required=True)
     try:
-        pole = friedrichs.find_pole(model, cfg.root_config())
+        pole = friedrichs.find_pole(model, cfg.get("root.initial_guess"))
     except NumericalFailure as exc:
         pole = None
         emitter.warn(f"{exc}; p_gamow is left blank")
@@ -143,22 +143,18 @@ def cmd_survival(cfg: RunConfig, emitter: _Emitter) -> None:
         zip(series.times, series.amplitudes.real, series.amplitudes.imag,
             series.probabilities, p_gamow))
 
-    if cfg.get("survival.regimes", default=True):
-        if pole is None:
-            emitter.warn("no resonance pole to compare with; regimes not "
-                         "classified")
-        elif pole.gamma <= 0:
-            emitter.warn("stable pole: no decay regimes to classify")
+    if pole is None:
+        emitter.warn("no resonance pole to compare with; regimes not "
+                     "classified")
+    elif pole.gamma <= 0:
+        emitter.warn("stable pole: no decay regimes to classify")
+    else:
+        try:
+            report = decay.classify_regimes(series, pole)
+        except decay.InsufficientSpan as exc:
+            emitter.warn(f"{exc}; regimes not classified")
         else:
-            noise = cfg.get("survival.noise_floor", default=1e-13)
-            try:
-                report = decay.classify_regimes(series, pole,
-                                                noise_floor=noise)
-            except decay.InsufficientSpan as exc:
-                emitter.warn(f"{exc}; regimes not classified")
-            else:
-                emitter.record["results"]["regimes"] = emitter.num(
-                    asdict(report))
+            emitter.record["results"]["regimes"] = emitter.num(asdict(report))
 
 
 def cmd_entropy(cfg: RunConfig, emitter: _Emitter) -> None:
@@ -222,7 +218,7 @@ def _scan_lambda(cfg: RunConfig, values: np.ndarray) -> list:
     its own estimate; a failed search is an error row."""
     model = RunConfig(raw={**cfg.raw, "model.lambda": "0"},
                       base_dir=cfg.base_dir).model()
-    root = cfg.root_config()
+    start = cfg.get("root.initial_guess")
 
     def row(lam: float) -> list:
         try:
@@ -230,7 +226,7 @@ def _scan_lambda(cfg: RunConfig, values: np.ndarray) -> list:
         except ValueError as exc:  # the model's finite-square check only
             return [lam, "", "", "", "", _failure(exc)]
         try:
-            pole = friedrichs.find_pole(row_model, root)
+            pole = friedrichs.find_pole(row_model, start)
         except NumericalFailure as exc:
             return [lam, "", "", "", "", _failure(exc)]
         ratio = pole.gamma / lam**2 if lam**2 != 0 else ""

@@ -25,7 +25,6 @@ from .friedrichs import (
     TabulatedFormFactor,
     find_pole,
 )
-from .numerics import RootSearchConfig
 from .thermo import ThermoPoint
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
@@ -35,18 +34,9 @@ class ConfigError(ValueError):
     """Invalid or missing configuration; maps to CLI exit code 1."""
 
 
-def _boolean(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(text)
-
-
-def _finite(text: str, low: float = -np.inf) -> float:
+def _finite(text: str) -> float:
     value = float(text)
-    if not (np.isfinite(value) and value >= low):
+    if not np.isfinite(value):
         raise ValueError(text)
     return value
 
@@ -67,11 +57,9 @@ def _numbers(text: str) -> np.ndarray:
 
 # how the text of a value is read: (what the error message asks for, reader)
 _FINITE = ("a finite number", _finite)
-_NONNEGATIVE = ("a finite nonnegative number", lambda t: _finite(t, 0.0))
 _INTEGER = ("an integer", int)
 _COMPLEX = ("a complex literal like 1+0.5j with finite parts",
             _complex)
-_BOOLEAN = ("a boolean", _boolean)
 _TEXT = ("text", str)
 
 
@@ -107,9 +95,7 @@ _KEYS = {
     "scan.axis": _one_of("lambda", "gamma", "beta"),
     "scan.values": ("comma-separated numbers", _numbers),
     **{f"scan.{end}": reader for end, reader in _RANGE.items()},
-    "survival.regimes": _BOOLEAN, "survival.noise_floor": _NONNEGATIVE,
-    "root.initial_guess": _COMPLEX, "root.step_tol": _FINITE,
-    "root.residual_tol": _FINITE, "root.max_iter": _INTEGER,
+    "root.initial_guess": _COMPLEX,
     "output.path": _TEXT, "output.format": _one_of("csv", "json"),
     "output.precision": _INTEGER,
 }
@@ -206,20 +192,7 @@ class RunConfig:
                 raise ConfigError(f"invalid pole section: {exc}") from exc
         if not any(k.startswith("model.") for k in self.raw):
             raise ConfigError("need either a pole.* or a model.* section")
-        return find_pole(self.model(), self.root_config())
-
-    def root_config(self) -> RootSearchConfig:
-        """The root.* keys; without ``root.initial_guess`` the pole search
-        starts from its perturbative estimate."""
-        base = RootSearchConfig()
-        try:
-            return RootSearchConfig(
-                initial_guess=self.get("root.initial_guess"),
-                step_tol=self.get("root.step_tol", base.step_tol),
-                residual_tol=self.get("root.residual_tol", base.residual_tol),
-                max_iter=self.get("root.max_iter", base.max_iter))
-        except ValueError as exc:
-            raise ConfigError(f"invalid root section: {exc}") from exc
+        return find_pole(self.model(), self.get("root.initial_guess"))
 
     def thermo_point(self) -> ThermoPoint:
         """The one reader of ``thermo.beta`` and ``thermo.k``."""

@@ -41,6 +41,9 @@ _NORM_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11,
 # worst deviation is 6e-8 on the rational benchmark table), and the error
 # of A(t) is bounded by the integral of |spline - rho|, not by 3e-10
 _ZENO_NOISE = 4e-10
+# classify_regimes resolves no tail whose peaks all stay at or below this
+# P(t), where the curve is roundoff of the synthesised amplitudes
+_TAIL_FLOOR = 1e-13
 
 # the transform of one spline piece, sum_j w_j M_j(theta) with weights
 # w_j = a_j h^(j+1) and moments M_j(theta) = integral of u^j exp(-i theta u)
@@ -378,8 +381,9 @@ def gamow_approximation(pole: ResonancePole, t):
     return out if out.ndim else complex(out)
 
 
-def zeno_check(target, h: float = 0.01):
-    """One-sided Richardson estimate of P'(0) with its error gauge.
+def zeno_check(target):
+    """One-sided Richardson estimate of P'(0) with its error gauge, from
+    P at t = 0, h, h/2 and h/4 with h = 0.01.
 
     ``target`` is a model, whose four P(t) come from one P(0)-checked
     :func:`survival_amplitude` call, or any callable P(t) such as an
@@ -392,8 +396,7 @@ def zeno_check(target, h: float = 0.01):
     matches fresh densities at its knot midpoints only within
     max(3e-10, 1e-9 |rho|).
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    h = 0.01
     times = [0.0, h, h / 2, h / 4]
     if callable(target):
         p = [float(target(tk)) for tk in times]
@@ -423,8 +426,8 @@ def _fit_exponential(t, log_p, lo, hi):
                                                       float(t[mask][-1]))
 
 
-def classify_regimes(series: SurvivalSeries, pole: ResonancePole,
-                     noise_floor: float = 1e-13) -> RegimeReport:
+def classify_regimes(series: SurvivalSeries,
+                     pole: ResonancePole) -> RegimeReport:
     """Partition a survival curve into quadratic, exponential, tail windows.
 
     The exponential window is chosen by residual minimization over sliding
@@ -505,7 +508,7 @@ def classify_regimes(series: SurvivalSeries, pole: ResonancePole,
         interior = np.nonzero((pr[1:-1] > pr[:-2]) & (pr[1:-1] > pr[2:]))[0] + 1
         peaks_t = tr[interior]
         peaks_p = pr[interior]
-        if peaks_t.size >= 3 and np.max(peaks_p) > noise_floor:
+        if peaks_t.size >= 3 and np.max(peaks_p) > _TAIL_FLOOR:
             tail_resolved = True
             tail_window = (float(peaks_t[0]), float(tr[-1]))
             ratios = peaks_p / np.exp(-gamma * peaks_t)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .numerics import (
     NumericalFailure,
     PiecewiseCubic,
     QuadratureSpec,
-    RootSearchConfig,
     _complex,
     _cubic_spline,
     _require,
@@ -341,30 +340,28 @@ def perturbative_pole(model: FriedrichsModel) -> complex:
 
 
 def find_pole(model: FriedrichsModel,
-              cfg: RootSearchConfig | None = None) -> ResolvedPole:
+              start: complex | None = None) -> ResolvedPole:
     """Locate the resonance pole: the second-sheet zero below the cut.
 
     Computes the :func:`perturbative_pole` estimate once, then
-    Newton-iterates eta_II from the guess in ``cfg``, or else from that
-    estimate; a real start moves 1e-6 max(1, |z|) below the axis.
+    Newton-iterates eta_II from ``start``, or else from that estimate; a
+    real start moves 1e-6 max(1, |z|) below the axis.
     Deforming the decay integral into the lower half-plane sweeps only a
     zero with Im z <= 0 and Re z strictly inside the support, so any other
     is raised, never conjugated or clipped: :class:`PoleInUpperHalfPlane`
     or :class:`PoleOutsideSupport`.  The pole carries the estimate and
     the search's report, so no caller evaluates eta again for them.
     """
-    cfg = cfg or RootSearchConfig()
     estimate = perturbative_pole(model)
     if model.lam**2 == 0.0:
         return ResolvedPole(e_r=model.omega0, gamma=0.0, estimate=estimate,
                             residual=0.0, step=0.0, stencils=0)
-    start = estimate if cfg.initial_guess is None else cfg.initial_guess
+    start = estimate if start is None else start
     if start.imag == 0.0:
         start -= 1e-6j * max(1.0, abs(start))
-    cfg = replace(cfg, initial_guess=start)
 
     root, residual, step, stencils = complex_newton(
-        lambda z: self_energy(model, z, "II"), cfg)
+        lambda z: self_energy(model, z, "II"), start)
     scale = max(1.0, abs(root))
     if root.imag > 1e-10 * scale:
         raise PoleInUpperHalfPlane(

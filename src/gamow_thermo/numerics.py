@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "QuadratureSpec",
     "PiecewiseCubic",
-    "RootSearchConfig",
     "NumericalFailure",
     "NonConvergence",
     "IntegrandError",
@@ -104,28 +103,6 @@ class QuadratureSpec:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-
-
-@dataclass(frozen=True)
-class RootSearchConfig:
-    """Complex Newton search parameters.
-
-    ``initial_guess`` may be None only for ``friedrichs.find_pole``, which
-    then starts from its perturbative estimate.  ``step_tol`` bounds the
-    correction that gives the returned iterate and ``residual_tol`` the
-    residual |g| at the point it corrects; ``max_iter`` counts stencils.
-    """
-
-    initial_guess: complex | None = None
-    step_tol: float = 1e-12
-    residual_tol: float = 1e-12
-    max_iter: int = 60
-
-    def __post_init__(self):
-        if not (self.step_tol > 0 and self.residual_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1]; the Gauss nodes
@@ -592,9 +569,14 @@ def _cauchy(g, a: float, b: float, x: np.ndarray, y: np.ndarray, off: bool,
                       complex if off else float, live=[r > 0.0])
 
 
-def complex_newton(g, cfg: RootSearchConfig
-                   ) -> tuple[complex, float, float, int]:
-    """Newton iteration for analytic ``g`` with central-difference slopes.
+_STEP_TOL = 1e-12
+_RESIDUAL_TOL = 1e-12
+_MAX_STENCILS = 60
+
+
+def complex_newton(g, start: complex) -> tuple[complex, float, float, int]:
+    """Newton iteration for analytic ``g`` from ``start`` with
+    central-difference slopes.
 
     ``g`` maps a complex array to an array of the same shape; each
     iteration is one call on the stencil [z, z + h, z - h], with
@@ -604,17 +586,14 @@ def complex_newton(g, cfg: RootSearchConfig
     is Halley's, s/(1 - b) with s = g/g' and b = s g''/(2 g'), wherever
     |b| < 0.1, which holds near a simple root (b -> 0 there), and Newton's
     s elsewhere; it is Python complex arithmetic.  Converged means the
-    step and the residual |g(z)| at the same stencil are below
-    ``step_tol`` and ``residual_tol``: the search then returns
-    ``(root, residual, step, stencils)``: the corrected point (g is not
-    evaluated there), that residual, |step| and the number of stencils,
-    one per iteration and at most ``max_iter``.
+    step and the residual |g(z)| at the same stencil are both within
+    1e-12: the search then returns ``(root, residual, step, stencils)``:
+    the corrected point (g is not evaluated there), that residual, |step|
+    and the number of stencils, one per iteration and at most 60.
     """
-    if cfg.initial_guess is None:
-        raise ValueError("RootSearchConfig.initial_guess is required")
     contract = "g must map a complex array to an array of the same shape"
-    z = complex(cfg.initial_guess)
-    for stencils in range(1, cfg.max_iter + 1):
+    z = complex(start)
+    for stencils in range(1, _MAX_STENCILS + 1):
         h = 1e-6 * max(1.0, abs(z))
         gz, g_up, g_down = map(complex, _on_array(
             g, np.array([z, z + h, z - h]), contract))
@@ -628,10 +607,10 @@ def complex_newton(g, cfg: RootSearchConfig
         if abs(bend) < 0.1:
             step /= 1.0 - bend
         z = z - step
-        if abs(step) <= cfg.step_tol and abs(gz) <= cfg.residual_tol:
+        if abs(step) <= _STEP_TOL and abs(gz) <= _RESIDUAL_TOL:
             return z, abs(gz), abs(step), stencils
     raise MaxIterExceeded(
-        f"no root after {cfg.max_iter} iterations (last z = {z!r})")
+        f"no root after {_MAX_STENCILS} iterations (last z = {z!r})")
 
 
 def ode_evolve(z: complex, y0: complex, tau_grid,

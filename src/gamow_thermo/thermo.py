@@ -118,17 +118,16 @@ def entropy_via_log_identity(pole: ResonancePole,
     return ComplexEntropy(real_part=s.real, imag_part=s.imag, k=point.k)
 
 
-def canonical_entropy(log_z, point: ThermoPoint,
-                      rel_step: float = 1e-5) -> complex:
+def canonical_entropy(log_z, point: ThermoPoint) -> complex:
     """Canonical functional S = k (1 - beta d/dbeta) log Z.
 
     ``log_z`` is any callable of beta, real- or complex-valued, and
     ``point.beta`` a scalar; the derivative is a Richardson-extrapolated
-    central difference with relative step ``rel_step``.  Feeding
+    central difference with step 1e-5 beta.  Feeding
     log Z = -Log(beta * conj(z_R)) reproduces :func:`complex_entropy` to
     finite-difference accuracy.
     """
     beta = point.beta
     value = complex(log_z(beta))
-    dlog, _err = derivative(log_z, beta, rel_step * beta)
+    dlog, _err = derivative(log_z, beta, 1e-5 * beta)
     return point.k * (value - beta * complex(dlog))

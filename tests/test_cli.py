@@ -11,14 +11,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gamow_thermo as gt
-from gamow_thermo import cli, config, decay, friedrichs
+from gamow_thermo import cli, config, decay, friedrichs, numerics
 from gamow_thermo.cli import main as cli_main
 from gamow_thermo.numerics import NonConvergence
 
 from conftest import FLAT_CONFIG
 
-# one pole-search step from a start far from the benchmark pole: too few
-_FAR_START = "root.max_iter = 1\nroot.initial_guess = 2-0.5j\n"
+# a start above the cut: on the benchmark model the search closes on the
+# upper zero 0.97778 + 0.03178i, which is no decaying resonance
+_FAR_START = "root.initial_guess = 1+0.005j\n"
 
 
 def read_csv(path):
@@ -82,6 +83,25 @@ class TestPoleCommand:
         assert float(resolved["gamma"]) == pytest.approx(10.3032574516)
         assert float(estimate["e_r"]) == pytest.approx(1.0 - np.log(9.0))
         assert float(estimate["gamma"]) == pytest.approx(2.0 * np.pi)
+
+    def test_initial_guess_reaches_another_zero(self, run_cli):
+        """Rational scale 0.34395, omega0 = 0.029139, lambda = 0.20175:
+        ``root.initial_guess`` chooses the zero the search closes on, here
+        the sheet-II zero near 0.1 - 0.35i."""
+        cfg = ("model.omega0 = 0.029139\nmodel.lambda = 0.20175\n"
+               "model.form_factor = rational\nmodel.scale = 0.34395\n"
+               "root.initial_guess = 0.1-0.35j\n")
+        code, out, record_path = run_cli("pole", cfg)
+        assert code == 0
+        header, rows = read_csv(out)
+        resolved = dict(zip(header, rows[0]))
+        assert float(resolved["e_r"]) == pytest.approx(0.107234623522,
+                                                       rel=1e-10)
+        assert float(resolved["gamma"]) == pytest.approx(
+            2.0 * 0.358215643958, rel=1e-10)
+        pole = json.loads(record_path.read_text())["results"]["pole"]
+        assert float(pole["residual"]) <= numerics._RESIDUAL_TOL
+        assert 1 <= pole["stencils"] <= numerics._MAX_STENCILS
 
     @pytest.mark.parametrize("omega0,lam,cutoff,z", [
         ("0.05", "0.3", "10.0", "(-0.2187"), ("1.0", "0.1", "0.5", "(1.0068")],
@@ -237,9 +257,9 @@ class TestSurvivalCommand:
                    for w in record["warnings"])
 
     def test_failed_pole_search_keeps_the_table(self, run_cli):
-        """Any failed pole search only blanks p_gamow: one Newton
-        iteration from a far start is too few, and the amplitudes are
-        those of a run without the keys."""
+        """Any failed pole search only blanks p_gamow: a start above the
+        cut closes on the upper zero, and the amplitudes are those of a
+        run without the key."""
         code, out, _ = run_cli("survival", self.SHORT, out_name="full.csv")
         assert code == 0
         _, full = read_csv(out)
@@ -252,7 +272,8 @@ class TestSurvivalCommand:
         assert [r[:p_gamow] for r in rows] == [r[:p_gamow] for r in full]
         record = json.loads(record_path.read_text())
         assert "pole" not in record["results"]
-        assert any(w.startswith("no root after 1 iterations")
+        assert any(w.startswith("converged to (0.97778")
+                   and "upper half-plane" in w
                    and w.endswith("; p_gamow is left blank")
                    for w in record["warnings"])
 
@@ -639,22 +660,17 @@ class TestScanCommand:
 
 @pytest.mark.parametrize("command,cfg,key", [
     ("survival", TestSurvivalCommand.SHORT
-     + "survival.noise_floor = 1e-13x\n", "survival.noise_floor"),
+     + "thermo.k = 1x\n", "thermo.k"),
     ("survival", TestSurvivalCommand.LONG
-     + "survival.noise_floor = 1e-13x\n", "survival.noise_floor"),
+     + "thermo.k = 1x\n", "thermo.k"),
     ("survival", TestSurvivalCommand.LONG
-     + "survival.noise_floor = nan\n", "survival.noise_floor"),
-    ("survival", TestSurvivalCommand.LONG
-     + "survival.noise_floor = -1e-13\n", "survival.noise_floor"),
+     + "thermo.beta = nan\n", "thermo.beta"),
     ("entropy", "pole.e_r = 1.0\npole.gamma = 0.5\nevolve.value = 1+0.5i\n",
      "evolve.value"),
     ("entropy", "pole.e_r = 1.0\npole.gamma = 0.5\n"
-     "survival.regimes = maybe\n", "survival.regimes"),
-    ("entropy", "pole.e_r = 1.0\npole.gamma = 0.5\n"
      "evolve.mode = sideways\n", "evolve.mode"),
-], ids=["survival-short", "survival-long", "survival-nan-floor",
-        "survival-negative-floor", "entropy-complex", "entropy-bool",
-        "entropy-choice"])
+], ids=["survival-short", "survival-long", "survival-nan",
+        "entropy-complex", "entropy-choice"])
 def test_malformed_value_stops_before_work(run_cli, capsys, command, cfg,
                                            key):
     """Every value is read when the config loads, also for keys the
@@ -790,10 +806,9 @@ class TestPoleReport:
         pole = json.loads(record_path.read_text())["results"]["pole"]
         assert list(pole) == ["e_r", "gamma", "estimate", "residual", "step",
                               "stencils"]
-        root = gt.RootSearchConfig()
-        assert float(pole["residual"]) <= root.residual_tol
-        assert float(pole["step"]) <= root.step_tol
-        assert 1 <= pole["stencils"] <= root.max_iter
+        assert float(pole["residual"]) <= numerics._RESIDUAL_TOL
+        assert float(pole["step"]) <= numerics._STEP_TOL
+        assert 1 <= pole["stencils"] <= numerics._MAX_STENCILS
         estimate = gt.perturbative_pole(flat_model)
         assert [float(v) for v in pole["estimate"]] == pytest.approx(
             [estimate.real, estimate.imag], rel=1e-11)

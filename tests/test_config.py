@@ -95,8 +95,7 @@ class TestAccessors:
             RunConfig(raw={"thermo.beta": "warm"})
 
     @pytest.mark.parametrize("key", [
-        "model.lambda", "pole.e_r", "pole.gamma", "thermo.beta", "thermo.k",
-        "root.step_tol", "root.residual_tol"])
+        "model.lambda", "pole.e_r", "pole.gamma", "thermo.beta", "thermo.k"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_every_number_must_be_finite(self, key, bad):
         """A non-finite number stops the config when it loads, before any
@@ -138,10 +137,6 @@ class TestAccessors:
         cfg = RunConfig(raw={"evolve.value": "1 - 0.5j"})
         assert cfg.get("evolve.value") == 1.0 - 0.5j
 
-    def test_bool_values(self):
-        cfg = RunConfig(raw={"survival.regimes": "off"})
-        assert cfg.get("survival.regimes", default=True) is False
-
     def test_choices(self):
         with pytest.raises(ConfigError, match="output.format must be one of"):
             RunConfig(raw={"output.format": "yaml"})
@@ -157,9 +152,7 @@ class TestAccessors:
             "pole.e_r", "pole.gamma", "thermo.beta", "thermo.k",
             "evolve.mode", "evolve.branch", "evolve.value",
             "scan.axis", "scan.values",
-            "survival.regimes", "survival.noise_floor",
-            "root.initial_guess", "root.step_tol", "root.residual_tol",
-            "root.max_iter",
+            "root.initial_guess",
             "output.path", "output.format", "output.precision",
         }
 
@@ -267,10 +260,14 @@ class TestBuilders:
         with pytest.raises(ConfigError, match="precision"):
             RunConfig(raw={"output.precision": "20"}).precision()
 
-    def test_root_overrides(self):
-        cfg = RunConfig(raw={"root.initial_guess": "0.9-0.05j",
-                             "root.max_iter": "7"})
-        rc = cfg.root_config()
-        assert rc.initial_guess == 0.9 - 0.05j and rc.max_iter == 7
-        # unset, the pole search starts from its own estimate
-        assert RunConfig().root_config().initial_guess is None
+    def test_root_overrides(self, monkeypatch):
+        """``root.initial_guess`` is the pole search's start; unset, the
+        search starts from its own estimate."""
+        starts = []
+        monkeypatch.setattr(config, "find_pole",
+                            lambda model, start=None: starts.append(start))
+        model = {"model.omega0": "1.0", "model.lambda": "0.1",
+                 "model.form_factor": "flat_cutoff", "model.cutoff": "10.0"}
+        RunConfig(raw={**model, "root.initial_guess": "0.9-0.05j"}).pole()
+        RunConfig(raw=model).pole()
+        assert starts == [0.9 - 0.05j, None]

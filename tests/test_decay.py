@@ -575,10 +575,6 @@ class TestZenoCheck:
             slope, _ = gt.zeno_check(lambda t: ds.survival_probability(t))
             assert abs(slope) < 1e-4 * 0.0636
 
-    def test_bad_step(self, flat_model):
-        with pytest.raises(ValueError):
-            gt.zeno_check(flat_model, h=0.0)
-
 
 class TestClassifyRegimes:
     def test_synthetic_exponential_is_one_regime(self, flat_pole):
@@ -595,13 +591,20 @@ class TestClassifyRegimes:
         assert not report.tail_resolved
         assert report.tail_exponent is None
 
-    def test_noise_floor_marks_tail_unresolved(self, flat_series,
-                                               flat_pole):
-        report = gt.classify_regimes(flat_series, flat_pole,
-                                     noise_floor=1.0)
-        assert not report.tail_resolved
-        assert report.tail_exponent is None
-        assert report.tail_window is None
+    def test_noise_floor_marks_tail_unresolved(self, flat_pole):
+        """P = exp(-rate Gamma t) (1 + cos(t) / 2) / 1.5 has ~40 peaks
+        past 10/Gamma; at rate 4 they all lie below the 1e-13 floor
+        (1e-18 at most), at rate 2 above it (up to 1e-9)."""
+        gamma = flat_pole.gamma
+        ts = np.linspace(0.0, 27.0 / gamma, 430)
+        for rate, resolved in [(4.0, False), (2.0, True)]:
+            probs = (np.exp(-rate * gamma * ts) * (1.0 + 0.5 * np.cos(ts))
+                     / 1.5)
+            series = SurvivalSeries(times=ts, amplitudes=np.sqrt(probs) + 0j,
+                                    probabilities=probs)
+            report = gt.classify_regimes(series, flat_pole)
+            assert report.tail_resolved is resolved
+            assert (report.tail_window is not None) is resolved
 
     def test_flat_model_regimes(self, flat_series, flat_pole):
         report = gt.classify_regimes(flat_series, flat_pole)

@@ -67,7 +67,7 @@ def _rows(path):
                                          "grid.temperature.start", "0")),
     ("scan", FLAT_CONFIG + "thermo.k = 0\nscan.axis = beta\n"
      "scan.values = 0.5, 1.0\n"),
-    ("pole", FLAT_CONFIG + "root.max_iter = 0\n"),
+    ("pole", FLAT_CONFIG + "root.initial_guess = 1+0.5i\n"),
 ], ids=["entropy-k", "entropy-beta-grid", "evolve-no-time-grid",
         "evolve-temperature", "scan-beta-k", "pole-root"])
 def test_config_error_precedes_the_pole_search(tmp_path, capsys,
@@ -104,9 +104,9 @@ def test_an_unexpected_exception_is_a_bug(tmp_path, monkeypatch):
     ("entropy", _set(DIRECT, "pole.gamma", "inf"), "pole.gamma"),
     ("entropy", DIRECT + "thermo.k = inf\n", "thermo.k"),
     ("evolve", _set(DIRECT, "pole.e_r", "inf") + TIME, "pole.e_r"),
-    ("pole", FLAT_CONFIG + "root.step_tol = inf\n", "root.step_tol"),
+    ("pole", _set(FLAT_CONFIG, "model.lambda", "inf"), "model.lambda"),
 ], ids=["entropy-e_r", "entropy-gamma", "entropy-k", "evolve-e_r",
-        "pole-step_tol"])
+        "pole-lambda"])
 def test_infinite_number_is_named_on_load(tmp_path, capsys, command, text,
                                           key):
     code, out = _run(tmp_path, command, text)

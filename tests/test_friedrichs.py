@@ -11,7 +11,7 @@ from scipy.linalg import eigh
 from scipy.optimize import brentq
 
 import gamow_thermo as gt
-from gamow_thermo import friedrichs
+from gamow_thermo import friedrichs, numerics
 from gamow_thermo.friedrichs import (
     ContinuationUnavailable,
     PoleInUpperHalfPlane,
@@ -19,7 +19,6 @@ from gamow_thermo.friedrichs import (
 )
 from gamow_thermo.numerics import (
     IntegrandError,
-    RootSearchConfig,
     principal_values,
 )
 
@@ -503,19 +502,17 @@ class TestFindPole:
         search, bit for bit; a real guess is nudged 1e-6 max(1, |z|)
         below the axis before Newton sees it."""
         estimate = gt.perturbative_pole(flat_model)
-        assert gt.find_pole(
-            flat_model, RootSearchConfig(initial_guess=estimate)) == \
-            gt.find_pole(flat_model)
+        assert gt.find_pole(flat_model, estimate) == gt.find_pole(flat_model)
         starts = []
         newton = friedrichs.complex_newton
 
-        def recorded(g, cfg):
-            starts.append(cfg.initial_guess)
-            return newton(g, cfg)
+        def recorded(g, start):
+            starts.append(start)
+            return newton(g, start)
 
         monkeypatch.setattr(friedrichs, "complex_newton", recorded)
-        gt.find_pole(flat_model, RootSearchConfig(initial_guess=2.0))
-        gt.find_pole(flat_model, RootSearchConfig(initial_guess=0.5 + 0j))
+        gt.find_pole(flat_model, 2.0)
+        gt.find_pole(flat_model, 0.5 + 0j)
         assert starts == [2.0 - 2e-6j, 0.5 - 1e-6j]
 
     def test_free_model_is_stable(self):
@@ -541,15 +538,14 @@ class TestFindPole:
             calls.append(args[1])
             return eta(*args, **kwargs)
 
-        cfg = RootSearchConfig()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(friedrichs, "self_energy", counted)
-            pole = gt.find_pole(model, cfg)
+            pole = gt.find_pole(model)
         assert isinstance(pole, gt.ResolvedPole)
         assert pole.estimate == gt.perturbative_pole(model)
-        assert pole.residual <= cfg.residual_tol
-        assert pole.step <= cfg.step_tol
-        assert 1 <= pole.stencils <= cfg.max_iter
+        assert pole.residual <= numerics._RESIDUAL_TOL
+        assert pole.step <= numerics._STEP_TOL
+        assert 1 <= pole.stencils <= numerics._MAX_STENCILS
         assert len(calls) == pole.stencils + 1
         # the step runs from the last stencil's centre to the pole
         centre = complex(calls[-1][0])
@@ -562,7 +558,7 @@ class TestFindPole:
 
     def test_residual_at_root(self, flat_model, flat_pole):
         residual = abs(gt.self_energy(flat_model, flat_pole.z, "II"))
-        assert residual <= RootSearchConfig().residual_tol
+        assert residual <= numerics._RESIDUAL_TOL
         assert flat_pole.z.imag < 0
 
     @settings(max_examples=30, deadline=None)
@@ -641,9 +637,8 @@ class TestFindPole:
 
     def test_upper_half_root_is_reported(self, flat_model):
         estimate = gt.perturbative_pole(flat_model)
-        cfg = RootSearchConfig(initial_guess=estimate.conjugate())
         with pytest.raises(PoleInUpperHalfPlane):
-            gt.find_pole(flat_model, cfg)
+            gt.find_pole(flat_model, estimate.conjugate())
 
     def test_tabulated_has_no_second_sheet(self):
         grid = np.linspace(0.0, 10.0, 400)
@@ -665,6 +660,19 @@ class TestFindPole:
         z = gt.find_pole(model).z
         assert abs(z - zero) <= 1e-9 * abs(zero)
         assert abs(closed_eta(model, z, "II")) <= 1e-12 * abs(z)
+
+    def test_halley_step_reaches_the_zero_in_the_support(self):
+        """Rational scale 0.47186545153005094, omega0 = 0.2906019233207565,
+        lambda = 1.2895074986906807: from the estimate -1.2296 - 1.5735i,
+        left of threshold, the search closes on the resonance inside the
+        support, a zero of the closed-form eta_II."""
+        model = gt.FriedrichsModel(
+            omega0=0.2906019233207565, lam=1.2895074986906807,
+            form_factor=gt.RationalFormFactor(scale=0.47186545153005094))
+        pole = gt.find_pole(model)
+        zero = 1.2480463663 - 0.9702059893j
+        assert abs(pole.z - zero) <= 1e-10 * abs(zero)
+        assert abs(closed_eta(model, pole.z, "II")) <= 1e-12
 
     @pytest.mark.parametrize("omega0,lam,cutoff,zero", [
         (0.05, 0.3, 10.0, -0.2188 - 0.4676j),

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 import gamow_thermo as gt
+from gamow_thermo import numerics
 from gamow_thermo.decay import DensityTable
 from gamow_thermo.numerics import (
     IntegrandError,
     MaxIterExceeded,
     NonConvergence,
     QuadratureSpec,
-    RootSearchConfig,
     SingularStep,
     _cubic_spline,
     complex_newton,
@@ -319,25 +319,28 @@ class TestComplexNewton:
 
     @pytest.mark.parametrize("g,guess,root", CASES)
     def test_known_roots(self, g, guess, root):
-        cfg = RootSearchConfig(initial_guess=guess)
-        found, residual, step, _ = complex_newton(g, cfg)
+        found, residual, step, _ = complex_newton(g, guess)
         assert abs(found - root) < 1e-10
-        assert residual <= cfg.residual_tol and step <= cfg.step_tol
-        assert abs(g(found)) <= cfg.residual_tol
+        assert residual <= numerics._RESIDUAL_TOL
+        assert step <= numerics._STEP_TOL
+        assert abs(g(found)) <= numerics._RESIDUAL_TOL
 
     def test_max_iter(self):
-        cfg = RootSearchConfig(initial_guess=50.0 + 50.0j, max_iter=2)
-        with pytest.raises(MaxIterExceeded):
-            complex_newton(lambda z: z * z + 1.0, cfg)
+        """exp has no zero: each Newton step moves z one unit left, and
+        the search gives up after its 60 stencils."""
+        stencils = []
+
+        def g(z):
+            stencils.append(z)
+            return np.exp(z)
+
+        with pytest.raises(MaxIterExceeded, match="no root after 60 "):
+            complex_newton(g, 1.0 + 0.0j)
+        assert len(stencils) == numerics._MAX_STENCILS
 
     def test_singular_derivative(self):
-        cfg = RootSearchConfig(initial_guess=1.0 + 0.0j)
         with pytest.raises(SingularStep):
-            complex_newton(lambda z: 1.0 + 0.0j * z, cfg)
-
-    def test_guess_required(self):
-        with pytest.raises(ValueError):
-            complex_newton(lambda z: z, RootSearchConfig())
+            complex_newton(lambda z: 1.0 + 0.0j * z, 1.0 + 0.0j)
 
     def test_one_stencil_call_per_iteration(self):
         # each call is the stencil [z, z + h, z - h]; the search stops at
@@ -350,8 +353,7 @@ class TestComplexNewton:
             stencils.append(z.copy())
             return z * z + 1.0
 
-        cfg = RootSearchConfig(initial_guess=0.1 + 0.9j)
-        found, residual, step, count = complex_newton(g, cfg)
+        found, residual, step, count = complex_newton(g, 0.1 + 0.9j)
         assert abs(found - 1j) < 1e-10
         assert count == len(stencils)
         assert all(s.shape == (3,) for s in stencils)
@@ -368,16 +370,15 @@ class TestComplexNewton:
         bend = newton * ((g_up + g_down - 2.0 * gz) / (h * h)) / (2.0 * slope)
         assert abs(bend) < 0.1  # Halley's step at the last stencil
         assert found == z - newton / (1.0 - bend)
-        assert residual == abs(gz) <= cfg.residual_tol
-        assert step == abs(newton / (1.0 - bend)) <= cfg.step_tol
+        assert residual == abs(gz) <= numerics._RESIDUAL_TOL
+        assert step == abs(newton / (1.0 - bend)) <= numerics._STEP_TOL
 
     def test_scalar_only_g_rejected(self):
-        cfg = RootSearchConfig(initial_guess=1.0 + 0.0j)
         with pytest.raises(TypeError, match="complex array to an array of "
                                             "the same shape"):
-            complex_newton(lambda z: cmath.exp(z) - 2.0, cfg)
+            complex_newton(lambda z: cmath.exp(z) - 2.0, 1.0 + 0.0j)
         with pytest.raises(TypeError, match="same shape"):
-            complex_newton(lambda z: 1.0 + 0.0j, cfg)
+            complex_newton(lambda z: 1.0 + 0.0j, 1.0 + 0.0j)
 
 
 class TestOdeEvolve:
@@ -451,12 +452,6 @@ class TestSpecValidation:
             QuadratureSpec(abs_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=0)
-
-    def test_root_config(self):
-        with pytest.raises(ValueError):
-            RootSearchConfig(step_tol=-1.0)
-        with pytest.raises(ValueError):
-            RootSearchConfig(max_iter=0)
 
 
 def _not_a_knot_system(x, y):
