@@ -16,7 +16,7 @@ import numpy as np
 
 from .friedrichs import FriedrichsModel, ResonancePole, spectral_density
 from .numerics import (NonConvergence, NumericalFailure, PiecewiseCubic,
-                       QuadratureSpec, _cubic_spline, integrate)
+                       _cubic_spline, integrate)
 
 __all__ = [
     "InsufficientSpan",
@@ -32,9 +32,6 @@ __all__ = [
     "classify_regimes",
 ]
 
-# accuracy of the density's norm integral and of the tail cutoff's bound
-_NORM_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11,
-                            max_subdivisions=20000)
 # noise floor of a synthesised P(t) in zeno_check: a typical value, not a
 # derived bound.  The transform is exact for the spline, but the spline's
 # refinement threshold is max(3e-10, 1e-9 |rho|) at each knot midpoint (the
@@ -273,8 +270,8 @@ def _tail_cutoff(model: FriedrichsModel) -> float:
         if w == np.inf:
             break
         # crude density bound lam^2 f^2 / (w/2)^2 past the resonance region
-        bound = 4.0 * lam2 * integrate(lambda x: f2(x) / x**2, w, np.inf,
-                                       _NORM_SPEC).real
+        bound = 4.0 * lam2 * integrate(lambda x: f2(x) / x**2, w,
+                                       np.inf).real
         if bound < 3e-10:
             return w
         w *= 2.0
@@ -312,7 +309,7 @@ def density_table(model: FriedrichsModel) -> DensityTable:
             density.update(zip(new, fresh.tolist()))
         return np.array([density[w] for w in keys])
 
-    norm_direct = float(integrate(rho, lo, hi, _NORM_SPEC).real)
+    norm_direct = float(integrate(rho, lo, hi).real)
     if not np.isfinite(norm_direct):
         raise NumericalFailure("the overlap density's norm is not finite")
 

@@ -22,7 +22,6 @@ from .numerics import (
     NonConvergence,
     NumericalFailure,
     PiecewiseCubic,
-    QuadratureSpec,
     _complex,
     _cubic_spline,
     _require,
@@ -139,10 +138,11 @@ class RationalFormFactor(FormFactor):
 
     def f2(self, omega):
         omega = np.asarray(omega, dtype=float)
-        # past omega^2 = inf the profile underflows to its limit, zero;
-        # where omega^2 + scale^2 underflows to 0 it is inf
-        with np.errstate(over="ignore", divide="ignore"):
-            return _unbox(np.where(omega >= 0.0, omega / (
+        # past omega^2 = inf, omega = inf included, the profile is its
+        # limit, zero; where omega^2 + scale^2 underflows to 0 it is inf
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            inside = (omega >= 0.0) & (omega < np.inf)
+            return _unbox(np.where(inside, omega / (
                 np.pi * (omega**2 + self.scale**2)), 0.0))
 
     def f2_complex(self, z):
@@ -256,8 +256,7 @@ class ResonancePole:
         return _complex(self.e_r, np.multiply(-0.5, self.gamma))
 
 
-def self_energy(model: FriedrichsModel, z, sheet: str = "I",
-                spec: QuadratureSpec | None = None):
+def self_energy(model: FriedrichsModel, z, sheet: str = "I"):
     """Reduced-resolvent denominator eta(z) on either Riemann sheet.
 
     Sheet I is eta(z) = z - omega0 - lam^2 * integral f^2/(z - w) dw,
@@ -271,11 +270,12 @@ def self_energy(model: FriedrichsModel, z, sheet: str = "I",
 
     Accepts a scalar (giving a Python complex) or an array of z; all of
     them go through one call of the Cauchy kernel
-    :func:`~gamow_thermo.numerics.principal_values`.  Sheet II needs the
-    form factor's continuation ``f2_complex``; at a pole of it eta_II is
-    infinite, and :class:`~gamow_thermo.numerics.IntegrandError` names z.
+    :func:`~gamow_thermo.numerics.principal_values`, at its fixed
+    accuracy: each integral within max(1e-12, 1e-10 |integral|) by its
+    Kronrod-Gauss gauge.  Sheet II needs the form factor's continuation
+    ``f2_complex``; at a pole of it eta_II is infinite, and
+    :class:`~gamow_thermo.numerics.IntegrandError` names z.
     """
-    spec = spec or QuadratureSpec()
     if sheet not in ("I", "II"):
         raise ValueError(f"sheet must be 'I' or 'II', got {sheet!r}")
     shape = np.shape(z)
@@ -287,7 +287,7 @@ def self_energy(model: FriedrichsModel, z, sheet: str = "I",
     ff = model.form_factor
     lo, hi = ff.support
     eta = z - model.omega0 - lam2 * principal_values(
-        ff.f2, lo, hi, z, spec, scale=ff.scale_hint)
+        ff.f2, lo, hi, z, scale=ff.scale_hint)
     # the rim: real points strictly inside the support
     rim = z.imag == 0.0
     if np.count_nonzero(rim):
@@ -376,14 +376,6 @@ def find_pole(model: FriedrichsModel,
                         stencils=stencils)
 
 
-# accuracy of the density's principal values, each within max(1e-12,
-# 1e-10 |PV|) by its Kronrod-Gauss gauge: the density table is fitted to
-# these values, and the pole search's QuadratureSpec() defaults would move
-# its knots
-_DENSITY_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10,
-                               max_subdivisions=20000)
-
-
 def spectral_density(model: FriedrichsModel, omega):
     """Continuum overlap density rho(omega) of the (bare) level.
 
@@ -392,12 +384,15 @@ def spectral_density(model: FriedrichsModel, omega):
     a width of the resonance energy for narrow resonances.  An uncoupled
     level (lam^2 = 0) has no continuum density: it is zero everywhere.
     Accepts a scalar or an array of frequencies; an array is one batched
-    boundary evaluation.  Its principal values are taken at the accuracy
+    boundary evaluation.  Its principal values are those of
+    :func:`self_energy`, each within max(1e-12, 1e-10 |PV|): the accuracy
     of the density table that :func:`~gamow_thermo.decay.density_table`
-    fits to it, so every caller gets the table's own densities.
+    fits to it, so every caller gets the table's own densities.  A
+    negative or NaN frequency raises :class:`ValueError`.
     """
     arr = np.asarray(omega, dtype=float)
-    if np.any(arr < 0):
+    # NaN fails every comparison: it must not pass as a frequency
+    if not np.all(arr >= 0):
         raise ValueError("spectral density is defined for omega >= 0")
     if model.lam**2 == 0.0:
         return _unbox(np.zeros(arr.shape))
@@ -409,7 +404,7 @@ def spectral_density(model: FriedrichsModel, omega):
     inside = (f2 != 0.0) & (arr > lo) & (arr < hi)
     rho = np.zeros(arr.shape)
     if np.any(inside):
-        eta = self_energy(model, arr[inside], "I", _DENSITY_SPEC)
+        eta = self_energy(model, arr[inside], "I")
         # |eta|^2 may overflow far out, where rho is zero
         with np.errstate(over="ignore"):
             rho[inside] = model.lam**2 * f2[inside] / np.abs(eta) ** 2

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "QuadratureSpec",
     "PiecewiseCubic",
     "NumericalFailure",
     "NonConvergence",
@@ -90,21 +89,6 @@ def _complex(re, im):
     return _unbox(out)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and the per-integral panel budget of the adaptive kernel."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 4000
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1]; the Gauss nodes
 # are the odd-indexed Kronrod abscissae.
 _XGK = np.array([
@@ -148,6 +132,17 @@ _BLOCK = 2**15
 # the two sides x - d and x + d of a Cauchy window, as one array
 _SIDES = np.array([-1.0, 1.0])[:, None, None]
 
+# the kernel's two accuracies (abs_tol, rel_tol): an integral is done once
+# its summed Kronrod-Gauss gauge is within max(abs_tol, rel_tol * |I|), and
+# fails past _MAX_PANELS panels.  Principal values run at the density
+# table's, which the pole search inherits; plain integrals at that of the
+# table's norm and tail bound
+_CAUCHY_TOL = (1e-12, 1e-10)
+_INTEGRAL_TOL = (1e-11, 1e-11)
+_MAX_PANELS = 20000
+# relative defect at which ode_evolve's step doubling stops
+_ODE_REL_TOL = 1e-10
+
 
 @functools.cache
 def _first_pass(pieces: int, off: bool):
@@ -188,8 +183,7 @@ def _kronrod(vals, half, centre):
     return kron, np.abs(kron - sums[..., 1])
 
 
-def _composite(pieces, table, n: int, spec: QuadratureSpec, dtype,
-               live=()) -> np.ndarray:
+def _composite(pieces, table, n: int, tol, dtype, live=()) -> np.ndarray:
     """The integrals of ``n`` rows over s in [0, len(pieces)) from the
     first pass ``table`` of :func:`_first_pass`, bisecting offending
     panels in bulk.
@@ -201,15 +195,16 @@ def _composite(pieces, table, n: int, spec: QuadratureSpec, dtype,
     piece can be nonzero; the other rows take zero there without a call.
 
     The first pass goes by blocks of rows, each piece's nodes one
-    broadcast over the block.  A row whose summed gauge exceeds
-    max(abs_tol, rel_tol * |I_i|) bisects each panel holding more than
-    half its share, and the new panels of all such rows are evaluated
-    together, each with the integrand of its piece; a panel at float
-    resolution is accepted as it stands.  The sums run panel by panel in
-    order.  Rows never interact, so a row's result does not depend on
-    its batch.
+    broadcast over the block.  With ``tol`` = (abs_tol, rel_tol), a row
+    whose summed gauge exceeds max(abs_tol, rel_tol * |I_i|) bisects each
+    panel holding more than half its share, and the new panels of all
+    such rows are evaluated together, each with the integrand of its
+    piece; a panel at float resolution is accepted as it stands.  The
+    sums run panel by panel in order.  Rows never interact, so a row's
+    result does not depend on its batch.
     """
     edges, nodes, half, cut = table
+    abs_tol, rel_tol = tol
     centre = 0.5 * (edges[:-1] + edges[1:])
     out, owner, val, err = [], [], [], []
     step = max(1, _BLOCK // nodes.size)
@@ -227,7 +222,7 @@ def _composite(pieces, table, n: int, spec: QuadratureSpec, dtype,
         block_val, block_err = _kronrod(
             vals.reshape(len(vals), half.size, _NODES.size), half, centre)
         total = np.cumsum(block_val, axis=1)[:, -1]
-        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
         miss = np.flatnonzero(np.cumsum(block_err, axis=1)[:, -1] > tol)
         if miss.size:
             owner.append(s + miss)
@@ -265,14 +260,14 @@ def _composite(pieces, table, n: int, spec: QuadratureSpec, dtype,
     while True:
         total = np.zeros(k, dtype=val.dtype)
         np.add.at(total, row, val)
-        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
         open_rows = np.bincount(row, err, k) > tol
         if not open_rows.any():
             out[owner] = total
             return out
-        if count[open_rows].max() > spec.max_subdivisions:
+        if count[open_rows].max() > _MAX_PANELS:
             raise NonConvergence(
-                f"{spec.max_subdivisions} subdivisions exhausted on "
+                f"{_MAX_PANELS} subdivisions exhausted on "
                 f"{int(open_rows.sum())} of {out.size} integrals")
         split = np.flatnonzero(open_rows[row]
                                & (err > 0.5 * tol[row] / count[row]))
@@ -379,8 +374,7 @@ def _on_array(f, x: np.ndarray, contract: str) -> np.ndarray:
     return out
 
 
-def integrate(f, a: float, b: float,
-              spec: QuadratureSpec | None = None) -> complex:
+def integrate(f, a: float, b: float) -> complex:
     """Integrate a complex-valued ``f`` over [a, b], b possibly +inf.
 
     ``f`` maps a float array to an array of the same shape.  The range
@@ -389,13 +383,14 @@ def integrate(f, a: float, b: float,
     w = a + u/(1-u).  The Kronrod-Gauss gauge only sees the integrand at
     its nodes, so the range should end where the integrand's support
     ends: a drop to zero between a panel's outermost node and its edge
-    goes unnoticed.
+    goes unnoticed.  The accuracy is fixed, that of the density table's
+    norm: bisection stops once the gauge is within
+    max(1e-11, 1e-11 |integral|), with at most 20000 panels.
 
     Returns the integral estimate; raises :class:`NonConvergence` when the
     subdivision budget runs out, :class:`IntegrandError` on NaN/inf and
     :class:`TypeError` when ``f`` breaks the array contract.
     """
-    spec = spec or QuadratureSpec()
     if not a < b:
         raise ValueError("integration range must satisfy a < b")
     contract = ("the integrand must map a float array to an array of the "
@@ -413,12 +408,11 @@ def integrate(f, a: float, b: float,
     # a value that is not finite raises; numpy's warnings would only
     # repeat it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return complex(_composite([piece], _first_pass(1, False), 1, spec,
-                                  complex)[0])
+        return complex(_composite([piece], _first_pass(1, False), 1,
+                                  _INTEGRAL_TOL, complex)[0])
 
 
-def principal_values(g, a: float, b: float, poles,
-                     spec: QuadratureSpec | None = None, *,
+def principal_values(g, a: float, b: float, poles, *,
                      scale: float = 1.0) -> np.ndarray:
     """The Cauchy integrals of g(w) / (z - w) over [a, b], one per z in
     ``poles``: principal values for real z, plain integrals otherwise.
@@ -428,7 +422,8 @@ def principal_values(g, a: float, b: float, poles,
     support; a jump elsewhere only costs bisection rounds.  Each
     z = x + iy splits [a, b] into three pieces, concatenated into one
     integral per point on shared nodes and refined by bisection where a
-    point's Kronrod-Gauss gauge exceeds max(abs_tol, rel_tol * |integral|):
+    point's Kronrod-Gauss gauge exceeds max(1e-12, 1e-10 |integral|), the
+    density table's accuracy, with at most 20000 panels per point:
 
     - the window [x - r, x + r], r the distance from x to the nearer end
       (r = 0 when x lies at or outside an end), folded onto itself;
@@ -477,7 +472,6 @@ def principal_values(g, a: float, b: float, poles,
     Only points that miss their tolerance go on to bisection, which
     evaluates each new panel with the integrand of its piece.
     """
-    spec = spec or QuadratureSpec()
     z = np.asarray(poles).ravel()
     x, y = np.real(z).astype(float), np.imag(z).astype(float)
     off = y != 0.0
@@ -486,15 +480,15 @@ def principal_values(g, a: float, b: float, poles,
     # repeat it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if n_off in (0, z.size):
-            return _cauchy(g, a, b, x, y, n_off > 0, scale, spec)
+            return _cauchy(g, a, b, x, y, n_off > 0, scale)
         out = np.empty(z.shape, dtype=complex)
         for rows, kind in ((off, True), (~off, False)):
-            out[rows] = _cauchy(g, a, b, x[rows], y[rows], kind, scale, spec)
+            out[rows] = _cauchy(g, a, b, x[rows], y[rows], kind, scale)
     return out
 
 
 def _cauchy(g, a: float, b: float, x: np.ndarray, y: np.ndarray, off: bool,
-            scale: float, spec: QuadratureSpec) -> np.ndarray:
+            scale: float) -> np.ndarray:
     """The Cauchy integrals of :func:`principal_values` for one batch
     kind: every z = x + iy on the axis, or every one off it."""
     if not x.size:
@@ -517,8 +511,8 @@ def _cauchy(g, a: float, b: float, x: np.ndarray, y: np.ndarray, off: bool,
         if np.count_nonzero(rim):
             # asinh(end/|y|) would overflow: the limit on the axis
             out = np.empty(x.size, dtype=complex)
-            out[~rim] = _cauchy(g, a, b, x[~rim], y[~rim], True, scale, spec)
-            out[rim] = _cauchy(g, a, b, x[rim], y[rim], False, scale, spec)
+            out[~rim] = _cauchy(g, a, b, x[~rim], y[~rim], True, scale)
+            out[rim] = _cauchy(g, a, b, x[rim], y[rim], False, scale)
             rim &= (a < x) & (x < b)
             out[rim] -= 1j * np.pi * np.sign(y[rim]) * g(x[rim])
             return out
@@ -565,8 +559,8 @@ def _cauchy(g, a: float, b: float, x: np.ndarray, y: np.ndarray, off: bool,
 
     pieces = [window, one_sided, tail][:2 + infinite]
     # a point with an empty window (r = 0) takes zero there
-    return _composite(pieces, _first_pass(len(pieces), off), x.size, spec,
-                      complex if off else float, live=[r > 0.0])
+    return _composite(pieces, _first_pass(len(pieces), off), x.size,
+                      _CAUCHY_TOL, complex if off else float, live=[r > 0.0])
 
 
 _STEP_TOL = 1e-12
@@ -613,16 +607,16 @@ def complex_newton(g, start: complex) -> tuple[complex, float, float, int]:
         f"no root after {_MAX_STENCILS} iterations (last z = {z!r})")
 
 
-def ode_evolve(z: complex, y0: complex, tau_grid,
-               rel_tol: float = 1e-10) -> np.ndarray:
+def ode_evolve(z: complex, y0: complex, tau_grid) -> np.ndarray:
     """Evolve dy/dtau = z*y through the given grid points.
 
     Classic fixed-step RK4, with the step count doubled until two
-    successive refinements agree to ``rel_tol`` in relative terms at every
-    grid point.  The first grid point carries ``y0`` unchanged.  For this
-    linear rate one step of size h multiplies y by R(hz), with
-    R(w) = 1 + w + w^2/2 + w^3/6 + w^4/24, so n steps across an interval
-    are R(z dt/n)^n and the grid is their running product.
+    successive refinements agree to 1e-10 in relative terms at every
+    grid point; a refinement that stalls above that raises
+    :class:`NonConvergence`.  The first grid point carries ``y0``
+    unchanged.  For this linear rate one step of size h multiplies y by
+    R(hz), with R(w) = 1 + w + w^2/2 + w^3/6 + w^4/24, so n steps across
+    an interval are R(z dt/n)^n and the grid is their running product.
     """
     tau = np.asarray(tau_grid, dtype=float)
     if tau.ndim != 1 or tau.size < 1:
@@ -649,10 +643,10 @@ def ode_evolve(z: complex, y0: complex, tau_grid,
         cur = rk4(steps)
         scale = np.maximum(np.abs(cur), 1e-300)
         diff = float(np.max(np.abs(cur - prev) / scale))
-        if diff <= rel_tol:
+        if diff <= _ODE_REL_TOL:
             return cur
         # a halving should shrink the defect ~16x; a stall means the
-        # requested tolerance sits below the roundoff plateau
+        # tolerance sits below the roundoff plateau
         if prev_diff is not None and diff > 0.25 * prev_diff:
             raise NonConvergence(
                 f"RK4 refinement stalled at relative defect {diff:.3e}")

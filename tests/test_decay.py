@@ -101,9 +101,9 @@ class TestDensityTable:
             batches.append(np.size(omega))
             return density(model, omega)
 
-        def counted_eta(model, z, sheet="I", spec=None):
+        def counted_eta(model, z, sheet="I"):
             boundary.append(len(batches))
-            return eta(model, z, sheet, spec)
+            return eta(model, z, sheet)
 
         monkeypatch.setattr(decay, "spectral_density", counted_density)
         monkeypatch.setattr(friedrichs, "self_energy", counted_eta)

@@ -109,9 +109,12 @@ class TestFormFactors:
             (1.0 - 0.5j) / (np.pi * ((1.0 - 0.5j) ** 2 + 4.0)))
 
     def test_rational_profile_past_the_float_range(self):
-        """Where omega^2 overflows the profile is its limit, 0, and where
-        omega^2 + scale^2 underflows to 0 it is inf: no numpy warning."""
-        assert gt.RationalFormFactor(scale=1.0).f2(1e308) == 0.0
+        """Where omega^2 overflows, omega = inf included (not inf/inf =
+        NaN), the profile is its limit, 0, and where omega^2 + scale^2
+        underflows to 0 it is inf: no numpy warning."""
+        ff = gt.RationalFormFactor(scale=1.0)
+        assert ff.f2(1e308) == 0.0 and ff.f2(np.inf) == 0.0
+        assert np.array_equal(ff.f2(np.array([np.inf, 1e308])), [0.0, 0.0])
         assert gt.RationalFormFactor(scale=1e-320).f2(1e-320) == np.inf
 
     @pytest.mark.parametrize("lam", [1e200, -1.4e154, np.nan, 1j])
@@ -365,8 +368,7 @@ def _pv(model, omega):
     """The principal value inside eta(omega + i0), as self_energy takes it."""
     ff = model.form_factor
     lo, hi = ff.support
-    return principal_values(ff.f2, lo, hi, omega, friedrichs._DENSITY_SPEC,
-                            scale=ff.scale_hint)
+    return principal_values(ff.f2, lo, hi, omega, scale=ff.scale_hint)
 
 
 class TestBatchedBoundary:
@@ -625,9 +627,9 @@ class TestFindPole:
         shapes = []
         eta = friedrichs.self_energy
 
-        def counted(model, z, sheet="I", spec=None):
+        def counted(model, z, sheet="I"):
             shapes.append(np.shape(z))
-            return eta(model, z, sheet, spec)
+            return eta(model, z, sheet)
 
         monkeypatch.setattr(friedrichs, "self_energy", counted)
         gt.find_pole(flat_model)
@@ -733,6 +735,15 @@ class TestSpectralDensity:
     def test_negative_frequency_rejected(self, flat_model):
         with pytest.raises(ValueError):
             gt.spectral_density(flat_model, -0.5)
+
+    @pytest.mark.parametrize("omega", [np.nan, [1.0, np.nan]],
+                             ids=["scalar", "array"])
+    def test_nan_frequency_rejected(self, flat_model, rational_model, omega):
+        """NaN is no frequency: it raises like a negative one, on either
+        profile, instead of passing every comparison as a density 0."""
+        for model in (flat_model, rational_model):
+            with pytest.raises(ValueError, match="omega >= 0"):
+                gt.spectral_density(model, omega)
 
     def test_needs_coupling(self):
         """The continuum density needs a coupling: where lambda^2 is 0 it

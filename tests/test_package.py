@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import gamow_thermo as gt
@@ -24,6 +25,22 @@ def test_package_all_is_the_modules_all():
     for module in modules:
         for name in module.__all__:
             assert getattr(gt, name) is getattr(module, name), name
+
+
+def test_no_public_accuracy_knobs():
+    """Each kernel runs at its own fixed accuracy: no public callable takes
+    a tolerance or a panel budget.  Steps and grids (derivative's h,
+    discretize's bins) are inputs and stay."""
+    found = []
+    for name in gt.__all__:
+        try:
+            params = inspect.signature(getattr(gt, name)).parameters
+        except ValueError:  # an exception type keeps Exception's signature
+            continue
+        found += [f"{name}({param})" for param in params
+                  if param in ("spec", "max_subdivisions")
+                  or param.endswith("_tol")]
+    assert found == []
 
 
 def test_benchmark_worker_reads_existing_names():
