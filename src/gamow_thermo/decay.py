@@ -408,103 +408,103 @@ def zeno_check(target):
     return level_two, err
 
 
-def _window_points(t, lo, hi):
-    mask = (t >= lo) & (t <= hi)
-    return mask if int(mask.sum()) >= 6 else None
-
-
-def _fit_exponential(t, log_p, lo, hi):
-    mask = _window_points(t, lo, hi)
-    if mask is None:
-        return None
-    slope, intercept = np.polyfit(t[mask], log_p[mask], 1)
-    resid = log_p[mask] - (slope * t[mask] + intercept)
-    return slope, float(np.sqrt(np.mean(resid**2))), (float(t[mask][0]),
-                                                      float(t[mask][-1]))
+def _line_fits(x, y, mask):
+    """Least-squares lines y ~ slope x + intercept through the points
+    (x, y), one line per row of the boolean ``mask`` (rows x points), each
+    row selecting at least two distinct x: arrays of the rows' slopes,
+    intercepts and RMS residuals.  Centred closed form, one array pass for
+    all rows."""
+    n = mask.sum(axis=1)
+    x_mean, y_mean = (mask @ x) / n, (mask @ y) / n
+    dx = np.where(mask, x - x_mean[:, None], 0.0)
+    dy = np.where(mask, y - y_mean[:, None], 0.0)
+    slope = np.einsum("ij,ij->i", dx, dy) / np.einsum("ij,ij->i", dx, dx)
+    dy -= slope[:, None] * dx
+    rms = np.sqrt(np.einsum("ij,ij->i", dy, dy) / n)
+    return slope, y_mean - slope * x_mean, rms
 
 
 def classify_regimes(series: SurvivalSeries,
                      pole: ResonancePole) -> RegimeReport:
     """Partition a survival curve into quadratic, exponential, tail windows.
 
-    The exponential window is chosen by residual minimization over sliding
-    log-linear fits seeded around [1/Gamma, 5/Gamma]; near-perfect fits
-    are resolved in favour of the longest window so a synthetic
-    exponential reports a single regime covering the whole span.
+    Exponential: a least-squares line through log P (the points with
+    P > 0) on each of 51 candidate windows, [s, s + l] for s in
+    linspace(0.3, 3, 10)/Gamma and l in (2, 3, 4, 5, 6)/Gamma, then the
+    whole span; candidates with fewer than 6 points are dropped.  The
+    longest fit with RMS residual below 1e-9 wins (a synthetic
+    exponential is one regime over the whole span), else the least RMS,
+    ties to the earlier candidate; ``gamma_fit`` is minus its slope.
+    Zeno: (t_0, t_k) for the largest k with t_k <= min(0.5/Gamma, the
+    exponential start) whose drops 1 - P(t_j), j = 1..k, fit c t^2 with
+    c > 0 and leave each of at least 4 drops above 1e-7 within 5%.
+    Tail: resolved by at least 3 local maxima of P past max(the
+    exponential end, 10/Gamma), the largest above ``_TAIL_FLOOR``; a power
+    law is fitted through those whose ratio to exp(-Gamma t) exceeds 30,
+    once there are 3.  A span under 25/Gamma, or no candidate left, raises
+    :class:`InsufficientSpan`.  Each window's candidates are one array
+    pass.
     """
     gamma = pole.gamma
     if gamma <= 0:
         raise ValueError("regime classification needs a decaying pole")
-    t = series.times
+    t, p = series.times, series.probabilities
     if series.span < 25.0 / gamma - 1e-9:
         raise InsufficientSpan(
             f"series spans {series.span:.3g}, need 25/Gamma = {25 / gamma:.3g}")
 
-    positive = series.probabilities > 0
-    tp = t[positive]
-    log_p = np.log(series.probabilities[positive])
-
     # --- exponential window -------------------------------------------
-    fits = []
+    tp, log_p = t[p > 0], np.log(p[p > 0])
     starts = np.linspace(0.3 / gamma, 3.0 / gamma, 10)
     lengths = np.array([2.0, 3.0, 4.0, 5.0, 6.0]) / gamma
-    for s in starts:
-        for ell in lengths:
-            fit = _fit_exponential(tp, log_p, s, s + ell)
-            if fit is not None:
-                fits.append(fit)
-    full = _fit_exponential(tp, log_p, tp[0], tp[-1])
-    if full is not None:
-        fits.append(full)
-    if not fits:
+    lo = np.append(np.repeat(starts, lengths.size), -np.inf)
+    hi = np.append(starts[:, None] + lengths, np.inf)
+    mask = (tp >= lo[:, None]) & (tp <= hi[:, None])
+    mask = mask[mask.sum(axis=1) >= 6]
+    if not mask.size:
         raise InsufficientSpan("too few points for an exponential fit")
-    exact = [f for f in fits if f[1] < 1e-9]
-    if exact:
-        slope, exp_resid, exp_window = max(
-            exact, key=lambda f: f[2][1] - f[2][0])
-    else:
-        slope, exp_resid, exp_window = min(fits, key=lambda f: f[1])
-    gamma_fit = -slope
+    slope, _, rms = _line_fits(tp, log_p, mask)
+    # each window is a run of points from its first to its last
+    first = mask.argmax(axis=1)
+    last = mask.shape[1] - 1 - mask[:, ::-1].argmax(axis=1)
+    exact = rms < 1e-9
+    best = (np.argmax(np.where(exact, tp[last] - tp[first], -np.inf))
+            if exact.any() else np.argmin(rms))
+    exp_window = (float(tp[first[best]]), float(tp[last[best]]))
+    residuals = {"exponential": float(rms[best])}
 
     # --- short-time quadratic window ----------------------------------
-    zeno_window = None
-    zeno_c = None
-    zeno_resid = None
-    # ending at or before exp_window[0], the window never overlaps it
-    limit = min(0.5 / gamma, exp_window[0])
-    candidates = np.nonzero((t > 0) & (t <= limit))[0]
-    for k in candidates[::-1]:
-        tw = t[1:k + 1]
-        drop = 1.0 - series.probabilities[1:k + 1]
-        # drops at the noise floor cannot discriminate a power, skip them
-        meaningful = drop > 1e-7
-        if int(meaningful.sum()) < 4:
-            continue
-        c = float(np.dot(tw**2, drop) / np.dot(tw**2, tw**2))
-        if c <= 0:
-            continue
-        rel = float(np.max(np.abs(drop[meaningful] - c * tw[meaningful]**2)
-                           / drop[meaningful]))
-        if rel <= 0.05:
-            zeno_window = (float(t[0]), float(tw[-1]))
-            zeno_c = c
-            zeno_resid = rel
-            break
+    zeno_window = zeno_c = None
+    # the ends t_1..t_{k-1}, at or before exp_window[0] so that the window
+    # never overlaps it; entry r of ``c`` and ``n`` is the end t_{r+1}
+    k = int(np.searchsorted(t, min(0.5 / gamma, exp_window[0]), "right"))
+    tw2 = t[1:k]**2
+    drop = 1.0 - p[1:k]
+    c = np.cumsum(tw2 * drop) / np.cumsum(tw2 * tw2)
+    # drops at the noise floor cannot discriminate a power, skip them
+    used = drop > 1e-7
+    n = np.cumsum(used)
+    ends = np.nonzero((n >= 4) & (c > 0))[0]
+    # the misfit |1 - c q| of a drop with q = t^2 / drop is convex in q, so
+    # an end's worst is at the least or the largest q up to it
+    q = tw2[used] / drop[used]
+    q_lo = np.minimum.accumulate(q)[n[ends] - 1]
+    q_hi = np.maximum.accumulate(q)[n[ends] - 1]
+    rel = np.maximum(abs(1.0 - c[ends] * q_lo), abs(1.0 - c[ends] * q_hi))
+    if (rel <= 0.05).any():
+        end = np.nonzero(rel <= 0.05)[0][-1]
+        zeno_window = (float(t[0]), float(t[ends[end] + 1]))
+        zeno_c = float(c[ends[end]])
+        residuals["zeno"] = float(rel[end])
 
     # --- long-time tail -------------------------------------------------
-    tail_window = None
-    tail_exponent = None
+    tail_window = tail_exponent = ratio_last = ratio_increasing = None
     tail_resolved = False
-    tail_resid = None
-    ratio_last = None
-    ratio_increasing = None
     region = t > max(exp_window[1], 10.0 / gamma)
-    tr = t[region]
-    pr = series.probabilities[region]
+    tr, pr = t[region], p[region]
     if tr.size >= 5:
         interior = np.nonzero((pr[1:-1] > pr[:-2]) & (pr[1:-1] > pr[2:]))[0] + 1
-        peaks_t = tr[interior]
-        peaks_p = pr[interior]
+        peaks_t, peaks_p = tr[interior], pr[interior]
         if peaks_t.size >= 3 and np.max(peaks_p) > _TAIL_FLOOR:
             tail_resolved = True
             tail_window = (float(peaks_t[0]), float(tr[-1]))
@@ -516,20 +516,15 @@ def classify_regimes(series: SurvivalSeries,
             # with the exponential and fake a steep slope
             late = ratios > 30.0
             if int(late.sum()) >= 3:
-                lt, lp = peaks_t[late], peaks_p[late]
-                expo, icpt = np.polyfit(np.log(lt), np.log(lp), 1)
-                tail_exponent = float(expo)
-                resid = np.log(lp) - (expo * np.log(lt) + icpt)
-                tail_resid = float(np.sqrt(np.mean(resid**2)))
-
-    residuals = {"exponential": exp_resid}
-    if zeno_resid is not None:
-        residuals["zeno"] = zeno_resid
-    if tail_resid is not None:
-        residuals["tail"] = tail_resid
+                expo, _, rms = _line_fits(
+                    np.log(peaks_t[late]), np.log(peaks_p[late]),
+                    np.ones((1, int(late.sum())), dtype=bool))
+                tail_exponent = float(expo[0])
+                residuals["tail"] = float(rms[0])
 
     return RegimeReport(zeno_window=zeno_window, zeno_curvature=zeno_c,
-                        exponential_window=exp_window, gamma_fit=gamma_fit,
+                        exponential_window=exp_window,
+                        gamma_fit=-float(slope[best]),
                         tail_window=tail_window, tail_exponent=tail_exponent,
                         tail_resolved=tail_resolved,
                         tail_ratio_last=ratio_last,

@@ -416,6 +416,7 @@ def principal_values(g, a: float, b: float, poles, *,
                      scale: float = 1.0) -> np.ndarray:
     """The Cauchy integrals of g(w) / (z - w) over [a, b], one per z in
     ``poles``: principal values for real z, plain integrals otherwise.
+    A z that is not finite raises :class:`ValueError`.
 
     ``b`` may be +inf.  ``g`` maps a float array of any shape to a real
     array of that shape and must be smooth around every Re z inside the
@@ -473,6 +474,9 @@ def principal_values(g, a: float, b: float, poles, *,
     evaluates each new panel with the integrand of its piece.
     """
     z = np.asarray(poles).ravel()
+    if not np.isfinite(z).all():
+        raise ValueError("Cauchy integral at a point that is not finite: "
+                         f"z = {complex(z[~np.isfinite(z)][0])!r}")
     x, y = np.real(z).astype(float), np.imag(z).astype(float)
     off = y != 0.0
     n_off = np.count_nonzero(off)

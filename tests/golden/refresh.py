@@ -2,6 +2,9 @@
 """Regenerate the golden CSV/JSON fixtures from the checked-in configs.
 
 Run from anywhere: python tests/golden/refresh.py [--check]
+Each ``configs/<name>.cfg`` runs the command named by the part of
+``<name>`` before its first ``_`` (``survival_regimes.cfg`` runs
+``survival``) and writes ``expected/<name>.csv`` and ``<name>.json``.
 Only refresh on purpose; the regression test compares bytes.  For every
 fixture it prints whether the file changed and, if it did, the largest
 absolute deviation between numbers at the same place (JSON path or CSV
@@ -21,7 +24,6 @@ from pathlib import Path
 from gamow_thermo.cli import main as cli_main
 
 HERE = Path(__file__).resolve().parent
-COMMANDS = ["pole", "survival", "entropy", "evolve", "scan"]
 
 
 def _leaves(path: Path, text: str) -> dict:
@@ -76,13 +78,13 @@ def compare(path: Path, old: str | None, new: str) -> str:
 def regenerate(target: Path) -> int:
     """Run every golden config, writing its fixtures into ``target``;
     returns the first nonzero exit code, else 0."""
-    for command in COMMANDS:
-        cfg = HERE / "configs" / f"{command}.cfg"
-        out = target / f"{command}.csv"
+    for cfg in sorted((HERE / "configs").glob("*.cfg")):
+        command = cfg.stem.split("_")[0]
+        out = target / f"{cfg.stem}.csv"
         code = cli_main([command, "--config", str(cfg), "--out", str(out),
                          "--quiet"])
         if code != 0:
-            print(f"[x] {command} exited {code}")
+            print(f"[x] {cfg.name} exited {code}")
             return code
     return 0
 

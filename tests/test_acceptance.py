@@ -152,11 +152,13 @@ def test_09_temperature_ordering(capsys):
 def test_10_cli_golden_regression(tmp_path, capsys):
     with criterion(10, "golden CSV/JSON fixtures bit-exact + round-trip",
                    capsys):
-        for command in ("pole", "survival", "entropy", "evolve", "scan"):
-            out = tmp_path / f"{command}.csv"
-            code = cli_main([command,
-                             "--config",
-                             str(GOLDEN / "configs" / f"{command}.cfg"),
+        # configs/<name>.cfg runs the command before <name>'s first "_"
+        configs = sorted((GOLDEN / "configs").glob("*.cfg"))
+        assert len(configs) == 6
+        for config in configs:
+            command = config.stem.split("_")[0]
+            out = tmp_path / f"{config.stem}.csv"
+            code = cli_main([command, "--config", str(config),
                              "--out", str(out), "--quiet"])
             assert code == 0
             produced = [out, out.with_suffix(".json")]
@@ -169,7 +171,7 @@ def test_10_cli_golden_regression(tmp_path, capsys):
                     f"{path.name} deviates from the golden fixture"
 
             # feeding the run record back reproduces the bytes exactly
-            rerun = tmp_path / f"{command}_rerun.csv"
+            rerun = tmp_path / f"{config.stem}_rerun.csv"
             code = cli_main([command,
                              "--config", str(out.with_suffix(".json")),
                              "--out", str(rerun), "--quiet"])

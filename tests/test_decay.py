@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -38,6 +39,106 @@ def _table_from_spline(spline):
     return DensityTable(spline=spline,
                         norm_direct=float(spline.integrate(x[0], x[-1])),
                         max_refine_dev=0.0)
+
+
+def _regimes_by_polyfit(series, pole):
+    """The regime rule written plainly, one ``np.polyfit`` per candidate
+    window and one loop over the Zeno ends: the reference that
+    :func:`classify_regimes` must reproduce.  Returns the report's
+    fields as a dict."""
+    gamma = pole.gamma
+    t, p = series.times, series.probabilities
+    tp, log_p = t[p > 0], np.log(p[p > 0])
+
+    def fit(x, y):
+        slope, icpt = np.polyfit(x, y, 1)
+        return slope, float(np.sqrt(np.mean((y - (slope * x + icpt))**2)))
+
+    fits = []
+    windows = [(s, s + ell) for s in np.linspace(0.3 / gamma, 3.0 / gamma, 10)
+               for ell in np.array([2.0, 3.0, 4.0, 5.0, 6.0]) / gamma]
+    for lo, hi in windows + [(tp[0], tp[-1])]:
+        mask = (tp >= lo) & (tp <= hi)
+        if mask.sum() >= 6:
+            fits.append(fit(tp[mask], log_p[mask])
+                        + ((float(tp[mask][0]), float(tp[mask][-1])),))
+    exact = [f for f in fits if f[1] < 1e-9]
+    slope, exp_resid, exp_window = (
+        max(exact, key=lambda f: f[2][1] - f[2][0]) if exact
+        else min(fits, key=lambda f: f[1]))
+    out = {"exponential_window": exp_window, "gamma_fit": -slope,
+           "zeno_window": None, "zeno_curvature": None,
+           "tail_window": None, "tail_exponent": None,
+           "tail_resolved": False, "tail_ratio_last": None,
+           "tail_ratio_increasing": None,
+           "fit_residuals": {"exponential": exp_resid}}
+
+    limit = min(0.5 / gamma, exp_window[0])
+    for k in np.nonzero((t > 0) & (t <= limit))[0][::-1]:
+        tw, drop = t[1:k + 1], 1.0 - p[1:k + 1]
+        meaningful = drop > 1e-7
+        if meaningful.sum() < 4:
+            continue
+        c = float(np.dot(tw**2, drop) / np.dot(tw**2, tw**2))
+        if c <= 0:
+            continue
+        rel = float(np.max(np.abs(drop[meaningful] - c * tw[meaningful]**2)
+                           / drop[meaningful]))
+        if rel <= 0.05:
+            out.update(zeno_window=(float(t[0]), float(tw[-1])),
+                       zeno_curvature=c)
+            out["fit_residuals"]["zeno"] = rel
+            break
+
+    region = t > max(exp_window[1], 10.0 / gamma)
+    tr, pr = t[region], p[region]
+    if tr.size >= 5:
+        interior = np.nonzero((pr[1:-1] > pr[:-2])
+                              & (pr[1:-1] > pr[2:]))[0] + 1
+        peaks_t, peaks_p = tr[interior], pr[interior]
+        if peaks_t.size >= 3 and np.max(peaks_p) > decay._TAIL_FLOOR:
+            ratios = peaks_p / np.exp(-gamma * peaks_t)
+            out.update(tail_resolved=True,
+                       tail_window=(float(peaks_t[0]), float(tr[-1])),
+                       tail_ratio_last=float(ratios[-1]),
+                       tail_ratio_increasing=bool(ratios[-1] > ratios[0]))
+            late = ratios > 30.0
+            if late.sum() >= 3:
+                expo, resid = fit(np.log(peaks_t[late]),
+                                  np.log(peaks_p[late]))
+                out["tail_exponent"] = float(expo)
+                out["fit_residuals"]["tail"] = resid
+    return out
+
+
+@pytest.fixture(scope="module")
+def rational_series(rational_model):
+    """The rational model on a grid shaped like the benchmark's: a
+    log-dense head to 0.9/Gamma, then a linear body to 27/Gamma."""
+    gamma = gt.find_pole(rational_model).gamma
+    grid = np.concatenate([[0.0], np.geomspace(0.005, 0.9 / gamma, 30),
+                           np.linspace(1.0 / gamma, 27.0 / gamma, 115)])
+    return gt.survival_probability(rational_model, grid)
+
+
+@pytest.fixture(scope="module")
+def synthetic_series(flat_pole):
+    ts = np.linspace(0.0, 26.0 / flat_pole.gamma, 400)
+    amps = np.exp(-1j * flat_pole.z * ts)
+    return SurvivalSeries(times=ts, amplitudes=amps,
+                          probabilities=np.abs(amps) ** 2)
+
+
+@pytest.fixture(scope="module")
+def dense_head_series(flat_pole):
+    """P = exp(-Gamma (sqrt(t^2 + 1) - 1)): quadratic for t << 1, then
+    exponential, on a log grid of 4000 points to 27/Gamma, 2770 of them
+    below 0.5/Gamma where the Zeno window may end."""
+    gamma = flat_pole.gamma
+    ts = np.concatenate([[0.0], np.geomspace(1e-3, 27.0 / gamma, 4000)])
+    probs = np.exp(-gamma * (np.sqrt(ts**2 + 1.0) - 1.0))
+    return SurvivalSeries(times=ts, amplitudes=np.sqrt(probs) + 0j,
+                          probabilities=probs)
 
 
 class TestDensityTable:
@@ -577,13 +678,11 @@ class TestZenoCheck:
 
 
 class TestClassifyRegimes:
-    def test_synthetic_exponential_is_one_regime(self, flat_pole):
+    def test_synthetic_exponential_is_one_regime(self, flat_pole,
+                                                 synthetic_series):
         gamma = flat_pole.gamma
-        ts = np.linspace(0.0, 26.0 / gamma, 400)
-        amps = np.exp(-1j * flat_pole.z * ts)
-        series = SurvivalSeries(times=ts, amplitudes=amps,
-                                probabilities=np.abs(amps) ** 2)
-        report = gt.classify_regimes(series, flat_pole)
+        ts = synthetic_series.times
+        report = gt.classify_regimes(synthetic_series, flat_pole)
         assert report.zeno_window is None
         assert report.exponential_window == (ts[0], ts[-1])
         assert report.gamma_fit == pytest.approx(gamma, abs=1e-6)
@@ -634,6 +733,97 @@ class TestClassifyRegimes:
                                 probabilities=p)
         with pytest.raises(InsufficientSpan):
             gt.classify_regimes(series, flat_pole)
+
+    def test_no_positive_probability(self):
+        """A series that never leaves P = 0 has no point to fit: it is
+        too short for an exponential fit, not an indexing error."""
+        ts = np.linspace(1.0, 300.0, 50)
+        series = SurvivalSeries(times=ts, amplitudes=np.zeros(50, complex),
+                                probabilities=np.zeros(50))
+        with pytest.raises(InsufficientSpan, match="too few points"):
+            gt.classify_regimes(series, gt.ResonancePole(1.0, 0.1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_line_fits_match_polyfit(self, data):
+        """Every row's least-squares line, in one array pass, is
+        np.polyfit's on that row's window of at least 6 points: slopes and
+        intercepts within 1e-12 relative, RMS residuals within
+        1e-12 max|y|.  The lines lie within 1e-3 of a slope over the
+        narrowest gap, so neither slope nor intercept comes near zero.
+        On such lines np.polyfit's slopes miss the exact ones by up to
+        about 1e-13 relative, the closed form's by a few units of
+        roundoff."""
+        gaps = np.array(data.draw(st.lists(st.floats(0.1, 2.0), min_size=6,
+                                           max_size=40)))
+        x = data.draw(st.floats(0.0, 10.0)) + np.cumsum(gaps)
+        slope = data.draw(st.floats(0.1, 1.0)) * data.draw(
+            st.sampled_from([-1.0, 1.0]))
+        icpt = data.draw(st.floats(1.0, 10.0)) * data.draw(
+            st.sampled_from([-1.0, 1.0]))
+        noise = np.array(data.draw(st.lists(
+            st.floats(-1.0, 1.0), min_size=x.size, max_size=x.size)))
+        y = icpt + slope * x + 1e-3 * abs(slope) * gaps.min() * noise
+        windows = data.draw(st.lists(
+            st.tuples(st.integers(0, x.size - 6), st.integers(6, x.size)),
+            min_size=1, max_size=8))
+        mask = np.zeros((len(windows), x.size), dtype=bool)
+        for row, (first, size) in zip(mask, windows):
+            row[first:first + size] = True
+        slopes, icpts, rms = decay._line_fits(x, y, mask)
+        for row, s_fit, i_fit, r_fit in zip(mask, slopes, icpts, rms):
+            s_ref, i_ref = np.polyfit(x[row], y[row], 1)
+            r_ref = np.sqrt(np.mean((y[row] - (s_ref * x[row] + i_ref))**2))
+            assert abs(s_fit - s_ref) <= 1e-12 * abs(s_ref)
+            assert abs(i_fit - i_ref) <= 1e-12 * abs(i_ref)
+            assert abs(r_fit - r_ref) <= 1e-12 * np.max(np.abs(y))
+
+    @pytest.mark.parametrize("name", ["flat_series", "rational_series",
+                                      "synthetic_series",
+                                      "dense_head_series"])
+    def test_matches_polyfit_reference(self, name, request, flat_pole,
+                                       rational_model):
+        """The array passes choose the windows and flags of one
+        np.polyfit per candidate, with the fitted numbers within 1e-12
+        relative and the RMS residuals within 1e-12 max|log P|."""
+        series = request.getfixturevalue(name)
+        pole = (gt.find_pole(rational_model) if name == "rational_series"
+                else flat_pole)
+        report = asdict(gt.classify_regimes(series, pole))
+        reference = _regimes_by_polyfit(series, pole)
+        p = series.probabilities
+        scale = np.max(np.abs(np.log(p[p > 0])))
+        assert report.keys() == reference.keys()
+        for key, want in reference.items():
+            got = report[key]
+            if key in ("gamma_fit", "zeno_curvature", "tail_exponent"):
+                assert (got is None) == (want is None), key
+                if want is not None:
+                    assert abs(got - want) <= 1e-12 * abs(want), key
+            elif key == "fit_residuals":
+                assert got.keys() == want.keys()
+                for part in want:
+                    assert abs(got[part] - want[part]) <= 1e-12 * scale, part
+            else:
+                assert got == want, key
+        if name in ("flat_series", "dense_head_series"):
+            assert report["zeno_window"] is not None
+        if name == "flat_series":
+            assert report["tail_exponent"] is not None
+
+    def test_dense_head_holds_little_memory(self, flat_pole,
+                                            dense_head_series):
+        """With 2770 points below 0.5/Gamma the Zeno search holds a few
+        arrays over those points, not an (end x drop) matrix of them
+        (61 MB each); the exponential candidates hold 51 rows over the
+        4001 points (1.6 MB a float array)."""
+        tracemalloc.start()
+        try:
+            gt.classify_regimes(dense_head_series, flat_pole)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
 
     def test_stable_pole_rejected(self, flat_series):
         with pytest.raises(ValueError):

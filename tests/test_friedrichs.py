@@ -517,6 +517,17 @@ class TestFindPole:
         gt.find_pole(flat_model, 0.5 + 0j)
         assert starts == [2.0 - 2e-6j, 0.5 - 1e-6j]
 
+    def test_non_finite_point_is_named(self, flat_model):
+        """A NaN start or point is the caller's error, not the
+        integrand's: the search and the self-energy raise ValueError
+        naming it, not IntegrandError."""
+        for call, z in ((gt.find_pole, complex(np.nan, -1.0)),
+                        (gt.self_energy, np.nan)):
+            with pytest.raises(ValueError, match="not finite: z = ") as info:
+                call(flat_model, z)
+            assert not isinstance(info.value, gt.NumericalFailure)
+            assert repr(complex(z)) in str(info.value)
+
     def test_free_model_is_stable(self):
         free = gt.FriedrichsModel(omega0=1.0, lam=0.0,
                                   form_factor=gt.FlatCutoff(cutoff=10.0))

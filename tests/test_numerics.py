@@ -192,6 +192,18 @@ class TestPrincipalValue:
         s = float(str(info.value).split("s = ")[1].split(" ")[0])
         assert 2.0 <= s < 3.0
 
+    @pytest.mark.parametrize("bad", [np.nan, complex(np.nan, -1.0),
+                                     np.inf], ids=["nan", "nan-1j", "inf"])
+    def test_non_finite_point_is_named(self, bad):
+        """A point that is not finite is the caller's, not the
+        integrand's: it raises ValueError naming the point, alone or in a
+        batch of finite ones."""
+        for poles in ([bad], [0.5, bad, 0.25 - 1e-3j]):
+            with pytest.raises(ValueError, match="not finite: z = ") as info:
+                principal_values(lambda w: np.ones_like(w), 0.0, 1.0, poles)
+            assert not isinstance(info.value, IntegrandError)
+            assert repr(complex(bad)) in str(info.value)
+
     @pytest.mark.parametrize("y", [1e-307, 3e-308, 1e-310, 5e-324])
     def test_point_beside_the_axis_takes_its_limit(self, y):
         """Below 2^-1000 of the farthest distance, |y| would overflow the
