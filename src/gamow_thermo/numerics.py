@@ -295,7 +295,7 @@ def _composite(pieces, table, n: int, tol, dtype, live=()) -> np.ndarray:
 class PiecewiseCubic:
     """A cubic on each interval [x_k, x_k+1]: at x_k + d its value is
     c[0, k] d^3 + c[1, k] d^2 + c[2, k] d + c[3, k].  It is zero outside
-    [x_0, x_n]; a scalar point gives a float."""
+    [x_0, x_n], NaN at a NaN point; a scalar point gives a float."""
 
     x: np.ndarray
     c: np.ndarray
@@ -309,7 +309,8 @@ class PiecewiseCubic:
         k = np.searchsorted(self.x[1:-1], inner, side="right")
         d = inner - self.x[k]
         c0, c1, c2, c3 = self.c[:, k]
-        return _unbox(np.where((w >= lo) & (w <= hi),
+        # NaN is neither below nor above the knots: it propagates
+        return _unbox(np.where(~((w < lo) | (w > hi)),
                                ((c0 * d + c1) * d + c2) * d + c3, 0.0))
 
 
@@ -587,16 +588,21 @@ def complex_newton(g, start: complex) -> tuple[complex, float, float, int]:
     step and the residual |g(z)| at the same stencil are both within
     1e-12: the search then returns ``(root, residual, step, stencils)``:
     the corrected point (g is not evaluated there), that residual, |step|
-    and the number of stencils, one per iteration and at most 60.
+    and the number of stencils, one per iteration and at most 60.  A
+    stencil value that is not finite raises :class:`IntegrandError`
+    naming the first such point.
     """
     contract = "g must map a complex array to an array of the same shape"
     z = complex(start)
     for stencils in range(1, _MAX_STENCILS + 1):
         h = 1e-6 * max(1.0, abs(z))
-        gz, g_up, g_down = map(complex, _on_array(
-            g, np.array([z, z + h, z - h]), contract))
-        if not np.isfinite(gz.real) or not np.isfinite(gz.imag):
-            raise IntegrandError(f"g({z!r}) is not finite")
+        stencil = np.array([z, z + h, z - h])
+        values = _on_array(g, stencil, contract)
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise IntegrandError(
+                f"g({complex(stencil[~finite][0])!r}) is not finite")
+        gz, g_up, g_down = map(complex, values)
         dg = (g_up - g_down) / (2.0 * h)
         if abs(dg) < 1e-300 or not np.isfinite(abs(dg)):
             raise SingularStep(f"derivative vanished at z = {z!r}")

@@ -7,9 +7,11 @@ Each ``configs/<name>.cfg`` runs the command named by the part of
 ``survival``) and writes ``expected/<name>.csv`` and ``<name>.json``.
 Only refresh on purpose; the regression test compares bytes.  For every
 fixture it prints whether the file changed and, if it did, the largest
-absolute deviation between numbers at the same place (JSON path or CSV
-cell) in the old and the new file, plus the places that appeared,
-disappeared or changed in something other than a number.
+absolute deviation between numbers at the same place in the old and the
+new file, where it sits (a JSON path, or a CSV row and column, the
+header being row 0) and its size relative to the old value, plus the
+places that appeared, disappeared or changed in something other than a
+number.
 
 With --check the fixtures are regenerated into a temporary directory and
 only the report is printed: ``expected/`` is left as it is, and the exit
@@ -17,6 +19,7 @@ code is 1 when any fixture would change.
 """
 
 import argparse
+import csv
 import json
 import tempfile
 from pathlib import Path
@@ -27,10 +30,12 @@ HERE = Path(__file__).resolve().parent
 
 
 def _leaves(path: Path, text: str) -> dict:
-    """Leaf values keyed by place: JSON paths, or (row, column) of a CSV."""
+    """Leaf values keyed by place: JSON paths, or (row, column) of a CSV,
+    the column named by the header's cell."""
     if path.suffix != ".json":
-        return {(i, j): cell for i, line in enumerate(text.splitlines())
-                for j, cell in enumerate(line.split(","))}
+        rows = list(csv.reader(text.splitlines()))
+        return {(i, name): cell for i, row in enumerate(rows)
+                for name, cell in zip(rows[0], row)}
     out = {}
 
     def walk(node, key):
@@ -62,14 +67,22 @@ def compare(path: Path, old: str | None, new: str) -> str:
     if old == new:
         return "unchanged"
     before, after = _leaves(path, old), _leaves(path, new)
-    deviation, other = 0.0, 0
-    for key in before.keys() & after.keys():
-        x, y = _number(before[key]), _number(after[key])
-        if x is not None and y is not None:
-            deviation = max(deviation, abs(x - y))
-        elif before[key] != after[key]:
-            other += 1
-    return (f"changed: largest numeric deviation {deviation:.3g}, "
+    deviation, where, other = 0.0, "", 0
+    for key, value in before.items():
+        if key not in after:
+            continue
+        x, y = _number(value), _number(after[key])
+        if x is None or y is None:
+            if value != after[key]:
+                other += 1
+        elif abs(x - y) > deviation:
+            deviation = abs(x - y)
+            place = ("/".join(map(str, key)) if path.suffix == ".json"
+                     else f"row {key[0]}, column {key[1]}")
+            where = (f" at {place} (old value {x:.3g}, relative "
+                     f"{deviation / abs(x):.2g})" if x else
+                     f" at {place} (old value 0)")
+    return (f"changed: largest numeric deviation {deviation:.3g}{where}, "
             f"{len(after.keys() - before.keys())} places added, "
             f"{len(before.keys() - after.keys())} removed, "
             f"{other} other values changed")

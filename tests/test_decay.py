@@ -21,6 +21,8 @@ from gamow_thermo.decay import (
 )
 from gamow_thermo.numerics import PiecewiseCubic
 
+_U = np.finfo(float).eps / 2
+
 
 def _quadpack_fourier(density, edges, t):
     """Independent reference for the integral of density(w) exp(-i w t):
@@ -39,6 +41,30 @@ def _table_from_spline(spline):
     return DensityTable(spline=spline,
                         norm_direct=float(spline.integrate(x[0], x[-1])),
                         max_refine_dev=0.0)
+
+
+# the random nonnegative splines of the transform's properties: knot gaps
+# and cubic B-spline coefficients
+_GAPS = st.lists(st.floats(0.05, 2.0), min_size=2, max_size=10)
+_COEFFICIENTS = st.lists(st.floats(0.0, 1.0), min_size=13, max_size=13)
+
+
+def _nonnegative_table(gaps, coef):
+    """Cubic B-splines with nonnegative coefficients are nonnegative C^2
+    splines: the one on knots at the cumulative ``gaps`` from 0, with the
+    first and last coefficient zeroed so that it drops continuously to
+    zero outside them, as a DensityTable.  Returns the knots and the
+    table."""
+    inner = np.concatenate([[0.0], np.cumsum(gaps)])
+    knots = np.concatenate([[inner[0]] * 3, inner, [inner[-1]] * 3])
+    c = np.array(coef[:knots.size - 4])
+    c[0] = c[-1] = 0.0
+    bspline = BSpline(knots, c, 3)
+    deriv = bspline.derivative()
+    spline = CubicSpline(inner, bspline(inner),
+                         bc_type=((1, float(deriv(inner[0]))),
+                                  (1, float(deriv(inner[-1])))))
+    return inner, _table_from_spline(spline)
 
 
 def _regimes_by_polyfit(series, pole):
@@ -377,17 +403,25 @@ class TestExactSynthesis:
         sides of the switch, and at t = 1e6, where every interval is wide.
 
         The bound is derived from rounding.  The knots lie on a 2^-24
-        grid below 2^10, so t x is exact for these times and each phase
-        is off by its cosine's and sine's rounding only (4 ulp).  Let
+        grid below 2^10, so t x and its half are exact for these times.
+        Each phase is then off by the rounding of U = tan(-t x / 2),
+        within 1 ulp (2 u), and of the half-angle formulas: with
+        s = 1/(1 + U^2), the cosine 2s - 1 and the sine 2Us.  A relative
+        error of U moves each of them by at most as much in absolute
+        terms; the computed 2s carries at most (3 - s) u from its square,
+        sum and quotient, and subtracting 1 is exact for 2s >= 1/2.  To
+        first order the cosine is off by at most (14 s - 10 s^2) u
+        <= 4.9 u and the sine by at most 4.2 u, the phase by at most
+        6.2 u.  Let
         W = sum_k sum_j |a_jk| h_k^(j+1), which bounds the sum of
         integral |piece|.  An interval's terms add up to at most 22
         times its share of W: below the switch sum_n theta^n/(n! (n+j+1))
         <= e - 1 per weight, above it the end-point sums carry the
         factorials (p-1)! and j!/(j+1-p)!, at most 6 and 16 per weight.
         Each term is off by at most (K + 64) u: about 10 u in the cached
-        coefficients, 8 u in the phase, K u in the sums over the K
-        intervals and 36 u in the Horner steps, which leaves 10 u spare.
-        So |error| <= 22 (K + 64) u W."""
+        coefficients, 8 u in the phase (6.2 u above), K u in the sums
+        over the K intervals and 36 u in the Horner steps, which leaves
+        10 u spare.  So |error| <= 22 (K + 64) u W."""
         mp = pytest.importorskip("mpmath")
         rng = np.random.default_rng(seed)
         widths = rng.permutation(10.0 ** np.linspace(-6.0, 2.0, 9))
@@ -487,26 +521,60 @@ class TestExactSynthesis:
             assert abs(exact - reference) < 1e-9
 
     @settings(max_examples=50, deadline=None)
-    @given(gaps=st.lists(st.floats(0.05, 2.0), min_size=2, max_size=10),
-           coef=st.lists(st.floats(0.0, 1.0), min_size=13, max_size=13),
-           t=st.floats(0.0, 40.0))
+    @given(gaps=_GAPS, coef=_COEFFICIENTS, t=st.floats(0.0, 40.0))
     def test_random_nonnegative_splines(self, gaps, coef, t):
-        """Cubic B-splines with nonnegative coefficients are nonnegative
-        C^2 splines: the exact transform must match quadrature of the same
-        spline, and no amplitude can exceed the total weight A(0)."""
-        inner = np.concatenate([[0.0], np.cumsum(gaps)])
-        knots = np.concatenate([[inner[0]] * 3, inner, [inner[-1]] * 3])
-        c = np.array(coef[:knots.size - 4])
-        c[0] = c[-1] = 0.0  # continuous drop to zero outside the knots
-        bspline = BSpline(knots, c, 3)
-        deriv = bspline.derivative()
-        spline = CubicSpline(inner, bspline(inner),
-                             bc_type=((1, float(deriv(inner[0]))),
-                                      (1, float(deriv(inner[-1])))))
-        table = _table_from_spline(spline)
+        """On random nonnegative splines the exact transform must match
+        quadrature of the same spline, and no amplitude can exceed the
+        total weight A(0)."""
+        inner, table = _nonnegative_table(gaps, coef)
         exact = table.fourier(t)[0]
         assert abs(exact - _quadpack_fourier(table, inner, t)) < 1e-9
         assert abs(exact) <= table.fourier(0.0)[0].real + 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(gaps=_GAPS, coef=_COEFFICIENTS, tx=st.floats(0.0, 1e13))
+    @example(gaps=[0.3, 1.7], coef=[0.5] * 13, tx=1e13)
+    @example(gaps=[0.05] * 10, coef=[1.0] * 13, tx=9.99)
+    def test_half_angle_phases_match_cos_sin(self, gaps, coef, tx):
+        """The transform against a sum of the same cached pieces whose
+        phases are np.cos and np.sin of -t x, for t max x up to 1e13.
+
+        The reference takes the same Taylor/end-point split and weights
+        each piece by explicit powers, (-i t)^n and (i t)^-(p+1), where
+        :meth:`DensityTable.fourier` runs Horner's rule.  Both sides
+        phase the same rounded argument fl(-t x) (the route halves it
+        exactly), so they differ by rounding only, bounded term by term.
+        Let S be the sum of the terms' moduli, every phase having modulus
+        1: t^n |taylor[k, n]| over the Taylor intervals and
+        t^-(p+1) (|first[k, p]| + |last[k, p]|) over the others.  Each side
+        is within (8 + sqrt(2) (K + 36)) u S of the exact sum with exact
+        phases: at most 8 u in each phase (6.2 u from the half-angle
+        formulas, see test_wide_range_of_widths_against_mpmath; 2 sqrt(2) u
+        from a cosine and a sine within 1 ulp each), K u in each real sum
+        over the K intervals, and 36 u in the 18 Horner steps (the
+        reference: 3 u in each power, 18 u in its sum over them), sqrt(2)
+        turning each bound on a real and an imaginary part into one on the
+        modulus.  At t x ~ 1e13 both sides lose the amplitude to the
+        argument's rounding alike: the bound checks the phases, not A(t).
+        """
+        _, table = _nonnegative_table(gaps, coef)
+        knots, h, right, taylor, first, last = table._pieces
+        t = tx / knots[-1]
+        m = (h.size if t == 0.0
+             else int(np.searchsorted(h, _MOMENT_SWITCH / t)))
+        arg = knots * -t
+        phase = np.cos(arg) + 1j * np.sin(arg)
+        n, p = np.arange(taylor.shape[1]), np.arange(4)
+        taylor_w = np.array([1, -1j, -1, 1j])[n % 4] * t**n
+        end_w = (np.array([-1j, -1, 1j, 1])[p] * t ** -(p + 1.0)
+                 if m < h.size else 0.0 * p)
+        ends = phase[m:-1] @ first[m:] - phase[right[m:]] @ last[m:]
+        reference = np.sum((phase[:m] @ taylor[:m]) * taylor_w) \
+            + np.sum(ends * end_w)
+        size = np.sum(np.abs(taylor[:m]) @ t**n) + np.sum(
+            (np.abs(first[m:]) + np.abs(last[m:])) @ np.abs(end_w))
+        bound = 2 * (8 + np.sqrt(2) * (h.size + 36)) * _U * size
+        assert abs(table.fourier(t)[0] - reference) <= bound
 
     def test_flat_model_against_closed_form_density(self, flat_model,
                                                     flat_table):

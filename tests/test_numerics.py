@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -368,6 +369,27 @@ class TestComplexNewton:
         with pytest.raises(SingularStep):
             complex_newton(lambda z: 1.0 + 0.0j * z, 1.0 + 0.0j)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("side", [1, 2])
+    def test_non_finite_side_value_is_the_integrand(self, bad, side):
+        """A value of g that is not finite at z + h or z - h is g's fault,
+        not a vanishing derivative: the error names that stencil point."""
+        def g(z):
+            out = z - 0.5
+            out[side] = bad
+            return out
+
+        point = complex((0.5 + 1e-6, 0.5 - 1e-6)[side - 1])
+        message = re.escape(f"g({point!r}) is not finite")
+        with pytest.raises(IntegrandError, match=f"^{message}$"):
+            complex_newton(g, 0.5 + 0.0j)
+
+    def test_non_finite_centre_is_the_integrand(self):
+        with pytest.raises(IntegrandError,
+                           match=re.escape("g((0.5+0j)) is not finite")):
+            complex_newton(lambda z: np.where(z == 0.5, np.inf, z),
+                           0.5 + 0.0j)
+
     def test_one_stencil_call_per_iteration(self):
         # each call is the stencil [z, z + h, z - h]; the search stops at
         # a stencil whose residual and correction are within tolerance and
@@ -573,3 +595,23 @@ class TestCubicSpline:
         assert spline(x[0]) == math.exp(1.0)
         assert type(spline(2.0)) is float and type(spline(5.0)) is float
         assert spline(5.0) == 0.0
+
+    def test_nan_point_is_nan(self):
+        """A NaN point has no value, not the zero outside the knots; so
+        the density table and a tabulated profile read NaN there too."""
+        x = np.linspace(1.0, 3.0, 9)
+        spline = _cubic_spline(x, np.exp(x))
+        w = np.array([np.nan, 0.5, 2.0, np.nan, 7.0])
+        with np.errstate(all="raise"):
+            out = spline(w)
+        assert np.isnan(out[[0, 3]]).all()
+        assert np.array_equal(out[[1, 2, 4]], spline(w[[1, 2, 4]]))
+        assert out[2] == spline(2.0) and out[1] == out[4] == 0.0
+        assert type(spline(np.nan)) is float and math.isnan(spline(np.nan))
+        table = DensityTable(spline=spline, norm_direct=0.0,
+                             max_refine_dev=0.0)
+        profile = gt.TabulatedFormFactor(grid=x, values=np.exp(x))
+        for f in (table, profile.f2):
+            assert math.isnan(f(np.nan))
+            assert np.isnan(f(w)).tolist() == [True, False, False, True,
+                                               False]
