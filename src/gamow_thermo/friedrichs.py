@@ -24,6 +24,7 @@ from .numerics import (
     PiecewiseCubic,
     _complex,
     _cubic_spline,
+    _finite_points,
     _require,
     _unbox,
     complex_newton,
@@ -62,13 +63,26 @@ class PoleOutsideSupport(NumericalFailure, RuntimeError):
     """Root search converged to a zero outside the form factor's support."""
 
 
+# 1/(k (k-1)) for k = 23 down to 2: the Taylor coefficients of the rational
+# profile's numerator about +-i * scale, highest power first
+_TAYLOR_N = 1.0 / (np.arange(23, 1, -1) * np.arange(22, 0, -1))
+
+
+def _log1p(u):
+    """log(1 + u) for complex |u| <= 1/4, to relative rounding however
+    small u is; numpy's complex log1p takes log|1 + u| of the rounded
+    1 + u, which loses the real part of a small u."""
+    return _complex(0.5 * np.log1p(u.real * (2.0 + u.real) + u.imag**2),
+                    np.arctan2(u.imag, 1.0 + u.real))
+
+
 class FormFactor:
     """Coupling profile |f(omega)|^2 between the level and the continuum.
 
     Subclasses provide ``f2`` on the positive half-line, the support
     interval where it is nonzero, and (when the profile is an explicit
     analytic expression) its continuation ``f2_complex`` to complex
-    arguments.
+    arguments and the closed form of its Cauchy transform ``cauchy``.
     """
 
     def f2(self, omega):
@@ -83,6 +97,17 @@ class FormFactor:
         analytic expression."""
         raise ContinuationUnavailable(
             f"{type(self).__name__} has no analytic continuation")
+
+    def cauchy(self, z):
+        """The sheet-I integral of f^2(w) / (z - w) over the support, one
+        per point of ``z`` (flattened): the principal value, a real
+        number, for real z.  A profile without a closed form takes it from
+        the adaptive kernel :func:`~gamow_thermo.numerics.principal_values`,
+        each within max(1e-12, 1e-10 |integral|).  A z that is not finite
+        raises :class:`ValueError`, and so does a real z on a support end
+        where f^2 does not vanish, where the integral diverges."""
+        return principal_values(self.f2, *self.support, z,
+                                scale=self.scale_hint)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -117,6 +142,25 @@ class FlatCutoff(FormFactor):
     def f2_complex(self, z):
         return 1.0 + 0.0j
 
+    def cauchy(self, z):
+        """log(z) - log(z - c), where z - c is exact near the cutoff; past
+        |z| = 4c, where the two logs cancel, -log1p(-c/z)."""
+        z = np.asarray(_finite_points(z), dtype=complex)
+        c = self.cutoff
+        real = z.imag == 0.0
+        if real.any():
+            edge = real & ((z.real == 0.0) | (z.real == c))
+            if edge.any():
+                raise IntegrandError(f"the integral diverges at z = "
+                                     f"{complex(z[edge][0])!r}, an end of "
+                                     f"the support [0, {c!r}]")
+        out = np.log(z) - np.log(z - c)
+        far = np.abs(z) > 4.0 * c
+        if far.any():
+            out[far] = -_log1p(-c / z[far])
+        out.imag[real] = 0.0
+        return out
+
     @property
     def support(self) -> tuple[float, float]:
         return (0.0, self.cutoff)
@@ -146,7 +190,51 @@ class RationalFormFactor(FormFactor):
                 np.pi * (omega**2 + self.scale**2)), 0.0))
 
     def f2_complex(self, z):
-        return z / (np.pi * (z * z + self.scale**2))
+        # in w = z/s, w / (w^2 + 1) / (pi s), not finite at the poles w =
+        # +-i; divided through by w far out, where w^2 may overflow
+        z, s = np.asarray(z, dtype=complex), self.scale
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            w = z / s
+            out = w / (w * w + 1.0) / (np.pi * s)
+        far = np.abs(w) > 1e150
+        if far.any():
+            out[far] = 1.0 / (np.pi * (z[far] + s * (s / z[far])))
+        return _unbox(out)
+
+    def cauchy(self, z):
+        """N(z) / (z^2 + s^2) with N(z) = z log(-z/s) / pi - s/2, from
+        partial fractions, taken in w = z/s: (w log(-w) / pi - 1/2) / (w^2
+        + 1) / s.  Past |w| = 1e150, where w^2 may overflow, it is
+        divided through by w: (L / pi - q/2) / (z + s q) with q = s/z and
+        L = log(-z) - log s.  N vanishes at both zeros p = +-i of w^2 + 1,
+        so within |w - p| < 1/10 the quotient comes from N's Taylor series
+        about p, divided by w - p term by term: (log(-p) + 1 - sum_k
+        (-r)^(k-1) / (k (k-1))) / (pi s (w + p)), r = (w - p)/p, k = 2 ..
+        23.  At z = 0 it is the limit -1/(2s)."""
+        z = np.asarray(_finite_points(z), dtype=complex)
+        s = self.scale
+        # the points far out, at 0 and near +-i * s, where this is not
+        # finite or not accurate, are taken again below
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            w = z / s
+            out = (w * np.log(-w) / np.pi - 0.5) / (w * w + 1.0) / s
+        far = np.abs(w) > 1e150
+        if far.any():
+            z_far = z[far]
+            q = s / z_far
+            out[far] = (((np.log(-z_far) - math.log(s)) / np.pi - 0.5 * q)
+                        / (z_far + s * q))
+        out[w == 0.0] = -0.5 / s
+        taylor = np.hypot(w.real, np.abs(w.imag) - 1.0) < 0.1
+        if taylor.any():
+            w = w[taylor]
+            p = np.where(w.imag > 0.0, 1j, -1j)
+            r = (w - p) / p
+            series = -r * np.polyval(_TAYLOR_N, -r)
+            out[taylor] = (1.0 - 0.5 * np.pi * p - series) / (
+                np.pi * s * (w + p))
+        out.imag[z.imag == 0.0] = 0.0
+        return out
 
     @property
     def support(self) -> tuple[float, float]:
@@ -268,26 +356,26 @@ def self_energy(model: FriedrichsModel, z, sheet: str = "I"):
     value, imaginary part i*pi*lam^2*f^2(omega).  This sidesteps the
     catastrophic cancellation of approaching the cut numerically.
 
-    Accepts a scalar (giving a Python complex) or an array of z; all of
-    them go through one call of the Cauchy kernel
-    :func:`~gamow_thermo.numerics.principal_values`, at its fixed
-    accuracy: each integral within max(1e-12, 1e-10 |integral|) by its
-    Kronrod-Gauss gauge.  Sheet II needs the form factor's continuation
-    ``f2_complex``; at a pole of it eta_II is infinite, and
+    Accepts a scalar (giving a Python complex) or an array of z; the
+    integral of all of them is one call of the profile's
+    :meth:`FormFactor.cauchy`: a closed form for the flat and rational
+    profiles, exact to rounding, and the adaptive Cauchy kernel for a
+    tabulated one, each integral within max(1e-12, 1e-10 |integral|).
+    Sheet II needs the form factor's continuation ``f2_complex``; at a
+    pole of it eta_II is infinite, and
     :class:`~gamow_thermo.numerics.IntegrandError` names z.
     """
     if sheet not in ("I", "II"):
         raise ValueError(f"sheet must be 'I' or 'II', got {sheet!r}")
     shape = np.shape(z)
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    z = np.asarray(z, dtype=complex).ravel()
     lam2 = model.lam**2
     if lam2 == 0.0:
         return _unbox((z - model.omega0).reshape(shape))
 
     ff = model.form_factor
     lo, hi = ff.support
-    eta = z - model.omega0 - lam2 * principal_values(
-        ff.f2, lo, hi, z, scale=ff.scale_hint)
+    eta = z - model.omega0 - lam2 * ff.cauchy(z)
     # the rim: real points strictly inside the support
     rim = z.imag == 0.0
     if np.count_nonzero(rim):
@@ -385,9 +473,11 @@ def spectral_density(model: FriedrichsModel, omega):
     level (lam^2 = 0) has no continuum density: it is zero everywhere.
     Accepts a scalar or an array of frequencies; an array is one batched
     boundary evaluation.  Its principal values are those of
-    :func:`self_energy`, each within max(1e-12, 1e-10 |PV|): the accuracy
+    :func:`self_energy`, from the profile's :meth:`FormFactor.cauchy`:
+    closed forms for the flat and rational profiles, and for a tabulated
+    one the adaptive kernel, within max(1e-12, 1e-10 |PV|), the accuracy
     of the density table that :func:`~gamow_thermo.decay.density_table`
-    fits to it, so every caller gets the table's own densities.  A
+    fits to it.  Every caller gets the table's own densities.  A
     negative or NaN frequency raises :class:`ValueError`.
     """
     arr = np.asarray(omega, dtype=float)

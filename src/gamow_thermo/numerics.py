@@ -3,11 +3,13 @@
 Adaptive complex quadrature (Gauss-Kronrod 7-15 with bulk bisection) and,
 on the same kernel, the Cauchy integrals of g(w) / (z - w) for a whole
 array of z at once, from a static first pass: principal values on the
-axis, a sinh-mapped window off it; complex Newton iteration with
-difference-quotient slopes from one array call per step, fixed-step RK4
-evolution of linear complex rates, Richardson-extrapolated finite
-differences, and the not-a-knot cubic spline.  Everything here is a pure
-function of its arguments.
+axis, a sinh-mapped window off it.  Those are the self-energy route of a
+tabulated form factor and the oracle of the flat and rational profiles'
+closed forms, which are the route there.  Also here: complex Newton
+iteration with difference-quotient slopes from one array call per step,
+fixed-step RK4 evolution of linear complex rates, Richardson-extrapolated
+finite differences, and the not-a-knot cubic spline.  Everything here is
+a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -81,6 +83,16 @@ def _unbox(x):
     return x.item() if x.ndim == 0 else x
 
 
+def _finite_points(z) -> np.ndarray:
+    """The points ``z`` of a Cauchy integral as a flat array; one that is
+    not finite is the caller's error, a :class:`ValueError` naming it."""
+    z = np.asarray(z).ravel()
+    if not np.isfinite(z).all():
+        raise ValueError("Cauchy integral at a point that is not finite: "
+                         f"z = {complex(z[~np.isfinite(z)][0])!r}")
+    return z
+
+
 def _complex(re, im):
     """re + i*im elementwise, exactly (no 0*inf products, signed zeros
     kept); a Python complex for scalar parts."""
@@ -135,8 +147,8 @@ _SIDES = np.array([-1.0, 1.0])[:, None, None]
 # the kernel's two accuracies (abs_tol, rel_tol): an integral is done once
 # its summed Kronrod-Gauss gauge is within max(abs_tol, rel_tol * |I|), and
 # fails past _MAX_PANELS panels.  Principal values run at the density
-# table's, which the pole search inherits; plain integrals at that of the
-# table's norm and tail bound
+# table's, which a tabulated profile's pole search inherits; plain
+# integrals at that of the table's norm and tail bound
 _CAUCHY_TOL = (1e-12, 1e-10)
 _INTEGRAL_TOL = (1e-11, 1e-11)
 _MAX_PANELS = 20000
@@ -417,7 +429,9 @@ def principal_values(g, a: float, b: float, poles, *,
                      scale: float = 1.0) -> np.ndarray:
     """The Cauchy integrals of g(w) / (z - w) over [a, b], one per z in
     ``poles``: principal values for real z, plain integrals otherwise.
-    A z that is not finite raises :class:`ValueError`.
+    A z that is not finite raises :class:`ValueError`.  It is the
+    self-energy route of a tabulated form factor and the quadrature
+    oracle of the closed forms of the flat and rational profiles.
 
     ``b`` may be +inf.  ``g`` maps a float array of any shape to a real
     array of that shape and must be smooth around every Re z inside the
@@ -474,10 +488,7 @@ def principal_values(g, a: float, b: float, poles, *,
     Only points that miss their tolerance go on to bisection, which
     evaluates each new panel with the integrand of its piece.
     """
-    z = np.asarray(poles).ravel()
-    if not np.isfinite(z).all():
-        raise ValueError("Cauchy integral at a point that is not finite: "
-                         f"z = {complex(z[~np.isfinite(z)][0])!r}")
+    z = _finite_points(poles)
     x, y = np.real(z).astype(float), np.imag(z).astype(float)
     off = y != 0.0
     n_off = np.count_nonzero(off)

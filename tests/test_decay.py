@@ -560,8 +560,10 @@ class TestExactSynthesis:
         _, table = _nonnegative_table(gaps, coef)
         knots, h, right, taylor, first, last = table._pieces
         t = tx / knots[-1]
+        # a Python float quotient: inf, not a numpy overflow warning, at a
+        # subnormal t
         m = (h.size if t == 0.0
-             else int(np.searchsorted(h, _MOMENT_SWITCH / t)))
+             else int(np.searchsorted(h, _MOMENT_SWITCH / float(t))))
         arg = knots * -t
         phase = np.cos(arg) + 1j * np.sin(arg)
         n, p = np.arange(taylor.shape[1]), np.arange(4)

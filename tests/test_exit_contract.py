@@ -210,8 +210,8 @@ def test_all_failed_scan_says_so(tmp_path, capsys):
 
 
 def test_subnormal_width_resolves(tmp_path):
-    """lambda = 1e-155 puts the pole 3e-310 below the axis, where the
-    Cauchy kernel takes its rim value."""
+    """lambda = 1e-155 puts the pole 3e-310 below the axis, a subnormal
+    distance from the cut."""
     code, out = _run(tmp_path, "pole",
                      _set(FLAT_CONFIG, "model.lambda", "1e-155"))
     assert code == 0

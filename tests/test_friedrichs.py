@@ -24,24 +24,49 @@ from gamow_thermo.numerics import (
 
 
 def closed_eta(model, z, sheet="I"):
-    """Closed-form eta(z) off the cut, for the two analytic profiles.
+    """Closed-form eta(z) off the cut, for the two analytic profiles: a
+    scalar ``cmath`` reference, apart from the package's own closed forms.
 
     Flat cutoff c: the integral of 1/(z - w) over [0, c] is the complex
-    log(z) - log(z - c).  Rational scale s: partial fractions give
-    (z log(-z/s) / pi - s/2) / (z^2 + s^2), see :func:`_rational_integral`.
-    Sheet II adds 2 pi i lam^2 f^2(z) below the axis and subtracts it
-    above.
+    log(z) - log(z - c), see :func:`_flat_integral`.  Rational scale s:
+    partial fractions give (z log(-z/s) / pi - s/2) / (z^2 + s^2), see
+    :func:`_rational_integral`.
     """
     ff = model.form_factor
     if isinstance(ff, gt.FlatCutoff):
-        integral = cmath.log(z) - cmath.log(z - ff.cutoff)
+        integral = _flat_integral(z, ff.cutoff)
     else:
         integral = _rational_integral(z, ff.scale)
+    return _eta(model, z, integral, sheet)
+
+
+def kernel_eta(model, z, sheet="I"):
+    """eta(z) off the axis with its integral from the adaptive Cauchy
+    kernel: the quadrature oracle of the closed forms."""
+    ff = model.form_factor
+    integral = principal_values(ff.f2, *ff.support, [z],
+                                scale=ff.scale_hint)[0]
+    return _eta(model, z, integral, sheet)
+
+
+def _eta(model, z, integral, sheet):
+    """z - omega0 - lam^2 * integral on sheet I; sheet II adds
+    2 pi i lam^2 f^2(z) below the axis and subtracts it above."""
     eta = z - model.omega0 - model.lam**2 * integral
     if sheet == "II":
-        jump = 2j * np.pi * model.lam**2 * ff.f2_complex(z)
+        jump = 2j * np.pi * model.lam**2 * model.form_factor.f2_complex(z)
         eta += jump if z.imag < 0 else -jump
     return eta
+
+
+def _flat_integral(z, c):
+    """log(z) - log(z - c); past |z| = 4c, where the two logs cancel, the
+    series -log(1 - u) = sum_k u^k / k in u = c/z, |u| < 1/4, summed to
+    k = 60."""
+    if abs(z) <= 4.0 * c:
+        return cmath.log(z) - cmath.log(z - c)
+    u = c / z
+    return sum(u**k / k for k in range(60, 0, -1))
 
 
 def _rational_integral(z, s):
@@ -215,7 +240,8 @@ class TestSelfEnergy:
     def test_off_cut_against_closed_form(self, kind, sheet, size, where,
                                          frac, height, below):
         """Every z off the axis, however close to it, with Re z inside
-        the support, on either end of it or outside it: lam = 1, so the
+        the support, on either end of it or outside it, against the
+        quadrature oracle and the scalar closed form: lam = 1, so the
         bound is the one on the integral itself."""
         model = _profile_model(kind, 1.0, 1.0, size)
         top = 10.0 * size
@@ -230,6 +256,7 @@ class TestSelfEnergy:
         assume(sheet == "I" or kind == "flat"
                or abs(abs(z.real) + 1j * (abs(z.imag) - size)) > 1e-5 * size)
         val = gt.self_energy(model, z, sheet)
+        assert abs(val - kernel_eta(model, z, sheet)) < 1e-9
         assert abs(val - closed_eta(model, z, sheet)) < 1e-9
 
     def test_sheet_difference_lower_half(self, flat_model):
@@ -253,8 +280,8 @@ class TestSelfEnergy:
     def test_pole_of_the_continuation_is_a_typed_error(self, scale):
         """At +-i * scale the rational f^2 has the poles that sheet II
         carries: eta_II is infinite there and raises, naming z, alone or
-        in a batch, while sheet I stays finite and matches the closed
-        form."""
+        in a batch, while sheet I stays finite and matches the quadrature
+        oracle and the scalar closed form."""
         model = _profile_model("rational", 1.0, 0.1, scale)
         for z in (1j * scale, -1j * scale):
             with pytest.raises(IntegrandError, match=re.escape(f"z = {z!r}")):
@@ -262,6 +289,7 @@ class TestSelfEnergy:
             with pytest.raises(IntegrandError):
                 gt.self_energy(model, np.array([0.5 - 0.1j, z]), "II")
             val = gt.self_energy(model, z, "I")
+            assert abs(val - kernel_eta(model, z)) < 1e-9
             assert abs(val - closed_eta(model, z)) < 1e-9
 
     def test_boundary_value_matches_nudged_quadrature(self, flat_model):
@@ -272,11 +300,15 @@ class TestSelfEnergy:
         assert abs(boundary - nudged) < 1e-5
 
     def test_on_cut_resolves_to_upper_rim(self, flat_model):
-        # the explicit split: principal value plus i*pi*lam^2*f^2
+        # the explicit split: principal value plus i*pi*lam^2*f^2, the
+        # principal value the profile's real one, within the kernel's
+        # bound of the quadrature oracle
         val = gt.self_energy(flat_model, 1.3 + 0.0j, "I")
         lam2 = flat_model.lam**2
-        pv = principal_values(flat_model.form_factor.f2, 0.0, 10.0, [1.3],
-                              scale=10.0)
+        pv = flat_model.form_factor.cauchy([1.3 + 0.0j])
+        assert pv.imag[0] == 0.0
+        assert _within_table_contract(pv, principal_values(
+            flat_model.form_factor.f2, 0.0, 10.0, [1.3], scale=10.0))
         split = 1.3 - 1.0 - lam2 * pv + 1j * np.pi * lam2 * 1.0
         assert val == split[0]
         assert val.imag > 0
@@ -348,6 +380,151 @@ def _profile_model(kind, omega0, lam, size):
     return gt.FriedrichsModel(omega0=omega0, lam=lam, form_factor=ff)
 
 
+def _cauchy_point(size, where, frac, height, below, angle, reach=12,
+                  far=150):
+    """A point of the region where the closed-form Cauchy transforms are
+    checked: off the axis inside the support (both sides of the cut) and
+    anywhere else, on the rim, on the real axis left of threshold and
+    right of the flat cutoff (up to 10^``reach`` support widths away),
+    far out to |z| = 10^``far`` widths and within scale/10 of the
+    rational profile's +-i * scale.  ``frac`` places the point,
+    ``height`` (in (0, 1]) sets |Im z| or a distance, ``angle`` a
+    direction."""
+    top = 10.0 * size
+    sign = -1.0 if below else 1.0
+    if where == "near the cut":
+        return complex(frac * top, sign * height**8 * top)
+    if where == "off the axis":
+        return complex((3.0 * frac - 1.0) * top, sign * height * top)
+    if where == "rim":
+        return complex(frac * top, 0.0)
+    if where == "left":
+        return complex(-frac * top * 10.0 ** (reach * height), 0.0)
+    if where == "right":
+        return complex(top * (1.0 + frac * 10.0 ** (reach * height)), 0.0)
+    if where == "far":
+        return top * 10.0 ** (far * frac) * cmath.exp(1j * angle)
+    return (sign * 1j * size
+            + 0.1 * size * height * cmath.exp(1j * angle))  # "pole"
+
+
+_CAUCHY_REGIONS = st.sampled_from(["near the cut", "off the axis", "rim",
+                                   "left", "right", "far", "pole"])
+
+
+class TestClosedForms:
+    """The flat and rational profiles' Cauchy transforms are closed forms,
+    and the adaptive kernel is their oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["flat", "rational"]),
+           size=_log_uniform(-1.0, 1.0), where=_CAUCHY_REGIONS,
+           frac=st.floats(1e-6, 1.0 - 1e-6), height=st.floats(1e-6, 1.0),
+           below=st.booleans(), angle=st.floats(-np.pi, np.pi))
+    def test_against_the_kernel(self, kind, size, where, frac, height,
+                                below, angle):
+        ff = _profile_model(kind, 1.0, 0.1, size).form_factor
+        # on the rational profile's unbounded support the kernel itself
+        # misses its bound around |z| = 1e11 .. 1e14 scales, in every
+        # direction (2.1x at 3e11 scales; 1.2e-12 off at z = -5e12 for
+        # scale 1), so it is the oracle out to 1e10 widths there, and
+        # test_relative_accuracy goes on to 1e150
+        z = _cauchy_point(size, where, frac, height, below, angle, reach=6,
+                          far=150 if kind == "flat" else 10)
+        value = ff.cauchy([z])
+        oracle = principal_values(ff.f2, *ff.support, [z],
+                                  scale=ff.scale_hint)
+        assert _within_table_contract(value, oracle)
+        if z.imag == 0.0:
+            assert value.imag[0] == 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["flat", "rational"]),
+           size=_log_uniform(-3.0, 3.0), where=_CAUCHY_REGIONS,
+           frac=st.floats(1e-6, 1.0 - 1e-6), height=st.floats(1e-6, 1.0),
+           below=st.booleans(), angle=st.floats(-np.pi, np.pi),
+           tiny=st.booleans())
+    def test_relative_accuracy(self, kind, size, where, frac, height, below,
+                               angle, tiny):
+        """Relative to the scalar closed forms, out to |z| = 1e150 where
+        the kernel's absolute bound says nothing, and down to 1e-300."""
+        ff = _profile_model(kind, 1.0, 0.1, size).form_factor
+        z = _cauchy_point(size, where, frac, height, below, angle)
+        if tiny:
+            z = cmath.rect(1e-300, cmath.phase(z))
+        exact = (_flat_integral(z, ff.cutoff) if kind == "flat"
+                 else _rational_integral(z, ff.scale))
+        if z.imag == 0.0:
+            exact = exact.real
+        assert abs(ff.cauchy([z])[0] - exact) <= 1e-13 * abs(exact)
+
+    def test_threshold(self):
+        """At z = 0 the rational integral is its limit -1/(2s), the
+        kernel's plain integral, also where z/s underflows; the flat one
+        diverges on either end of its support, and a real z there raises,
+        naming it, alone or in a batch."""
+        for s in (0.5, 1e10):
+            ff = gt.RationalFormFactor(scale=s)
+            assert _within_table_contract(ff.cauchy([0.0]), principal_values(
+                ff.f2, 0.0, np.inf, [0.0], scale=s))
+            for z in (0j, -0j, 5e-324 + 0j):
+                assert ff.cauchy([z])[0] == pytest.approx(-0.5 / s,
+                                                          rel=1e-15)
+        flat = gt.FlatCutoff(cutoff=10.0)
+        for z in (0.0, 10.0):
+            with pytest.raises(IntegrandError,
+                               match=re.escape(f"z = {complex(z)!r}")):
+                flat.cauchy([1.0 - 1j, z])
+
+    @pytest.mark.parametrize("kind", ["flat", "rational"])
+    def test_analytic_profiles_make_no_kernel_call(self, kind, monkeypatch):
+        """With a kernel that raises, the pole search, the density and the
+        density table still run on the flat and rational profiles; the
+        tabulated one, whose route is the kernel, raises."""
+        def kernel(*args, **kwargs):
+            raise AssertionError("the Cauchy kernel was called")
+
+        monkeypatch.setattr(numerics, "_cauchy", kernel)
+        model = _profile_model(kind, 1.0, 0.1, 1.0)
+        assert gt.find_pole(model).gamma > 0.0
+        assert gt.spectral_density(model, np.array([0.5, 1.0, 2.0])).all()
+        table = gt.density_table.__wrapped__(model)
+        assert abs(table.norm_direct - 1.0) < 1e-6
+        grid = np.linspace(0.0, 10.0, 40)
+        tabulated = gt.FriedrichsModel(
+            omega0=1.0, lam=0.1,
+            form_factor=gt.TabulatedFormFactor(grid=grid,
+                                               values=np.ones_like(grid)))
+        with pytest.raises(AssertionError, match="kernel was called"):
+            gt.self_energy(tabulated, 1.0 - 0.1j)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["flat", "rational"]),
+           sheet=st.sampled_from(["I", "II"]),
+           size=_log_uniform(-100.0, 100.0),
+           omega0=_log_uniform(-1.0, 1.0), lam=_log_uniform(-2.0, 0.5),
+           radius=_log_uniform(-300.0, 300.0),
+           angle=st.one_of(st.sampled_from([0.0, np.pi, 0.5 * np.pi,
+                                            -0.5 * np.pi]),
+                           st.floats(-np.pi, np.pi)),
+           at_pole=st.sampled_from([None, 1j, -1j]))
+    def test_self_energy_never_warns(self, kind, sheet, size, omega0, lam,
+                                     radius, angle, at_pole):
+        """Anywhere from |z| = 1e-300 to 1e300, and exactly at +-i * scale,
+        on either sheet: a finite value or a typed error, and no numpy
+        warning."""
+        model = _profile_model(kind, omega0, lam, size)
+        z = (at_pole * size if at_pole is not None
+             else radius * cmath.exp(1j * angle))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                value = gt.self_energy(model, z, sheet)
+            except (numerics.NumericalFailure, ValueError):
+                return
+        assert cmath.isfinite(value)
+
+
 def _check_pole(model, pole):
     """The closed-form root to 1e-9 in z and in Gamma, and the golden-rule
     width to relative 10 lam^2."""
@@ -359,13 +536,15 @@ def _check_pole(model, pole):
 
 
 def _within_table_contract(pv, exact):
-    """The density table's accuracy contract on the principal value."""
+    """The density table's accuracy contract on the principal value, the
+    Cauchy kernel's bound max(1e-12, 1e-10 |PV|)."""
     return np.all(np.abs(pv - exact)
                   <= np.maximum(1e-12, 1e-10 * np.abs(exact)))
 
 
 def _pv(model, omega):
-    """The principal value inside eta(omega + i0), as self_energy takes it."""
+    """The kernel's principal value at omega: the quadrature oracle of the
+    one inside eta(omega + i0)."""
     ff = model.form_factor
     lo, hi = ff.support
     return principal_values(ff.f2, lo, hi, omega, scale=ff.scale_hint)

@@ -274,25 +274,27 @@ class TestFirstPass:
                                          gt.RationalFormFactor(scale=1.0)],
                              ids=["flat", "rational"])
     def test_pole_search_needs_no_bisection(self, profile, lam, monkeypatch):
-        """Every kernel call of find_pole, the estimate's real point and
-        each Newton stencil's three, evaluates its first pass and no
-        more."""
+        """The quadrature oracle at every point set find_pole hands to
+        self_energy, the estimate's real point and each Newton stencil's
+        three, evaluates its first pass and no more."""
         calls = []
-        kernel = friedrichs.principal_values
+        self_energy = friedrichs.self_energy
 
-        def recorded(g, a, b, poles, **kwargs):
-            g, seen = _recording(g)
-            calls.append((np.asarray(poles), seen))
-            return kernel(g, a, b, poles, **kwargs)
+        def recorded(model, z, sheet="I"):
+            calls.append(np.atleast_1d(np.asarray(z, dtype=complex)))
+            return self_energy(model, z, sheet)
 
-        monkeypatch.setattr(friedrichs, "principal_values", recorded)
+        monkeypatch.setattr(friedrichs, "self_energy", recorded)
         model = gt.FriedrichsModel(omega0=1.0, lam=lam, form_factor=profile)
         pole = gt.find_pole(model)
         assert len(calls) == 1 + pole.stencils
-        tail = np.isinf(profile.support[1])
-        for z, seen in calls:
+        lo, hi = profile.support
+        tail = np.isinf(hi)
+        for z in calls:
             off = np.count_nonzero(z.imag)
             assert off in (0, z.size)
+            g, seen = _recording(profile.f2)
+            principal_values(g, lo, hi, z, scale=profile.scale_hint)
             window = _WINDOW_OFF if off else _WINDOW_ON
             pieces = [window, _PIECE, _PIECE][:2 + tail]
             assert [w.size for w in seen] == [z.size * n for n in pieces]
