@@ -216,8 +216,7 @@ def _failure(exc: Exception) -> str:
 def _scan_lambda(cfg: RunConfig, values: np.ndarray) -> list:
     """One pole search per lambda on a model built once, each reporting
     its own estimate; a failed search is an error row."""
-    model = RunConfig(raw={**cfg.raw, "model.lambda": "0"},
-                      base_dir=cfg.base_dir).model()
+    model = RunConfig(raw={**cfg.raw, "model.lambda": "0"}).model()
     start = cfg.get("root.initial_guess")
 
     def row(lam: float) -> list:

@@ -2,11 +2,12 @@
 
 One ``section.key = value`` pair per line, ``#`` comments, no nesting.
 A JSON run record produced by the CLI can be fed back as a config: its
-embedded ``config`` mapping is exactly the original key set, which is what
-makes reruns bit-for-bit reproducible.  Every value is read by its key's
-type, and checked against its allowed values where a key has a fixed set,
-when the config is constructed, so a malformed value stops a run before
-any work, even when the command never uses that key.
+embedded ``config`` mapping is exactly the original key set, with a table
+path made absolute, which is what makes reruns bit-for-bit reproducible
+from any directory.  Every value is read by its key's type, and checked
+against its allowed values where a key has a fixed set, when the config
+is constructed, so a malformed value stops a run before any work, even
+when the command never uses that key.
 """
 
 from __future__ import annotations
@@ -155,6 +156,12 @@ class RunConfig:
             except ValueError:
                 raise ConfigError(
                     f"{key} must be {what}, got {text!r}") from None
+        # a table path is kept absolute, in the echoed raw pairs too, so
+        # that a run record opens the same file from any directory
+        if "model.table" in self.values:
+            table = str((self.base_dir / self.values["model.table"]).resolve())
+            self.values["model.table"] = table
+            self.raw = {**self.raw, "model.table": table}
 
     def get(self, key: str, default=None, required: bool = False):
         """The value of ``key``, or ``default`` when it is not set."""
@@ -176,7 +183,7 @@ class RunConfig:
             elif kind == "rational":
                 ff = RationalFormFactor(scale=param)
             else:
-                ff = TabulatedFormFactor.from_file(self.base_dir / param)
+                ff = TabulatedFormFactor.from_file(param)
             return FriedrichsModel(omega0=omega0, lam=lam, form_factor=ff)
         except (ValueError, OSError) as exc:
             raise ConfigError(f"invalid model section: {exc}") from exc

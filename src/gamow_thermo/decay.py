@@ -298,31 +298,31 @@ def density_table(model: FriedrichsModel) -> DensityTable:
     """Cached spline table of the model's overlap density.
 
     The knots start as the norm integral's nodes plus a ladder into each
-    support edge where f^2 jumps.  Then one rule repeats: fit the spline
-    through all knots, compare it at every knot midpoint with a fresh
-    density, and make each midpoint that misses max(3e-10, 1e-9 |rho|) a
-    knot.  Every midpoint is checked each round because a cubic spline is
-    global: a new knot moves the fit on intervals accepted earlier.  Each
-    density is evaluated once, and each set of new frequencies is one
-    batched density call.  A density, normalization or fit that is not
-    finite raises :class:`NumericalFailure`: a NaN would pass every
-    refinement test.  The cache is not single-flight: concurrent first
-    callers for one model each build, and may each return, their own
-    table.
+    support edge where f^2 jumps, with the densities evaluated there.
+    Then one rule repeats: fit the spline through all knots, compare it at
+    every knot midpoint with the density there, and make each midpoint
+    that misses max(3e-10, 1e-9 |rho|) a knot, with that density.  Every
+    midpoint is checked each round because a cubic spline is global: a
+    new knot moves the fit on intervals accepted earlier.  The loop holds
+    sorted arrays of knots and midpoints with their densities; only the
+    two halves of each split interval are new, so no frequency is
+    evaluated twice and each round is one batched density call.  A
+    density, normalization or fit that is not finite raises
+    :class:`NumericalFailure`: a NaN would pass every refinement test.
+    The cache is not single-flight: concurrent first callers for one
+    model each build, and may each return, their own table.
     """
     hi = _tail_cutoff(model)
     lo = model.form_factor.support[0]
-    density: dict[float, float] = {}
+    nodes, densities = [], []
 
     def rho(ws):
-        keys = np.asarray(ws, dtype=float).tolist()
-        new = [w for w in keys if w not in density]
-        if new:
-            fresh = spectral_density(model, np.array(new))
-            if not np.isfinite(fresh).all():
-                raise NumericalFailure("the overlap density is not finite")
-            density.update(zip(new, fresh.tolist()))
-        return np.array([density[w] for w in keys])
+        fresh = spectral_density(model, ws)
+        if not np.isfinite(fresh).all():
+            raise NumericalFailure("the overlap density is not finite")
+        nodes.append(ws)
+        densities.append(fresh)
+        return fresh
 
     norm_direct = float(integrate(rho, lo, hi).real)
     if not np.isfinite(norm_direct):
@@ -338,20 +338,30 @@ def density_table(model: FriedrichsModel) -> DensityTable:
             and float(model.form_factor.f2(hi - 1e-9 * scale)) > 0:
         edges.append(hi - ladder)
     if edges:
-        rho(np.concatenate(edges))
+        edges = np.concatenate(edges)
+        rho(edges[~np.isin(edges, np.concatenate(nodes))])
 
-    knots = np.array(sorted(density))
+    knots, first = np.unique(np.concatenate(nodes), return_index=True)
+    values = np.concatenate(densities)[first]
+    # the midpoints still to evaluate: all of them in the first round
+    new, at_mids = np.ones(knots.size - 1, bool), np.empty(knots.size - 1)
     for _ in range(40):
-        spline = _cubic_spline(knots, rho(knots))
+        spline = _cubic_spline(knots, values)
         if not np.isfinite(spline.c).all():
             raise NumericalFailure("the density spline is not finite")
         mids = 0.5 * (knots[:-1] + knots[1:])
-        fresh = rho(mids)
-        dev = np.abs(spline(mids) - fresh)
-        bad = dev > np.maximum(3e-10, 1e-9 * np.abs(fresh))
+        at_mids[new] = rho(mids[new])
+        dev = np.abs(spline(mids) - at_mids)
+        bad = dev > np.maximum(3e-10, 1e-9 * np.abs(at_mids))
         if not bad.any():
             break
-        knots = np.sort(np.concatenate([knots, mids[bad]]))
+        # each failing midpoint becomes a knot; the halves of its interval
+        # are the next round's new midpoints
+        at = np.flatnonzero(bad) + 1
+        knots = np.insert(knots, at, mids[bad])
+        values = np.insert(values, at, at_mids[bad])
+        new = np.repeat(bad, 1 + bad)
+        at_mids = np.repeat(at_mids, 1 + bad)
     else:
         raise NonConvergence("density spline refinement did not settle")
     return DensityTable(spline=spline, norm_direct=norm_direct,

@@ -182,24 +182,35 @@ class RationalFormFactor(FormFactor):
 
     def f2(self, omega):
         omega = np.asarray(omega, dtype=float)
-        # past omega^2 = inf, omega = inf included, the profile is its
-        # limit, zero; where omega^2 + scale^2 underflows to 0 it is inf
+        # omega / (pi (omega^2 + s^2)) where that sum is a normal double
+        # and the denominator finite; elsewhere, an overflow or underflow,
+        # the w = omega/s form of f2_complex.  At omega = inf it is the
+        # limit, zero
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             inside = (omega >= 0.0) & (omega < np.inf)
-            return _unbox(np.where(inside, omega / (
-                np.pi * (omega**2 + self.scale**2)), 0.0))
+            denom = np.pi * (omega**2 + np.float64(self.scale)**2)
+            out = np.where(inside, omega / denom, 0.0)
+            normal = (denom >= np.pi * 2.0**-1022) & (denom < np.inf)
+            odd = inside & ~normal
+            if np.count_nonzero(odd):
+                out[odd] = self._in_w(omega[odd])
+        return _unbox(out)
 
     def f2_complex(self, z):
-        # in w = z/s, w / (w^2 + 1) / (pi s), not finite at the poles w =
-        # +-i; divided through by w far out, where w^2 may overflow
-        z, s = np.asarray(z, dtype=complex), self.scale
+        return _unbox(self._in_w(np.asarray(z, dtype=complex)))
+
+    def _in_w(self, z):
+        """The profile at the real or complex array ``z`` in w = z/s:
+        w / (w^2 + 1) / (pi s), not finite at the poles w = +-i; divided
+        through by w far out, where w^2 may overflow."""
+        s = self.scale
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             w = z / s
             out = w / (w * w + 1.0) / (np.pi * s)
-        far = np.abs(w) > 1e150
-        if far.any():
-            out[far] = 1.0 / (np.pi * (z[far] + s * (s / z[far])))
-        return _unbox(out)
+            far = np.abs(w) > 1e150
+            if np.count_nonzero(far):
+                out[far] = 1.0 / (np.pi * (z[far] + s * (s / z[far])))
+        return out
 
     def cauchy(self, z):
         """N(z) / (z^2 + s^2) with N(z) = z log(-z/s) / pi - s/2, from
@@ -375,19 +386,18 @@ def self_energy(model: FriedrichsModel, z, sheet: str = "I"):
 
     ff = model.form_factor
     lo, hi = ff.support
-    eta = z - model.omega0 - lam2 * ff.cauchy(z)
     # the rim: real points strictly inside the support
     rim = z.imag == 0.0
     if np.count_nonzero(rim):
         rim &= (lo < z.real) & (z.real < hi)
-        eta[rim] += 1j * np.pi * lam2 * np.asarray(ff.f2(z.real[rim]))
         cut = ~rim
     else:
         cut = slice(None)
     if sheet == "II":
         # continuation through the cut: from above into Im z < 0, from
-        # below into Im z > 0
-        off = z[cut]
+        # below into Im z > 0; taken before the integral, which a profile
+        # without a continuation would spend for nothing
+        off = _finite_points(z)[cut]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             jump = 2j * np.pi * lam2 * ff.f2_complex(off)
         jump = np.where(off.imag < 0, jump, -jump)
@@ -396,6 +406,10 @@ def self_energy(model: FriedrichsModel, z, sheet: str = "I"):
             raise IntegrandError(f"eta_II is infinite at z = "
                                  f"{complex(off[bad][0])!r}, a pole of "
                                  f"f2_complex")
+    eta = z - model.omega0 - lam2 * ff.cauchy(z)
+    if np.count_nonzero(rim):
+        eta[rim] += 1j * np.pi * lam2 * np.asarray(ff.f2(z.real[rim]))
+    if sheet == "II":
         eta[cut] += jump
     return _unbox(eta.reshape(shape))
 

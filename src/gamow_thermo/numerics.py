@@ -1,21 +1,21 @@
 """Shared numerical kernel.
 
-Adaptive complex quadrature (Gauss-Kronrod 7-15 with bulk bisection) and,
+Adaptive complex quadrature (Gauss-Kronrod 7-15 with bulk bisection on
+one flat list of panels, whose first round is a static first pass) and,
 on the same kernel, the Cauchy integrals of g(w) / (z - w) for a whole
-array of z at once, from a static first pass: principal values on the
-axis, a sinh-mapped window off it.  Those are the self-energy route of a
-tabulated form factor and the oracle of the flat and rational profiles'
-closed forms, which are the route there.  Also here: complex Newton
-iteration with difference-quotient slopes from one array call per step,
-fixed-step RK4 evolution of linear complex rates, Richardson-extrapolated
-finite differences, and the not-a-knot cubic spline.  Everything here is
-a pure function of its arguments.
+array of z at once: principal values on the axis, a sinh-mapped window
+off it.  Those are the self-energy route of a tabulated form factor and
+the oracle of the flat and rational profiles' closed forms, which are
+the route there.  Also here: complex Newton iteration with
+difference-quotient slopes from one array call per step, fixed-step RK4
+evolution of linear complex rates, Richardson-extrapolated finite
+differences, and the not-a-knot cubic spline.  Everything here is a pure
+function of its arguments.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,27 +157,16 @@ _ODE_REL_TOL = 1e-10
 
 
 @functools.cache
-def _first_pass(pieces: int, off: bool):
-    """The static first pass of an integral with ``pieces`` pieces, s in
-    [p, p + 1) for piece p, each split into ``_PANELS`` equal panels;
-    off the axis the window piece of a Cauchy integral also splits at
-    s = 1/16, 1/8, 7/8 and 15/16.
-
-    Returns the panel edges, every node, the half-width of every panel and
-    the slice of each piece's nodes, the nodes given in the piece's own
-    coordinate s - p.
-    """
+def _first_pass(pieces: int, off: bool) -> np.ndarray:
+    """The panel edges in s of the static first pass of an integral with
+    ``pieces`` pieces, s in [p, p + 1) for piece p, each split into
+    ``_PANELS`` equal panels; off the axis the window piece of a Cauchy
+    integral also splits at s = 1/16, 1/8, 7/8 and 15/16."""
     edges = np.linspace(0.0, pieces, pieces * _PANELS + 1)
     if off:
         edges = np.insert(edges, [1, 1, _PANELS, _PANELS],
                           [0.0625, 0.125, 0.875, 0.9375])
-    lo, hi = edges[:-1], edges[1:]
-    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    nodes = centre[:, None] + half[:, None] * _NODES
-    first = np.searchsorted(centre, np.arange(pieces + 1)) * _NODES.size
-    nodes = nodes.ravel() - np.repeat(np.arange(pieces), np.diff(first))
-    return edges, nodes, half, [slice(*first[p:p + 2])
-                                for p in range(pieces)]
+    return edges
 
 
 def _kronrod(vals, half, centre):
@@ -195,112 +184,86 @@ def _kronrod(vals, half, centre):
     return kron, np.abs(kron - sums[..., 1])
 
 
-def _composite(pieces, table, n: int, tol, dtype, live=()) -> np.ndarray:
-    """The integrals of ``n`` rows over s in [0, len(pieces)) from the
-    first pass ``table`` of :func:`_first_pass`, bisecting offending
-    panels in bulk.
+def _composite(pieces, edges, n: int, tol, dtype, live=()) -> np.ndarray:
+    """The integrals of ``n`` rows over s in [0, len(pieces)), from the
+    first-pass panel ``edges`` of :func:`_first_pass`, bisecting
+    offending panels in bulk.
 
     Piece p covers s in [p, p + 1): ``pieces[p](j, u)`` is its integrand
-    at the rows j (an index that picks them as a column) and the nodes
-    u = s - p (the rows of an array), shaped like their broadcast.
-    ``live`` holds, for the leading pieces, a mask of the rows where the
-    piece can be nonzero; the other rows take zero there without a call.
+    at the rows j (an index array, as a column) and the nodes u = s - p
+    (the rows of an array), shaped like their broadcast.  ``live`` holds,
+    for the leading pieces, a mask of the rows where the piece can be
+    nonzero; the other rows get no panel there, and so no call.
 
-    The first pass goes by blocks of rows, each piece's nodes one
-    broadcast over the block.  With ``tol`` = (abs_tol, rel_tol), a row
-    whose summed gauge exceeds max(abs_tol, rel_tol * |I_i|) bisects each
-    panel holding more than half its share, and the new panels of all
-    such rows are evaluated together, each with the integrand of its
-    piece; a panel at float resolution is accepted as it stands.  The
-    sums run panel by panel in order.  Rows never interact, so a row's
-    result does not depend on its batch.
+    The state is one flat list of panels, (row, lo, hi) with each
+    panel's Kronrod sum and gauge; round 0 holds every row's first-pass
+    panels.  Each round evaluates its new panels together, each with the
+    integrand of its piece, by blocks of ``_BLOCK`` points.  With ``tol``
+    = (abs_tol, rel_tol), a row whose summed gauge exceeds
+    max(abs_tol, rel_tol * |I_i|) bisects each panel holding more than
+    half its share, its count of panels starting at every first-pass
+    panel, live or not; a panel at float resolution is accepted as it
+    stands.  The sums run panel by panel in order.  Rows never interact,
+    so a row's result does not depend on its batch.
     """
-    edges, nodes, half, cut = table
     abs_tol, rel_tol = tol
-    centre = 0.5 * (edges[:-1] + edges[1:])
-    out, owner, val, err = [], [], [], []
-    step = max(1, _BLOCK // nodes.size)
-    for s in range(0, n, step):
-        rows = slice(s, min(s + step, n))
-        vals = np.empty((rows.stop - s, nodes.size), dtype=dtype)
-        for f, part, mask in itertools.zip_longest(pieces, cut, live):
-            if mask is None or np.count_nonzero(mask[rows]) == len(vals):
-                vals[:, part] = f((rows, None), nodes[part])
-                continue
-            hit = np.flatnonzero(mask[rows])
-            vals[:, part] = 0.0
-            if hit.size:
-                vals[hit, part] = f(s + hit[:, None], nodes[part])
-        block_val, block_err = _kronrod(
-            vals.reshape(len(vals), half.size, _NODES.size), half, centre)
-        total = np.cumsum(block_val, axis=1)[:, -1]
-        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
-        miss = np.flatnonzero(np.cumsum(block_err, axis=1)[:, -1] > tol)
-        if miss.size:
-            owner.append(s + miss)
-            val.append(block_val[miss])
-            err.append(block_err[miss])
-        out.append(total)
-    out = np.concatenate(out)
-    if not owner:
-        return out
-    # the rows that miss go on, numbered 0..k-1 among themselves
-    owner = np.concatenate(owner)
-    k, m = owner.size, edges.size - 1
-    row = np.repeat(np.arange(k), m)
-    lo, hi = np.tile(edges[:-1], k), np.tile(edges[1:], k)
-    val, err = np.concatenate(val).ravel(), np.concatenate(err).ravel()
-    count = np.full(k, m)
+    alive = np.ones((n, len(pieces)), dtype=bool)
+    alive[:, :len(live)] = np.transpose(live)
+    row, panel = np.nonzero(alive[:, edges[:-1].astype(int)])
+    lo, hi = edges[panel], edges[panel + 1]
+    count = np.full(n, edges.size - 1)
     step = _BLOCK // _NODES.size
 
     def evaluate(row, lo, hi):
-        # a bisected panel lies inside one piece: its centre names it
-        parts = []
+        # a panel lies inside one piece: its centre names it
+        val, err = np.empty(lo.size, dtype=dtype), np.empty(lo.size)
         for c in range(0, lo.size, step):
             centre = 0.5 * (lo[c:c + step] + hi[c:c + step])
             half = 0.5 * (hi[c:c + step] - lo[c:c + step])
             s = centre[:, None] + half[:, None] * _NODES
-            j, piece = owner[row[c:c + step]][:, None], centre.astype(int)
+            j, piece = row[c:c + step, None], centre.astype(int)
             vals = np.empty(s.shape, dtype=dtype)
             for p, f in enumerate(pieces):
                 sel = piece == p
                 if sel.any():
                     vals[sel] = f(j[sel], s[sel] - p)
-            parts.append(_kronrod(vals, half, centre))
-        return tuple(np.concatenate(part) for part in zip(*parts))
+            val[c:c + step], err[c:c + step] = _kronrod(vals, half, centre)
+        return val, err
 
+    val, err = evaluate(row, lo, hi)
+    out = np.empty(n, dtype=dtype)
+    # the rows that still hold panels
+    todo = np.ones(n, dtype=bool)
     while True:
-        total = np.zeros(k, dtype=val.dtype)
+        total = np.zeros(n, dtype=dtype)
         np.add.at(total, row, val)
         tol = np.maximum(abs_tol, rel_tol * np.abs(total))
-        open_rows = np.bincount(row, err, k) > tol
+        open_rows = np.bincount(row, err, n) > tol
+        # a row within its tolerance is done, and its panels leave
+        done = todo & ~open_rows
+        out[done] = total[done]
+        todo = open_rows
         if not open_rows.any():
-            out[owner] = total
             return out
         if count[open_rows].max() > _MAX_PANELS:
             raise NonConvergence(
                 f"{_MAX_PANELS} subdivisions exhausted on "
-                f"{int(open_rows.sum())} of {out.size} integrals")
+                f"{int(open_rows.sum())} of {n} integrals")
         split = np.flatnonzero(open_rows[row]
                                & (err > 0.5 * tol[row] / count[row]))
         mid = 0.5 * (lo[split] + hi[split])
         whole = (mid > lo[split]) & (mid < hi[split])
         err[split[~whole]] = 0.0
         split, mid = split[whole], mid[whole]
-        if not split.size:
-            continue
-        keep = np.ones(lo.size, dtype=bool)
+        keep = open_rows[row]
         keep[split] = False
-        new_row = np.tile(row[split], 2)
-        new_lo = np.concatenate([lo[split], mid])
-        new_hi = np.concatenate([mid, hi[split]])
-        new_val, new_err = evaluate(new_row, new_lo, new_hi)
-        count += np.bincount(row[split], minlength=k)
-        row = np.concatenate([row[keep], new_row])
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        val = np.concatenate([val[keep], new_val])
-        err = np.concatenate([err[keep], new_err])
+        halves = (np.tile(row[split], 2), np.concatenate([lo[split], mid]),
+                  np.concatenate([mid, hi[split]]))
+        halves += evaluate(*halves)
+        count += np.bincount(row[split], minlength=n)
+        # each panel array keeps its open rows' unsplit panels, then halves
+        row, lo, hi, val, err = (np.concatenate([old[keep], new]) for old, new
+                                 in zip((row, lo, hi, val, err), halves))
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,12 +444,13 @@ def principal_values(g, a: float, b: float, poles, *,
     three pieces) starts from one table of panels in s, four per piece,
     and off the axis the window also splits at v/v_win = 1/16, 1/8, 7/8
     and 15/16, its two ends, where a narrow resonance's integrand varies
-    fastest in v.  Each piece's integrand is evaluated once, as one
-    (points x nodes) broadcast, and a point with an empty window (r = 0)
-    takes zero there without calling g.  So a call costs about the same
-    for one point as for a few: its cost is per call, not per point.
-    Only points that miss their tolerance go on to bisection, which
-    evaluates each new panel with the integrand of its piece.
+    fastest in v.  That pass is the kernel's first bisection round: each
+    piece's integrand is evaluated once, on every point's nodes at once,
+    and a point with an empty window (r = 0) gets no panel there, so g
+    is not called for it.  A call therefore costs about the same for one
+    point as for a few: its cost is per call, not per point.  Only points
+    that miss their tolerance go on to further rounds, which evaluate
+    each new panel with the integrand of its piece.
     """
     z = _finite_points(poles)
     x, y = np.real(z).astype(float), np.imag(z).astype(float)
@@ -536,7 +500,11 @@ def _cauchy(g, a: float, b: float, x: np.ndarray, y: np.ndarray, off: bool,
     # the integrand of each piece in its own coordinate u = s - p in
     # [0, 1): j picks the rows, as a column
     if not off:
-        span = np.log(end / start)
+        # a subnormal start overflows end / start: d = exp(ln start + u span)
+        deep = np.isinf(end / start) & (start > 0.0)
+        lead = np.where(deep, np.log(start), 0.0)
+        span = np.where(deep, np.log(end) - lead, np.log(end / start))
+        base = np.where(deep, 1.0, start)
 
         def window(j, u):
             down, up = g(x[j] + _SIDES * (r[j] * u))
@@ -545,7 +513,8 @@ def _cauchy(g, a: float, b: float, x: np.ndarray, y: np.ndarray, off: bool,
         def one_sided(j, u):
             # an end point (start = 0, g vanishing there) goes in d itself
             linear = start[j] == 0.0
-            d = np.where(linear, u * end[j], start[j] * np.exp(u * span[j]))
+            d = np.where(linear, u * end[j],
+                         base[j] * np.exp(lead[j] + u * span[j]))
             rate = np.where(linear, end[j] / d, span[j])
             return -side[j] * rate * g(x[j] + side[j] * d)
 
@@ -574,7 +543,7 @@ def _cauchy(g, a: float, b: float, x: np.ndarray, y: np.ndarray, off: bool,
             return -g(x[j] + end[j] / q) / (q - 1j * y[j] * q * q / end[j])
 
     pieces = [window, one_sided, tail][:2 + infinite]
-    # a point with an empty window (r = 0) takes zero there
+    # a point with an empty window (r = 0) gets no panel there
     return _composite(pieces, _first_pass(len(pieces), off), x.size,
                       _CAUCHY_TOL, complex if off else float, live=[r > 0.0])
 

@@ -844,6 +844,32 @@ class TestOutputContract:
         assert len(csvs[0]) == 6
         assert csvs[0] == csvs[1]
 
+    def test_tabulated_record_reruns_from_another_directory(
+            self, tmp_path, monkeypatch):
+        """A record echoes the absolute path of the table it opened, so it
+        reruns from any directory and reproduces its bytes; a relative
+        ``model.table`` resolves against the config's own directory."""
+        work = tmp_path / "work"
+        work.mkdir()
+        grid = np.linspace(0.0, 10.0, 201)
+        np.savetxt(work / "ff.txt", np.column_stack([grid,
+                                                     np.ones_like(grid)]))
+        (work / "run.cfg").write_text(TestSurvivalCommand.SHORT.replace(
+            "model.form_factor = flat_cutoff\nmodel.cutoff = 10.0",
+            "model.form_factor = tabulated\nmodel.table = ff.txt"))
+        monkeypatch.chdir(work)
+        assert cli_main(["survival", "--config", "run.cfg", "--out",
+                         "out/s.csv", "--quiet"]) == 0
+        record = json.loads((work / "out" / "s.json").read_text())
+        assert record["config"]["model.table"] == str(
+            (work / "ff.txt").resolve())
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["survival", "--config", "work/out/s.json", "--out",
+                         "again/s.csv", "--quiet"]) == 0
+        for name in ("s.csv", "s.json"):
+            assert (tmp_path / "again" / name).read_bytes() == \
+                (work / "out" / name).read_bytes()
+
     def test_sidecar_numbers_match_csv(self, run_cli):
         cfg = "pole.e_r = 1.0\npole.gamma = 2.0\nthermo.beta = 1.0\n"
         _, out, record_path = run_cli("entropy", cfg)

@@ -195,6 +195,46 @@ class TestDensityTable:
         np.testing.assert_array_equal(table(knots),
                                       gt.spectral_density(model, knots))
 
+    @pytest.mark.parametrize("form_factor", [
+        gt.FlatCutoff(cutoff=10.0), gt.RationalFormFactor(scale=1.0),
+        gt.TabulatedFormFactor(
+            grid=np.linspace(0.0, 10.0, 41),
+            values=gt.RationalFormFactor(scale=1.0).f2(
+                np.linspace(0.0, 10.0, 41)))],
+        ids=["flat", "rational", "tabulated"])
+    def test_refinement_evaluates_each_frequency_once(self, form_factor,
+                                                      monkeypatch):
+        """No frequency reaches the density twice.  Each round fits the
+        spline and then evaluates its new midpoints in one call: every
+        midpoint in the first round, and after it exactly the two halves
+        of each interval split by a new knot."""
+        events, evaluated = [], []
+        density, fit = decay.spectral_density, decay._cubic_spline
+
+        def counted_density(model, omega):
+            evaluated.append(np.array(omega, dtype=float))
+            events.append(("density", np.size(omega)))
+            return density(model, omega)
+
+        def counted_fit(x, y):
+            events.append(("fit", np.size(x)))
+            return fit(x, y)
+
+        monkeypatch.setattr(decay, "spectral_density", counted_density)
+        monkeypatch.setattr(decay, "_cubic_spline", counted_fit)
+        model = gt.FriedrichsModel(omega0=1.0, lam=0.1,
+                                   form_factor=form_factor)
+        table = gt.density_table.__wrapped__(model)
+        seen = np.concatenate(evaluated)
+        assert np.unique(seen).size == seen.size
+        rounds = events[[kind for kind, _ in events].index("fit"):]
+        assert [kind for kind, _ in rounds] == ["fit", "density"] * (
+            len(rounds) // 2)
+        knots = [n for _, n in rounds[::2]]
+        assert knots[-1] == table.knots.size and len(knots) > 1
+        assert [n for _, n in rounds[1::2]] == [knots[0] - 1] + [
+            2 * (new - old) for old, new in zip(knots, knots[1:])]
+
     def test_cache_returns_same_object(self, flat_model, flat_table):
         assert gt.density_table(flat_model) is flat_table
 

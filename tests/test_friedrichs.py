@@ -2,10 +2,11 @@ import cmath
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 from scipy.optimize import brentq
@@ -134,13 +135,42 @@ class TestFormFactors:
             (1.0 - 0.5j) / (np.pi * ((1.0 - 0.5j) ** 2 + 4.0)))
 
     def test_rational_profile_past_the_float_range(self):
-        """Where omega^2 overflows, omega = inf included (not inf/inf =
-        NaN), the profile is its limit, 0, and where omega^2 + scale^2
-        underflows to 0 it is inf: no numpy warning."""
+        """At omega = inf (not inf/inf = NaN) the profile is its limit, 0,
+        at omega = 1e308, where pi omega overflows, it rounds to 0, and
+        where its value 1/(2 pi scale) passes the float range it is inf:
+        no numpy warning."""
         ff = gt.RationalFormFactor(scale=1.0)
         assert ff.f2(1e308) == 0.0 and ff.f2(np.inf) == 0.0
         assert np.array_equal(ff.f2(np.array([np.inf, 1e308])), [0.0, 0.0])
         assert gt.RationalFormFactor(scale=1e-320).f2(1e-320) == np.inf
+
+    @settings(max_examples=60, deadline=None)
+    @given(scale_exp=st.floats(-300.0, 300.0))
+    @example(scale_exp=154.0)
+    def test_rational_profile_at_extreme_scales(self, scale_exp):
+        """From scale 1e-300 to 1e300, where omega^2 + scale^2 overflows
+        or underflows, f^2 is finite, non-negative and warning-free over
+        the whole half-line, within 1e-15 of the exact quotient wherever
+        that is at least 1e-300, and the rim self-energy stays finite."""
+        scale = 10.0**scale_exp
+        ff = gt.RationalFormFactor(scale=scale)
+        omega = np.concatenate([
+            [0.0, 5e-324, scale, 0.5 * scale, 3.0 * scale, 1.7e308],
+            10.0 ** np.linspace(-323.0, 308.0, 120)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ff.f2(omega)
+            eta = gt.self_energy(
+                gt.FriedrichsModel(omega0=scale, lam=0.1 * math.sqrt(scale),
+                                   form_factor=ff),
+                [0.5 * scale, 2.0 * scale])
+        assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+        assert np.all(np.isfinite(eta))
+        for w, value in zip(omega.tolist(), got.tolist()):
+            exact = Fraction(w) / (Fraction(w) ** 2 + Fraction(scale) ** 2)
+            exact = float(exact) / math.pi if exact else 0.0
+            if exact >= 1e-300:
+                assert abs(value - exact) <= 1e-15 * exact
 
     @pytest.mark.parametrize("lam", [1e200, -1.4e154, np.nan, 1j])
     def test_coupling_square_must_be_finite(self, lam):
@@ -699,13 +729,21 @@ class TestFindPole:
     def test_non_finite_point_is_named(self, flat_model):
         """A NaN start or point is the caller's error, not the
         integrand's: the search and the self-energy raise ValueError
-        naming it, not IntegrandError."""
+        naming it, not IntegrandError, on sheet II before the
+        continuation is asked for, with or without one."""
         for call, z in ((gt.find_pole, complex(np.nan, -1.0)),
                         (gt.self_energy, np.nan)):
             with pytest.raises(ValueError, match="not finite: z = ") as info:
                 call(flat_model, z)
             assert not isinstance(info.value, gt.NumericalFailure)
             assert repr(complex(z)) in str(info.value)
+        grid = np.linspace(0.0, 10.0, 41)
+        for ff in (gt.RationalFormFactor(scale=1.0), gt.TabulatedFormFactor(
+                grid=grid, values=np.ones_like(grid))):
+            model = gt.FriedrichsModel(omega0=1.0, lam=0.1, form_factor=ff)
+            with pytest.raises(ValueError, match="not finite: z = ") as info:
+                gt.self_energy(model, [0.5 - 0.1j, np.nan], "II")
+            assert not isinstance(info.value, gt.NumericalFailure)
 
     def test_free_model_is_stable(self):
         free = gt.FriedrichsModel(omega0=1.0, lam=0.0,
@@ -832,12 +870,24 @@ class TestFindPole:
         with pytest.raises(PoleInUpperHalfPlane):
             gt.find_pole(flat_model, estimate.conjugate())
 
-    def test_tabulated_has_no_second_sheet(self):
+    def test_tabulated_has_no_second_sheet(self, monkeypatch):
+        """The estimate's rim point omega0 is the kernel's one call: sheet
+        II's continuation is taken before its integral, so the first
+        Newton stencil raises without one."""
+        calls = []
+        kernel = friedrichs.principal_values
+
+        def recorded(g, a, b, poles, **kwargs):
+            calls.append(np.array(poles))
+            return kernel(g, a, b, poles, **kwargs)
+
+        monkeypatch.setattr(friedrichs, "principal_values", recorded)
         grid = np.linspace(0.0, 10.0, 400)
         ff = gt.TabulatedFormFactor(grid=grid, values=np.ones_like(grid))
         model = gt.FriedrichsModel(omega0=1.0, lam=0.1, form_factor=ff)
         with pytest.raises(ContinuationUnavailable):
             gt.find_pole(model)
+        assert [z.tolist() for z in calls] == [[1.0]]
 
     @pytest.mark.parametrize("lam,zero", [
         (0.7, 0.29801734126 - 2.36479324074j),

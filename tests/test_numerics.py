@@ -118,6 +118,20 @@ class TestIntegrate:
         assert all(w.size % 15 == 0 for w in seen[1:])
 
 
+# a tabulated spline vanishing at both ends of [0, 5], so that every real
+# point, ends included, has a finite integral
+_BATCH_GRID = np.linspace(0.0, 5.0, 41)
+_BATCH_PROFILE = gt.TabulatedFormFactor(
+    grid=_BATCH_GRID, values=_BATCH_GRID * (5.0 - _BATCH_GRID)
+    * (1.0 + np.sin(3.0 * _BATCH_GRID) ** 2))
+_BATCH_X = st.one_of(st.floats(-1.0, 6.0),
+                     st.sampled_from([0.0, 5.0, 2.5, -1.0, 6.0]))
+_BATCH_Y = st.one_of(
+    st.just(0.0), st.sampled_from([1e-310, -1e-310, 5e-324, -5e-324]),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]),
+              st.floats(-14.0, 0.5)))
+
+
 class TestPrincipalValue:
     """PV of g(w) / (c - w): g = -1 gives the PV of 1/(w - c)."""
 
@@ -233,6 +247,34 @@ class TestPrincipalValue:
         with pytest.raises(IntegrandError, match="diverges"):
             principal_values(g, 0.0, 10.0, [10.0 - 1e-310j])
 
+    @pytest.mark.parametrize("x", [2.2e-309, 5e-324, -5e-324])
+    def test_real_point_a_subnormal_distance_from_an_end(self, x):
+        """end / |x - a| overflows there; the one-sided piece still
+        gives the flat profile's ln|x| - ln(10 - x)."""
+        g = gt.FlatCutoff(cutoff=10.0).f2
+        got = principal_values(g, 0.0, 10.0, [x])[0]
+        assert got == pytest.approx(np.log(abs(x)) - np.log(10.0 - x),
+                                    rel=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.builds(complex, _BATCH_X, _BATCH_Y), min_size=2,
+                    max_size=6))
+    @example([0.3, 1.7 - 1e-13j, 5.0, -1.0 + 0.5j, 2.0 + 1e-310j,
+              0.0 - 2.0j])
+    @example([0.0, 2.225073858507203e-309, 5e-324 - 1e-310j])
+    def test_batch_is_its_single_points(self, points):
+        """Rows never interact: a batch on a tabulated spline returns, bit
+        for bit, each point's single-point result, on and off the axis,
+        with empty windows (Re z on an end or outside) and beside the
+        axis (|y| < 2^-1000 of the sinh map's reach)."""
+        ff = _BATCH_PROFILE
+        lo, hi = ff.support
+        batch = principal_values(ff.f2, lo, hi, points, scale=ff.scale_hint)
+        single = [principal_values(ff.f2, lo, hi, [z],
+                                   scale=ff.scale_hint)[0] for z in points]
+        assert batch.astype(complex).tobytes() == \
+            np.array(single, dtype=complex).tobytes()
+
 
 def _bump_cauchy(z, top, c, s):
     """Integral of g(w) / (z - w) over [0, top] for the bump
@@ -313,6 +355,32 @@ class TestFirstPass:
         # no point of an empty window (Re z itself, or below the support)
         # reaches g
         assert all(np.all(w > 0.0) for w in seen[1:])
+
+    def test_dead_panels_count_in_a_rows_share(self):
+        """A row splits each panel whose gauge is above half its share of
+        the tolerance, the share taken over every first-pass panel, the
+        four of a dead piece included: of the eight, gauges 0.95 and 0.1
+        against a tolerance 1 both split, where with the four live ones
+        the 0.1 would not."""
+        t = numerics._NODES
+        # Kronrod-15 integrates t^14 over a panel exactly, Gauss-7 misses
+        miss = abs((numerics._WKG[0] - numerics._WKG[1]) @ t**14)
+        half = 0.125  # two pieces of four panels on s in [0, 2)
+
+        def second(u):
+            # gauge 0.95 and 0.1 on the piece's first two panels; in the
+            # halves of a split panel t^14 gauges 2^-15 as much
+            k = np.floor(4.0 * u)
+            amp = np.select([k == 0, k == 1], [0.95, 0.1]) / (half * miss)
+            return amp * ((u - (k + 0.5) / 4.0) / half) ** 14
+
+        g, seen = _recording(second)
+        numerics._composite(
+            [lambda j, u: pytest.fail("a dead piece is evaluated"),
+             lambda j, u: g(u)],
+            numerics._first_pass(2, False), 1, (1.0, 0.0), float,
+            live=[np.array([False])])
+        assert [w.size for w in seen] == [_PIECE, 2 * 2 * 15]
 
     @pytest.mark.parametrize("top", [4.0, np.inf], ids=["finite", "infinite"])
     @pytest.mark.parametrize("z", [0.3, 0.3 - 0.2j], ids=["rim", "off"])
