@@ -31,16 +31,16 @@ from .numerics import InvalidElements, NumericalFailure
 class _Emitter:
     """Formats numbers at the configured precision and writes outputs."""
 
-    def __init__(self, cfg: RunConfig, args, command: str):
+    def __init__(self, cfg: RunConfig, args):
         self.precision = cfg.precision()
         self.format = args.format or cfg.get("output.format", default="csv")
         out = args.out or cfg.get("output.path",
-                                  default=f"{command}.{self.format}")
+                                  default=f"{args.command}.{self.format}")
         self.out_path = Path(out)
         self.quiet = args.quiet
         self.record = {
             "tool": {"name": "gamow-thermo", "version": __version__},
-            "command": command,
+            "command": args.command,
             "config": dict(cfg.raw),
             "warnings": [],
             "results": {},
@@ -302,30 +302,29 @@ _COMMANDS = {
 }
 
 
+_EPILOG = """commands:
+  pole      locate the resonance pole and compare the perturbative estimate
+  survival  survival amplitude/probability series and decay regimes
+  entropy   complex entropy rows over beta
+  evolve    ladder-coefficient trajectories and temperature table
+  scan      sweep lambda, gamma or beta"""
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gamow-thermo",
         description="Resonance poles, survival dynamics and complex entropy "
-                    "of quantum unstable states.")
+                    "of quantum unstable states.",
+        epilog=_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("pole", "locate the resonance pole and compare the perturbative "
-                 "estimate"),
-        ("survival", "survival amplitude/probability series and decay "
-                     "regimes"),
-        ("entropy", "complex entropy rows over beta"),
-        ("evolve", "ladder-coefficient trajectories and temperature table"),
-        ("scan", "sweep lambda, gamma or beta"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="flat key=value "
-                       "config file or a JSON run record")
-        p.add_argument("--out", default=None, help="output path (default "
-                       "<command>.<format>)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--quiet", action="store_true")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True, help="flat key=value "
+                        "config file or a JSON run record")
+    parser.add_argument("--out", default=None, help="output path (default "
+                        "<command>.<format>)")
+    parser.add_argument("--format", choices=("csv", "json"), default=None)
+    parser.add_argument("--quiet", action="store_true")
     return parser
 
 
@@ -338,7 +337,7 @@ def main(argv=None) -> int:
     status = 0
     try:
         cfg = load_config(args.config)
-        emitter = _Emitter(cfg, args, args.command)
+        emitter = _Emitter(cfg, args)
         _COMMANDS[args.command](cfg, emitter)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -479,20 +479,25 @@ def find_pole(model: FriedrichsModel,
 
 
 def spectral_density(model: FriedrichsModel, omega):
-    """Continuum overlap density rho(omega) of the (bare) level.
+    """Continuum overlap density rho(omega) of the (bare) level: its
+    spectral function rho = -Im G(omega + i0) / pi, with G = 1/eta the
+    resolvent whose sheet-II zero is the Gamow pole.
 
-    rho = lam^2 f^2 / |eta(omega + i0)|^2.  It is nonnegative, integrates
-    to one when no discrete state survives the coupling, and peaks within
-    a width of the resonance energy for narrow resonances.  An uncoupled
-    level (lam^2 = 0) has no continuum density: it is zero everywhere.
-    Accepts a scalar or an array of frequencies; an array is one batched
-    boundary evaluation.  Its principal values are those of
-    :func:`self_energy`, from the profile's :meth:`FormFactor.cauchy`:
-    closed forms for the flat and rational profiles, and for a tabulated
-    one the adaptive kernel, within max(1e-12, 1e-10 |PV|), the accuracy
-    of the density table that :func:`~gamow_thermo.decay.density_table`
-    fits to it.  Every caller gets the table's own densities.  A
-    negative or NaN frequency raises :class:`ValueError`.
+    Strictly inside the support it is read off the one boundary value
+    eta(omega + i0) of :func:`self_energy`, whose imaginary part is
+    pi lam^2 f^2, so rho = lam^2 f^2 / |eta|^2; at and past the support
+    ends it is zero.  It is nonnegative, integrates to one when no
+    discrete state survives the coupling, and peaks within a width of the
+    resonance energy for narrow resonances.  An uncoupled level
+    (lam^2 = 0) has no continuum density: it is zero everywhere.  Accepts
+    a scalar or an array of frequencies; an array is one batched boundary
+    evaluation.  Its principal values are those of :func:`self_energy`,
+    from the profile's :meth:`FormFactor.cauchy`: closed forms for the
+    flat and rational profiles, and for a tabulated one the adaptive
+    kernel, within max(1e-12, 1e-10 |PV|), the accuracy of the density
+    table that :func:`~gamow_thermo.decay.density_table` fits to it.
+    Every caller gets the table's own densities.  A negative or NaN
+    frequency raises :class:`ValueError`.
     """
     arr = np.asarray(omega, dtype=float)
     # NaN fails every comparison: it must not pass as a frequency
@@ -502,16 +507,16 @@ def spectral_density(model: FriedrichsModel, omega):
         return _unbox(np.zeros(arr.shape))
 
     lo, hi = model.form_factor.support
-    f2 = np.asarray(model.form_factor.f2(arr), dtype=float)
-    # zero where f^2 vanishes and at the support edges, where the
-    # log-divergent boundary value sends the density to zero
-    inside = (f2 != 0.0) & (arr > lo) & (arr < hi)
+    # not at the ends, where rho is 0 and the flat profile's integral
+    # diverges
+    inside = (arr > lo) & (arr < hi)
     rho = np.zeros(arr.shape)
     if np.any(inside):
         eta = self_energy(model, arr[inside], "I")
-        # |eta|^2 may overflow far out, where rho is zero
-        with np.errstate(over="ignore"):
-            rho[inside] = model.lam**2 * f2[inside] / np.abs(eta) ** 2
+        # Im eta = pi lam^2 f^2: where it is 0 so is rho, also at a real
+        # zero of eta, where 1/eta is not finite
+        rho[inside] = np.divide(-1.0, eta, out=np.zeros_like(eta),
+                                where=eta.imag != 0.0).imag / np.pi
     return _unbox(rho)
 
 

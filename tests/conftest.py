@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import gamow_thermo as gt
 from gamow_thermo.cli import main as cli_main
+
+# a failing property prints the @reproduce_failure blob that replays it
+settings.register_profile("replayable", print_blob=True)
+settings.load_profile("replayable")
 
 
 @pytest.fixture(scope="session")

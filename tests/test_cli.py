@@ -909,6 +909,26 @@ class TestOutputContract:
         assert cli_main(["--version"]) == 0
         assert gt.__version__ in capsys.readouterr().out
 
+    def test_command_help_lists_every_command(self, capsys):
+        assert cli_main(["pole", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert all(f"\n  {name} " in out for name in cli._COMMANDS)
+
+    def test_options_may_precede_the_command(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("pole.e_r = 1.0\npole.gamma = 1.0\n")
+        out = tmp_path / "s.csv"
+        assert cli_main(["--config", str(cfg), "--out", str(out), "--quiet",
+                         "entropy"]) == 0
+        assert json.loads(out.with_suffix(".json").read_text())[
+            "command"] == "entropy"
+
+    def test_missing_command_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("pole.e_r = 1.0\npole.gamma = 1.0\n")
+        assert cli_main(["--config", str(cfg)]) == 1
+        assert "command" in capsys.readouterr().err
+
     def test_parser_is_built_once(self, run_cli):
         before = cli._build_parser()
         run_cli("entropy", "pole.e_r = 1.0\npole.gamma = 2.0\n"

@@ -451,14 +451,18 @@ class TestClosedForms:
            size=_log_uniform(-1.0, 1.0), where=_CAUCHY_REGIONS,
            frac=st.floats(1e-6, 1.0 - 1e-6), height=st.floats(1e-6, 1.0),
            below=st.booleans(), angle=st.floats(-np.pi, np.pi))
+    # |z| = 7e10 scales: the octaves of the profile's 1/w tail crowd the
+    # kernel's window end, where an even first pass missed two thirds of
+    # the integral (3.84e-12 against 1.139e-11)
+    @example(kind="rational", size=10.0, where="far", frac=0.984375,
+             height=0.5, below=False, angle=0.0)
     def test_against_the_kernel(self, kind, size, where, frac, height,
                                 below, angle):
         ff = _profile_model(kind, 1.0, 0.1, size).form_factor
-        # on the rational profile's unbounded support the kernel itself
-        # misses its bound around |z| = 1e11 .. 1e14 scales, in every
-        # direction (2.1x at 3e11 scales; 1.2e-12 off at z = -5e12 for
-        # scale 1), so it is the oracle out to 1e10 widths there, and
-        # test_relative_accuracy goes on to 1e150
+        # on the rational profile's unbounded support the kernel is the
+        # oracle out to 1e10 widths, 1e11 scales, where the integral is
+        # still above its 1e-12 floor; test_relative_accuracy goes on to
+        # 1e150
         z = _cauchy_point(size, where, frac, height, below, angle, reach=6,
                           far=150 if kind == "flat" else 10)
         value = ff.cauchy([z])
@@ -995,6 +999,94 @@ class TestSpectralDensity:
             assert gt.spectral_density(free, 1.0) == 0.0
             assert np.array_equal(gt.spectral_density(free, omega),
                                   np.zeros(5))
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["flat", "rational", "tabulated"]),
+           lam=st.floats(0.01, 1.0), size=_log_uniform(-1.0, 1.0),
+           fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+           gap=st.floats(0.0, 1e-12), reach=st.floats(0.0, 12.0))
+    # a subnormal f^2 next to threshold, where |eta| is 0.04
+    @example(kind="rational", lam=0.4375, size=0.1, fracs=[2.2250738585e-313],
+             gap=0.0, reach=0.0)
+    def test_density_is_the_spectral_function(self, kind, lam, size, fracs,
+                                              gap, reach):
+        """rho = -Im(1/eta_I)/pi is lam^2 f^2 / |eta_I|^2 across the
+        support, within 1e-12 widths of its ends and, on the rational
+        profile, out to 1e12 scales; it is 0 at and past the ends.  Both
+        sides round: that formula carries at most 7 units of 2^-53 of
+        relative error (hypot within one ulp), -Im(1/eta)/pi at most 8
+        (Im eta = pi lam^2 f^2 two, Smith's division five, the 1/pi one),
+        so they agree within 8 eps.  Where f^2 is subnormal its products
+        round to the smallest subnormal, not relatively, and rho scales
+        those errors by up to 1/|eta|^2 (1/|eta| in Smith's quotient):
+        they add at most (2 + 1/|eta| + 1/|eta|^2) subnormals."""
+        width = 10.0 * size
+        if kind == "tabulated":
+            grid = np.linspace(0.0, width, 41)
+            ff = gt.TabulatedFormFactor(
+                grid=grid, values=1.0 + 0.5 * np.sin(grid / size))
+            model = gt.FriedrichsModel(omega0=1.0, lam=lam, form_factor=ff)
+        else:
+            model = _profile_model(kind, 1.0, lam, size)
+            ff = model.form_factor
+        lo, hi = ff.support
+        far = (size * 10.0**reach if hi == np.inf
+               else [hi - gap * width, hi, hi + width])
+        omega = np.hstack([np.multiply(fracs, width), lo + gap * width, lo,
+                           far])
+        rho = gt.spectral_density(model, omega)
+        inside = (lo < omega) & (omega < hi)
+        assert not rho[~inside].any()
+        eta = gt.self_energy(model, omega[inside], "I")
+        ref = lam**2 * ff.f2(omega[inside]) / np.abs(eta) ** 2
+        tiny = np.nextafter(0.0, 1.0) * (1.0 + 1.0 / np.abs(eta)) ** 2
+        assert np.all(np.abs(rho[inside] - ref)
+                      <= 8.0 * np.finfo(float).eps * ref + 2.0 * tiny)
+
+    def test_zero_samples_give_zero_density_at_a_zero_of_eta(self):
+        """Samples that vanish on [2, 18] make f^2 exactly 0 on a stretch
+        inside it, where the spline's ringing has underflowed.  With
+        omega0 placing a real zero of eta_I at omega = 10 there, rho is
+        exactly +0 across the stretch, at the zero, where 1/eta is not
+        finite, and at the doubles on either side, and nothing warns."""
+        grid = np.linspace(0.0, 20.0, 1601)
+        values = np.where(grid < 2.0, 1.0, np.where(grid > 18.0, 0.25, 0.0))
+        ff = gt.TabulatedFormFactor(grid=grid, values=values)
+        stretch = np.linspace(9.5, 10.5, 101)
+        assert not ff.f2(stretch).any()
+        # eta_I(10) = (10 - omega0) - lam^2 PV(10) is exactly 0 when
+        # lam^2 PV(10) is a double in [8, 10): 10 - omega0 is then exact
+        pv = ff.cauchy([10.0])[0].real
+        lam = math.sqrt(9.0 / pv)
+        shift = lam**2 * pv
+        assert 8.0 <= shift < 10.0
+        model = gt.FriedrichsModel(omega0=10.0 - shift, lam=lam,
+                                   form_factor=ff)
+        omega = np.hstack([stretch, np.nextafter(10.0, [0.0, 20.0]), 10.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gt.self_energy(model, 10.0) == 0.0
+            rho = gt.spectral_density(model, omega)
+        assert np.array_equal(rho, np.zeros(omega.size))
+        assert not np.signbit(rho).any()
+
+    @pytest.mark.parametrize("kind", ["flat", "rational"])
+    def test_each_frequency_reaches_f2_once(self, kind, monkeypatch):
+        """The density reads f^2 off the rim of its one self_energy call
+        (whose integral is closed form here) and evaluates it no more."""
+        model = _profile_model(kind, 1.0, 0.1, 1.0)
+        profile = type(model.form_factor)
+        f2, seen = profile.f2, []
+
+        def recorded(self, omega):
+            seen.append(np.atleast_1d(omega).copy())
+            return f2(self, omega)
+
+        monkeypatch.setattr(profile, "f2", recorded)
+        omega = np.array([0.5, 1.0, 2.0, 7.5])
+        assert gt.spectral_density(model, omega).all()
+        calls = np.concatenate(seen)
+        assert [np.count_nonzero(calls == w) for w in omega] == [1, 1, 1, 1]
 
     def test_tabulated_profile_reproduces_flat_density(self, flat_model,
                                                        flat_pole):

@@ -33,6 +33,19 @@ _ETA = np.nextafter(0.0, 1.0)
 # panels a piece; a Cauchy window sees both sides of Re z, and off the
 # axis it has four more panels
 _WINDOW_ON, _WINDOW_OFF, _PIECE = 2 * 4 * 15, 2 * 8 * 15, 4 * 15
+# on an infinite range the window's far end and each end of the tail
+# also split 4^-k from that end, k = 2 .. 20 (k = 1 is a quarter edge)
+_GRADED = 19 * 15
+
+
+def _first_pass_points(off, infinite):
+    """Integrand points per row of each piece's first-pass call."""
+    window = _WINDOW_OFF if off else _WINDOW_ON
+    if not infinite:
+        return [window, _PIECE]
+    # the off-axis window splits at 1 - 4^-2 = 15/16 anyway
+    graded = _GRADED - 15 if off else _GRADED
+    return [window + 2 * graded, _PIECE, _PIECE + 2 * _GRADED]
 
 
 def _recording(g):
@@ -308,7 +321,7 @@ class TestFirstPass:
         lo, hi = profile.support
         principal_values(g, lo, hi, [z, z + h, z - h],
                          scale=profile.scale_hint)
-        pieces = [_WINDOW_OFF, _PIECE, _PIECE][:3 if np.isinf(hi) else 2]
+        pieces = _first_pass_points(True, np.isinf(hi))
         assert [w.size for w in seen] == [3 * n for n in pieces]
 
     @pytest.mark.parametrize("lam", [0.03, 0.1, 0.25])
@@ -331,14 +344,12 @@ class TestFirstPass:
         pole = gt.find_pole(model)
         assert len(calls) == 1 + pole.stencils
         lo, hi = profile.support
-        tail = np.isinf(hi)
         for z in calls:
             off = np.count_nonzero(z.imag)
             assert off in (0, z.size)
             g, seen = _recording(profile.f2)
             principal_values(g, lo, hi, z, scale=profile.scale_hint)
-            window = _WINDOW_OFF if off else _WINDOW_ON
-            pieces = [window, _PIECE, _PIECE][:2 + tail]
+            pieces = _first_pass_points(off, np.isinf(hi))
             assert [w.size for w in seen] == [z.size * n for n in pieces]
 
     def test_empty_window_calls_no_g(self):
@@ -349,9 +360,10 @@ class TestFirstPass:
         val = principal_values(g, 0.0, np.inf, z)
         assert np.max(np.abs(val - _bump_cauchy(z, np.inf, 0.0, 1.0))) \
             < 1e-10
+        window, one_sided, tail = _first_pass_points(True, True)
         assert [w.size for w in seen] == [
-            _WINDOW_OFF, 3 * _PIECE, 3 * _PIECE,  # off the axis
-            _PIECE, _PIECE]                       # z = -2, on it
+            window, 3 * one_sided, 3 * tail,  # off the axis
+            one_sided, tail]                  # z = -2, on it
         # no point of an empty window (Re z itself, or below the support)
         # reaches g
         assert all(np.all(w > 0.0) for w in seen[1:])
