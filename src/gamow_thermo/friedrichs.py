@@ -92,9 +92,11 @@ class FormFactor:
         raise NotImplementedError
 
     def f2_complex(self, z):
-        """f^2 continued to complex arguments, elementwise over an array;
-        raises :class:`ContinuationUnavailable` for a profile without an
-        analytic expression."""
+        """f^2 continued to complex arguments, elementwise: an array maps
+        to an array of the same shape (a scalar to a Python complex), with
+        the finite limit wherever one exists.  Raises
+        :class:`ContinuationUnavailable` for a profile without an analytic
+        expression."""
         raise ContinuationUnavailable(
             f"{type(self).__name__} has no analytic continuation")
 
@@ -116,8 +118,10 @@ class FormFactor:
 
     @property
     def scale_hint(self) -> float:
-        """Characteristic energy used to size tail splits and grids."""
-        raise NotImplementedError
+        """Characteristic energy used to size tail splits and grids: the
+        upper end of a bounded support.  A profile on the half-line
+        overrides it with the energy over which its f^2 varies."""
+        return self.support[1]
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,7 @@ class FlatCutoff(FormFactor):
                                1.0, 0.0))
 
     def f2_complex(self, z):
-        return 1.0 + 0.0j
+        return _unbox(np.full(np.shape(z), 1.0 + 0.0j))
 
     def cauchy(self, z):
         """log(z) - log(z - c), where z - c is exact near the cutoff; past
@@ -164,10 +168,6 @@ class FlatCutoff(FormFactor):
     @property
     def support(self) -> tuple[float, float]:
         return (0.0, self.cutoff)
-
-    @property
-    def scale_hint(self) -> float:
-        return self.cutoff
 
 
 @dataclass(frozen=True)
@@ -207,9 +207,11 @@ class RationalFormFactor(FormFactor):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             w = z / s
             out = w / (w * w + 1.0) / (np.pi * s)
+            # the far form only when some point needs it: taken everywhere,
+            # it nearly doubles this call's cost on a Newton stencil
             far = np.abs(w) > 1e150
             if np.count_nonzero(far):
-                out[far] = 1.0 / (np.pi * (z[far] + s * (s / z[far])))
+                out = np.where(far, 1.0 / (np.pi * (z + s * (s / z))), out)
         return out
 
     def cauchy(self, z):
@@ -306,10 +308,6 @@ class TabulatedFormFactor(FormFactor):
     @property
     def support(self) -> tuple[float, float]:
         return (float(self.grid[0]), float(self.grid[-1]))
-
-    @property
-    def scale_hint(self) -> float:
-        return float(self.grid[-1])
 
 
 @dataclass(frozen=True)
@@ -489,22 +487,20 @@ def spectral_density(model: FriedrichsModel, omega):
     ends it is zero.  It is nonnegative, integrates to one when no
     discrete state survives the coupling, and peaks within a width of the
     resonance energy for narrow resonances.  An uncoupled level
-    (lam^2 = 0) has no continuum density: it is zero everywhere.  Accepts
-    a scalar or an array of frequencies; an array is one batched boundary
-    evaluation.  Its principal values are those of :func:`self_energy`,
-    from the profile's :meth:`FormFactor.cauchy`: closed forms for the
-    flat and rational profiles, and for a tabulated one the adaptive
-    kernel, within max(1e-12, 1e-10 |PV|), the accuracy of the density
-    table that :func:`~gamow_thermo.decay.density_table` fits to it.
-    Every caller gets the table's own densities.  A negative or NaN
-    frequency raises :class:`ValueError`.
+    (lam^2 = 0) has no continuum density: its eta is real, so rho is zero
+    everywhere.  Accepts a scalar or an array of frequencies; an array is
+    one batched boundary evaluation.  Its principal values are those of
+    :func:`self_energy`, from the profile's :meth:`FormFactor.cauchy`:
+    closed forms for the flat and rational profiles, and for a tabulated
+    one the adaptive kernel, within max(1e-12, 1e-10 |PV|), the accuracy
+    of the density table that :func:`~gamow_thermo.decay.density_table`
+    fits to it.  Every caller gets the table's own densities.  A negative
+    or NaN frequency raises :class:`ValueError`.
     """
     arr = np.asarray(omega, dtype=float)
     # NaN fails every comparison: it must not pass as a frequency
     if not np.all(arr >= 0):
         raise ValueError("spectral density is defined for omega >= 0")
-    if model.lam**2 == 0.0:
-        return _unbox(np.zeros(arr.shape))
 
     lo, hi = model.form_factor.support
     # not at the ends, where rho is 0 and the flat profile's integral

@@ -516,11 +516,10 @@ def _cauchy(g, a: float, b: float, x: np.ndarray, y: np.ndarray, off: bool,
     # the integrand of each piece in its own coordinate u = s - p in
     # [0, 1): j picks the rows, as a column
     if not off:
-        # a subnormal start overflows end / start: d = exp(ln start + u span)
-        deep = np.isinf(end / start) & (start > 0.0)
-        lead = np.where(deep, np.log(start), 0.0)
-        span = np.where(deep, np.log(end) - lead, np.log(end / start))
-        base = np.where(deep, 1.0, start)
+        # d = exp(ln start + u span), not start * exp(u ln(end / start)):
+        # end / start overflows for a subnormal start
+        lead = np.log(start)
+        span = np.log(end) - lead
 
         def window(j, u):
             down, up = g(x[j] + _SIDES * (r[j] * u))
@@ -529,8 +528,7 @@ def _cauchy(g, a: float, b: float, x: np.ndarray, y: np.ndarray, off: bool,
         def one_sided(j, u):
             # an end point (start = 0, g vanishing there) goes in d itself
             linear = start[j] == 0.0
-            d = np.where(linear, u * end[j],
-                         base[j] * np.exp(lead[j] + u * span[j]))
+            d = np.where(linear, u * end[j], np.exp(lead[j] + u * span[j]))
             rate = np.where(linear, end[j] / d, span[j])
             return -side[j] * rate * g(x[j] + side[j] * d)
 

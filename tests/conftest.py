@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -64,6 +67,17 @@ def rational_oracle(rational_model):
 @pytest.fixture(scope="session")
 def oracle_4000(flat_model):
     return gt.discretize(flat_model, 4000, 10.0)
+
+
+@pytest.fixture(scope="session")
+def refresh():
+    """``tests/golden/refresh.py``, the one runner of the golden configs,
+    loaded as a module."""
+    path = Path(__file__).resolve().parent / "golden" / "refresh.py"
+    spec = importlib.util.spec_from_file_location("refresh", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

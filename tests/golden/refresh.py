@@ -9,9 +9,10 @@ Only refresh on purpose; the regression test compares bytes.  For every
 fixture it prints whether the file changed and, if it did, the largest
 absolute deviation between numbers at the same place in the old and the
 new file, where it sits (a JSON path, or a CSV row and column, the
-header being row 0) and its size relative to the old value, plus the
-places that appeared, disappeared or changed in something other than a
-number.
+header being row 0) and its size relative to the old value, then the
+largest deviation relative to the old value and where that sits (an old
+value 0 has none), plus the places that appeared, disappeared or changed
+in something other than a number.
 
 With --check the fixtures are regenerated into a temporary directory and
 only the report is printed: ``expected/`` is left as it is, and the exit
@@ -67,7 +68,9 @@ def compare(path: Path, old: str | None, new: str) -> str:
     if old == new:
         return "unchanged"
     before, after = _leaves(path, old), _leaves(path, new)
-    deviation, where, other = 0.0, "", 0
+    # (size, place, old value) of the largest absolute and relative moves
+    absolute = relative = (0.0, (), 0.0)
+    other = 0
     for key, value in before.items():
         if key not in after:
             continue
@@ -75,14 +78,24 @@ def compare(path: Path, old: str | None, new: str) -> str:
         if x is None or y is None:
             if value != after[key]:
                 other += 1
-        elif abs(x - y) > deviation:
-            deviation = abs(x - y)
-            place = ("/".join(map(str, key)) if path.suffix == ".json"
-                     else f"row {key[0]}, column {key[1]}")
-            where = (f" at {place} (old value {x:.3g}, relative "
-                     f"{deviation / abs(x):.2g})" if x else
-                     f" at {place} (old value 0)")
+            continue
+        if abs(x - y) > absolute[0]:
+            absolute = (abs(x - y), key, x)
+        if x and abs(x - y) / abs(x) > relative[0]:
+            relative = (abs(x - y) / abs(x), key, x)
+
+    def at(key):
+        return " at " + ("/".join(map(str, key)) if path.suffix == ".json"
+                         else f"row {key[0]}, column {key[1]}")
+
+    deviation, key, x = absolute
+    where = (f"{at(key)} (old value {x:.3g}, relative "
+             f"{deviation / abs(x):.2g})" if x else
+             f"{at(key)} (old value 0)") if deviation else ""
+    share, key, x = relative
+    where_rel = f"{at(key)} (old value {x:.3g})" if share else ""
     return (f"changed: largest numeric deviation {deviation:.3g}{where}, "
+            f"largest relative deviation {share:.2g}{where_rel}, "
             f"{len(after.keys() - before.keys())} places added, "
             f"{len(before.keys() - after.keys())} removed, "
             f"{other} other values changed")

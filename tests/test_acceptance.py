@@ -5,6 +5,7 @@ on the terminal (bypassing capture), so a full run reads as a checklist.
 """
 
 import filecmp
+import json
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -149,31 +150,28 @@ def test_09_temperature_ordering(capsys):
                                rtol=1e-12)
 
 
-def test_10_cli_golden_regression(tmp_path, capsys):
+def test_10_cli_golden_regression(refresh, tmp_path, capsys):
     with criterion(10, "golden CSV/JSON fixtures bit-exact + round-trip",
                    capsys):
-        # configs/<name>.cfg runs the command before <name>'s first "_"
-        configs = sorted((GOLDEN / "configs").glob("*.cfg"))
-        assert len(configs) == 6
-        for config in configs:
-            command = config.stem.split("_")[0]
-            out = tmp_path / f"{config.stem}.csv"
-            code = cli_main([command, "--config", str(config),
-                             "--out", str(out), "--quiet"])
-            assert code == 0
-            produced = [out, out.with_suffix(".json")]
-            extra = out.with_name(out.stem + "_temperature.csv")
-            if extra.exists():
-                produced.append(extra)
-            for path in produced:
-                expected = GOLDEN / "expected" / path.name
-                assert filecmp.cmp(expected, path, shallow=False), \
-                    f"{path.name} deviates from the golden fixture"
+        first, rerun = tmp_path / "first", tmp_path / "rerun"
+        assert refresh.regenerate(first) == 0
+        expected = GOLDEN / "expected"
+        names = sorted(path.name for path in expected.iterdir())
+        assert sorted(path.name for path in first.iterdir()) == names
+        for name in names:
+            assert filecmp.cmp(expected / name, first / name,
+                               shallow=False), \
+                f"{name} deviates from the golden fixture"
 
-            # feeding the run record back reproduces the bytes exactly
-            rerun = tmp_path / f"{config.stem}_rerun.csv"
-            code = cli_main([command,
-                             "--config", str(out.with_suffix(".json")),
-                             "--out", str(rerun), "--quiet"])
-            assert code == 0
-            assert rerun.read_bytes() == out.read_bytes()
+        # feeding each run record back reproduces its tables, and every
+        # CSV byte for byte
+        for path in sorted(first.glob("*.json")):
+            record = json.loads(path.read_text())
+            assert cli_main([record["command"], "--config", str(path),
+                             "--out", str(rerun / f"{path.stem}.csv"),
+                             "--quiet"]) == 0
+            assert json.loads((rerun / path.name).read_text())[
+                "tables"] == record["tables"], path.name
+        csvs = [{path.name: path.read_bytes() for path in out.glob("*.csv")}
+                for out in (first, rerun)]
+        assert csvs[0] == csvs[1]

@@ -844,6 +844,15 @@ class TestOutputContract:
         assert len(csvs[0]) == 6
         assert csvs[0] == csvs[1]
 
+    def test_refresh_names_the_largest_relative_move(self, refresh):
+        """The fixture report names the place of the largest relative
+        move as well as that of the largest absolute one."""
+        report = refresh.compare(Path("x.json"),
+                                 '{"a": 1000.0, "b": [1e-06, 5.0]}',
+                                 '{"a": 1000.5, "b": [2e-06, 5.0]}')
+        assert "largest numeric deviation 0.5 at a " in report
+        assert "largest relative deviation 1 at b/0 " in report
+
     def test_tabulated_record_reruns_from_another_directory(
             self, tmp_path, monkeypatch):
         """A record echoes the absolute path of the table it opened, so it

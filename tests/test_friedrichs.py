@@ -144,6 +144,22 @@ class TestFormFactors:
         assert np.array_equal(ff.f2(np.array([np.inf, 1e308])), [0.0, 0.0])
         assert gt.RationalFormFactor(scale=1e-320).f2(1e-320) == np.inf
 
+    @pytest.mark.parametrize("z", [1e200, 1e300 - 1e300j])
+    def test_rational_continuation_far_out_is_its_limit(self, z):
+        """Past |z| = 1e150 scales, where w^2 overflows, the continuation
+        of a scalar is its limit 1/(pi (z + s^2/z)), a Python complex."""
+        value = gt.RationalFormFactor(scale=1.0).f2_complex(z)
+        assert type(value) is complex
+        assert value == pytest.approx(1.0 / (np.pi * z), rel=1e-15)
+
+    def test_flat_continuation_keeps_the_shape(self):
+        """The continuation maps an array to an array of its shape, and a
+        scalar to a Python complex."""
+        ff = gt.FlatCutoff(cutoff=10.0)
+        got = ff.f2_complex(np.array([1 - 1j, 2.0]))
+        assert got.shape == (2,) and np.all(got == 1.0)
+        assert type(ff.f2_complex(1 - 1j)) is complex
+
     @settings(max_examples=60, deadline=None)
     @given(scale_exp=st.floats(-300.0, 300.0))
     @example(scale_exp=154.0)
@@ -997,8 +1013,9 @@ class TestSpectralDensity:
             free = gt.FriedrichsModel(omega0=1.0, lam=lam,
                                       form_factor=gt.FlatCutoff(cutoff=10.0))
             assert gt.spectral_density(free, 1.0) == 0.0
-            assert np.array_equal(gt.spectral_density(free, omega),
-                                  np.zeros(5))
+            rho = gt.spectral_density(free, omega)
+            assert np.array_equal(rho, np.zeros(5))
+            assert not np.signbit(rho).any()
 
     @settings(max_examples=150, deadline=None)
     @given(kind=st.sampled_from(["flat", "rational", "tabulated"]),
