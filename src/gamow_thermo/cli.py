@@ -7,8 +7,8 @@ record back as ``--config``.  Exit codes are stable: 0 success or partial
 success with warnings, 1 configuration, usage or output error, 2 numerical
 failure.  Two types decide them: a :class:`ConfigError`, which every
 command raises before its first numerical call, exits 1, and a
-:class:`NumericalFailure` or :class:`OverflowError` exits 2.  Any other
-exception is a bug and leaves with its traceback.
+:class:`NumericalFailure` exits 2.  Any other exception, a bare
+:class:`OverflowError` included, is a bug and leaves with its traceback.
 """
 
 from __future__ import annotations
@@ -342,7 +342,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalFailure, OverflowError) as exc:
+    except NumericalFailure as exc:
         emitter.record["results"]["error"] = _failure(exc)
         print(f"numerical failure: {exc}", file=sys.stderr)
         status = 2

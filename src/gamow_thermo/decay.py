@@ -297,8 +297,9 @@ def _tail_cutoff(model: FriedrichsModel) -> float:
 def density_table(model: FriedrichsModel) -> DensityTable:
     """Cached spline table of the model's overlap density.
 
-    The knots start as the norm integral's nodes plus a ladder into each
-    support edge where f^2 jumps, with the densities evaluated there.
+    The knots start as the norm integral's nodes plus a ladder into the
+    lower end and any finite upper end of the support, with the densities
+    evaluated there.
     Then one rule repeats: fit the spline through all knots, compare it at
     every knot midpoint with the density there, and make each midpoint
     that misses max(3e-10, 1e-9 |rho|) a knot, with that density.  Every
@@ -328,18 +329,15 @@ def density_table(model: FriedrichsModel) -> DensityTable:
     if not np.isfinite(norm_direct):
         raise NumericalFailure("the overlap density's norm is not finite")
 
-    # resolve the slow logarithmic walls at support edges where f^2 jumps
-    scale = hi - lo
-    ladder = scale * np.geomspace(1e-9, 1e-3, 19)
-    edges = []
-    if float(model.form_factor.f2(lo + 1e-9 * scale)) > 0:
-        edges.append(lo + ladder)
-    if not np.isinf(model.form_factor.support[1]) \
-            and float(model.form_factor.f2(hi - 1e-9 * scale)) > 0:
-        edges.append(hi - ladder)
-    if edges:
-        edges = np.concatenate(edges)
-        rho(edges[~np.isin(edges, np.concatenate(nodes))])
+    # ladders into the lower end and a finite upper end resolve what the
+    # norm's nodes leave coarse there: the slow logarithmic wall where f^2
+    # jumps, and the steep rise where it starts from 0 (the rational
+    # profile's first knot is the lower ladder's first rung)
+    ladder = (hi - lo) * np.geomspace(1e-9, 1e-3, 19)
+    edges = lo + ladder
+    if np.isfinite(model.form_factor.support[1]):
+        edges = np.concatenate([edges, hi - ladder])
+    rho(edges[~np.isin(edges, np.concatenate(nodes))])
 
     knots, first = np.unique(np.concatenate(nodes), return_index=True)
     values = np.concatenate(densities)[first]

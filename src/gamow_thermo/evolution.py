@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .friedrichs import ResonancePole
-from .numerics import _require, _unbox, ode_evolve
+from .numerics import NumericalFailure, _require, _unbox, ode_evolve
 
 __all__ = [
+    "EvolutionOverflow",
     "Mode",
     "LadderCoefficient",
     "MonotonicityTable",
@@ -32,6 +33,10 @@ __all__ = [
 # |Re(tau * z_R)| beyond which exp over- or underflows float64; reported,
 # never saturated
 _EXP_GUARD = 700.0
+
+
+class EvolutionOverflow(NumericalFailure, OverflowError):
+    """An evolution factor, phase or product past the float range."""
 
 
 class Mode(enum.Enum):
@@ -65,20 +70,20 @@ def _evolve(c0: LadderCoefficient, pole: ResonancePole,
     """The one code path of both branches, elementwise over an array of
     tau: the coefficient times exp(+-tau z_R).  A factor past the guard,
     a phase tau z_R that overflows, or a product that does, raises
-    :class:`OverflowError`."""
+    :class:`EvolutionOverflow`."""
     with np.errstate(over="ignore", invalid="ignore"):
         exponent = tau * _rate(c0.mode, pole)
         value = c0.value * np.exp(exponent)
     real = np.ravel(np.real(exponent))
     worst = real[np.argmax(np.abs(real))] if real.size else 0.0
     if not abs(worst) <= _EXP_GUARD:
-        raise OverflowError(
+        raise EvolutionOverflow(
             f"evolution factor exp({worst:.1f}) "
             f"{'underflows' if worst < 0 else 'overflows'} float64; "
             "shorten the evolution span")
     if not np.isfinite(value).all():
-        raise OverflowError("evolution phase or coefficient overflows "
-                            "float64; shorten the evolution span")
+        raise EvolutionOverflow("evolution phase or coefficient overflows "
+                                "float64; shorten the evolution span")
     return LadderCoefficient(mode=c0.mode, value=value, tau=c0.tau + tau)
 
 

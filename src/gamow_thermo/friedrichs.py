@@ -592,7 +592,8 @@ def discretize(model: FriedrichsModel, n_bins: int,
                                         * dw)
     live = coupling**2 > 0.0
     roots, overlaps, passes = _secular_roots(model.omega0, grid[live],
-                                             coupling[live])
+                                             coupling[live],
+                                             np.flatnonzero(live))
     vals = np.concatenate([roots, grid[~live]])
     overlaps = np.concatenate([overlaps, np.zeros(vals.size - roots.size)])
     order = np.argsort(vals, kind="stable")
@@ -620,14 +621,17 @@ _NEAR = 16
 _MODEL_TOL = 1e-13
 _TAYLOR = math.ceil(math.log((2 * _NEAR + 1) / (2 * _NEAR) / _MODEL_TOL)
                     / math.log(2 * _NEAR + 1)) - 1
-# middle-way steps taken on the model
-_MODEL_STEPS = 4
+# Newton steps taken on the model
+_MODEL_STEPS = 5
 
 
-def _secular_roots(omega0: float, poles: np.ndarray, coupling: np.ndarray):
+def _secular_roots(omega0: float, poles: np.ndarray, coupling: np.ndarray,
+                   site: np.ndarray):
     """All roots of F(E) = E - omega0 + sum_i c_i^2 / (omega_i - E).
 
-    ``poles`` omega_i ascend strictly and the couplings c_i are positive.
+    ``poles`` omega_i ascend strictly, the couplings c_i are positive,
+    and ``site`` holds each pole's integer index on a uniform lattice
+    (see :func:`_model_start`).
     F rises from -inf to +inf between neighbouring poles and beyond each
     end, so root r lies alone in the gap (omega_{r-1}, omega_r), with
     omega_{-1} = -inf and omega_k = +inf.  Returns the k+1 roots
@@ -640,17 +644,17 @@ def _secular_roots(omega0: float, poles: np.ndarray, coupling: np.ndarray):
     terms of the gap's two end poles are kept apart from the sums over
     the other poles, and every term is formed from c_i/(omega_i - E), so
     that a tiny or underflowing c_i^2 next to the root loses nothing.
-    The iterates are the roots of :func:`_middle_way_root`, kept inside
-    the bracket that the signs of F have left (bisecting it otherwise,
+    The iterates are steps of :func:`_newton_step`, kept inside the
+    bracket that the signs of F have left (bisecting it otherwise,
     geometrically while its ends differ by more than a factor 4).  The
-    bracket starts as the whole gap.  A root of a gap one step wide on a
-    uniform grid starts from :func:`_model_start`, usually within float
+    bracket starts as the whole gap.  A root of a gap one lattice step
+    wide starts from :func:`_model_start`, usually within float
     resolution of its offset, at the origin the model picked; every other
     root starts at the middle of its gap, and its first pass picks the
     origin.
     A root closes once |F| <= 8 eps (|omega_o - omega0| + |tau| + sum_i
     |c_i^2/(omega_i - E)|), the float resolution of F as it is summed,
-    once the model's next step falls below 4 ulps of tau (tau, not E,
+    once its next step falls below 4 ulps of tau (tau, not E,
     fixes the overlap of a root that hugs its pole), once no double is
     left inside its bracket, or once the bracket lies within the smallest
     normal double of the pole (E is then the pole's neighbour, and the
@@ -682,10 +686,10 @@ def _secular_roots(omega0: float, poles: np.ndarray, coupling: np.ndarray):
     lo[0] = min(omega0 - poles[0], 0.0) - reach
     hi[-1] = max(omega0 - poles[-1], 0.0) + reach
     tau = 0.5 * (lo + hi)
-    # the inner gaps start at their middle, save the one-step gaps of a
-    # uniform grid, which start from a model of F at an origin it picked
+    # the inner gaps start at their middle, save the one-step gaps of the
+    # lattice, which start from a model of F at an origin it picked
     at_mid = (rows > 0) & (rows < k)
-    g, o, t = _model_start(omega0, poles, coupling)
+    g, o, t = _model_start(omega0, poles, coupling, site)
     shift = poles[o] - poles[g - 1]
     at_mid[g] = False
     origin[g], lo[g], hi[g], tau[g] = o, lo[g] - shift, hi[g] - shift, t
@@ -713,8 +717,8 @@ def _secular_roots(omega0: float, poles: np.ndarray, coupling: np.ndarray):
         move = (sweep == 0) & at_mid[r] & (f < 0.0)
         shift = np.where(move, right[r] - base, 0.0)
         o, t, base = np.where(move, r, o), t - shift, base + shift
-        new = _middle_way_root((base - omega0) + total, t, left[r] - base,
-                               right[r] - base, c_l[r], c_r[r], dpsi, dphi)
+        new = _newton_step((base - omega0) + total, t, o < r, c_l[r], c_r[r],
+                           u_l, u_r, dpsi + dphi)
         lo_r = np.where(f < 0.0, t, lo[r] - shift)
         hi_r = np.where(f > 0.0, t, hi[r] - shift)
         mid = 0.5 * (lo_r + hi_r)
@@ -745,50 +749,45 @@ def _secular_roots(omega0: float, poles: np.ndarray, coupling: np.ndarray):
                          f"{_MAX_PASSES} passes")
 
 
-def _model_start(omega0, poles, coupling):
+def _model_start(omega0, poles, coupling, site):
     """Origins and offsets tau from which to solve the one-step gaps.
 
-    A gap (omega_{r-1}, omega_r) is one step wide when its end poles are
-    neighbours on a lattice omega_0 + j h that holds every pole (to 1e-6
-    h) and has at most twice as many sites as poles; without such a
-    lattice no gap is, and the arrays come back empty.  On a one-step gap
-    F is modelled from the offset x of E from the gap's middle: the 2
-    ``_NEAR`` nearest poles are summed exactly, the farther ones as the
-    series sum_n T_n x^n, T_n = sum_i c_i^2 / (omega_i - E_mid)^(n+1) for
-    n <= ``_TAYLOR``.  The T_n of every gap are correlations of c^2 over
-    the lattice with fixed kernels, taken at once by FFT in O(k log k);
-    each model step costs O(k _NEAR).  The model's sign at the middle
-    picks the origin, as an exact pass at the middle would, and
-    ``_MODEL_STEPS`` middle-way steps on the model give tau, aimed at
-    float resolution, so that one exact pass closes nearly every root.  A
-    poor start costs exact passes and nothing else: those still bracket
-    the whole gap.  Returns the rows r, their origins and their tau.
+    The poles sit at lattice sites ``site`` (ascending integers), omega_j
+    = omega_first + (site_j - site_first) h with h = (omega_last -
+    omega_first)/(site_last - site_first), and a gap (omega_{r-1},
+    omega_r) is one step wide when its end poles are neighbouring sites.
+    On a one-step gap F is modelled from the offset x of E from the gap's
+    middle: the 2 ``_NEAR`` nearest sites are summed exactly, the farther
+    ones as the series sum_n T_n x^n, T_n = sum_i c_i^2 / (omega_i -
+    E_mid)^(n+1) for n <= ``_TAYLOR``.  The T_n of every gap are
+    correlations of c^2 over the lattice with fixed kernels, taken at once
+    by FFT in O(s log s) over its s sites; each model step costs O(s
+    _NEAR).  The model's sign at the middle picks the origin, as an exact
+    pass at the middle would, and ``_MODEL_STEPS`` steps of
+    :func:`_newton_step` on the model give tau, aimed at float
+    resolution, so that one exact pass closes nearly every root.  A poor
+    start costs exact passes and nothing else: those still bracket the
+    whole gap.  Returns the rows r, their origins and their tau (empty
+    without a one-step gap).
     """
-    none = np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0)
-    if poles.size < 2:
-        return none
-    h = np.min(np.diff(poles))
-    if not np.rint((poles[-1] - poles[0]) / h) < 2 * poles.size:
-        return none
-    site = np.rint((poles - poles[0]) / h).astype(int)
-    h = (poles[-1] - poles[0]) / site[-1]
+    site = site - site[0]
     r = 1 + np.flatnonzero(np.diff(site) == 1)
-    if np.max(np.abs(poles[0] + site * h - poles)) > 1e-6 * h or not r.size:
-        return none
-    # h^(n+1) T_n, left and right, at the gap whose right end is site q:
-    # the sum over sites j of c_j^2 (j - q + 1/2)^-(n+1) with j - q <
-    # -_NEAR or >= _NEAR, a correlation, circular over twice the lattice
+    if not r.size:
+        return r, r, np.empty(0)
+    h = (poles[-1] - poles[0]) / site[-1]
+    # h^(n+1) T_n at the gap whose right end is site q: the sum over sites
+    # j of c_j^2 (j - q + 1/2)^-(n+1) with j - q < -_NEAR or >= _NEAR, a
+    # correlation, circular over twice the lattice
     sites = site[-1] + 1
     m = np.arange(2 * sites)
     m = np.where(m < sites, m, m - 2 * sites)
     powers = np.cumprod(np.broadcast_to(1.0 / (m + 0.5),
                                         (_TAYLOR + 1, m.size)), axis=0)
-    kernels = np.stack([np.where(m < -_NEAR, powers, 0.0),
-                        np.where(m >= _NEAR, powers, 0.0)])
+    kernel = np.where((m < -_NEAR) | (m >= _NEAR), powers, 0.0)
     weight = np.zeros(2 * sites)
     weight[site] = coupling**2
-    coef = np.fft.irfft(np.fft.rfft(weight) * np.conj(np.fft.rfft(kernels)),
-                        2 * sites)[..., 1:sites]
+    coef = np.fft.irfft(np.fft.rfft(weight) * np.conj(np.fft.rfft(kernel)),
+                        2 * sites)[:, 1:sites]
     # the model runs on every gap q = 1 .. sites - 1 of the lattice (a
     # column), padded with empty sites, and only the one-step gaps' tau
     # are kept; row j of a column is site q - _NEAR + j, the gap's ends
@@ -804,34 +803,32 @@ def _model_start(omega0, poles, coupling):
     base, t = left, 0.5 * (right - left)
     # written in place: fresh temporaries of this size cost page faults
     u, w = np.empty((2,) + near_at.shape)
-    for step in range(_MODEL_STEPS):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for step in range(_MODEL_STEPS):
             np.subtract(near_at, base, out=u)
             np.divide(near_c, np.subtract(u, t, out=u), out=u)
             xi = (base + t - 0.5 * (left + right)) / h
-            val, slope = np.zeros((2, t.size)), np.zeros((2, t.size))
+            val, slope = np.zeros((2, t.size))
             for n in range(_TAYLOR, -1, -1):
                 slope = slope * xi + val
-                val = val * xi + coef[:, n]
-            # the other poles' sums and slopes, left and right of the gap
+                val = val * xi + coef[n]
+            # the other poles' sum and slope, leaving out the gap's ends
             np.multiply(u, near_c, out=w)
-            sums = np.stack([w[:_NEAR - 1].sum(axis=0),
-                             w[_NEAR + 1:].sum(axis=0)]) + val / h
-            np.multiply(u, u, out=w)
-            slopes = np.stack([w[:_NEAR - 1].sum(axis=0),
-                               w[_NEAR + 1:].sum(axis=0)]) + slope / h**2
+            total = (w[:_NEAR - 1].sum(axis=0) + w[_NEAR + 1:].sum(axis=0)
+                     + val / h)
             if step == 0:
                 # at the middle, as in an exact pass: the root lies in the
                 # right half, whose pole becomes its origin, when F < 0
-                f = ((base - omega0) + t + sums[0] + sums[1]
-                     - c_l * (c_l / t) + c_r * (c_r / t))
+                f = (base - omega0) + t + total + w[_NEAR - 1] + w[_NEAR]
                 move = f < 0.0
                 base = np.where(move, right, left)
                 t = np.where(move, -t, t)
-            a, b = left - base, right - base
-            new = _middle_way_root((base - omega0) + sums[0] + sums[1], t,
-                                   a, b, c_l, c_r, *slopes)
-        t = np.where((new > a) & (new < b), new, t)
+            np.multiply(u, u, out=w)
+            slopes = (w[:_NEAR - 1].sum(axis=0) + w[_NEAR + 1:].sum(axis=0)
+                      + slope / h**2)
+            new = _newton_step((base - omega0) + total, t, ~move, c_l, c_r,
+                               u[_NEAR - 1], u[_NEAR], slopes)
+            t = np.where((new > left - base) & (new < right - base), new, t)
     q = site[r] - 1
     return r, np.where(move[q], r, r - 1), t[q]
 
@@ -882,55 +879,28 @@ def _row_squares(x):
     return np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]
 
 
-def _middle_way_root(rho, tau, a, b, c_l, c_r, dpsi, dphi):
-    """Root, measured from the origin, of a two-pole model of F per row.
+def _newton_step(rho, x, near_left, c_l, c_r, u_l, u_r, slopes):
+    """One Newton step per row on F times the distance to its near pole.
 
-    The iterate sits at ``tau`` in the gap between the poles at ``a`` <
-    ``b``, measured from the origin (so one of them is 0, the near pole;
-    the other, the far end p, is infinite beyond the outer poles), with
-    couplings ``c_l``, ``c_r``.  F = rho + x + (the two end poles' terms)
-    + (the other poles' terms), and ``dpsi``/``dphi`` are the slopes of
-    the other poles left/right of the gap, n' on the near side and f' on
-    the far side.  The "middle way" model c + s/(0 - x) + S/(p - x) of
-    R.-C. Li (LAPACK Working Note 89, 1994; LAPACK's dlaed4) matches F
-    and F' at tau with s = c_near^2 + tau^2 n' and S = c_far^2 + (p -
-    tau)^2 (f' + 1): the slope 1 of F's linear term joins the far side.
-    Its quadratic, c x^2 - (c p + s + S) x + s p = 0, is written with the
-    linear term cancelled by hand,
+    The iterate sits at offset ``x`` from the near end pole of its gap
+    (the left one where ``near_left``), whose coupling is c_near; the far
+    end pole has coupling c_far and term c_far u_far, u_far = c_far/(p -
+    x), which is 0 beyond an outer pole.  ``u_l``, ``u_r`` are the end
+    poles' c/(omega - E), ``rho`` is F less x and the two end poles'
+    terms, and ``slopes`` the other poles' part of F'.  With R = rho + x
+    + c_far u_far, F less the near pole's term, the step is Newton's on
+    g(x) = c_near^2 - x R(x) = (0 - x) F(x), which has F's root and no
+    pole at the origin:
 
-        c = rho + 2 tau - p + tau n' - (p - tau) f'
-        c p + s + S = p rho + c_near^2 + c_far^2 + tau^2 (1 + n')
-                      + tau (p n' - (p - tau) f'),
+        x <- c_near (c_near / d) + x (x R' / d),  d = R + x R',
 
-    and solved for x/|tau| (over the smallest normal double once tau is
-    subnormal), so that neither a root at float distance from its pole
-    nor couplings whose squares underflow lose digits.  An end gap takes
-    the far pole to infinity: x^2 + (rho + tau n') x - s = 0.  Of the
-    quadratic's two roots the model's lies in (a, b).
+    with R' = 1 + ``slopes`` + u_far^2.  c_near^2 is never formed, so
+    neither a root that hugs its pole nor a coupling whose square
+    underflows loses digits.
     """
-    near_left = a == 0.0
-    p = np.where(near_left, b, a)
-    c_near = np.where(near_left, c_l, c_r)
-    c_far = np.where(near_left, c_r, c_l)
-    n1 = np.where(near_left, dpsi, dphi)
-    f1 = np.where(near_left, dphi, dpsi)
-    inner = np.isfinite(p)
-    m = np.maximum(np.abs(tau), _TINY)
-    w = tau / m  # +-1 unless tau is subnormal
+    c_near, c_far = np.where(near_left, (c_l, c_r), (c_r, c_l))
+    u_far = np.where(near_left, u_r, u_l)
+    slope = 1.0 + slopes + u_far * u_far
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d_far = p - tau
-        s = (c_near / m) ** 2 + w * w * n1  # s / m^2
-        q2 = np.where(inner, rho + 2.0 * tau - p + tau * n1 - d_far * f1, 1.0)
-        q1 = np.where(
-            inner,
-            -(p * rho / m + c_near * (c_near / m) + c_far * (c_far / m)
-              + tau * w * (1.0 + n1) + w * (p * n1 - d_far * f1)),
-            rho / m + w * n1)
-        q0 = np.where(inner, s * p, -s)
-        # the discriminant, scaled against overflow
-        g = np.maximum(np.abs(q1), 2.0 * np.sqrt(np.abs(q2))
-                       * np.sqrt(np.abs(q0)))
-        disc = g * np.sqrt(np.abs((q1 / g) ** 2 - 4.0 * (q2 / g) * (q0 / g)))
-        q = -0.5 * q1 - 0.5 * np.copysign(disc, q1)
-        first, second = m * (q / q2), m * (q0 / q)
-    return np.where((first > a) & (first < b), first, second)
+        d = rho + x + c_far * u_far + x * slope
+        return c_near * (c_near / d) + x * (x * slope / d)

@@ -248,6 +248,20 @@ class TestDensityTable:
         with pytest.raises(gt.NumericalFailure, match="not finite"):
             gt.density_table(model)
 
+    @pytest.mark.parametrize("density,match", [
+        (np.nan, "overlap density is not finite"),
+        (1e307, "norm is not finite")], ids=["nan-density", "norm-overflow"])
+    def test_non_finite_density_or_norm_is_numerical(self, flat_model,
+                                                     monkeypatch, density,
+                                                     match):
+        """A NaN density, or finite densities whose norm integral
+        overflows, stop the build before any fit."""
+        monkeypatch.setattr(decay, "spectral_density",
+                            lambda model, omega: np.full(np.shape(omega),
+                                                         density))
+        with pytest.raises(gt.NumericalFailure, match=match):
+            gt.density_table.__wrapped__(flat_model)
+
     def test_untruncatable_tail_is_numerical(self):
         """8 max(omega0, scale) overflows: no truncation point exists."""
         model = gt.FriedrichsModel(

@@ -1,9 +1,9 @@
 """The exit-code contract of the CLI.
 
 Exit 1 is a ``ConfigError`` alone, raised before any numerical work; exit 2
-is a ``NumericalFailure`` or an ``OverflowError``; any other exception is a
-bug and leaves ``main`` with its traceback.  On exit 0 every table holds
-finite numbers.
+is a ``NumericalFailure`` alone; any other exception, a bare
+``OverflowError`` included, is a bug and leaves ``main`` with its
+traceback.  On exit 0 every table holds finite numbers.
 """
 
 import csv

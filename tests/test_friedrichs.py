@@ -215,6 +215,14 @@ class TestFormFactors:
         with pytest.raises(ValueError, match="nonnegative"):
             gt.TabulatedFormFactor(grid=np.linspace(0, 1, 5),
                                    values=np.array([1, 1, -1, 1, 1.0]))
+        for grid, values, match in [
+                (np.linspace(0.0, 1.0, 3), np.ones(3), ">= 4 grid points"),
+                (np.linspace(0.0, 1.0, 8).reshape(2, 4), np.ones((2, 4)),
+                 ">= 4 grid points"),
+                (np.linspace(-1.0, 1.0, 5), np.ones(5), "below 0"),
+                (np.linspace(0.0, 1.0, 5), np.ones(4), "matching shapes")]:
+            with pytest.raises(ValueError, match=match):
+                gt.TabulatedFormFactor(grid=grid, values=values)
 
     @pytest.mark.parametrize("where,bad", [("values", np.nan),
                                            ("values", np.inf),
@@ -247,6 +255,9 @@ class TestFormFactors:
         assert ff.f2(3.0) == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ContinuationUnavailable):
             ff.f2_complex(1 - 1j)
+        np.savetxt(path, grid)
+        with pytest.raises(ValueError, match="expected two columns"):
+            gt.TabulatedFormFactor.from_file(path)
 
     def test_model_validation(self):
         ff = gt.FlatCutoff(cutoff=10.0)
@@ -1208,8 +1219,10 @@ class TestDiscretize:
     @pytest.mark.parametrize("lam", [0.05, 0.1, 0.2])
     def test_roots_need_few_passes(self, form_factor, omega_max, lam):
         """At the benchmark models every eigenvalue closes within 10
-        passes over the secular function; a bracketed Newton iteration
-        needs about 55."""
+        passes over the secular function (6-8).  Bracketed Newton on F
+        itself needs about 55; the solver's step, on F cleared of its near
+        pole, needs the same 6-8 when every root starts at the middle of
+        its gap."""
         model = gt.FriedrichsModel(omega0=1.0, lam=lam,
                                    form_factor=form_factor)
         with warnings.catch_warnings():
@@ -1254,34 +1267,28 @@ class TestDiscretize:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), k=st.integers(2, 80),
            omega0=st.floats(-1.0, 3.0), step=st.floats(1e-3, 0.5),
-           decades=st.floats(0.0, 16.0), jitter=st.booleans())
+           decades=st.floats(0.0, 16.0))
     def test_secular_roots_match_dense_eigh(self, data, k, omega0, step,
-                                            decades, jitter):
+                                            decades):
         """``_secular_roots`` against dense eigh on poles that are a
         lattice with holes (one-step gaps, which start from the model,
-        mixed with wider ones, which start at their middle), or that lattice
-        shifted off itself pole by pole (no model start), with couplings
-        spread over up to 16 decades of c^2.  Energies within 1e-12 (1 +
-        |E|) of eigh, overlaps within 1e-11 plus eigh's own uncertainty,
-        roots strictly interlaced with the poles, overlaps complete to
-        1e-12."""
+        mixed with wider ones, which start at their middle), with
+        couplings spread over up to 16 decades of c^2.  Energies within
+        1e-12 (1 + |E|) of eigh, overlaps within 1e-11 plus eigh's own
+        uncertainty, roots strictly interlaced with the poles, overlaps
+        complete to 1e-12."""
         gaps = data.draw(st.lists(st.sampled_from([1, 1, 1, 2, 3]),
                                   min_size=k - 2, max_size=k - 2))
         gaps.insert(data.draw(st.integers(0, k - 2)), 1)  # the step
         site = np.concatenate([[0], np.cumsum(gaps, dtype=int)])
         poles = 0.5 + step * site
-        if jitter:
-            poles = poles + step * np.resize([0.0, 0.31, 0.17], k)
         log_z = data.draw(st.lists(st.floats(-decades, 0.0), min_size=k,
                                    max_size=k))
         coupling = np.sqrt(step * 10.0 ** np.array(log_z))
-        starts, _, _ = friedrichs._model_start(omega0, poles, coupling)
-        if not jitter:
-            one_step = 1 + np.flatnonzero(np.diff(site) == 1)
-            lattice = site[-1] < 2 * k
-            assert np.array_equal(starts, one_step if lattice else [])
+        starts, _, _ = friedrichs._model_start(omega0, poles, coupling, site)
+        assert np.array_equal(starts, 1 + np.flatnonzero(np.diff(site) == 1))
         roots, overlaps, passes = friedrichs._secular_roots(omega0, poles,
-                                                            coupling)
+                                                            coupling, site)
         vals, dense, spread = dense_eigh(omega0, poles, coupling)
         assert np.all(np.abs(roots - vals) <= 1e-12 * (1.0 + np.abs(vals)))
         assert np.all(np.abs(overlaps - dense) <= 1e-11 + spread)

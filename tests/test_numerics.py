@@ -546,6 +546,12 @@ class TestOdeEvolve:
         with pytest.raises(ValueError):
             ode_evolve(1.0, 1.0, np.array([0.0, 0.0, 1.0]))
 
+    def test_step_below_float_resolution(self):
+        """A step of 1e-9 at tau = 1e6 halves below float resolution of
+        tau before the refinement settles."""
+        with pytest.raises(gt.StepUnderflow, match="float resolution"):
+            ode_evolve(1.0 - 0.5j, 1.0, np.array([1e6, 1e6 + 1e-9]))
+
 
 class TestDerivative:
     def test_square(self):
