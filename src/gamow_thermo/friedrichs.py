@@ -108,20 +108,14 @@ class FormFactor:
         each within max(1e-12, 1e-10 |integral|).  A z that is not finite
         raises :class:`ValueError`, and so does a real z on a support end
         where f^2 does not vanish, where the integral diverges."""
-        return principal_values(self.f2, *self.support, z,
-                                scale=self.scale_hint)
+        return principal_values(self.f2, *self.support, z)
 
     @property
     def support(self) -> tuple[float, float]:
-        """Interval outside of which f^2 vanishes (upper edge may be inf)."""
+        """Interval outside of which f^2 vanishes.  A profile whose upper
+        edge is inf also supplies ``scale_hint`` and ``tail_weight``, from
+        which the density table takes its truncation point."""
         raise NotImplementedError
-
-    @property
-    def scale_hint(self) -> float:
-        """Characteristic energy used to size tail splits and grids: the
-        upper end of a bounded support.  A profile on the half-line
-        overrides it with the energy over which its f^2 varies."""
-        return self.support[1]
 
 
 @dataclass(frozen=True)
@@ -256,6 +250,14 @@ class RationalFormFactor(FormFactor):
     @property
     def scale_hint(self) -> float:
         return self.scale
+
+    def tail_weight(self, w: float) -> float:
+        """The integral of f^2 / x^2 over [w, inf), w >= s: ln(1 + q^2) /
+        (2 pi s^2) with q = s/w, as (ln(1 + q^2) / q^2) / (2 pi w) / w,
+        the first factor 1 where q^2 underflows, so that no subnormal s^2,
+        q^2 or w^2 enters; inf past the float range."""
+        q2 = (self.scale / w) ** 2
+        return (math.log1p(q2) / q2 if q2 else 1.0) / (2.0 * math.pi * w) / w
 
 
 @dataclass(frozen=True, eq=False)

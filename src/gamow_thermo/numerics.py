@@ -148,7 +148,7 @@ _SIDES = np.array([-1.0, 1.0])[:, None, None]
 # its summed Kronrod-Gauss gauge is within max(abs_tol, rel_tol * |I|), and
 # fails past _MAX_PANELS panels.  Principal values run at the density
 # table's, which a tabulated profile's pole search inherits; plain
-# integrals at that of the table's norm and tail bound
+# integrals at that of the table's norm
 _CAUCHY_TOL = (1e-12, 1e-10)
 _INTEGRAL_TOL = (1e-11, 1e-11)
 _MAX_PANELS = 20000
@@ -161,17 +161,12 @@ def _first_pass(pieces: int, off: bool) -> np.ndarray:
     """The panel edges in s of the static first pass of an integral with
     ``pieces`` pieces, s in [p, p + 1) for piece p, each split into
     ``_PANELS`` equal panels; off the axis the window piece of a Cauchy
-    integral also splits at s = 1/16, 1/8, 7/8 and 15/16, and on an
-    infinite range (three pieces) the window at 1 - 4^-k and the tail at
-    2 + 4^-k and 3 - 4^-k, k = 1 .. 20 (see :func:`principal_values`)."""
+    integral also splits at s = 1/16, 1/8, 7/8 and 15/16 (see
+    :func:`principal_values`)."""
     edges = np.linspace(0.0, pieces, pieces * _PANELS + 1)
     if off:
         edges = np.insert(edges, [1, 1, _PANELS, _PANELS],
                           [0.0625, 0.125, 0.875, 0.9375])
-    if pieces == 3:
-        grade = 4.0 ** -np.arange(1, 21)
-        edges = np.union1d(edges, np.concatenate([1.0 - grade, 2.0 + grade,
-                                                  3.0 - grade]))
     return edges
 
 
@@ -210,7 +205,9 @@ def _composite(pieces, edges, n: int, tol, dtype, live=()) -> np.ndarray:
     half its share, its count of panels starting at every first-pass
     panel, live or not; a panel at float resolution is accepted as it
     stands.  The sums run panel by panel in order.  Rows never interact,
-    so a row's result does not depend on its batch.
+    so a row's result does not depend on its batch.  Every value is
+    finite (:func:`_kronrod` checks), so a sum that is not overflows:
+    :class:`NumericalFailure`.
     """
     abs_tol, rel_tol = tol
     alive = np.ones((n, len(pieces)), dtype=bool)
@@ -243,6 +240,9 @@ def _composite(pieces, edges, n: int, tol, dtype, live=()) -> np.ndarray:
     while True:
         total = np.zeros(n, dtype=dtype)
         np.add.at(total, row, val)
+        if not np.isfinite(total).all():
+            raise NumericalFailure("the integral overflows: its panel sums "
+                                   "are not finite")
         tol = np.maximum(abs_tol, rel_tol * np.abs(total))
         open_rows = np.bincount(row, err, n) > tol
         # a row within its tolerance is done, and its panels leave
@@ -357,35 +357,35 @@ def _on_array(f, x: np.ndarray, contract: str) -> np.ndarray:
 
 
 def integrate(f, a: float, b: float) -> complex:
-    """Integrate a complex-valued ``f`` over [a, b], b possibly +inf.
+    """Integrate a complex-valued ``f`` over the finite range [a, b].
 
     ``f`` maps a float array to an array of the same shape.  The range
-    is one row and one piece of the bulk kernel, on u in [0, 1): a finite
-    range maps as w = a + (b - a) u, and [a, inf) folds through
-    w = a + u/(1-u).  The Kronrod-Gauss gauge only sees the integrand at
+    is one row and one piece of the bulk kernel, on u in [0, 1), as
+    w = a + (b - a) u.  The Kronrod-Gauss gauge only sees the integrand at
     its nodes, so the range should end where the integrand's support
     ends: a drop to zero between a panel's outermost node and its edge
     goes unnoticed.  The accuracy is fixed, that of the density table's
     norm: bisection stops once the gauge is within
     max(1e-11, 1e-11 |integral|), with at most 20000 panels.
 
-    Returns the integral estimate; raises :class:`NonConvergence` when the
-    subdivision budget runs out, :class:`IntegrandError` on NaN/inf and
-    :class:`TypeError` when ``f`` breaks the array contract.
+    Returns the integral estimate.  Raises :class:`ValueError` unless
+    -inf < a < b < inf, :class:`NonConvergence` when the subdivision
+    budget runs out, :class:`IntegrandError` on NaN/inf values,
+    :class:`NumericalFailure` when finite values overflow the integral,
+    and :class:`TypeError` when ``f`` breaks the array contract.
     """
-    if not a < b:
-        raise ValueError("integration range must satisfy a < b")
+    if not -np.inf < a < b < np.inf:
+        raise ValueError("integration range must be finite with a < b")
     contract = ("the integrand must map a float array to an array of the "
                 "same shape")
 
     def piece(rows, u):
-        w = u.ravel()
-        if b < np.inf:
-            vals = (b - a) * _on_array(f, a + (b - a) * w, contract)
-        else:
-            one_minus = 1.0 - w
-            vals = _on_array(f, a + w / one_minus, contract) / one_minus**2
-        return vals.reshape(u.shape)
+        vals = _on_array(f, a + (b - a) * u.ravel(), contract)
+        scaled = (b - a) * vals
+        if np.any(np.isfinite(vals) & ~np.isfinite(scaled)):
+            raise NumericalFailure(f"the integral overflows: (b - a) f(w) "
+                                   f"is not finite on [{a!r}, {b!r}]")
+        return scaled.reshape(u.shape)
 
     # a value that is not finite raises; numpy's warnings would only
     # repeat it
@@ -394,30 +394,26 @@ def integrate(f, a: float, b: float) -> complex:
                                   _INTEGRAL_TOL, complex)[0])
 
 
-def principal_values(g, a: float, b: float, poles, *,
-                     scale: float = 1.0) -> np.ndarray:
-    """The Cauchy integrals of g(w) / (z - w) over [a, b], one per z in
-    ``poles``: principal values for real z, plain integrals otherwise.
-    A z that is not finite raises :class:`ValueError`.  It is the
+def principal_values(g, a: float, b: float, poles) -> np.ndarray:
+    """The Cauchy integrals of g(w) / (z - w) over the finite range
+    [a, b], one per z in ``poles``: principal values for real z, plain
+    integrals otherwise.  A range that is not finite with a < b, or a z
+    that is not finite, raises :class:`ValueError`.  It is the
     self-energy route of a tabulated form factor and the quadrature
     oracle of the closed forms of the flat and rational profiles.
 
-    ``b`` may be +inf.  ``g`` maps a float array of any shape to a real
-    array of that shape and must be smooth around every Re z inside the
-    support; a jump elsewhere only costs bisection rounds.  Each
-    z = x + iy splits [a, b] into three pieces, concatenated into one
-    integral per point on shared nodes and refined by bisection where a
-    point's Kronrod-Gauss gauge exceeds max(1e-12, 1e-10 |integral|), the
-    density table's accuracy, with at most 20000 panels per point:
+    ``g`` maps a float array of any shape to a real array of that shape
+    and must be smooth around every Re z inside the support; a jump
+    elsewhere only costs bisection rounds.  Each z = x + iy splits
+    [a, b] into two pieces, concatenated into one integral per point on
+    shared nodes and refined by bisection where a point's Kronrod-Gauss
+    gauge exceeds max(1e-12, 1e-10 |integral|), the density table's
+    accuracy, with at most 20000 panels per point:
 
     - the window [x - r, x + r], r the distance from x to the nearer end
       (r = 0 when x lies at or outside an end), folded onto itself;
     - the rest of the range, on one side of x at distances d from
-      ``|min(x - a, b - x)|`` up to the far end;
-    - on an infinite range, the distances past
-      T = ``|x - a|`` + 4 * ``scale`` in q = T/d, smooth for g decaying like
-      1/w or faster (``scale`` is where g varies and only steers the first
-      panels).
+      ``|min(x - a, b - x)|`` up to the far end.
 
     For real z, 1/(x - w) integrates to zero over the window, which
     leaves the smooth -int_0^1 (g(x + r s) - g(x - r s)) / s ds, and the
@@ -439,35 +435,26 @@ def principal_values(g, a: float, b: float, poles, *,
     off-axis points are two batches of the bulk kernel, so each result is
     that of its single-point call.
 
-    A point with |y| below 2^-1000 of the farthest distance its sinh map
-    reaches (the far end, or T on an infinite range), where asinh(d/|y|)
-    would overflow, takes its limit on the axis, exact in double
-    precision there: the real point's integral less i pi sign(y) g(x)
-    inside the support, the plain integral outside it, and the
-    divergence rule on an end.
+    A point with |y| below 2^-1000 of the far end's distance, where
+    asinh(d/|y|) would overflow, takes its limit on the axis, exact in
+    double precision there: the real point's integral less
+    i pi sign(y) g(x) inside the support, the plain integral outside it,
+    and the divergence rule on an end.
 
-    The first pass is static: each batch kind (on or off the axis, two or
-    three pieces) starts from one table of panels in s, four per piece,
-    and off the axis the window also splits at v/v_win = 1/16, 1/8, 7/8
-    and 15/16, its two ends, where a narrow resonance's integrand varies
-    fastest in v.  That pass is the kernel's first bisection round: each
-    piece's integrand is evaluated once, on every point's nodes at once,
-    and a point with an empty window (r = 0) gets no panel there, so g
-    is not called for it.  A call therefore costs about the same for one
-    point as for a few: its cost is per call, not per point.  Only points
-    that miss their tolerance go on to further rounds, which evaluate
-    each new panel with the integrand of its piece.
-
-    On an infinite range the window also splits at 1 - 4^-k and the tail
-    at 4^-k and 1 - 4^-k, for k = 1 .. 20.  Far from the support's start,
-    a g decaying like 1/w holds equal parts of the integral in each octave
-    of w - a between ``scale`` and |z - a|, and the window (x > a) and the
-    tail squeeze those octaves within scale/|z - a| of these ends.  So
-    graded, the kernel meets its bound against the rational profile's
-    closed form in every direction checked (49 angles, scales 1e-3 to
-    1e3), at |z| from 1e-12 to 1e250 scales; past about 1e12 scales the
-    integral itself is below the 1e-12 floor.
+    The first pass is static: each batch kind (on or off the axis)
+    starts from one table of panels in s, four per piece, and off the
+    axis the window also splits at v/v_win = 1/16, 1/8, 7/8 and 15/16,
+    its two ends, where a narrow resonance's integrand varies fastest in
+    v.  That pass is the kernel's first bisection round: each piece's
+    integrand is evaluated once, on every point's nodes at once, and a
+    point with an empty window (r = 0) gets no panel there, so g is not
+    called for it.  A call therefore costs about the same for one point
+    as for a few: its cost is per call, not per point.  Only points that
+    miss their tolerance go on to further rounds, which evaluate each new
+    panel with the integrand of its piece.
     """
+    if not -np.inf < a < b < np.inf:
+        raise ValueError("integration range must be finite with a < b")
     z = _finite_points(poles)
     x, y = np.real(z).astype(float), np.imag(z).astype(float)
     off = y != 0.0
@@ -476,15 +463,15 @@ def principal_values(g, a: float, b: float, poles, *,
     # repeat it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if n_off in (0, z.size):
-            return _cauchy(g, a, b, x, y, n_off > 0, scale)
+            return _cauchy(g, a, b, x, y, n_off > 0)
         out = np.empty(z.shape, dtype=complex)
         for rows, kind in ((off, True), (~off, False)):
-            out[rows] = _cauchy(g, a, b, x[rows], y[rows], kind, scale)
+            out[rows] = _cauchy(g, a, b, x[rows], y[rows], kind)
     return out
 
 
-def _cauchy(g, a: float, b: float, x: np.ndarray, y: np.ndarray, off: bool,
-            scale: float) -> np.ndarray:
+def _cauchy(g, a: float, b: float, x: np.ndarray, y: np.ndarray,
+            off: bool) -> np.ndarray:
     """The Cauchy integrals of :func:`principal_values` for one batch
     kind: every z = x + iy on the axis, or every one off it."""
     if not x.size:
@@ -499,16 +486,15 @@ def _cauchy(g, a: float, b: float, x: np.ndarray, y: np.ndarray, off: bool,
     nearer = np.minimum(near, far)
     r, start = np.maximum(nearer, 0.0), np.abs(nearer)
     side = np.where(near <= far, 1.0, -1.0)
-    infinite = b == np.inf
-    end = start + 4.0 * scale if infinite else np.maximum(near, far)
+    end = np.maximum(near, far)
     if off:
         ay = np.abs(y)
         rim = ay < 2.0**-1000 * end
         if np.count_nonzero(rim):
             # asinh(end/|y|) would overflow: the limit on the axis
             out = np.empty(x.size, dtype=complex)
-            out[~rim] = _cauchy(g, a, b, x[~rim], y[~rim], True, scale)
-            out[rim] = _cauchy(g, a, b, x[rim], y[rim], False, scale)
+            out[~rim] = _cauchy(g, a, b, x[~rim], y[~rim], True)
+            out[rim] = _cauchy(g, a, b, x[rim], y[rim], False)
             rim &= (a < x) & (x < b)
             out[rim] -= 1j * np.pi * np.sign(y[rim]) * g(x[rim])
             return out
@@ -531,9 +517,6 @@ def _cauchy(g, a: float, b: float, x: np.ndarray, y: np.ndarray, off: bool,
             d = np.where(linear, u * end[j], np.exp(lead[j] + u * span[j]))
             rate = np.where(linear, end[j] / d, span[j])
             return -side[j] * rate * g(x[j] + side[j] * d)
-
-        def tail(j, q):
-            return -g(x[j] + end[j] / q) / q
     else:
         i_sign = 1j * np.sign(y)
         v_win, v_lo, v_hi = np.arcsinh(np.array([r, start, end]) / ay)
@@ -553,12 +536,8 @@ def _cauchy(g, a: float, b: float, x: np.ndarray, y: np.ndarray, off: bool,
             return -width[j] * g(x[j] + lever[j] * np.sinh(v)) * (
                 side[j] * np.tanh(v) + i_sign[j] / np.cosh(v))
 
-        def tail(j, q):
-            return -g(x[j] + end[j] / q) / (q - 1j * y[j] * q * q / end[j])
-
-    pieces = [window, one_sided, tail][:2 + infinite]
     # a point with an empty window (r = 0) gets no panel there
-    return _composite(pieces, _first_pass(len(pieces), off), x.size,
+    return _composite([window, one_sided], _first_pass(2, off), x.size,
                       _CAUCHY_TOL, complex if off else float, live=[r > 0.0])
 
 

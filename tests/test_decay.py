@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from collections import Counter
 from dataclasses import asdict
@@ -250,7 +251,8 @@ class TestDensityTable:
 
     @pytest.mark.parametrize("density,match", [
         (np.nan, "overlap density is not finite"),
-        (1e307, "norm is not finite")], ids=["nan-density", "norm-overflow"])
+        (1e307, "the integral overflows")],
+        ids=["nan-density", "norm-overflow"])
     def test_non_finite_density_or_norm_is_numerical(self, flat_model,
                                                      monkeypatch, density,
                                                      match):
@@ -990,6 +992,54 @@ class TestUnboundedSupport:
             p_quad = abs(gt.survival_amplitude(rational_model, t)) ** 2
             p_oracle = float(rational_oracle.survival_probability(t))
             assert abs(p_quad - p_oracle) / p_oracle < 0.01
+
+    @settings(max_examples=100, deadline=None)
+    @given(omega0=st.floats(-2.0, 2.0), lam=st.floats(-3.0, math.log10(5.0)),
+           scale=st.floats(-320.0, 300.0))
+    # the cut at 65536 would leave the bound at 5.9e-10
+    @example(omega0=0.0, lam=math.log10(2.0), scale=0.0)
+    def test_tail_cut_is_the_first_doubling_within_the_bound(
+            self, omega0, lam, scale):
+        """The truncation point is the first w = 8 max(omega0, s) 2^k whose
+        exact density bound 4 lam^2 ln(1 + s^2/w^2) / (2 pi s^2) is below
+        3e-10, from a subnormal scale to 1e300 (exponents drawn)."""
+        mp = pytest.importorskip("mpmath")
+        omega0, lam, scale = 10.0**omega0, 10.0**lam, 10.0**scale
+        model = gt.FriedrichsModel(
+            omega0=omega0, lam=lam,
+            form_factor=gt.RationalFormFactor(scale=scale))
+        cut = decay._tail_cutoff(model)
+        start = 8.0 * max(omega0, scale)
+        k = round(np.log2(cut / start))
+        assert k >= 0 and cut == start * 2.0**k
+
+        def bound(w):
+            with mp.workdps(50):
+                q2 = (mp.mpf(scale) / w) ** 2
+                return (4 * mp.mpf(lam) ** 2 * mp.log1p(q2)
+                        / (2 * mp.pi * mp.mpf(scale) ** 2))
+
+        assert bound(cut) < 3e-10
+        assert k == 0 or bound(cut / 2.0) >= 3e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(scale=st.floats(-320.0, 300.0), frac=st.floats(0.0, 1.0))
+    def test_tail_weight_against_mpmath(self, scale, frac):
+        """The rational tail weight at w from 8 s to 1e308, to 1e-15
+        relative wherever it is a normal double (below 2^-1022 a double
+        has no relative precision), and inf above the float range."""
+        mp = pytest.importorskip("mpmath")
+        low = scale + math.log10(8.0)
+        w = 10.0 ** (low + frac * (308.0 - low))
+        scale = 10.0**scale
+        got = gt.RationalFormFactor(scale=scale).tail_weight(w)
+        with mp.workdps(50):
+            exact = (mp.log1p((mp.mpf(scale) / w) ** 2)
+                     / (2 * mp.pi * mp.mpf(scale) ** 2))
+            if exact > np.finfo(float).max:
+                assert got == np.inf
+            else:
+                assert abs(got - exact) <= 1e-15 * exact + 2.0**-1022
 
 
 @pytest.mark.slow

@@ -44,10 +44,29 @@ def closed_eta(model, z, sheet="I"):
 def kernel_eta(model, z, sheet="I"):
     """eta(z) off the axis with its integral from the adaptive Cauchy
     kernel: the quadrature oracle of the closed forms."""
-    ff = model.form_factor
-    integral = principal_values(ff.f2, *ff.support, [z],
-                                scale=ff.scale_hint)[0]
-    return _eta(model, z, integral, sheet)
+    return _eta(model, z, kernel_cauchy(model.form_factor, [z])[0], sheet)
+
+
+def kernel_cauchy(ff, z):
+    """The adaptive kernel's Cauchy integrals of ``ff``'s f^2 at the
+    points ``z``: the quadrature oracle of the closed forms.
+
+    The kernel serves finite ranges, so the rational profile's half-line
+    maps onto [0, 1] by w = s u/(1 - u): f^2(w) dw / (z - w) becomes
+    g(u) du / ((z + s)(zeta - u)) with zeta = z/(z + s) and
+    g(u) = u / (pi (u^2 + (1 - u)^2)), bounded and free of s.  Im zeta
+    has the sign of Im z; where it underflows to 0 off the axis, it is
+    set to +-5e-324 on z's side, so that the kernel's rule beside the
+    axis applies.
+    """
+    if not isinstance(ff, gt.RationalFormFactor):
+        return principal_values(ff.f2, *ff.support, z)
+    z, s = np.asarray(z, dtype=complex), ff.scale
+    zeta = z / (z + s)
+    beside = (zeta.imag == 0.0) & (z.imag != 0.0)
+    zeta.imag[beside] = np.copysign(5e-324, z.imag[beside])
+    return principal_values(lambda u: u / (np.pi * (u * u + (1.0 - u) ** 2)),
+                            0.0, 1.0, zeta) / (z + s)
 
 
 def _eta(model, z, integral, sheet):
@@ -365,7 +384,7 @@ class TestSelfEnergy:
         pv = flat_model.form_factor.cauchy([1.3 + 0.0j])
         assert pv.imag[0] == 0.0
         assert _within_table_contract(pv, principal_values(
-            flat_model.form_factor.f2, 0.0, 10.0, [1.3], scale=10.0))
+            flat_model.form_factor.f2, 0.0, 10.0, [1.3]))
         split = 1.3 - 1.0 - lam2 * pv + 1j * np.pi * lam2 * 1.0
         assert val == split[0]
         assert val.imag > 0
@@ -478,23 +497,22 @@ class TestClosedForms:
            size=_log_uniform(-1.0, 1.0), where=_CAUCHY_REGIONS,
            frac=st.floats(1e-6, 1.0 - 1e-6), height=st.floats(1e-6, 1.0),
            below=st.booleans(), angle=st.floats(-np.pi, np.pi))
-    # |z| = 7e10 scales: the octaves of the profile's 1/w tail crowd the
-    # kernel's window end, where an even first pass missed two thirds of
-    # the integral (3.84e-12 against 1.139e-11)
+    # z = 7e10, 7e9 scales out on the axis, where the integral (1.139e-11)
+    # is near the kernel's 1e-12 floor and zeta = z/(z + s) lies 1.4e-10
+    # below the end of the mapped range
     @example(kind="rational", size=10.0, where="far", frac=0.984375,
              height=0.5, below=False, angle=0.0)
     def test_against_the_kernel(self, kind, size, where, frac, height,
                                 below, angle):
         ff = _profile_model(kind, 1.0, 0.1, size).form_factor
-        # on the rational profile's unbounded support the kernel is the
-        # oracle out to 1e10 widths, 1e11 scales, where the integral is
-        # still above its 1e-12 floor; test_relative_accuracy goes on to
-        # 1e150
+        # the rational profile's oracle, on its half-line mapped onto
+        # [0, 1], reaches out to 1e10 widths, 1e11 scales, where the
+        # integral is still above its 1e-12 floor; test_relative_accuracy
+        # goes on to 1e150
         z = _cauchy_point(size, where, frac, height, below, angle, reach=6,
                           far=150 if kind == "flat" else 10)
         value = ff.cauchy([z])
-        oracle = principal_values(ff.f2, *ff.support, [z],
-                                  scale=ff.scale_hint)
+        oracle = kernel_cauchy(ff, [z])
         assert _within_table_contract(value, oracle)
         if z.imag == 0.0:
             assert value.imag[0] == 0.0
@@ -526,8 +544,8 @@ class TestClosedForms:
         naming it, alone or in a batch."""
         for s in (0.5, 1e10):
             ff = gt.RationalFormFactor(scale=s)
-            assert _within_table_contract(ff.cauchy([0.0]), principal_values(
-                ff.f2, 0.0, np.inf, [0.0], scale=s))
+            assert _within_table_contract(ff.cauchy([0.0]),
+                                          kernel_cauchy(ff, [0.0]))
             for z in (0j, -0j, 5e-324 + 0j):
                 assert ff.cauchy([z])[0] == pytest.approx(-0.5 / s,
                                                           rel=1e-15)
@@ -603,14 +621,6 @@ def _within_table_contract(pv, exact):
                   <= np.maximum(1e-12, 1e-10 * np.abs(exact)))
 
 
-def _pv(model, omega):
-    """The kernel's principal value at omega: the quadrature oracle of the
-    one inside eta(omega + i0)."""
-    ff = model.form_factor
-    lo, hi = ff.support
-    return principal_values(ff.f2, lo, hi, omega, scale=ff.scale_hint)
-
-
 class TestBatchedBoundary:
     """The batched principal value behind eta(omega + i0)."""
 
@@ -621,7 +631,7 @@ class TestBatchedBoundary:
         model = gt.FriedrichsModel(omega0=1.0, lam=0.1,
                                    form_factor=gt.FlatCutoff(cutoff=cutoff))
         omega = cutoff * np.array([1e-9, frac, 1.0 - 1e-9])
-        pv = _pv(model, omega)
+        pv = kernel_cauchy(model.form_factor, omega)
         assert _within_table_contract(pv, np.log(omega / (cutoff - omega)))
 
     @settings(max_examples=40, deadline=None)
@@ -634,7 +644,7 @@ class TestBatchedBoundary:
         omega = scale * np.array(ratios)
         exact = ((omega * np.log(omega / scale) / np.pi - 0.5 * scale)
                  / (omega**2 + scale**2))
-        pv = _pv(model, omega)
+        pv = kernel_cauchy(model.form_factor, omega)
         assert _within_table_contract(pv, exact)
 
     @settings(max_examples=20, deadline=None)
@@ -660,7 +670,7 @@ class TestBatchedBoundary:
             form_factor=gt.TabulatedFormFactor(grid=grid,
                                                values=np.ones_like(grid)))
         omega = np.array([0.5 + 1e-9, 0.7, 5.0, 10.0 - 1e-9])
-        pv = _pv(model, omega)
+        pv = kernel_cauchy(model.form_factor, omega)
         assert _within_table_contract(pv,
                                       np.log((omega - 0.5) / (10.0 - omega)))
         assert abs(gt.density_table(model).norm_direct - 1.0) < 1e-6
