@@ -63,11 +63,6 @@ class PoleOutsideSupport(NumericalFailure, RuntimeError):
     """Root search converged to a zero outside the form factor's support."""
 
 
-# 1/(k (k-1)) for k = 23 down to 2: the Taylor coefficients of the rational
-# profile's numerator about +-i * scale, highest power first
-_TAYLOR_N = 1.0 / (np.arange(23, 1, -1) * np.arange(22, 0, -1))
-
-
 def _log1p(u):
     """log(1 + u) for complex |u| <= 1/4, to relative rounding however
     small u is; numpy's complex log1p takes log|1 + u| of the rounded
@@ -214,10 +209,9 @@ class RationalFormFactor(FormFactor):
         + 1) / s.  Past |w| = 1e150, where w^2 may overflow, it is
         divided through by w: (L / pi - q/2) / (z + s q) with q = s/z and
         L = log(-z) - log s.  N vanishes at both zeros p = +-i of w^2 + 1,
-        so within |w - p| < 1/10 the quotient comes from N's Taylor series
-        about p, divided by w - p term by term: (log(-p) + 1 - sum_k
-        (-r)^(k-1) / (k (k-1))) / (pi s (w + p)), r = (w - p)/p, k = 2 ..
-        23.  At z = 0 it is the limit -1/(2s)."""
+        so within |w - p| < 1/10 the quotient is N / (w - p) = (log(-p) +
+        (1 + r) log1p(r) / r) / pi over s (w + p), r = (w - p)/p, with
+        log1p(r) / r = 1 at r = 0.  At z = 0 it is the limit -1/(2s)."""
         z = np.asarray(_finite_points(z), dtype=complex)
         s = self.scale
         # the points far out, at 0 and near +-i * s, where this is not
@@ -232,13 +226,14 @@ class RationalFormFactor(FormFactor):
             out[far] = (((np.log(-z_far) - math.log(s)) / np.pi - 0.5 * q)
                         / (z_far + s * q))
         out[w == 0.0] = -0.5 / s
-        taylor = np.hypot(w.real, np.abs(w.imag) - 1.0) < 0.1
-        if taylor.any():
-            w = w[taylor]
+        near = np.hypot(w.real, np.abs(w.imag) - 1.0) < 0.1
+        if near.any():
+            w = w[near]
             p = np.where(w.imag > 0.0, 1j, -1j)
             r = (w - p) / p
-            series = -r * np.polyval(_TAYLOR_N, -r)
-            out[taylor] = (1.0 - 0.5 * np.pi * p - series) / (
+            ratio = np.divide(_log1p(r), r, out=np.ones_like(r),
+                              where=r != 0.0)
+            out[near] = (-0.5 * np.pi * p + (1.0 + r) * ratio) / (
                 np.pi * s * (w + p))
         out.imag[z.imag == 0.0] = 0.0
         return out
@@ -643,9 +638,10 @@ def _secular_roots(omega0: float, poles: np.ndarray, coupling: np.ndarray,
     Each root is E = omega_o + tau with its origin o at the nearer end of
     its gap, chosen by the sign of F at the gap's middle, so that
     omega_i - E = (omega_i - omega_o) - tau carries no cancellation.  The
-    terms of the gap's two end poles are kept apart from the sums over
-    the other poles, and every term is formed from c_i/(omega_i - E), so
-    that a tiny or underflowing c_i^2 next to the root loses nothing.
+    terms of the gap's two end poles are kept apart: :func:`_other_poles`
+    zeroes them and sums the other poles once, into their term, modulus
+    and slope sums.  Every term is formed from c_i/(omega_i - E), so that
+    a tiny or underflowing c_i^2 next to the root loses nothing.
     The iterates are steps of :func:`_newton_step`, kept inside the
     bracket that the signs of F have left (bisecting it otherwise,
     geometrically while its ends differ by more than a factor 4).  The
@@ -700,19 +696,18 @@ def _secular_roots(omega0: float, poles: np.ndarray, coupling: np.ndarray,
     for sweep in range(_MAX_PASSES):
         o, t = origin[r], tau[r]
         base = poles[o]
-        psi, phi, dpsi, dphi = _other_poles(poles, coupling, r, base, t)
+        total, moduli, slopes = _other_poles(poles, coupling, r, base, t)
         # a root at float distance from its pole has an infinite slope
         # there: a zero overlap
         with np.errstate(divide="ignore", over="ignore"):
             u_l = c_l[r] / np.where(r > 0, left[r] - base - t, -1.0)
             u_r = c_r[r] / np.where(r < k, right[r] - base - t, 1.0)
-            overlaps[r] = 1.0 / (1.0 + dpsi + dphi + u_l * u_l + u_r * u_r)
+            overlaps[r] = 1.0 / (1.0 + slopes + u_l * u_l + u_r * u_r)
         energy = base + t
         roots[r] = np.clip(energy, np.nextafter(left[r], np.inf),
                            np.nextafter(right[r], -np.inf))
-        total = psi + phi
         f = (base - omega0) + t + total + c_l[r] * u_l + c_r[r] * u_r
-        gauge = (np.abs(base - omega0) + np.abs(t) + phi - psi
+        gauge = (np.abs(base - omega0) + np.abs(t) + moduli
                  + np.abs(c_l[r] * u_l) + np.abs(c_r[r] * u_r))
         # after the middle of an inner gap started there: move the origin
         # to the right pole when the root lies in the right half
@@ -720,7 +715,7 @@ def _secular_roots(omega0: float, poles: np.ndarray, coupling: np.ndarray,
         shift = np.where(move, right[r] - base, 0.0)
         o, t, base = np.where(move, r, o), t - shift, base + shift
         new = _newton_step((base - omega0) + total, t, o < r, c_l[r], c_r[r],
-                           u_l, u_r, dpsi + dphi)
+                           u_l, u_r, slopes)
         lo_r = np.where(f < 0.0, t, lo[r] - shift)
         hi_r = np.where(f > 0.0, t, hi[r] - shift)
         mid = 0.5 * (lo_r + hi_r)
@@ -836,16 +831,17 @@ def _model_start(omega0, poles, coupling, site):
 
 
 def _other_poles(poles, coupling, rows, base, tau):
-    """For each root ``rows`` at E = base + tau: the sums of c_i^2/(omega_i
-    - E) over the poles left and right of its gap, and of (c_i/(omega_i -
-    E))^2 over the same two sides, leaving out the gap's two end poles.
+    """For each root ``rows`` at E = base + tau, over the poles other than
+    its gap's two ends: the sum of c_i^2/(omega_i - E), the sum of its
+    terms' moduli (the closure gauge's share) and the slope, the sum of
+    (c_i/(omega_i - E))^2.
 
     ``rows`` ascend; they go in blocks of about ``_SWEEP`` (root x pole)
-    elements, each one array of the terms c_i/(omega_i - E), so memory
-    stays flat in the number of poles.
+    elements, each one array of the terms c_i/(omega_i - E), the end
+    poles' zeroed, so memory stays flat in the number of poles.
     """
     k = poles.size
-    out = np.empty((4, rows.size))
+    out = np.empty((3, rows.size))
     step = max(1, _SWEEP // k)
     buffer = np.empty((min(step, rows.size), k))
     for s in range(0, rows.size, step):
@@ -858,27 +854,20 @@ def _other_poles(poles, coupling, rows, base, tau):
         np.subtract(u, tau[s:s + step, None], out=u)
         with np.errstate(divide="ignore", over="ignore"):
             np.divide(coupling, u, out=u)
+        # columns r - 1 and r, clipped: an outer gap has one end pole
+        np.put_along_axis(u, np.clip(r[:, None] + [-1, 0], 0, k - 1), 0.0, 1)
         # poles before column a lie left of every gap of the block, poles
-        # from column b on right of it; in the band between, each row
-        # drops its gap's end poles (columns r - 1 and r) and splits the
-        # rest
+        # from column b on right of it; the band between splits by sign
         a, b = max(r[0] - 1, 0), min(r[-1] + 1, k)
-        col = np.arange(a, b) - r[:, None]
-        band = np.where(np.stack([col < -1, col > 0]), u[:, a:b], 0.0)
-        left, right = u[:, :a], u[:, b:]
-        out[:2, s:s + step] = (np.stack([left @ coupling[:a],
-                                         right @ coupling[b:]])
-                               + band @ coupling[a:b])
-        out[2:, s:s + step] = (np.stack([_row_squares(left),
-                                         _row_squares(right)])
-                               + np.einsum("sij,sij->si", band, band))
+        band = u[:, a:b]
+        left, right = (np.stack([u[:, :a] @ coupling[:a],
+                                 u[:, b:] @ coupling[b:]])
+                       + np.stack([np.minimum(band, 0.0),
+                                   np.maximum(band, 0.0)]) @ coupling[a:b])
+        # the slope as batched dot products: faster here than einsum
+        out[:, s:s + step] = (left + right, right - left,
+                              np.matmul(u[:, None, :], u[:, :, None])[:, 0, 0])
     return out
-
-
-def _row_squares(x):
-    """Sum of squares of each row of a 2-D array, as batched dot products
-    (faster here than ``einsum``)."""
-    return np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]
 
 
 def _newton_step(rho, x, near_left, c_l, c_r, u_l, u_r, slopes):

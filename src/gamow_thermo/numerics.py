@@ -431,15 +431,15 @@ def principal_values(g, a: float, b: float, poles) -> np.ndarray:
     outside the support is a plain integral in u = ln d.  On an end the
     integral diverges unless g vanishes there: a g that does not raises
     :class:`IntegrandError`, and for one that does, g(x + d)/d is bounded
-    and the piece goes in d itself.  Real z give real results.  Real and
-    off-axis points are two batches of the bulk kernel, so each result is
-    that of its single-point call.
+    and the piece goes in d itself.  Real z give real results.
 
-    A point with |y| below 2^-1000 of the far end's distance, where
-    asinh(d/|y|) would overflow, takes its limit on the axis, exact in
-    double precision there: the real point's integral less
-    i pi sign(y) g(x) inside the support, the plain integral outside it,
-    and the divergence rule on an end.
+    Each point's batch is set once: off the axis, or on it, which also
+    takes the points with |y| below 2^-1000 of the far end's distance,
+    where asinh(d/|y|) would overflow.  Their limit on the axis is exact
+    in double precision: the plain integral outside the support, the
+    divergence rule on an end, and inside it the principal value less
+    i pi sign(y) g(x), subtracted after the batch.  Rows of the bulk
+    kernel never interact, so each result is that of its single call.
 
     The first pass is static: each batch kind (on or off the axis)
     starts from one table of panels in s, four per piece, and off the
@@ -457,25 +457,26 @@ def principal_values(g, a: float, b: float, poles) -> np.ndarray:
         raise ValueError("integration range must be finite with a < b")
     z = _finite_points(poles)
     x, y = np.real(z).astype(float), np.imag(z).astype(float)
-    off = y != 0.0
-    n_off = np.count_nonzero(off)
+    # off the axis unless asinh(end/|y|) would overflow
+    off = np.abs(y) >= 2.0**-1000 * np.maximum(x - a, b - x)
+    out = np.empty(z.shape, dtype=complex if y.any() else float)
     # a value that is not finite raises; numpy's warnings would only
     # repeat it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if n_off in (0, z.size):
-            return _cauchy(g, a, b, x, y, n_off > 0)
-        out = np.empty(z.shape, dtype=complex)
         for rows, kind in ((off, True), (~off, False)):
-            out[rows] = _cauchy(g, a, b, x[rows], y[rows], kind)
+            if rows.any():
+                out[rows] = _cauchy(g, a, b, x[rows], y[rows], kind)
+        beside = ~off & (y != 0.0) & (a < x) & (x < b)
+        if beside.any():
+            out[beside] -= 1j * np.pi * np.sign(y[beside]) * g(x[beside])
     return out
 
 
 def _cauchy(g, a: float, b: float, x: np.ndarray, y: np.ndarray,
             off: bool) -> np.ndarray:
-    """The Cauchy integrals of :func:`principal_values` for one batch
-    kind: every z = x + iy on the axis, or every one off it."""
-    if not x.size:
-        return np.empty(0, dtype=complex if off else float)
+    """The Cauchy integrals of :func:`principal_values` for one non-empty
+    batch kind: every z = x + iy off the axis, or on it, where y is not
+    read (the real points' integrals)."""
     if not off:
         at_end = (x == a) | (x == b)
         if np.count_nonzero(at_end) and np.any(g(x[at_end]) != 0.0):
@@ -487,17 +488,6 @@ def _cauchy(g, a: float, b: float, x: np.ndarray, y: np.ndarray,
     r, start = np.maximum(nearer, 0.0), np.abs(nearer)
     side = np.where(near <= far, 1.0, -1.0)
     end = np.maximum(near, far)
-    if off:
-        ay = np.abs(y)
-        rim = ay < 2.0**-1000 * end
-        if np.count_nonzero(rim):
-            # asinh(end/|y|) would overflow: the limit on the axis
-            out = np.empty(x.size, dtype=complex)
-            out[~rim] = _cauchy(g, a, b, x[~rim], y[~rim], True)
-            out[rim] = _cauchy(g, a, b, x[rim], y[rim], False)
-            rim &= (a < x) & (x < b)
-            out[rim] -= 1j * np.pi * np.sign(y[rim]) * g(x[rim])
-            return out
 
     # the integrand of each piece in its own coordinate u = s - p in
     # [0, 1): j picks the rows, as a column
@@ -518,7 +508,7 @@ def _cauchy(g, a: float, b: float, x: np.ndarray, y: np.ndarray,
             rate = np.where(linear, end[j] / d, span[j])
             return -side[j] * rate * g(x[j] + side[j] * d)
     else:
-        i_sign = 1j * np.sign(y)
+        ay, i_sign = np.abs(y), 1j * np.sign(y)
         v_win, v_lo, v_hi = np.arcsinh(np.array([r, start, end]) / ay)
         width, lever = v_hi - v_lo, side * ay
 

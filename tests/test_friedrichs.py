@@ -1307,6 +1307,38 @@ class TestDiscretize:
         chain[0::2], chain[1::2] = roots, poles
         assert np.all(np.diff(chain) > 0.0)
 
+    @pytest.mark.parametrize("sweep", [2**16, 12], ids=["one", "blocks"])
+    def test_other_poles_against_mpmath(self, monkeypatch, sweep):
+        """The sum of c_i^2/(omega_i - E) over the poles other than the
+        gap's two ends, the sum of its terms' moduli and the slope, the
+        sum of (c_i/(omega_i - E))^2, against a 50-digit sum: on a lattice
+        with a hole, for the outer gaps, and for two roots at float
+        distance from an end pole, whose left-out term is about 1e300.
+        The sum agrees within a few ulps of the moduli sum, the other two
+        in relative terms; in one block of rows, or in blocks of two."""
+        mp = pytest.importorskip("mpmath")
+        monkeypatch.setattr(friedrichs, "_SWEEP", sweep)
+        poles = 0.5 + 0.1 * np.array([0, 1, 2, 4, 5, 6])
+        coupling = np.sqrt(0.1 * np.array([1.0, 0.5, 2.0, 1e-3, 0.7, 1.3]))
+        k = poles.size
+        rows = np.array([0, 1, 2, 3, 4, 6])
+        base = poles[[0, 0, 2, 2, 3, 5]]
+        tau = np.array([-0.3, 0.04, -1e-301, 0.13, 1e-301, 0.2])
+        got = friedrichs._other_poles(poles, coupling, rows, base, tau)
+        with mp.workdps(50):
+            for j, r in enumerate(rows):
+                energy = mp.mpf(base[j]) + mp.mpf(tau[j])
+                other = [i for i in range(k) if i not in (r - 1, r)]
+                c = [mp.mpf(coupling[i]) for i in other]
+                u = [ci / (mp.mpf(poles[i]) - energy)
+                     for ci, i in zip(c, other)]
+                moduli = float(sum(abs(ci * ui) for ci, ui in zip(c, u)))
+                assert abs(got[0, j] - float(mp.fdot(c, u))) \
+                    <= 4 * np.finfo(float).eps * moduli
+                assert got[1, j] == pytest.approx(moduli, rel=1e-15)
+                assert got[2, j] == pytest.approx(float(mp.fdot(u, u)),
+                                                  rel=1e-15)
+
     def test_free_model_is_diagonal(self):
         free = gt.FriedrichsModel(omega0=1.0, lam=0.0,
                                   form_factor=gt.FlatCutoff(cutoff=10.0))

@@ -274,11 +274,13 @@ class TestPrincipalValue:
     @example([0.3, 1.7 - 1e-13j, 5.0, -1.0 + 0.5j, 2.0 + 1e-310j,
               0.0 - 2.0j])
     @example([0.0, 2.225073858507203e-309, 5e-324 - 1e-310j])
+    @example([2.0 + 1e-310j, 7.5 - 1e-310j])
     def test_batch_is_its_single_points(self, points):
         """Rows never interact: a batch on a tabulated spline returns, bit
         for bit, each point's single-point result, on and off the axis,
         with empty windows (Re z on an end or outside) and beside the
-        axis (|y| < 2^-1000 of the sinh map's reach)."""
+        axis (|y| < 2^-1000 of the sinh map's reach), also when every
+        point lies beside it."""
         ff = _BATCH_PROFILE
         lo, hi = ff.support
         batch = principal_values(ff.f2, lo, hi, points)
