@@ -77,7 +77,8 @@ class FormFactor:
     Subclasses provide ``f2`` on the positive half-line, the support
     interval where it is nonzero, and (when the profile is an explicit
     analytic expression) its continuation ``f2_complex`` to complex
-    arguments and the closed form of its Cauchy transform ``cauchy``.
+    arguments and the closed form of its Cauchy transform ``cauchy``,
+    both from the one pass ``_cauchy_and_f2``.
     """
 
     def f2(self, omega):
@@ -98,12 +99,30 @@ class FormFactor:
     def cauchy(self, z):
         """The sheet-I integral of f^2(w) / (z - w) over the support, one
         per point of ``z`` (flattened): the principal value, a real
-        number, for real z.  A profile without a closed form takes it from
-        the adaptive kernel :func:`~gamow_thermo.numerics.principal_values`,
-        each within max(1e-12, 1e-10 |integral|).  A z that is not finite
-        raises :class:`ValueError`, and so does a real z on a support end
-        where f^2 does not vanish, where the integral diverges."""
-        return principal_values(self.f2, *self.support, z)
+        number, for real z.  The flat and rational profiles take it in
+        closed form, exact to rounding, from the pass that also forms
+        their continuation for :func:`self_energy`; a profile without a
+        closed form takes it from the adaptive kernel
+        :func:`~gamow_thermo.numerics.principal_values`, each within
+        max(1e-12, 1e-10 |integral|).  A z that is not finite raises
+        :class:`ValueError`, and so does a real z on a support end where
+        f^2 does not vanish, where the integral diverges."""
+        z = np.asarray(_finite_points(z), dtype=complex)
+        real = z.imag == 0.0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return self._cauchy_and_f2(
+                z, real if np.count_nonzero(real) else None, False)[0]
+
+    def _cauchy_and_f2(self, z, real, continued: bool):
+        """The Cauchy transform at the flat array ``z`` of finite complex
+        points and, when ``continued``, f2_complex there (else None): both
+        terms of eta_II from one pass, under the caller's
+        :func:`numpy.errstate`.  ``real`` marks the points on the axis,
+        whose transform is real, and is None when there are none.  Here
+        the continuation comes first, so that a profile without one
+        raises before the kernel's integrals are spent for nothing."""
+        f2 = self.f2_complex(z) if continued else None
+        return principal_values(self.f2, *self.support, z), f2
 
     @property
     def support(self) -> tuple[float, float]:
@@ -135,24 +154,26 @@ class FlatCutoff(FormFactor):
     def f2_complex(self, z):
         return _unbox(np.full(np.shape(z), 1.0 + 0.0j))
 
-    def cauchy(self, z):
+    def _cauchy_and_f2(self, z, real, continued: bool):
         """log(z) - log(z - c), where z - c is exact near the cutoff; past
-        |z| = 4c, where the two logs cancel, -log1p(-c/z)."""
-        z = np.asarray(_finite_points(z), dtype=complex)
+        |z| = 4c, where the two logs cancel, -log1p(-c/z).  The
+        continuation is the constant 1, returned as one Python complex
+        whether ``continued`` or not."""
         c = self.cutoff
-        real = z.imag == 0.0
-        if real.any():
-            edge = real & ((z.real == 0.0) | (z.real == c))
-            if edge.any():
-                raise IntegrandError(f"the integral diverges at z = "
-                                     f"{complex(z[edge][0])!r}, an end of "
-                                     f"the support [0, {c!r}]")
         out = np.log(z) - np.log(z - c)
+        if real is not None:
+            # a real z on an end, and no other z, makes a log infinite
+            finite = np.isfinite(out)
+            if np.count_nonzero(finite) < finite.size:
+                raise IntegrandError(f"the integral diverges at z = "
+                                     f"{complex(z[~finite][0])!r}, an end "
+                                     f"of the support [0, {c!r}]")
         far = np.abs(z) > 4.0 * c
-        if far.any():
+        if np.count_nonzero(far):
             out[far] = -_log1p(-c / z[far])
-        out.imag[real] = 0.0
-        return out
+        if real is not None:
+            out.imag[real] = 0.0
+        return out, 1.0 + 0.0j
 
     @property
     def support(self) -> tuple[float, float]:
@@ -171,72 +192,87 @@ class RationalFormFactor(FormFactor):
 
     def f2(self, omega):
         omega = np.asarray(omega, dtype=float)
-        # omega / (pi (omega^2 + s^2)) where that sum is a normal double
-        # and the denominator finite; elsewhere, an overflow or underflow,
-        # the w = omega/s form of f2_complex.  At omega = inf it is the
-        # limit, zero
+        # omega / (pi (omega^2 + s^2)) where omega >= 0 and that
+        # denominator is a normal double and finite; elsewhere, zero off
+        # the half-line and at omega = inf, its limit, and the w = omega/s
+        # form of f2_complex where the denominator overflows or underflows
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            inside = (omega >= 0.0) & (omega < np.inf)
             denom = np.pi * (omega**2 + np.float64(self.scale)**2)
-            out = np.where(inside, omega / denom, 0.0)
-            normal = (denom >= np.pi * 2.0**-1022) & (denom < np.inf)
-            odd = inside & ~normal
+            out = omega / denom
+            plain = ((omega >= 0.0) & (denom >= np.pi * 2.0**-1022)
+                     & (denom < np.inf))
+            if np.count_nonzero(plain) == plain.size:
+                return _unbox(out)
+            inside = (omega >= 0.0) & (omega < np.inf)
+            out = np.where(inside, out, 0.0)
+            odd = inside & ~plain
             if np.count_nonzero(odd):
-                out[odd] = self._in_w(omega[odd])
+                omega = omega[odd]
+                w = omega / self.scale
+                out[odd] = self._in_w(omega, w, w * w + 1.0,
+                                      np.abs(w) > 1e150)
         return _unbox(out)
 
     def f2_complex(self, z):
-        return _unbox(self._in_w(np.asarray(z, dtype=complex)))
-
-    def _in_w(self, z):
-        """The profile at the real or complex array ``z`` in w = z/s:
-        w / (w^2 + 1) / (pi s), not finite at the poles w = +-i; divided
-        through by w far out, where w^2 may overflow."""
-        s = self.scale
+        z = np.asarray(z, dtype=complex)
+        # the transform of that pass is dropped, so no axis point is marked
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            w = z / s
-            out = w / (w * w + 1.0) / (np.pi * s)
-            # the far form only when some point needs it: taken everywhere,
-            # it nearly doubles this call's cost on a Newton stencil
-            far = np.abs(w) > 1e150
-            if np.count_nonzero(far):
-                out = np.where(far, 1.0 / (np.pi * (z + s * (s / z))), out)
+            f2 = self._cauchy_and_f2(z.ravel(), None, True)[1]
+        return _unbox(f2.reshape(z.shape))
+
+    def _in_w(self, z, w, wsq1, far):
+        """The profile at the flat real or complex array ``z``, from
+        w = z/s and w^2 + 1: w / (w^2 + 1) / (pi s), not finite at the
+        poles w = +-i.  At the points ``far``, past |w| = 1e150, where w^2
+        may overflow, it is divided through by w: 1 / (pi (z + s q)) with
+        q = s/z; ``far`` is their mask, or None where there are none.
+        Under the caller's :func:`numpy.errstate`."""
+        s = self.scale
+        out = w / wsq1 / (np.pi * s)
+        if far is not None and np.count_nonzero(far):
+            z = z[far]
+            out[far] = 1.0 / (np.pi * (z + s * (s / z)))
         return out
 
-    def cauchy(self, z):
+    def _cauchy_and_f2(self, z, real, continued: bool):
         """N(z) / (z^2 + s^2) with N(z) = z log(-z/s) / pi - s/2, from
         partial fractions, taken in w = z/s: (w log(-w) / pi - 1/2) / (w^2
-        + 1) / s.  Past |w| = 1e150, where w^2 may overflow, it is
-        divided through by w: (L / pi - q/2) / (z + s q) with q = s/z and
-        L = log(-z) - log s.  N vanishes at both zeros p = +-i of w^2 + 1,
-        so within |w - p| < 1/10 the quotient is N / (w - p) = (log(-p) +
-        (1 + r) log1p(r) / r) / pi over s (w + p), r = (w - p)/p, with
-        log1p(r) / r = 1 at r = 0.  At z = 0 it is the limit -1/(2s)."""
-        z = np.asarray(_finite_points(z), dtype=complex)
+        + 1) / s; with ``continued``, f2_complex from the same w and
+        w^2 + 1.  Past |w| = 1e150, where w^2 may overflow, the transform
+        is divided through by w: (L / pi - q/2) / (z + s q) with q = s/z
+        and L = log(-z) - log s.  N vanishes at both zeros p = +-i of
+        w^2 + 1, so within |w - p| < 1/10 the quotient is N / (w - p) =
+        (log(-p) + (1 + r) log1p(r) / r) / pi over s (w + p), r = (w -
+        p)/p, with log1p(r) / r = 1 at r = 0.  At z = 0 it is the limit
+        -1/(2s).  These three kinds of point are looked for only when
+        |w^2 + 1| is at most 1 (it is 1 at 0 and at most 0.21 within 1/10
+        of +-i) or above 1e299 (|w|^2 > 1e300 far out) at some point."""
         s = self.scale
-        # the points far out, at 0 and near +-i * s, where this is not
-        # finite or not accurate, are taken again below
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            w = z / s
-            out = (w * np.log(-w) / np.pi - 0.5) / (w * w + 1.0) / s
-        far = np.abs(w) > 1e150
-        if far.any():
-            z_far = z[far]
-            q = s / z_far
-            out[far] = (((np.log(-z_far) - math.log(s)) / np.pi - 0.5 * q)
-                        / (z_far + s * q))
-        out[w == 0.0] = -0.5 / s
-        near = np.hypot(w.real, np.abs(w.imag) - 1.0) < 0.1
-        if near.any():
-            w = w[near]
-            p = np.where(w.imag > 0.0, 1j, -1j)
-            r = (w - p) / p
-            ratio = np.divide(_log1p(r), r, out=np.ones_like(r),
-                              where=r != 0.0)
-            out[near] = (-0.5 * np.pi * p + (1.0 + r) * ratio) / (
-                np.pi * s * (w + p))
-        out.imag[z.imag == 0.0] = 0.0
-        return out
+        w = z / s
+        wsq1 = w * w + 1.0
+        out = (w * np.log(-w) / np.pi - 0.5) / wsq1 / s
+        far = None
+        size = np.abs(wsq1)
+        if np.count_nonzero((size <= 1.0) | (size > 1e299)):
+            far = np.abs(w) > 1e150
+            if np.count_nonzero(far):
+                z_far = z[far]
+                q = s / z_far
+                out[far] = (((np.log(-z_far) - math.log(s)) / np.pi
+                             - 0.5 * q) / (z_far + s * q))
+            out[w == 0.0] = -0.5 / s
+            near = np.hypot(w.real, np.abs(w.imag) - 1.0) < 0.1
+            if np.count_nonzero(near):
+                u = w[near]
+                p = np.where(u.imag > 0.0, 1j, -1j)
+                r = (u - p) / p
+                ratio = np.divide(_log1p(r), r, out=np.ones_like(r),
+                                  where=r != 0.0)
+                out[near] = (-0.5 * np.pi * p + (1.0 + r) * ratio) / (
+                    np.pi * s * (u + p))
+        if real is not None:
+            out.imag[real] = 0.0
+        return out, self._in_w(z, w, wsq1, far) if continued else None
 
     @property
     def support(self) -> tuple[float, float]:
@@ -362,50 +398,54 @@ def self_energy(model: FriedrichsModel, z, sheet: str = "I"):
     value, imaginary part i*pi*lam^2*f^2(omega).  This sidesteps the
     catastrophic cancellation of approaching the cut numerically.
 
-    Accepts a scalar (giving a Python complex) or an array of z; the
-    integral of all of them is one call of the profile's
-    :meth:`FormFactor.cauchy`: a closed form for the flat and rational
-    profiles, exact to rounding, and the adaptive Cauchy kernel for a
-    tabulated one, each integral within max(1e-12, 1e-10 |integral|).
-    Sheet II needs the form factor's continuation ``f2_complex``; at a
-    pole of it eta_II is infinite, and
+    Accepts a scalar (giving a Python complex) or an array of z.  The
+    integral and, on sheet II, the continuation at all of them come from
+    one pass of the profile, which checks the points once: for the flat
+    and rational profiles a closed form, exact to rounding, that forms
+    the continuation from the quantities of its Cauchy transform, and
+    for a tabulated one the adaptive Cauchy kernel, each integral within
+    max(1e-12, 1e-10 |integral|).  The rim term reads ``f2`` at the rim
+    points alone, and only a call that has points on the axis looks for
+    them.  Sheet II needs the form factor's continuation ``f2_complex``;
+    at a pole of it eta_II is infinite, and
     :class:`~gamow_thermo.numerics.IntegrandError` names z.
     """
     if sheet not in ("I", "II"):
         raise ValueError(f"sheet must be 'I' or 'II', got {sheet!r}")
-    shape = np.shape(z)
-    z = np.asarray(z, dtype=complex).ravel()
+    z = np.asarray(z, dtype=complex)
+    shape = z.shape
+    z = z.ravel()
     lam2 = model.lam**2
     if lam2 == 0.0:
         return _unbox((z - model.omega0).reshape(shape))
 
     ff = model.form_factor
-    lo, hi = ff.support
-    # the rim: real points strictly inside the support
-    rim = z.imag == 0.0
-    if np.count_nonzero(rim):
-        rim &= (lo < z.real) & (z.real < hi)
-        cut = ~rim
-    else:
-        cut = slice(None)
-    if sheet == "II":
-        # continuation through the cut: from above into Im z < 0, from
-        # below into Im z > 0; taken before the integral, which a profile
-        # without a continuation would spend for nothing
-        off = _finite_points(z)[cut]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            jump = 2j * np.pi * lam2 * ff.f2_complex(off)
-        jump = np.where(off.imag < 0, jump, -jump)
-        bad = ~np.isfinite(jump)
-        if np.count_nonzero(bad):
-            raise IntegrandError(f"eta_II is infinite at z = "
-                                 f"{complex(off[bad][0])!r}, a pole of "
-                                 f"f2_complex")
-    eta = z - model.omega0 - lam2 * ff.cauchy(z)
-    if np.count_nonzero(rim):
-        eta[rim] += 1j * np.pi * lam2 * np.asarray(ff.f2(z.real[rim]))
-    if sheet == "II":
-        eta[cut] += jump
+    continued = sheet == "II"
+    real = z.imag == 0.0
+    if not np.count_nonzero(real):
+        real = None
+    # a value that is not finite raises, here (the jump) or in the
+    # caller: numpy's warnings would only repeat it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        integral, f2 = ff._cauchy_and_f2(_finite_points(z), real, continued)
+        eta = z - model.omega0 - lam2 * integral
+        if real is not None:
+            # the rim: real points strictly inside the support
+            lo, hi = ff.support
+            rim = real & (lo < z.real) & (z.real < hi)
+            eta[rim] += 1j * np.pi * lam2 * np.asarray(ff.f2(z.real[rim]))
+        if continued:
+            # continuation through the cut: from above into Im z < 0, from
+            # below into Im z > 0
+            cut = ... if real is None else ~rim
+            jump = 2j * np.pi * lam2 * f2
+            jump = np.where(z.imag < 0.0, jump, -jump)[cut]
+            finite = np.isfinite(jump)
+            if np.count_nonzero(finite) < finite.size:
+                raise IntegrandError(f"eta_II is infinite at z = "
+                                     f"{complex(z[cut][~finite][0])!r}, a "
+                                     f"pole of f2_complex")
+            eta[cut] += jump
     return _unbox(eta.reshape(shape))
 
 
@@ -429,11 +469,16 @@ def perturbative_pole(model: FriedrichsModel) -> complex:
     the golden-rule width 2 Im eta.  It is the default start of
     :func:`find_pole`, which reports it as the pole's ``estimate``, and an
     independent check on it (the two agree to relative O(lam^2)); unlike a
-    resonance it may lie anywhere.
+    resonance it may lie anywhere.  The width is the rim term of the one
+    :func:`self_energy` call, so f^2(omega0) is read once; where pi lam^2
+    f^2(omega0) is not finite, :class:`IntegrandError` says so.
     """
-    if not np.isfinite(model.form_factor.f2(model.omega0)):
-        raise IntegrandError("f^2(omega0) is not finite")
-    return model.omega0 - self_energy(model, model.omega0)
+    estimate = model.omega0 - self_energy(model, model.omega0)
+    # its imaginary part is -pi lam^2 f^2(omega0), from the one read of f^2
+    if not math.isfinite(estimate.imag):
+        raise IntegrandError("f^2(omega0) is not finite, or pi lam^2 "
+                             "f^2(omega0) overflows")
+    return estimate
 
 
 def find_pole(model: FriedrichsModel,

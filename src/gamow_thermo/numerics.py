@@ -16,6 +16,7 @@ function of its arguments.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,9 +88,10 @@ def _finite_points(z) -> np.ndarray:
     """The points ``z`` of a Cauchy integral as a flat array; one that is
     not finite is the caller's error, a :class:`ValueError` naming it."""
     z = np.asarray(z).ravel()
-    if not np.isfinite(z).all():
+    finite = np.isfinite(z)
+    if np.count_nonzero(finite) < z.size:
         raise ValueError("Cauchy integral at a point that is not finite: "
-                         f"z = {complex(z[~np.isfinite(z)][0])!r}")
+                         f"z = {complex(z[~finite][0])!r}")
     return z
 
 
@@ -562,12 +564,12 @@ def complex_newton(g, start: complex) -> tuple[complex, float, float, int]:
         stencil = np.array([z, z + h, z - h])
         values = _on_array(g, stencil, contract)
         finite = np.isfinite(values)
-        if not finite.all():
+        if np.count_nonzero(finite) < finite.size:
             raise IntegrandError(
                 f"g({complex(stencil[~finite][0])!r}) is not finite")
-        gz, g_up, g_down = map(complex, values)
+        gz, g_up, g_down = values.tolist()
         dg = (g_up - g_down) / (2.0 * h)
-        if abs(dg) < 1e-300 or not np.isfinite(abs(dg)):
+        if abs(dg) < 1e-300 or not math.isfinite(abs(dg)):
             raise SingularStep(f"derivative vanished at z = {z!r}")
         step = gz / dg
         bend = step * ((g_up + g_down - 2.0 * gz) / (h * h)) / (2.0 * dg)

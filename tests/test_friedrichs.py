@@ -298,6 +298,46 @@ class TestResonancePole:
             gt.ResonancePole(e_r=1.0, gamma=-0.1)
 
 
+# every kind of point of the batch sampler in one batch, threshold twice:
+# z = 0 and 5e-324, which the rational w = z/s rounds to zero at size 3
+_MIXED_BATCH = [("rim", 0.3, 0.01), ("threshold", 0.2, 0.1),
+                ("near", 0.3, 0.5), ("upper", 0.4, 1e-3), ("far", 0.5, 0.2),
+                ("negative zero", 0.1, 0.3), ("below", 0.5, 0.1),
+                ("right", 0.25, 0.1), ("edge", 0.6, 0.2),
+                ("threshold", 0.7, 0.1), ("lower", 0.6, 0.02)]
+
+
+def _batch_point(where, x, y, size, ends):
+    """A point of ``where``'s kind for the batch sampler, placed by ``x``
+    in (0, 1) and the height ``y``, for a flat cutoff 10 * size or a
+    rational scale ``size``: on the rim, off the axis inside the support,
+    on the axis left of threshold, at the support ``ends`` off the axis
+    (above for x < 0.5), at threshold (z = 0, or 5e-324, which z/s
+    rounds to zero for size 3), within size/10 of +-i * size, past
+    |z/size| = 1e150, on the axis right of the flat cutoff, and real
+    with imaginary part -0.0, left of, inside or right of the support."""
+    top = 10.0 * size
+    if where == "rim":
+        return complex(top * x, 0.0)
+    if where in ("upper", "lower"):
+        return complex(top * x, y if where == "upper" else -y)
+    if where == "below":
+        return complex(-y * size, 0.0)
+    if where == "edge":
+        return complex(ends[int(4 * x) % len(ends)], y if x < 0.5 else -y)
+    if where == "threshold":
+        return complex(0.0 if x < 0.5 else 5e-324, 0.0)
+    if where == "near":
+        return size * ((1j if x < 0.5 else -1j)
+                       + 0.1 * min(y, 0.999) * cmath.exp(2j * np.pi * x))
+    if where == "far":
+        return top * 10.0 ** (150.0 + 150.0 * x) * cmath.exp(
+            1j * math.log(y))
+    if where == "right":
+        return complex(top / x, 0.0)
+    return complex(top * (2.0 * x - 0.5), -0.0)  # "negative zero"
+
+
 class TestSelfEnergy:
     def test_free_model(self):
         free = gt.FriedrichsModel(omega0=1.0, lam=0.0,
@@ -389,36 +429,47 @@ class TestSelfEnergy:
         assert val == split[0]
         assert val.imag > 0
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(["flat", "rational"]),
            sheet=st.sampled_from(["I", "II"]),
+           size=st.sampled_from([1.0, 3.0]),
            points=st.lists(st.tuples(
-               st.sampled_from(["rim", "upper", "lower", "below", "edge"]),
+               st.sampled_from(["rim", "upper", "lower", "below", "edge",
+                                "threshold", "near", "far", "right",
+                                "negative zero"]),
                st.floats(1e-3, 1.0 - 1e-3), _log_uniform(-13.0, 0.5)),
                min_size=2, max_size=8))
-    def test_array_call_is_the_single_point_calls(self, kind, sheet, points):
-        # "edge": Re z on a support end, above the axis for x < 0.5
-        model = _profile_model(kind, 1.0, 0.1, 1.0)
-        ends = (0.0,) if kind == "rational" else (0.0, 10.0)
-        z = np.array([{"rim": 10.0 * x, "upper": 10.0 * x + 1j * y,
-                       "lower": 10.0 * x - 1j * y, "below": -y,
-                       "edge": ends[int(4 * x) % len(ends)]
-                       + 1j * (y if x < 0.5 else -y)}[where]
+    @example(kind="flat", sheet="II", size=3.0, points=_MIXED_BATCH)
+    @example(kind="flat", sheet="I", size=1.0, points=_MIXED_BATCH)
+    @example(kind="rational", sheet="II", size=3.0, points=_MIXED_BATCH)
+    @example(kind="rational", sheet="I", size=1.0, points=_MIXED_BATCH)
+    def test_array_call_is_the_single_point_calls(self, kind, sheet, size,
+                                                  points):
+        """Ordinary points and the special ones that the closed forms take
+        apart, in one batch, each get their single-point value bit for
+        bit.  A point whose single call raises (a real z on an end of the
+        flat support, where the integral diverges, or on sheet II a pole
+        +-i * scale of the rational continuation) makes the batch raise
+        the same error, and the other points are compared."""
+        model = _profile_model(kind, 1.0, 0.1, size)
+        ends = (0.0,) if kind == "rational" else (0.0, 10.0 * size)
+        z = np.array([_batch_point(where, x, y, size, ends)
                       for where, x, y in points], dtype=complex)
-        # an edge point can land on +-i, the poles of the rational f^2
-        # that sheet II carries: both routes raise there, and the other
-        # points are compared
-        pole = (kind == "rational") & (sheet == "II") & np.isin(z, [1j, -1j])
-        if pole.any():
-            with pytest.raises(IntegrandError):
+        single, errors = [], []
+        for v in z:
+            try:
+                single.append(gt.self_energy(model, v, sheet))
+            except IntegrandError as exc:
+                errors.append(str(exc))
+                single.append(None)
+        if errors:
+            with pytest.raises(IntegrandError, match=re.escape(errors[0])):
                 gt.self_energy(model, z, sheet)
-            with pytest.raises(IntegrandError):
-                gt.self_energy(model, z[pole][0], sheet)
-            z = z[~pole]
+            z = z[[v is not None for v in single]]
         batch = gt.self_energy(model, z, sheet)
-        single = np.array([gt.self_energy(model, v, sheet) for v in z])
         assert batch.shape == z.shape
-        assert batch.tobytes() == single.tobytes()
+        assert batch.tobytes() == np.array(
+            [v for v in single if v is not None], dtype=complex).tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(kind=st.sampled_from(["flat", "rational"]),
@@ -732,6 +783,30 @@ class TestPerturbativePole:
             form_factor=gt.RationalFormFactor(scale=1e-320))
         with pytest.raises(gt.IntegrandError, match="f\\^2\\(omega0\\)"):
             gt.perturbative_pole(model)
+
+    def test_overflowing_width_is_numerical(self):
+        """lam^2 near the float limit: pi lam^2 f^2(omega0) overflows
+        although f^2(omega0) is finite, and the estimate says so rather
+        than return an infinite width."""
+        model = _profile_model("flat", 1.0, 1e154, 1.0)
+        with pytest.raises(gt.IntegrandError, match="overflows"):
+            gt.perturbative_pole(model)
+
+    @pytest.mark.parametrize("kind", ["flat", "rational"])
+    def test_reads_f2_at_the_level_once(self, kind, monkeypatch):
+        """The golden-rule width and its finiteness check come from the
+        rim term of the one self_energy call: f^2(omega0) is read once."""
+        model = _profile_model(kind, 1.0, 0.1, 1.0)
+        profile = type(model.form_factor)
+        f2, seen = profile.f2, []
+
+        def recorded(self, omega):
+            seen.append(np.atleast_1d(omega).copy())
+            return f2(self, omega)
+
+        monkeypatch.setattr(profile, "f2", recorded)
+        gt.perturbative_pole(model)
+        assert np.count_nonzero(np.concatenate(seen) == 1.0) == 1
 
 
 class TestFindPole:
