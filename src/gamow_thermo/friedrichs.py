@@ -78,7 +78,7 @@ class FormFactor:
     interval where it is nonzero, and (when the profile is an explicit
     analytic expression) its continuation ``f2_complex`` to complex
     arguments and the closed form of its Cauchy transform ``cauchy``,
-    both from the one pass ``_cauchy_and_f2``.
+    which ``_cauchy_and_f2`` forms in one pass with the continuation.
     """
 
     def f2(self, omega):
@@ -214,11 +214,12 @@ class RationalFormFactor(FormFactor):
         return _unbox(out)
 
     def f2_complex(self, z):
-        z = np.asarray(z, dtype=complex)
-        # the transform of that pass is dropped, so no axis point is marked
+        shape = np.shape(z)
+        z = np.asarray(z, dtype=complex).ravel()
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            f2 = self._cauchy_and_f2(z.ravel(), None, True)[1]
-        return _unbox(f2.reshape(z.shape))
+            w = z / self.scale
+            f2 = self._in_w(z, w, w * w + 1.0, np.abs(w) > 1e150)
+        return _unbox(f2.reshape(shape))
 
     def _in_w(self, z, w, wsq1, far):
         """The profile at the flat real or complex array ``z``, from
@@ -398,9 +399,10 @@ def self_energy(model: FriedrichsModel, z, sheet: str = "I"):
     value, imaginary part i*pi*lam^2*f^2(omega).  This sidesteps the
     catastrophic cancellation of approaching the cut numerically.
 
-    Accepts a scalar (giving a Python complex) or an array of z.  The
-    integral and, on sheet II, the continuation at all of them come from
-    one pass of the profile, which checks the points once: for the flat
+    Accepts a scalar (giving a Python complex) or an array of z; a z
+    that is not finite raises :class:`ValueError` on either sheet, at
+    any coupling.  The integral and, on sheet II, the continuation at
+    all of them come from one pass of the profile: for the flat
     and rational profiles a closed form, exact to rounding, that forms
     the continuation from the quantities of its Cauchy transform, and
     for a tabulated one the adaptive Cauchy kernel, each integral within
@@ -414,7 +416,7 @@ def self_energy(model: FriedrichsModel, z, sheet: str = "I"):
         raise ValueError(f"sheet must be 'I' or 'II', got {sheet!r}")
     z = np.asarray(z, dtype=complex)
     shape = z.shape
-    z = z.ravel()
+    z = _finite_points(z)
     lam2 = model.lam**2
     if lam2 == 0.0:
         return _unbox((z - model.omega0).reshape(shape))
@@ -427,7 +429,7 @@ def self_energy(model: FriedrichsModel, z, sheet: str = "I"):
     # a value that is not finite raises, here (the jump) or in the
     # caller: numpy's warnings would only repeat it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        integral, f2 = ff._cauchy_and_f2(_finite_points(z), real, continued)
+        integral, f2 = ff._cauchy_and_f2(z, real, continued)
         eta = z - model.omega0 - lam2 * integral
         if real is not None:
             # the rim: real points strictly inside the support

@@ -1,12 +1,13 @@
 """Shared numerical kernel.
 
 Adaptive complex quadrature (Gauss-Kronrod 7-15 with bulk bisection on
-one flat list of panels, whose first round is a static first pass) and,
-on the same kernel, the Cauchy integrals of g(w) / (z - w) for a whole
-array of z at once: principal values on the axis, a sinh-mapped window
-off it.  Those are the self-energy route of a tabulated form factor and
-the oracle of the flat and rational profiles' closed forms, which are
-the route there.  Also here: complex Newton iteration with
+one flat list of panels, whose first round is four equal panels a
+piece) and, on the same kernel, the Cauchy integrals of g(w) / (z - w)
+for a whole array of z at once: principal values on the axis, a
+sinh-mapped window off it.  Those are the self-energy route of a
+tabulated form factor, which the commands run on the axis, and the
+oracle of the flat and rational profiles' closed forms, which are the
+route there.  Also here: complex Newton iteration with
 difference-quotient slopes from one array call per step, fixed-step RK4
 evolution of linear complex rates, Richardson-extrapolated finite
 differences, and the not-a-knot cubic spline.  Everything here is a pure
@@ -15,7 +16,6 @@ function of its arguments.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -149,27 +149,12 @@ _SIDES = np.array([-1.0, 1.0])[:, None, None]
 # the kernel's two accuracies (abs_tol, rel_tol): an integral is done once
 # its summed Kronrod-Gauss gauge is within max(abs_tol, rel_tol * |I|), and
 # fails past _MAX_PANELS panels.  Principal values run at the density
-# table's, which a tabulated profile's pole search inherits; plain
-# integrals at that of the table's norm
+# table's, plain integrals at that of the table's norm
 _CAUCHY_TOL = (1e-12, 1e-10)
 _INTEGRAL_TOL = (1e-11, 1e-11)
 _MAX_PANELS = 20000
 # relative defect at which ode_evolve's step doubling stops
 _ODE_REL_TOL = 1e-10
-
-
-@functools.cache
-def _first_pass(pieces: int, off: bool) -> np.ndarray:
-    """The panel edges in s of the static first pass of an integral with
-    ``pieces`` pieces, s in [p, p + 1) for piece p, each split into
-    ``_PANELS`` equal panels; off the axis the window piece of a Cauchy
-    integral also splits at s = 1/16, 1/8, 7/8 and 15/16 (see
-    :func:`principal_values`)."""
-    edges = np.linspace(0.0, pieces, pieces * _PANELS + 1)
-    if off:
-        edges = np.insert(edges, [1, 1, _PANELS, _PANELS],
-                          [0.0625, 0.125, 0.875, 0.9375])
-    return edges
 
 
 def _kronrod(vals, half, centre):
@@ -187,9 +172,8 @@ def _kronrod(vals, half, centre):
     return kron, np.abs(kron - sums[..., 1])
 
 
-def _composite(pieces, edges, n: int, tol, dtype, live=()) -> np.ndarray:
-    """The integrals of ``n`` rows over s in [0, len(pieces)), from the
-    first-pass panel ``edges`` of :func:`_first_pass`, bisecting
+def _composite(pieces, n: int, tol, dtype, live=()) -> np.ndarray:
+    """The integrals of ``n`` rows over s in [0, len(pieces)), bisecting
     offending panels in bulk.
 
     Piece p covers s in [p, p + 1): ``pieces[p](j, u)`` is its integrand
@@ -199,8 +183,9 @@ def _composite(pieces, edges, n: int, tol, dtype, live=()) -> np.ndarray:
     nonzero; the other rows get no panel there, and so no call.
 
     The state is one flat list of panels, (row, lo, hi) with each
-    panel's Kronrod sum and gauge; round 0 holds every row's first-pass
-    panels.  Each round evaluates its new panels together, each with the
+    panel's Kronrod sum and gauge; round 0, the first pass, holds
+    ``_PANELS`` equal panels on each live piece of every row, row by
+    row.  Each round evaluates its new panels together, each with the
     integrand of its piece, by blocks of ``_BLOCK`` points.  With ``tol``
     = (abs_tol, rel_tol), a row whose summed gauge exceeds
     max(abs_tol, rel_tol * |I_i|) bisects each panel holding more than
@@ -214,9 +199,9 @@ def _composite(pieces, edges, n: int, tol, dtype, live=()) -> np.ndarray:
     abs_tol, rel_tol = tol
     alive = np.ones((n, len(pieces)), dtype=bool)
     alive[:, :len(live)] = np.transpose(live)
-    row, panel = np.nonzero(alive[:, edges[:-1].astype(int)])
-    lo, hi = edges[panel], edges[panel + 1]
-    count = np.full(n, edges.size - 1)
+    row, panel = np.nonzero(np.repeat(alive, _PANELS, axis=1))
+    lo, hi = panel / _PANELS, (panel + 1) / _PANELS
+    count = np.full(n, len(pieces) * _PANELS)
     step = _BLOCK // _NODES.size
 
     def evaluate(row, lo, hi):
@@ -392,8 +377,7 @@ def integrate(f, a: float, b: float) -> complex:
     # a value that is not finite raises; numpy's warnings would only
     # repeat it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return complex(_composite([piece], _first_pass(1, False), 1,
-                                  _INTEGRAL_TOL, complex)[0])
+        return complex(_composite([piece], 1, _INTEGRAL_TOL, complex)[0])
 
 
 def principal_values(g, a: float, b: float, poles) -> np.ndarray:
@@ -443,17 +427,18 @@ def principal_values(g, a: float, b: float, poles) -> np.ndarray:
     i pi sign(y) g(x), subtracted after the batch.  Rows of the bulk
     kernel never interact, so each result is that of its single call.
 
-    The first pass is static: each batch kind (on or off the axis)
-    starts from one table of panels in s, four per piece, and off the
-    axis the window also splits at v/v_win = 1/16, 1/8, 7/8 and 15/16,
-    its two ends, where a narrow resonance's integrand varies fastest in
-    v.  That pass is the kernel's first bisection round: each piece's
-    integrand is evaluated once, on every point's nodes at once, and a
-    point with an empty window (r = 0) gets no panel there, so g is not
-    called for it.  A call therefore costs about the same for one point
-    as for a few: its cost is per call, not per point.  Only points that
-    miss their tolerance go on to further rounds, which evaluate each new
-    panel with the integrand of its piece.
+    The first pass is static: four equal panels in s on each piece, on
+    and off the axis.  That pass is the kernel's first bisection round:
+    each piece's integrand is evaluated once, on every point's nodes at
+    once, and a point with an empty window (r = 0) gets no panel there,
+    so g is not called for it.  A call therefore costs about the same
+    for one point as for a few: its cost is per call, not per point.
+    That suits what it serves: a tabulated profile's self-energy, which
+    the commands take on the axis only (its sheet II raises), one batch
+    of frequencies per round of the density table; and the closed forms'
+    oracle, which takes whole arrays of z on and off the axis.  Only
+    points that miss their tolerance go on to further rounds, which
+    evaluate each new panel with the integrand of its piece.
     """
     if not -np.inf < a < b < np.inf:
         raise ValueError("integration range must be finite with a < b")
@@ -529,8 +514,8 @@ def _cauchy(g, a: float, b: float, x: np.ndarray, y: np.ndarray,
                 side[j] * np.tanh(v) + i_sign[j] / np.cosh(v))
 
     # a point with an empty window (r = 0) gets no panel there
-    return _composite([window, one_sided], _first_pass(2, off), x.size,
-                      _CAUCHY_TOL, complex if off else float, live=[r > 0.0])
+    return _composite([window, one_sided], x.size, _CAUCHY_TOL,
+                      complex if off else float, live=[r > 0.0])
 
 
 _STEP_TOL = 1e-12
@@ -544,8 +529,8 @@ def complex_newton(g, start: complex) -> tuple[complex, float, float, int]:
 
     ``g`` maps a complex array to an array of the same shape; each
     iteration is one call on the stencil [z, z + h, z - h], with
-    h = 1e-6 * max(1, |z|), so numerically supplied functions (tabulated
-    form factors, quadrature-backed maps) work unchanged.  The stencil
+    h = 1e-6 * max(1, |z|), so a g known only numerically, a
+    quadrature-backed map say, works unchanged.  The stencil
     gives g, g' and g'' = (g(z + h) + g(z - h) - 2 g(z)) / h^2.  The step
     is Halley's, s/(1 - b) with s = g/g' and b = s g''/(2 g'), wherever
     |b| < 0.1, which holds near a simple root (b -> 0 there), and Newton's

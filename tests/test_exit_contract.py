@@ -117,6 +117,28 @@ def test_infinite_number_is_named_on_load(tmp_path, capsys, command, text,
     assert not out.exists()
 
 
+def test_config_that_is_not_json_after_its_brace(tmp_path, capsys):
+    """A config that opens with '{' is read as a run record; one that is
+    no JSON is a config error, not a parse of key-value lines."""
+    code, out = _run(tmp_path, "pole", '{"config": \n')
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        f"config error: {tmp_path / 'run.cfg'}: invalid JSON run record: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("e_r", ["0", "-1"])
+def test_gamma_scan_needs_a_positive_energy(tmp_path, capsys, e_r):
+    """A gamma scan checks pole.e_r before its first point."""
+    code, out = _run(tmp_path, "scan", _set(DIRECT, "pole.e_r", e_r)
+                     + "thermo.beta = 1.0\nscan.axis = gamma\n"
+                     "scan.values = 0.1, 0.2\n")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"config error: pole.e_r must be positive, got {float(e_r)!r}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spacing,start,stop", [
     ("log", "0", "1"), ("log", "-1", "1"), ("linear", "-1e308", "1e308"),
 ], ids=["log-zero", "log-signs", "linear-overflow"])

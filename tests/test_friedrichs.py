@@ -171,6 +171,21 @@ class TestFormFactors:
         assert type(value) is complex
         assert value == pytest.approx(1.0 / (np.pi * z), rel=1e-15)
 
+    def test_rational_continuation_runs_no_cauchy_pass(self, monkeypatch):
+        """The continuation alone is z / (pi (z^2 + s^2)), and its limit
+        far out: f2_complex forms it without the Cauchy transform's logs,
+        so it stands with that pass broken, and keeps the shape."""
+        monkeypatch.setattr(gt.RationalFormFactor, "_cauchy_and_f2",
+                            lambda *args: pytest.fail("the Cauchy pass runs"))
+        ff = gt.RationalFormFactor(scale=2.0)
+        z = np.array([[1.0 - 0.5j, 3.0, 1e200 - 1e199j]])
+        got = ff.f2_complex(z)
+        assert got.shape == z.shape
+        assert got[0, :2] == pytest.approx(
+            z[0, :2] / (np.pi * (z[0, :2] ** 2 + 4.0)), rel=1e-15)
+        assert got[0, 2] == pytest.approx(1.0 / (np.pi * z[0, 2]), rel=1e-15)
+        assert type(ff.f2_complex(1.0 - 0.5j)) is complex
+
     def test_flat_continuation_keeps_the_shape(self):
         """The continuation maps an array to an array of its shape, and a
         scalar to a Python complex."""
@@ -860,6 +875,20 @@ class TestFindPole:
             with pytest.raises(ValueError, match="not finite: z = ") as info:
                 gt.self_energy(model, [0.5 - 0.1j, np.nan], "II")
             assert not isinstance(info.value, gt.NumericalFailure)
+
+    @pytest.mark.parametrize("sheet", ["I", "II"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, -np.inf)],
+                             ids=["nan", "inf", "inf-imag"])
+    def test_uncoupled_model_checks_its_points(self, sheet, bad):
+        """lambda^2 = 0 leaves out the integral, not the point check: a
+        point that is not finite raises ValueError naming it, alone or
+        among finite ones, as it does for a coupled model."""
+        free = gt.FriedrichsModel(omega0=1.0, lam=0.0,
+                                  form_factor=gt.FlatCutoff(cutoff=10.0))
+        for z in (bad, [0.5 - 0.1j, bad]):
+            with pytest.raises(ValueError, match="not finite: z = ") as info:
+                gt.self_energy(free, z, sheet)
+            assert repr(complex(bad)) in str(info.value)
 
     def test_free_model_is_stable(self):
         free = gt.FriedrichsModel(omega0=1.0, lam=0.0,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 import gamow_thermo as gt
-from gamow_thermo import friedrichs, numerics
+from gamow_thermo import numerics
 from gamow_thermo.decay import DensityTable
 from gamow_thermo.numerics import (
     IntegrandError,
@@ -30,14 +30,9 @@ _U = np.finfo(float).eps / 2
 _ETA = np.nextafter(0.0, 1.0)
 
 # integrand points per row in the first pass, by piece: four Kronrod-15
-# panels a piece; a Cauchy window sees both sides of Re z, and off the
-# axis it has four more panels
-_WINDOW_ON, _WINDOW_OFF, _PIECE = 2 * 4 * 15, 2 * 8 * 15, 4 * 15
-
-
-def _first_pass_points(off):
-    """Integrand points per row of each piece's first-pass call."""
-    return [_WINDOW_OFF if off else _WINDOW_ON, _PIECE]
+# panels a piece, on and off the axis; a Cauchy window sees both sides of
+# Re z
+_WINDOW, _PIECE = 2 * 4 * 15, 4 * 15
 
 
 def _recording(g):
@@ -306,45 +301,16 @@ class TestFirstPass:
     """Work counts of the Cauchy kernel: its static first pass calls g
     once per piece, on every point's nodes at once."""
 
-    @pytest.mark.parametrize("lam", [0.03, 0.1, 0.25])
-    @pytest.mark.parametrize("profile", [gt.FlatCutoff(cutoff=10.0)],
-                             ids=["flat"])
-    def test_pole_stencil_needs_no_bisection(self, profile, lam):
-        model = gt.FriedrichsModel(omega0=1.0, lam=lam, form_factor=profile)
-        z = gt.find_pole(model).z
-        h = 1e-6 * max(1.0, abs(z))
-        g, seen = _recording(profile.f2)
-        lo, hi = profile.support
-        principal_values(g, lo, hi, [z, z + h, z - h])
-        pieces = _first_pass_points(True)
-        assert [w.size for w in seen] == [3 * n for n in pieces]
-
-    @pytest.mark.parametrize("lam", [0.03, 0.1, 0.25])
-    @pytest.mark.parametrize("profile", [gt.FlatCutoff(cutoff=10.0)],
-                             ids=["flat"])
-    def test_pole_search_needs_no_bisection(self, profile, lam, monkeypatch):
-        """The quadrature oracle at every point set find_pole hands to
-        self_energy, the estimate's real point and each Newton stencil's
-        three, evaluates its first pass and no more."""
-        calls = []
-        self_energy = friedrichs.self_energy
-
-        def recorded(model, z, sheet="I"):
-            calls.append(np.atleast_1d(np.asarray(z, dtype=complex)))
-            return self_energy(model, z, sheet)
-
-        monkeypatch.setattr(friedrichs, "self_energy", recorded)
-        model = gt.FriedrichsModel(omega0=1.0, lam=lam, form_factor=profile)
-        pole = gt.find_pole(model)
-        assert len(calls) == 1 + pole.stencils
-        lo, hi = profile.support
-        for z in calls:
-            off = np.count_nonzero(z.imag)
-            assert off in (0, z.size)
-            g, seen = _recording(profile.f2)
-            principal_values(g, lo, hi, z)
-            pieces = _first_pass_points(off)
-            assert [w.size for w in seen] == [z.size * n for n in pieces]
+    @pytest.mark.parametrize("z", [3.0, 3.0 - 0.5j], ids=["rim", "off"])
+    def test_four_panels_a_piece_on_and_off_the_axis(self, z):
+        """The first pass is four panels on each piece, whether z lies on
+        the axis or off it: the window's first call evaluates g on
+        2 * 4 * 15 = 120 nodes, the one-sided piece's on 60."""
+        g, seen = _recording(lambda w: 1.0 / (1.0 + w * w))
+        val = principal_values(g, 0.0, 10.0, [z])[0]
+        exact = _bump_cauchy(z, 10.0, 0.0, 1.0)
+        assert abs(val - (exact if np.iscomplex(z) else exact.real)) < 1e-10
+        assert [w.size for w in seen[:2]] == [_WINDOW, _PIECE]
 
     def test_empty_window_calls_no_g(self):
         # Re z at or outside the support's end: the window is empty, and
@@ -354,12 +320,11 @@ class TestFirstPass:
         val = principal_values(g, 0.0, 500.0, z)
         assert np.max(np.abs(val - _bump_cauchy(z, 500.0, 0.0, 1.0))) \
             < 1e-10
-        window, one_sided = _first_pass_points(True)
         # off the axis, then z = -2 on it; the off-axis points may take
         # bisection rounds after their first pass
         sizes = [w.size for w in seen]
-        assert sizes[:2] == [window, 3 * one_sided]
-        assert sizes[-1] == _first_pass_points(False)[1]
+        assert sizes[:2] == [_WINDOW, 3 * _PIECE]
+        assert sizes[-1] == _PIECE
         # no point of an empty window (Re z itself, or below the support)
         # reaches g
         assert all(np.all(w > 0.0) for w in seen)
@@ -386,8 +351,7 @@ class TestFirstPass:
         numerics._composite(
             [lambda j, u: pytest.fail("a dead piece is evaluated"),
              lambda j, u: g(u)],
-            numerics._first_pass(2, False), 1, (1.0, 0.0), float,
-            live=[np.array([False])])
+            1, (1.0, 0.0), float, live=[np.array([False])])
         assert [w.size for w in seen] == [_PIECE, 2 * 2 * 15]
 
     @pytest.mark.parametrize("top", [4.0], ids=["finite"])
